@@ -7,15 +7,19 @@ float64 for gradient checking (finite differences are meaningless at f32).
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
 scalar, or a trailing-shape operand broadcast over leading batch dimensions.
-Anything else raises ShapeMismatch.
+Anything else raises ShapeMismatch. ``adam_step`` is the one optimizer,
+shared by pretraining and the linear probe.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractViolation, NumericError, ShapeMismatch
+from .errors import ConfigError, ContractViolation, NumericError, ShapeMismatch
 
 DTYPES = {"f32": np.float32, "f64": np.float64}
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def resolve_dtype(precision):
@@ -368,3 +372,25 @@ def backward(loss):
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)
             node.grad += g
+
+
+def init_moments(params):
+    return {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in params.items()}
+
+
+def adam_step(params, grads, moments, lr, step):
+    """One bias-corrected Adam update over every named parameter."""
+    if step < 1:
+        raise ConfigError(f"adam step must be >= 1, got {step}")
+    c1 = 1.0 - ADAM_BETA1 ** step
+    c2 = 1.0 - ADAM_BETA2 ** step
+    for name, p in params.items():
+        g = grads.get(name)
+        if g is None:
+            continue
+        m, v = moments[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.data.dtype)

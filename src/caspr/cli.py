@@ -144,7 +144,7 @@ def split_train_test(n, test_frac, seed):
 def evaluate_features(features, labels, task, seed=0, test_frac=0.3):
     """Split, fit the linear probe, score held-out data."""
     train_idx, test_idx = split_train_test(len(features), test_frac, seed)
-    probe = metrics.train_linear_probe(features[train_idx], labels[train_idx], task, seed=seed)
+    probe = metrics.train_linear_probe(features[train_idx], labels[train_idx], task)
     scores = probe.scores(features[test_idx])
     held = labels[test_idx]
     if task == "binary":
@@ -270,7 +270,7 @@ def cmd_eval(args):
         raise SchemaMismatch(f"{len(missing)} entities have no label (first: {missing[0]!r})")
     labels = np.array([label_map[e] for e in ids], dtype=np.float64)
     report = evaluate_features(feats, labels, args.task, seed=args.seed or 0)
-    metrics.write_report_csv(report, _path(args, cfg_file, "out"))
+    atomic_write(_path(args, cfg_file, "out"), lambda fh: metrics.write_report_csv(report, fh))
     print(metrics.format_report(report))
     return 0
 
@@ -324,7 +324,7 @@ def cmd_rank(args):
 
     cases = metrics.rank_items(entity_vecs, list(vocab), item_vecs, relevant, projection)
     report = metrics.ranking_metrics(cases)
-    metrics.write_report_csv(report, out)
+    atomic_write(out, lambda fh: metrics.write_report_csv(report, fh))
 
     ranking_path = os.path.splitext(out)[0] + "_rankings.csv"
 

@@ -5,10 +5,21 @@ distinct process exit statuses without inspecting types twice.
 """
 
 
+def _rebuild(cls, args, state):
+    exc = cls.__new__(cls, *args)
+    exc.__dict__.update(state)
+    return exc
+
+
 class CasprError(Exception):
     """Base class for all caspr failures."""
 
     exit_code = 1
+
+    def __reduce__(self):
+        # Rebuild without calling __init__, whose signature varies by
+        # subclass, so every error survives a pipe from a worker process.
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class ParseError(CasprError):

@@ -294,11 +294,6 @@ def load_schema_json(path):
         return Schema.from_json(json.load(fh))
 
 
-def save_fitted_json(fitted, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fitted.to_json(), fh, indent=2, sort_keys=True)
-
-
 def load_fitted_json(path):
     with open(path, encoding="utf-8") as fh:
         return FittedSchema.from_json(json.load(fh))

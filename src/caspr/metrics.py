@@ -14,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, adam_step, init_moments
 from .errors import CaseError, LabelError, SchemaMismatch
-from .pretrain import TrainConfig, adam_step
 
 PROBE_L2 = 1e-4
 PROBE_STEPS = 600
@@ -42,17 +41,7 @@ class LinearProbe:
         return coef, intercept
 
 
-class _ProbeParams:
-    """Minimal parameter holder compatible with adam_step."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def items(self):
-        return self.params.items()
-
-
-def train_linear_probe(features, labels, task, seed=0):
+def train_linear_probe(features, labels, task):
     """Fit the probe by full-batch Adam on the autodiff graph."""
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -75,9 +64,8 @@ def train_linear_probe(features, labels, task, seed=0):
     n, d = xs.shape
     w = Tensor(np.zeros((d, 1)), dtype="f64", requires_grad=True)
     b = Tensor(np.zeros(1), dtype="f64", requires_grad=True)
-    params = _ProbeParams({"w": w, "b": b})
-    moments = {k: (np.zeros_like(p.data), np.zeros_like(p.data)) for k, p in params.items()}
-    opt = TrainConfig(lr=PROBE_LR, epochs=1, seed=seed, batch_size=max(2, n))
+    params = {"w": w, "b": b}
+    moments = init_moments(params)
     xt = Tensor(xs)
     yt = y.reshape(-1, 1)
 
@@ -97,7 +85,7 @@ def train_linear_probe(features, labels, task, seed=0):
         w.grad = None
         b.grad = None
         ad.backward(loss)
-        adam_step(params, {"w": w.grad, "b": b.grad}, moments, opt, step)
+        adam_step(params, {"w": w.grad, "b": b.grad}, moments, PROBE_LR, step)
 
     return LinearProbe(task=task, w=w.data[:, 0].copy(), b=float(b.data[0]),
                        feat_mean=mean, feat_std=std)
@@ -231,12 +219,11 @@ def rank_items(entity_vectors, item_ids, item_vectors, relevant_by_entity, proje
     return cases
 
 
-def write_report_csv(report, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        for name, value in report.items():
-            writer.writerow([name, repr(float(value))])
+def write_report_csv(report, fh):
+    writer = csv.writer(fh)
+    writer.writerow(["metric", "value"])
+    for name, value in report.items():
+        writer.writerow([name, repr(float(value))])
 
 
 def format_report(report):

@@ -1,28 +1,31 @@
-"""Masked-recovery pretraining: masking, reconstruction loss, Adam, the
-training loop, binary checkpoints and synchronous data-parallel execution.
+"""Masked-recovery pretraining: masking, reconstruction loss, the training
+loop, binary checkpoints and synchronous data-parallel gradients.
 
 Training zeroes a random subset of real positions, runs the masked batch
 through encoder and decoder, and reconstructs the original values at every
 non-pad position (squared error for numerics, cross-entropy over vocab+1
-logits for categoricals). Workers in data-parallel mode receive identical
-weights each step, return shard gradients, and a single reduction feeds one
-optimizer update, so replicas never drift.
+logits for categoricals). There is one training loop. With workers > 1 only
+the source of a batch's gradients changes: forked workers receive identical
+weights each step and return shard gradients, and one reduction feeds one
+optimizer update, so replicas never drift and failures surface exactly as
+in serial mode.
 """
 from __future__ import annotations
 
 import json
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import multiprocessing as mp
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Tensor, adam_step, init_moments
 from .errors import (
     BadMagic,
+    CasprError,
     ConfigError,
     ContractViolation,
     DivergenceError,
@@ -43,8 +46,8 @@ from .transformer import (
 
 __all__ = [
     "TrainConfig", "Checkpoint", "DivergenceError", "apply_mask",
-    "reconstruction_loss", "adam_step", "train", "train_data_parallel",
-    "save_checkpoint", "load_checkpoint", "compute_gradients",
+    "reconstruction_loss", "train", "save_checkpoint", "load_checkpoint",
+    "compute_gradients",
 ]
 
 CHECKPOINT_MAGIC = b"CSPR1"
@@ -54,9 +57,6 @@ CHECKPOINT_VERSION = 1
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch_size: int = 256     # 8192 matches the large-scale benchmark setting
     epochs: int = 10
     seed: int = 0
@@ -77,9 +77,7 @@ class TrainConfig:
             raise ConfigError(f"unknown loss_scope {self.loss_scope!r}")
 
     def to_json(self):
-        return {k: getattr(self, k) for k in
-                ("lr", "beta1", "beta2", "eps", "batch_size", "epochs", "seed",
-                 "workers", "mask_mode", "loss_scope")}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj):
@@ -156,28 +154,6 @@ def _numeric_index(preds, col):
 
 def _categorical_index(preds, col):
     return [c for c, p in preds.items() if p.shape[-1] != 1].index(col)
-
-
-def adam_step(weights, grads, moments, cfg, step):
-    """One bias-corrected Adam update over every named parameter."""
-    if step < 1:
-        raise ConfigError(f"adam step must be >= 1, got {step}")
-    c1 = 1.0 - cfg.beta1 ** step
-    c2 = 1.0 - cfg.beta2 ** step
-    for name, p in weights.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m, v = moments[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= (cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.eps)).astype(p.data.dtype)
-
-
-def init_moments(weights):
-    return {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in weights.items()}
 
 
 def compute_gradients(weights, batch, plan, loss_scope="all", train=True, rng=None):
@@ -305,75 +281,63 @@ def load_checkpoint(path):
     )
 
 
-def _epoch_batches(n, batch_size, perm):
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
-
-
 def train(dataset, model_cfg, train_cfg, init=None):
     """Run pretraining; returns (final checkpoint, per-epoch loss log).
 
-    Log rows are (epoch, mean_loss, wall_seconds). With the same seed and
-    workers=1 the loss column is reproducible run to run, and resuming from
-    a checkpoint continues the uninterrupted log exactly.
+    Log rows are (epoch, mean_loss, wall_seconds). The permutation, the masks
+    and (with one worker) dropout all come from one seeded rng, so at any
+    worker count the loss column is reproducible run to run and resuming
+    from a checkpoint continues the uninterrupted log exactly.
     """
-    if train_cfg.workers > 1:
-        return train_data_parallel(dataset, model_cfg, train_cfg, init=init)
-    return _train_serial(dataset, model_cfg, train_cfg, init=init)
-
-
-def _setup(dataset, model_cfg, train_cfg, init):
     if not dataset.sequences:
         raise ConfigError("train: empty dataset")
+    seqs, fitted = dataset.sequences, dataset.fitted
     rng = np.random.default_rng(train_cfg.seed)
-    weights = build_weights(model_cfg, dataset.fitted, rng)
+    weights = build_weights(model_cfg, fitted, rng)
     moments = init_moments(weights)
-    epoch_start = 0
-    adam_steps = 0
+    epoch_start = adam_steps = 0
     if init is not None:
         weights.load_arrays(init.tensors)
-        for name, (m, v) in init.moments.items():
-            moments[name] = (m.copy(), v.copy())
+        moments.update({name: (m.copy(), v.copy()) for name, (m, v) in init.moments.items()})
         if init.rng_state is not None:
             rng.bit_generator.state = init.rng_state
-        epoch_start = init.epoch
-        adam_steps = init.adam_steps
-    return rng, weights, moments, epoch_start, adam_steps
-
-
-def _train_serial(dataset, model_cfg, train_cfg, init=None):
-    rng, weights, moments, epoch_start, adam_steps = _setup(dataset, model_cfg, train_cfg, init)
-    seqs = dataset.sequences
+        epoch_start, adam_steps = init.epoch, init.adam_steps
     log = []
     last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)
-    for epoch in range(epoch_start, train_cfg.epochs):
-        tic = time.perf_counter()
-        perm = rng.permutation(len(seqs))
-        loss_num = 0.0
-        loss_den = 0.0
-        for idx in _epoch_batches(len(seqs), train_cfg.batch_size, perm):
-            batch = prepare_batch([seqs[i] for i in idx], dataset.fitted, model_cfg)
-            masked, plan = apply_mask(batch, model_cfg.mask_p, rng, train_cfg.mask_mode)
-            try:
-                grads, num, den = compute_gradients(
-                    weights, masked, plan,
-                    loss_scope=train_cfg.loss_scope, train=True, rng=rng)
-            except NumericError as exc:
-                raise DivergenceError(str(exc), checkpoint=last_good) from exc
-            if not np.isfinite(num):
-                raise DivergenceError(f"loss diverged at epoch {epoch + 1}", checkpoint=last_good)
-            adam_steps += 1
-            adam_step(weights, grads, moments, train_cfg, adam_steps)
-            loss_num += num
-            loss_den += den
-        wall = time.perf_counter() - tic
-        log.append((epoch + 1, loss_num / loss_den, wall))
-        last_good = checkpoint_from(weights, moments, rng, epoch + 1, adam_steps)
+    pool = _WorkerPool(dataset, model_cfg, train_cfg) if train_cfg.workers > 1 else None
+    try:
+        for epoch in range(epoch_start, train_cfg.epochs):
+            tic = time.perf_counter()
+            perm = rng.permutation(len(seqs))
+            loss_num = loss_den = 0.0
+            for step, start in enumerate(range(0, len(seqs), train_cfg.batch_size)):
+                idx = perm[start:start + train_cfg.batch_size]
+                batch = prepare_batch([seqs[i] for i in idx], fitted, model_cfg)
+                masked, plan = apply_mask(batch, model_cfg.mask_p, rng, train_cfg.mask_mode)
+                try:
+                    if pool is None:
+                        grads, num, den = compute_gradients(
+                            weights, masked, plan, loss_scope=train_cfg.loss_scope, train=True, rng=rng)
+                    else:
+                        grads, num, den = pool.gradients(weights, idx, plan, epoch, step)
+                except NumericError as exc:
+                    raise DivergenceError(str(exc), checkpoint=last_good) from exc
+                if not np.isfinite(num):
+                    raise DivergenceError(f"loss diverged at epoch {epoch + 1}", checkpoint=last_good)
+                adam_steps += 1
+                adam_step(weights, grads, moments, train_cfg.lr, adam_steps)
+                loss_num += num
+                loss_den += den
+            log.append((epoch + 1, loss_num / loss_den, time.perf_counter() - tic))
+            last_good = checkpoint_from(weights, moments, rng, epoch + 1, adam_steps)
+    finally:
+        if pool is not None:
+            pool.close()
     return last_good, log
 
 
 # ---------------------------------------------------------------------------
-# synchronous data-parallel mode
+# synchronous data-parallel gradients
 
 def _worker_loop(conn, sequences, fitted, model_cfg, loss_scope, seed, worker_idx):
     while True:
@@ -386,9 +350,12 @@ def _worker_loop(conn, sequences, fitted, model_cfg, loss_scope, seed, worker_id
         masked = batch.with_keep((batch.real & ~plan).astype(batch.keep.dtype))
         rng = np.random.default_rng([seed, epoch, step, worker_idx])
         weights = _bare_weights(model_cfg, fitted, arrays)
-        grads, num, den = compute_gradients(weights, masked, plan,
-                                            loss_scope=loss_scope, train=True, rng=rng)
-        conn.send((grads, num, den))
+        try:
+            result = compute_gradients(weights, masked, plan,
+                                       loss_scope=loss_scope, train=True, rng=rng)
+        except CasprError as exc:
+            result = exc  # the parent re-raises it inside the training loop
+        conn.send(result)
 
 
 def _bare_weights(model_cfg, fitted, arrays):
@@ -399,90 +366,69 @@ def _bare_weights(model_cfg, fitted, arrays):
     return w
 
 
-def train_data_parallel(dataset, model_cfg, train_cfg, init=None):
-    """Lockstep data parallelism: shard each batch, reduce gradients once,
-    apply a single optimizer update, broadcast the result.
+class _WorkerPool:
+    """Forked workers that turn each batch into one reduced gradient.
 
-    Shard gradients are combined weighted by their scored-position counts,
-    which reproduces the full-batch gradient exactly (the loss is a flat
-    mean over positions); with equal counts this is the plain sum/W.
-    Reduction runs in fixed worker-index order for reproducibility.
+    Each step shards the batch, sends every worker the current weights and
+    its shard, and combines the shard gradients weighted by their
+    scored-position counts, which reproduces the full-batch gradient exactly
+    (the loss is a flat mean over positions). Reduction runs in fixed
+    worker-index order for reproducibility.
     """
-    if train_cfg.workers < 2:
-        raise ConfigError("train_data_parallel requires workers >= 2")
-    rng, weights, moments, epoch_start, adam_steps = _setup(dataset, model_cfg, train_cfg, init)
-    seqs = dataset.sequences
-    fitted = dataset.fitted
-    w_count = train_cfg.workers
 
-    ctx = mp.get_context("fork")
-    conns, procs = [], []
-    for wi in range(w_count):
-        parent, child = ctx.Pipe()
-        proc = ctx.Process(
-            target=_worker_loop,
-            args=(child, seqs, fitted, model_cfg, train_cfg.loss_scope, train_cfg.seed, wi),
-            daemon=True,
-        )
-        proc.start()
-        child.close()
-        conns.append(parent)
-        procs.append(proc)
+    def __init__(self, dataset, model_cfg, train_cfg):
+        ctx = mp.get_context("fork")
+        self.conns, self.procs = [], []
+        for wi in range(train_cfg.workers):
+            parent, child = ctx.Pipe()
+            proc = ctx.Process(
+                target=_worker_loop,
+                args=(child, dataset.sequences, dataset.fitted, model_cfg,
+                      train_cfg.loss_scope, train_cfg.seed, wi),
+                daemon=True,
+            )
+            proc.start()
+            child.close()
+            self.conns.append(parent)
+            self.procs.append(proc)
 
-    log = []
-    try:
-        last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)
-        for epoch in range(epoch_start, train_cfg.epochs):
-            tic = time.perf_counter()
-            perm = rng.permutation(len(seqs))
-            loss_num = 0.0
-            loss_den = 0.0
-            for step, idx in enumerate(_epoch_batches(len(seqs), train_cfg.batch_size, perm)):
-                if len(idx) < w_count:
-                    raise ConfigError(
-                        f"batch of {len(idx)} cannot feed {w_count} workers (shard starvation)")
-                batch = prepare_batch([seqs[i] for i in idx], fitted, model_cfg)
-                _, plan = apply_mask(batch, model_cfg.mask_p, rng, train_cfg.mask_mode)
-                shards = np.array_split(np.arange(len(idx)), w_count)
-                arrays = {name: p.data for name, p in weights.items()}
-                for wi, shard in enumerate(shards):
-                    conns[wi].send(("step", arrays, [int(idx[i]) for i in shard],
-                                    plan[shard], epoch, step))
-                results = [conns[wi].recv() for wi in range(w_count)]
-                den_total = sum(r[2] for r in results)
-                grads = None
-                for shard_grads, _, den in results:  # fixed worker-index order
-                    scale = den / den_total
-                    if grads is None:
-                        grads = {k: g * scale for k, g in shard_grads.items()}
-                    else:
-                        for k, g in shard_grads.items():
-                            grads[k] += g * scale
-                num_total = sum(r[1] for r in results)
-                if not np.isfinite(num_total):
-                    raise DivergenceError(f"loss diverged at epoch {epoch + 1}", checkpoint=last_good)
-                adam_steps += 1
-                adam_step(weights, grads, moments, train_cfg, adam_steps)
-                loss_num += num_total
-                loss_den += den_total
-            wall = time.perf_counter() - tic
-            log.append((epoch + 1, loss_num / loss_den, wall))
-            last_good = checkpoint_from(weights, moments, rng, epoch + 1, adam_steps)
-    finally:
-        for conn in conns:
+    def gradients(self, weights, idx, plan, epoch, step):
+        """(grads, loss numerator, scored-position count) for one batch."""
+        w_count = len(self.conns)
+        if len(idx) < w_count:
+            raise ConfigError(f"batch of {len(idx)} cannot feed {w_count} workers (shard starvation)")
+        arrays = {name: p.data for name, p in weights.items()}
+        for wi, shard in enumerate(np.array_split(np.arange(len(idx)), w_count)):
+            self.conns[wi].send(("step", arrays, [int(idx[i]) for i in shard],
+                                 plan[shard], epoch, step))
+        results = [self._recv(wi) for wi in range(w_count)]
+        for r in results:
+            if isinstance(r, CasprError):
+                raise r
+        den_total = sum(r[2] for r in results)
+        grads = None
+        for shard_grads, _, den in results:  # fixed worker-index order
+            scale = den / den_total
+            if grads is None:
+                grads = {k: g * scale for k, g in shard_grads.items()}
+            else:
+                for k, g in shard_grads.items():
+                    grads[k] += g * scale
+        return grads, sum(r[1] for r in results), den_total
+
+    def _recv(self, wi):
+        try:
+            return self.conns[wi].recv()
+        except (EOFError, OSError):
+            return CasprError(f"data-parallel worker {wi} exited mid-step")
+
+    def close(self):
+        for conn in self.conns:
             try:
                 conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
-        for proc in procs:
+        for proc in self.procs:
             proc.join(timeout=10)
             if proc.is_alive():
                 proc.terminate()
-    return last_good, log
-
-
-def write_loss_log(log, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("epoch,mean_loss,wall_seconds\n")
-        for epoch, mean_loss, wall in log:
-            fh.write(f"{epoch},{mean_loss!r},{wall:.6f}\n")

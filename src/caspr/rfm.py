@@ -9,7 +9,6 @@ use the population convention (divide by n) so single-event entities yield
 """
 from __future__ import annotations
 
-import csv
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -173,11 +172,3 @@ def rfm_table(by_entity, reference_ts=None):
     if reference_ts is None:
         reference_ts = max(ts for events in by_entity.values() for ts, _ in events) + SECONDS_PER_DAY
     return [(entity, rfm_features(by_entity[entity], reference_ts)) for entity in sorted(by_entity)]
-
-
-def write_rfm_csv(table, path):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity"] + FEATURE_NAMES)
-        for entity, vec in table:
-            writer.writerow([entity] + [repr(float(x)) for x in vec])

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from caspr import cli
 from caspr.cli import main
 
 
@@ -146,6 +147,21 @@ def test_rank_pipeline(workspace, tmp_path):
     assert len(rankings) == 61
 
 
+def test_eval_report_write_is_atomic(workspace, tmp_path, monkeypatch):
+    emb = tmp_path / "emb.csv"
+    assert main(["embed", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
+                 "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(emb)]) == 0
+    report = tmp_path / "report.csv"
+    report.write_text("metric,value\nauroc,0.5\n")
+    before = report.read_bytes()
+    monkeypatch.setattr(cli, "evaluate_features", lambda *a, **k: {"auroc": 0.9, "f1_pos": "n/a"})
+    with pytest.raises(ValueError):
+        main(["eval", "--features", str(emb), "--labels", str(workspace["data_dir"] / "labels.csv"),
+              "--task", "binary", "--out", str(report)])
+    assert report.read_bytes() == before
+    assert not list(tmp_path.glob(".tmp-*"))
+
+
 def test_full_pipeline_from_one_config_file(tmp_path):
     """fit -> pretrain -> embed -> eval driven entirely by one RunConfig."""
     data_dir = tmp_path / "data"
@@ -216,6 +232,21 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    def test_data_parallel_divergence_is_4(self, workspace, tmp_path, capfd):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({
+            "model": {"hidden": 8, "ff_dim": 16, "layers": 1, "heads": 2, "t": 8, "dropout": 0.0},
+            "train": {"lr": 1e8, "epochs": 30, "batch_size": 30, "seed": 1},
+        }))
+        with np.errstate(all="ignore"):
+            code = main(["pretrain", "--config", str(cfg), "--workers", "2",
+                         "--fitted", str(workspace["fitted"]),
+                         "--data", str(workspace["data_dir"] / "data.csv"),
+                         "--out", str(tmp_path / "run")])
+        assert code == 4
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DivergenceError")
 
     def test_flag_overrides_config(self, workspace, tmp_path):
         out = tmp_path / "override"

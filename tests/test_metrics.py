@@ -174,7 +174,7 @@ class TestLinearProbe:
     def test_separable_two_points(self):
         x = np.array([[0.0], [1.0]])
         y = np.array([0.0, 1.0])
-        probe = train_linear_probe(x, y, "binary", seed=0)
+        probe = train_linear_probe(x, y, "binary")
         scores = probe.scores(x)
         assert (scores[y == 1] > 0.0).all() and (scores[y == 0] < 0.0).all()
 
@@ -186,14 +186,14 @@ class TestLinearProbe:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(200, 3))
         y = (rng.random(200) < 0.5).astype(float)
-        probe = train_linear_probe(x, y, "binary", seed=0)
+        probe = train_linear_probe(x, y, "binary")
         probs = 1.0 / (1.0 + np.exp(-probe.scores(x)))
         assert abs(probs.mean() - y.mean()) < 0.05
 
     def test_regression_recovers_line(self):
         x = np.arange(8.0).reshape(-1, 1)
         y = 2.0 * x[:, 0] + 1.0
-        probe = train_linear_probe(x, y, "regression", seed=0)
+        probe = train_linear_probe(x, y, "regression")
         coef, intercept = probe.coefficients()
         np.testing.assert_allclose(coef, [2.0], atol=1e-3)
         np.testing.assert_allclose(intercept, 1.0, atol=1e-3)
@@ -202,7 +202,7 @@ class TestLinearProbe:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(50, 4))
         y = (x[:, 0] > 0).astype(float)
-        p1 = train_linear_probe(x, y, "binary", seed=3)
-        p2 = train_linear_probe(x, y, "binary", seed=3)
+        p1 = train_linear_probe(x, y, "binary")
+        p2 = train_linear_probe(x, y, "binary")
         np.testing.assert_array_equal(p1.w, p2.w)
         assert p1.b == p2.b

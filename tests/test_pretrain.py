@@ -1,19 +1,26 @@
 import math
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from caspr import pretrain, transformer as tf
-from caspr.autodiff import Tensor
-from caspr.errors import BadMagic, ConfigError, TruncatedFile, VersionMismatch
+from caspr.autodiff import Tensor, adam_step, init_moments
+from caspr.errors import (
+    BadMagic,
+    CasprError,
+    ConfigError,
+    ParseError,
+    ShapeMismatch,
+    TruncatedFile,
+    VersionMismatch,
+)
 from caspr.ingest import SequenceDataset
 from caspr.pretrain import (
     TrainConfig,
-    adam_step,
     apply_mask,
     compute_gradients,
-    init_moments,
     load_checkpoint,
     reconstruction_loss,
     save_checkpoint,
@@ -170,7 +177,7 @@ class TestAdam:
         _, weights = small_weights(fitted)
         before = weights.clone_arrays()
         grads = {name: np.zeros_like(p.data) for name, p in weights.items()}
-        adam_step(weights, grads, init_moments(weights), TrainConfig(epochs=1), 1)
+        adam_step(weights, grads, init_moments(weights), TrainConfig(epochs=1).lr, 1)
         for name, arr in weights.clone_arrays().items():
             np.testing.assert_array_equal(arr, before[name])
 
@@ -182,7 +189,7 @@ class TestAdam:
                 return [("p", p)]
 
         moments = {"p": (np.zeros(1), np.zeros(1))}
-        adam_step(W(), {"p": np.array([0.1])}, moments, TrainConfig(epochs=1), 1)
+        adam_step(W(), {"p": np.array([0.1])}, moments, TrainConfig(epochs=1).lr, 1)
         np.testing.assert_allclose(p.data[0] - 1.0, -9.99999e-4, atol=1e-9)
 
     def test_default_learning_rate(self):
@@ -308,12 +315,6 @@ class TestDataParallel:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=1, batch_size=2, workers=4)
 
-    def test_requires_two_workers(self):
-        ds = tiny_dataset()
-        with pytest.raises(ConfigError):
-            pretrain.train_data_parallel(ds, tf.ModelConfig(**MODEL),
-                                         TrainConfig(epochs=1, batch_size=6, workers=1))
-
     def test_averaged_shard_gradients_equal_full_batch(self):
         ds = tiny_dataset(n=16, seed=6)
         cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=6,
@@ -358,3 +359,39 @@ class TestDataParallel:
         for name in serial_ck.tensors:
             np.testing.assert_allclose(par_ck.tensors[name], serial_ck.tensors[name],
                                        rtol=1e-8, atol=1e-10)
+
+    def test_worker_divergence_carries_last_good_checkpoint(self):
+        ds = tiny_dataset(n=8, seed=5)
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, dropout=0.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(pretrain.DivergenceError) as exc:
+                train(ds, cfg, TrainConfig(epochs=50, seed=0, batch_size=8, lr=1e8, workers=2))
+        assert exc.value.checkpoint is not None
+        assert exc.value.checkpoint.tensors
+
+    def test_worker_dying_mid_step_is_a_typed_error(self, monkeypatch):
+        monkeypatch.setattr(pretrain, "compute_gradients", lambda *a, **k: os._exit(3))
+        with pytest.raises(CasprError, match="worker 0"):
+            train(tiny_dataset(), tf.ModelConfig(**MODEL),
+                  TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
+
+    def test_every_error_survives_the_pipe(self):
+        for exc in (ShapeMismatch("matmul", (2, 3), (4, 5)), ParseError("bad ts", 7),
+                    pretrain.DivergenceError("nan", checkpoint=None)):
+            again = pickle.loads(pickle.dumps(exc))
+            assert type(again) is type(exc) and str(again) == str(exc)
+            assert again.__dict__ == exc.__dict__
+
+    def test_dropout_resume_matches_straight_run(self, tmp_path):
+        ds = tiny_dataset(n=12, seed=8)
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6,
+                             dropout=0.1, precision="f64")
+        straight_ck, straight_log = train(ds, cfg, TrainConfig(epochs=4, seed=2, batch_size=6, workers=2))
+        half_ck, half_log = train(ds, cfg, TrainConfig(epochs=2, seed=2, batch_size=6, workers=2))
+        path = tmp_path / "half.bin"
+        save_checkpoint(half_ck, path)
+        resumed_ck, rest_log = train(ds, cfg, TrainConfig(epochs=4, seed=2, batch_size=6, workers=2),
+                                     init=load_checkpoint(path))
+        assert [l for _, l, _ in half_log + rest_log] == [l for _, l, _ in straight_log]
+        for name, arr in straight_ck.tensors.items():
+            assert arr.tobytes() == resumed_ck.tensors[name].tobytes()
