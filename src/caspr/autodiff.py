@@ -7,8 +7,10 @@ float64 for gradient checking (finite differences are meaningless at f32).
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
 scalar, or a trailing-shape operand broadcast over leading batch dimensions.
-Anything else raises ShapeMismatch. ``adam_step`` is the one optimizer,
-shared by pretraining and the linear probe.
+Anything else raises ShapeMismatch. ``attention`` is the one fused op: the
+whole multi-head softmax attention is a single node with a hand-derived
+backward. ``adam_step`` is the one optimizer, shared by pretraining and the
+linear probe.
 """
 from __future__ import annotations
 
@@ -275,6 +277,76 @@ def softmax(a, axis=-1):
     out = _make(y, (a,), None)
     if out.requires_grad:
         out._backward = lambda g: (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+    return out
+
+
+def _reduce_last(ufunc, x):
+    """Reduce the (short) last axis with one elementwise ufunc call per slot.
+
+    On attention's key axis this is several times faster than a numpy
+    reduction, which pays a per-row setup cost; for np.maximum it is
+    bit-identical to ``x.max(axis=-1)``.
+    """
+    out = x[..., 0].copy()
+    for j in range(1, x.shape[-1]):
+        ufunc(out, x[..., j], out=out)
+    return out
+
+
+def _split_heads(x, heads):
+    b, t, h = x.shape
+    return x.reshape(b, t, heads, h // heads).transpose(0, 2, 1, 3)
+
+
+def _merged_matmul(a, b):
+    """Stacked per-head a @ b, written straight into merged (B, t, heads * d) layout."""
+    bsz, heads, t = a.shape[:3]
+    d = b.shape[-1]
+    out = np.empty((bsz, t, heads, d), dtype=np.result_type(a, b))
+    np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
+    return out.reshape(bsz, t, heads * d)
+
+
+def attention(q, k, v, mask, heads):
+    """Multi-head softmax(QKᵀ/√d_k + mask)·V as a single graph node.
+
+    `q` is (B, tq, H); `k` and `v` are (B, tk, H). The last axis splits into
+    `heads` slices of width d_k = H / heads, and the per-head outputs O are
+    merged back to (B, tq, H). `mask` is an additive array broadcast over
+    heads, (B, 1, tq, tk) in q's dtype, or None. The backward follows the
+    fused formulation of FlashAttention (Dao et al. 2022) and keeps only the
+    probabilities P, O and head views of the inputs: dV = Pᵀg, dP = gVᵀ,
+    dS = P∘(dP − D)·scale with D = Σ dP∘P = Σ g∘O per query row,
+    dQ = dS·K, dK = dSᵀ·Q.
+    """
+    if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or k.shape[0] != q.shape[0]
+            or k.shape[2] != q.shape[2] or q.shape[2] % heads):
+        raise ShapeMismatch("attention", q.shape, k.shape)
+    scale = (q.shape[2] // heads) ** -0.5
+    qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p *= scale
+    if mask is not None:
+        p += mask
+    if np.isnan(p).any():
+        raise NumericError("attention: NaN in scores")
+    p -= _reduce_last(np.maximum, p)[..., None]
+    np.exp(p, out=p)
+    p /= _reduce_last(np.add, p)[..., None]
+    o = _merged_matmul(p, vh)
+    out = _make(o, (q, k, v), None)
+    if out.requires_grad:
+
+        def bwd(g):
+            gh = _split_heads(g, heads)
+            ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
+            ds -= _reduce_last(np.add, gh * _split_heads(o, heads))[..., None]
+            ds *= p
+            ds *= scale
+            return (_merged_matmul(ds, kh), _merged_matmul(np.swapaxes(ds, -1, -2), qh),
+                    _merged_matmul(np.swapaxes(p, -1, -2), gh))
+
+        out._backward = bwd
     return out
 
 

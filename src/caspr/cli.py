@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import ingest, metrics, pretrain, rfm, synthgen, transformer
-from .errors import CasprError, ConfigError, IoError, LabelError, ParseError, SchemaMismatch
+from .errors import CasprError, ConfigError, DivergenceError, IoError, LabelError, ParseError, SchemaMismatch
 
 log = logging.getLogger("caspr")
 
@@ -59,7 +59,24 @@ def _load_config(path):
     if path is None:
         return {}
     with open(_require(path, "config file"), encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            cfg_file = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+    if not isinstance(cfg_file, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    for section in ("model", "train", "synth", "paths"):
+        if not isinstance(cfg_file.get(section, {}), dict):
+            raise ConfigError(f"{path}: config section {section!r} must be a JSON object")
+    return cfg_file
+
+
+def _config(cls, cfg_file, section, overrides):
+    """Build a config dataclass from a config-file section plus flag overrides."""
+    try:
+        return cls.from_json({**cfg_file.get(section, {}), **overrides})
+    except TypeError as exc:  # unknown key, or a value of the wrong type
+        raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
 def _path(args, cfg_file, key, required=True):
@@ -71,19 +88,14 @@ def _path(args, cfg_file, key, required=True):
 
 
 def _model_config(args, cfg_file):
-    obj = dict(cfg_file.get("model", {}))
-    if getattr(args, "precision", None):
-        obj["precision"] = args.precision
-    return transformer.ModelConfig.from_json(obj)
+    overrides = {"precision": args.precision} if getattr(args, "precision", None) else {}
+    return _config(transformer.ModelConfig, cfg_file, "model", overrides)
 
 
 def _train_config(args, cfg_file):
-    obj = dict(cfg_file.get("train", {}))
-    for flag in ("seed", "epochs", "batch_size", "workers"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            obj[flag] = value
-    return pretrain.TrainConfig.from_json(obj)
+    overrides = {flag: getattr(args, flag) for flag in ("seed", "epochs", "batch_size", "workers")
+                 if getattr(args, flag, None) is not None}
+    return _config(pretrain.TrainConfig, cfg_file, "train", overrides)
 
 
 def _write_embeddings(records, path):
@@ -155,14 +167,9 @@ def evaluate_features(features, labels, task, seed=0, test_frac=0.3):
 
 def cmd_synth(args):
     cfg_file = _load_config(args.config)
-    obj = dict(cfg_file.get("synth", {}))
-    if args.n_entities is not None:
-        obj["n_entities"] = args.n_entities
-    if args.seed is not None:
-        obj["seed"] = args.seed
-    if args.signal is not None:
-        obj["signal"] = args.signal
-    cfg = synthgen.SynthConfig.from_json(obj)
+    overrides = {flag: getattr(args, flag) for flag in ("n_entities", "seed", "signal")
+                 if getattr(args, flag) is not None}
+    cfg = _config(synthgen.SynthConfig, cfg_file, "synth", overrides)
     out_dir = _path(args, cfg_file, "out")
     data_path, labels_path, schema_path = synthgen.generate(cfg, out_dir)
     print(f"wrote {data_path}, {labels_path}, {schema_path}")
@@ -184,6 +191,16 @@ def cmd_fit(args):
     return 0
 
 
+def _write_checkpoint(ck, out_dir):
+    """Save `ck` as <out_dir>/checkpoint.bin via a temp file and a rename."""
+    os.makedirs(out_dir, exist_ok=True)
+    ck_path = os.path.join(out_dir, "checkpoint.bin")
+    tmp = ck_path + ".tmp"
+    pretrain.save_checkpoint(ck, tmp)
+    os.replace(tmp, ck_path)
+    return ck_path
+
+
 def cmd_pretrain(args):
     cfg_file = _load_config(args.config)
     model_cfg = _model_config(args, cfg_file)
@@ -194,12 +211,15 @@ def cmd_pretrain(args):
     dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
     log.info("pretraining on %d sequences for %d epochs (workers=%d)",
              len(dataset.sequences), train_cfg.epochs, train_cfg.workers)
-    ck, loss_log = pretrain.train(dataset, model_cfg, train_cfg)
-    os.makedirs(out_dir, exist_ok=True)
-    ck_path = os.path.join(out_dir, "checkpoint.bin")
-    tmp = ck_path + ".tmp"
-    pretrain.save_checkpoint(ck, tmp)
-    os.replace(tmp, ck_path)
+    try:
+        ck, loss_log = pretrain.train(dataset, model_cfg, train_cfg)
+    except DivergenceError as exc:
+        if exc.checkpoint is None:
+            raise
+        ck_path = _write_checkpoint(exc.checkpoint, out_dir)
+        raise DivergenceError(f"{exc}; kept the last good checkpoint (epoch {exc.checkpoint.epoch}) "
+                              f"at {ck_path}", checkpoint=exc.checkpoint) from exc
+    ck_path = _write_checkpoint(ck, out_dir)
 
     def write_log(fh):
         fh.write("epoch,mean_loss,wall_seconds\n")

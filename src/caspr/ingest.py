@@ -211,6 +211,10 @@ def fit_schema(rows, schema):
     """Single pass over raw records: build vocabularies and z-score stats."""
     numeric_cols = schema.names_of("numerical") + schema.names_of("static_numerical")
     cat_cols = schema.names_of("categorical") + schema.names_of("static_categorical")
+    # Sums are taken about each column's first value, so a column far from
+    # zero (epoch-like values, large balances) keeps its spread instead of
+    # losing it to cancellation in sumsq / n - mean².
+    shifts = None
     sums = {c: 0.0 for c in numeric_cols}
     sumsqs = {c: 0.0 for c in numeric_cols}
     vocab = {c: [] for c in cat_cols}
@@ -218,10 +222,12 @@ def fit_schema(rows, schema):
     n = 0
     for i, rec in enumerate(rows):
         parse_timestamp(rec[schema.ts_col], i)
+        if shifts is None:
+            shifts = {c: _parse_number(rec[c], c, i) for c in numeric_cols}
         for c in numeric_cols:
-            x = _parse_number(rec[c], c, i)
-            sums[c] += x
-            sumsqs[c] += x * x
+            d = _parse_number(rec[c], c, i) - shifts[c]
+            sums[c] += d
+            sumsqs[c] += d * d
         for c in cat_cols:
             v = rec[c]
             if v not in seen[c]:
@@ -230,10 +236,10 @@ def fit_schema(rows, schema):
         n += 1
     if n == 0:
         raise EmptyDataset("fit_schema: empty input stream")
-    means = {c: sums[c] / n for c in numeric_cols}
+    means = {c: shifts[c] + sums[c] / n for c in numeric_cols}
     stds = {}
     for c in numeric_cols:
-        var = max(sumsqs[c] / n - means[c] ** 2, 0.0)
+        var = max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0)
         std = math.sqrt(var)
         stds[c] = std if std > 0 else 1.0
     return FittedSchema(schema=schema, vocab=vocab, means=means, stds=stds)

@@ -41,6 +41,7 @@ from .transformer import (
     decoder_forward,
     encoder_forward,
     prepare_batch,
+    project_inputs,
     reconstruction_heads,
 )
 
@@ -163,8 +164,9 @@ def compute_gradients(weights, batch, plan, loss_scope="all", train=True, rng=No
     numerator is loss * count so shard results combine exactly.
     """
     weights.zero_grad()
-    enc = encoder_forward(batch, weights, train=train, rng=rng)
-    dec = decoder_forward(batch, enc, weights, train=train, rng=rng)
+    x = project_inputs(batch, weights)
+    enc = encoder_forward(batch, weights, train=train, rng=rng, inputs=x)
+    dec = decoder_forward(batch, enc, weights, train=train, rng=rng, inputs=x)
     preds = reconstruction_heads(dec, weights)
     loss = reconstruction_loss(preds, batch, plan, loss_scope)
     ad.backward(loss)
@@ -355,6 +357,8 @@ def _worker_loop(conn, sequences, fitted, model_cfg, loss_scope, seed, worker_id
                                        loss_scope=loss_scope, train=True, rng=rng)
         except CasprError as exc:
             result = exc  # the parent re-raises it inside the training loop
+        except Exception as exc:  # anything else still reaches the parent as one typed error
+            result = CasprError(f"data-parallel worker {worker_idx} failed: {type(exc).__name__}: {exc}")
         conn.send(result)
 
 

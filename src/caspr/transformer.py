@@ -266,40 +266,33 @@ def project_inputs(batch, weights):
     return ad.add(ad.matmul(x, weights["in_proj/w"]), weights["in_proj/b"])
 
 
+def attention_mask(mask, dtype):
+    """Check an additive (B, tq, tk) mask once and shape it for ad.attention.
+
+    Returns it cast to `dtype` with a head axis, (B, 1, tq, tk), so that one
+    mask serves every head of every attention layer in a forward pass.
+    """
+    m = np.asarray(mask)
+    if (m <= NEG_INF).all(axis=-1).any():
+        raise NumericError("attention row with no attendable position")
+    return m.astype(dtype)[:, None]
+
+
 def scaled_dot_attention(q, k, v, mask=None):
-    """softmax(QK^T / sqrt(d_k)) V with an additive mask (NEG_INF = blocked)."""
-    d_k = q.shape[-1]
-    scores = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    if mask is not None:
-        m = mask.data if isinstance(mask, Tensor) else np.asarray(mask)
-        if (m <= NEG_INF).all(axis=-1).any():
-            raise NumericError("attention row with no attendable position")
-        scores = ad.add(scores, Tensor(m.astype(scores.dtype)))
-    weights = ad.softmax(scores, axis=-1)
-    return ad.matmul(weights, v)
-
-
-def _split_heads(x, heads):
-    b, t, h = x.shape
-    return ad.reshape(ad.transpose(ad.reshape(x, (b, t, heads, h // heads)), (0, 2, 1, 3)), (b * heads, t, h // heads))
-
-
-def _merge_heads(x, heads, b):
-    bh, t, dk = x.shape
-    return ad.reshape(ad.transpose(ad.reshape(x, (b, heads, t, dk)), (0, 2, 1, 3)), (b, t, heads * dk))
+    """Single-head softmax(QK^T / sqrt(d_k)) V with an additive mask (NEG_INF = blocked)."""
+    m = None if mask is None else attention_mask(mask, q.dtype)
+    return ad.attention(q, k, v, m, heads=1)
 
 
 def multi_head(h, context, mask, layer, heads):
-    """Per-head Q/K/V projections, scaled-dot attention, concat, W^O."""
-    b = h.shape[0]
-    q = _split_heads(ad.matmul(h, layer["wq"]), heads)
-    k = _split_heads(ad.matmul(context, layer["wk"]), heads)
-    v = _split_heads(ad.matmul(context, layer["wv"]), heads)
-    m = None
-    if mask is not None:
-        m = np.repeat(mask, heads, axis=0)
-    out = scaled_dot_attention(q, k, v, m)
-    return ad.matmul(_merge_heads(out, heads, b), layer["wo"])
+    """Q/K/V projections, fused multi-head attention, W^O.
+
+    `mask` comes from attention_mask (or is None).
+    """
+    q = ad.matmul(h, layer["wq"])
+    k = ad.matmul(context, layer["wk"])
+    v = ad.matmul(context, layer["wv"])
+    return ad.matmul(ad.attention(q, k, v, mask, heads), layer["wo"])
 
 
 def _layer_weights(weights, prefix):
@@ -341,12 +334,16 @@ def causal_mask(real):
     return np.where(allowed, 0.0, NEG_INF)
 
 
-def encoder_forward(batch, weights, train=False, rng=None):
-    """Stack of {self-attention, FFN} blocks over the projected input."""
+def encoder_forward(batch, weights, train=False, rng=None, inputs=None):
+    """Stack of {self-attention, FFN} blocks over the projected input.
+
+    `inputs` is project_inputs(batch, weights) when the caller has it
+    already; the decoder starts from the same projection.
+    """
     batch = _as_batch(batch, weights)
     cfg = weights.cfg
-    h = project_inputs(batch, weights)
-    mask = encoder_mask(batch.real)
+    h = project_inputs(batch, weights) if inputs is None else inputs
+    mask = attention_mask(encoder_mask(batch.real), h.dtype)
     for i in range(cfg.layers):
         attn = multi_head(h, h, mask, _layer_weights(weights, f"enc{i}/attn"), cfg.heads)
         h = _sublayer(h, attn, weights, f"enc{i}/ln1", cfg.dropout, train, rng)
@@ -354,12 +351,12 @@ def encoder_forward(batch, weights, train=False, rng=None):
     return h
 
 
-def decoder_forward(batch, encoder_out, weights, train=False, rng=None):
+def decoder_forward(batch, encoder_out, weights, train=False, rng=None, inputs=None):
     """Causal self-attention, causal cross-attention over encoder output, FFN."""
     batch = _as_batch(batch, weights)
     cfg = weights.cfg
-    h = project_inputs(batch, weights)
-    mask = causal_mask(batch.real)
+    h = project_inputs(batch, weights) if inputs is None else inputs
+    mask = attention_mask(causal_mask(batch.real), h.dtype)
     for i in range(cfg.layers):
         self_attn = multi_head(h, h, mask, _layer_weights(weights, f"dec{i}/self"), cfg.heads)
         h = _sublayer(h, self_attn, weights, f"dec{i}/ln1", cfg.dropout, train, rng)

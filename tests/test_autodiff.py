@@ -197,6 +197,72 @@ class TestBackward:
         check_grads(lambda: ad.sum_(ad.mul(ad.relu(x), ad.relu(x))), [x])
 
 
+def causal_pad_mask(rng, b, t):
+    """Additive (B, t, t) mask: causal, pad keys blocked, pad query rows open."""
+    real = np.arange(t)[None, :] >= rng.integers(0, t - 1, size=b)[:, None]
+    tri = np.tril(np.ones((t, t), dtype=bool))
+    allowed = (real[:, None, :] & tri) | ~real[:, :, None]
+    return np.where(allowed, 0.0, -1e9)
+
+
+def unfused_attention(q, k, v, mask, heads):
+    """Reference: per-head matmul -> scale -> add mask -> softmax -> matmul, then concat."""
+    dk = q.shape[-1] // heads
+    outs = []
+    for i in range(heads):
+        cols = (slice(None), slice(None), slice(i * dk, (i + 1) * dk))
+        scores = ad.mul(ad.matmul(q[cols], ad.transpose(k[cols])), 1.0 / np.sqrt(dk))
+        scores = ad.add(scores, Tensor(mask))
+        outs.append(ad.matmul(ad.softmax(scores, axis=-1), v[cols]))
+    return ad.concat(outs, axis=-1)
+
+
+class TestAttention:
+    """The fused op against finite differences and the unfused op chain.
+
+    q comes from one tensor and k, v from a distinct context tensor, the
+    cross-attention case; self-attention is the special case k, v from q's
+    input.
+    """
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_grads_match_fd(self, heads):
+        rng = np.random.default_rng(20 + heads)
+        q, k, v = leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+        mask = causal_pad_mask(rng, 2, 5)[:, None]
+        w = Tensor(rng.normal(size=(2, 5, 4)), dtype="f64")
+        check_grads(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, mask, heads), w)), [q, k, v])
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_unfused_chain(self, heads):
+        rng = np.random.default_rng(30 + heads)
+        mask = causal_pad_mask(rng, 3, 6)
+        w = rng.normal(size=(3, 6, 8))
+        results = []
+        for fn in (lambda q, k, v: ad.attention(q, k, v, mask[:, None], heads),
+                   lambda q, k, v: unfused_attention(q, k, v, mask, heads)):
+            leaves = [Tensor(x, dtype="f64", requires_grad=True)
+                      for x in np.random.default_rng(7).normal(size=(3, 3, 6, 8))]
+            out = fn(*leaves)
+            ad.backward(ad.sum_(ad.mul(out, Tensor(w))))
+            results.append([out.data] + [x.grad for x in leaves])
+        for fused, ref in zip(*results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+
+    def test_nan_scores_raise(self):
+        q = Tensor(np.full((1, 2, 2), np.nan))
+        k = Tensor(np.zeros((1, 2, 2)))
+        with pytest.raises(NumericError):
+            ad.attention(q, k, k, None, heads=1)
+
+    def test_shape_mismatch(self):
+        q = Tensor(np.zeros((1, 2, 4)))
+        with pytest.raises(ShapeMismatch):
+            ad.attention(q, Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((1, 3, 2))), None, heads=2)
+        with pytest.raises(ShapeMismatch):
+            ad.attention(q, q, q, None, heads=3)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_random_composite_graph_matches_fd(seed):

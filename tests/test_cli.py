@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from caspr import cli
+from caspr import cli, pretrain
 from caspr.cli import main
 
 
@@ -245,8 +245,43 @@ class TestExitCodes:
                          "--data", str(workspace["data_dir"] / "data.csv"),
                          "--out", str(tmp_path / "run")])
         assert code == 4
+        # the last good checkpoint survives, and the one error line names its epoch
+        ck = pretrain.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert all(np.isfinite(arr).all() for arr in ck.tensors.values())
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["checkpoint.bin"]
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: DivergenceError")
+        assert f"(epoch {ck.epoch})" in err[0]
+
+    def test_worker_exception_is_one_error_line(self, workspace, tmp_path, capfd, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(pretrain, "compute_gradients", out_of_memory)
+        code = main(["pretrain", "--config", str(workspace["cfg"]), "--workers", "2",
+                     "--fitted", str(workspace["fitted"]),
+                     "--data", str(workspace["data_dir"] / "data.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code != 0
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "worker 0" in err[0] and "MemoryError" in err[0]
+
+    @pytest.mark.parametrize("text, what", [
+        ('{"model": {"hidden": 8, "no_such_knob": 1}}', "no_such_knob"),
+        ('{"train": {"epochs": 1, "no_such_knob": 1}}', "no_such_knob"),
+        ('{"train": {"epochs": 1,}', "malformed JSON"),
+        ('{"paths": ["run"]}', "section 'paths'"),
+    ])
+    def test_bad_config_is_config_error(self, workspace, tmp_path, capsys, text, what):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(text)
+        code = main(["pretrain", "--config", str(cfg), "--fitted", str(workspace["fitted"]),
+                     "--data", str(workspace["data_dir"] / "data.csv"),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError") and what in err[0]
 
     def test_flag_overrides_config(self, workspace, tmp_path):
         out = tmp_path / "override"

@@ -1,8 +1,9 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from caspr import ingest
 from caspr.errors import EmptyDataset, ParseError, SchemaMismatch
@@ -71,6 +72,23 @@ class TestFitSchema:
         fitted = fit_schema(rows_of(schema, [("a", 1, 7.0), ("a", 2, 7.0)]), schema)
         assert fitted.means["x"] == 7.0
         assert fitted.stds["x"] == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(offset=st.sampled_from([0.0, -3e4, 1e6, 1e9, -1e9, 1.7e9, 1e12]),
+           spread=st.sampled_from([1e-2, 1.0, 1e3]),
+           devs=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=50))
+    @example(offset=1e9, spread=1.0, devs=[-1.0, 1.0, -1.0, 1.0])
+    def test_std_exact_at_large_offsets(self, offset, spread, devs):
+        # statistics.pstdev is exact (rational arithmetic); np.std is not a
+        # usable oracle here, since its own mean rounds at offsets near 1e12
+        xs = [offset + spread * d for d in devs]
+        std = statistics.pstdev(xs)
+        assume(std > 1e-3 * (max(xs) - min(xs)) > 0)
+        schema = make_schema([ColumnSpec("x", "numerical")])
+        fitted = fit_schema(rows_of(schema, [("a", i, x) for i, x in enumerate(xs)]), schema)
+        np.testing.assert_allclose(fitted.stds["x"], std, rtol=1e-6)
+        np.testing.assert_allclose(fitted.means["x"], statistics.fmean(xs), rtol=1e-12,
+                                   atol=1e-12 * (max(xs) - min(xs)))
 
     def test_embed_dim_from_observed_cardinality(self):
         schema = make_schema([ColumnSpec("c", "categorical")])

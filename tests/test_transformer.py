@@ -200,6 +200,26 @@ class TestEncoder:
         assert not (a.data == b.data).all()
 
 
+class TestAttentionMaskCheck:
+    @pytest.mark.parametrize("mask_fn, forward", [
+        ("encoder_mask", lambda b, w: tf.encoder_forward(b, w)),
+        ("causal_mask", lambda b, w: tf.decoder_forward(b, tf.encoder_forward(b, w), w)),
+    ])
+    def test_all_blocked_query_row_raises(self, monkeypatch, mask_fn, forward):
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted)
+        batch = tf.prepare_batch(random_sequences(np.random.default_rng(12), 2, cfg.t, fitted), fitted, cfg)
+
+        def blocked(real):
+            mask = np.zeros(real.shape + real.shape[-1:])
+            mask[1, 2, :] = tf.NEG_INF
+            return mask
+
+        monkeypatch.setattr(tf, mask_fn, blocked)
+        with pytest.raises(NumericError, match="no attendable position"):
+            forward(batch, weights)
+
+
 class TestDecoderCausality:
     def test_causal_mask_lower_triangular(self):
         real = np.ones((1, 3), dtype=bool)
