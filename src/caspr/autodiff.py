@@ -4,15 +4,23 @@ Each forward op links its output to its parents and stashes a closure
 returning per-parent gradients; ``backward`` walks that implicit graph once
 in reverse topological order. Storage is numpy, float32 by default and
 float64 for gradient checking (finite differences are meaningless at f32).
+Inside ``no_grad()`` ops build no parent links and no closures.
 
 Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
 scalar, or a trailing-shape operand broadcast over leading batch dimensions.
-Anything else raises ShapeMismatch. ``attention`` is the one fused op: the
-whole multi-head softmax attention is a single node with a hand-derived
-backward. ``adam_step`` is the one optimizer, shared by pretraining and the
-linear probe.
+Anything else raises ShapeMismatch. Three ops are fused into one node each,
+with hand-derived backwards: ``attention`` (the whole multi-head softmax
+attention), ``matmul`` with a 2-D weight and an optional bias (one GEMM
+over the flattened rows, a dense layer), and ``layer_norm`` with an optional
+residual and dropout keep mask (a post-norm sublayer). ``FlatParams`` keeps
+named parameters as views into one contiguous array and gathers their
+gradients into views of another, so that ``adam_step``, the one optimizer,
+shared by pretraining and the linear probe, is a single vectorized update.
 """
 from __future__ import annotations
+
+import contextlib
+import math
 
 import numpy as np
 
@@ -22,6 +30,8 @@ DTYPES = {"f32": np.float32, "f64": np.float64}
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+_grad_enabled = True
 
 
 def resolve_dtype(precision):
@@ -107,9 +117,20 @@ def _wrap(x, like):
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Inference mode: ops made inside build no graph and no backward closures."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _make(data, parents, backward_fn):
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
@@ -163,10 +184,21 @@ def mul(a, b):
     return out
 
 
-def matmul(a, b):
+def matmul(a, b, bias=None):
+    """a @ b, plus `bias` over the last axis when given.
+
+    With a 2-D `b` (a dense layer's weight) the leading axes of `a` are
+    flattened into one (N, k) @ (k, n) GEMM, so the weight gradient is a
+    single a₂ᵀg₂ rather than a batched product summed over the batch.
+    `bias` (shape (n,)) requires a 2-D `b`.
+    """
     b = _wrap(b, a)
     if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeMismatch("matmul", a.shape, b.shape)
+    if b.data.ndim == 2 and a.data.ndim >= 2:
+        return _dense(a, b, bias)
+    if bias is not None:
+        raise ShapeMismatch("matmul bias", b.shape, bias.shape)
     try:
         data = np.matmul(a.data, b.data)
     except ValueError:
@@ -179,6 +211,38 @@ def matmul(a, b):
             ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
             gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
             return ga, gb
+
+        out._backward = bwd
+    return out
+
+
+def _col_sums(x2):
+    """Column sums of a 2-D array as one GEMV against a ones vector.
+
+    On (N, 16) rows this is about ten times faster than ``x2.sum(axis=0)``.
+    """
+    return np.ones(x2.shape[0], dtype=x2.dtype) @ x2
+
+
+def _dense(a, w, bias):
+    """One GEMM over a's rows flattened to (N, k), bias added in place."""
+    k, n = w.shape
+    if bias is not None and bias.shape != (n,):
+        raise ShapeMismatch("matmul bias", w.shape, bias.shape)
+    a2 = a.data.reshape(-1, k)
+    y = a2 @ w.data
+    if bias is not None:
+        y += bias.data
+    out_shape = a.shape[:-1] + (n,)
+    parents = (a, w) if bias is None else (a, w, bias)
+    out = _make(y.reshape(out_shape), parents, None)
+    if out.requires_grad:
+        wd = w.data
+
+        def bwd(g):
+            g2 = g.reshape(-1, n)
+            grads = ((g2 @ wd.T).reshape(a.shape), a2.T @ g2)
+            return grads if bias is None else grads + (_col_sums(g2),)
 
         out._backward = bwd
     return out
@@ -363,24 +427,50 @@ def log_softmax(a, axis=-1):
     return out
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Normalize over the last axis (population variance), then scale/shift."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = _make(xhat * gamma.data + beta.data, (x, gamma, beta), None)
+def layer_norm(x, gamma, beta, residual=None, keep=None, eps=1e-5):
+    """Normalize s = x + residual·keep over the last axis, then scale/shift.
+
+    One node for a whole post-norm sublayer: `residual` is the sublayer
+    output, `keep` its dropout mask (already scaled by 1/(1-p)) or None,
+    and with no `residual` s is `x` itself. Row mean and population
+    variance are GEMVs against a 1/n vector. The backward returns dx,
+    dresidual = dx·keep, and dgamma and dbeta as column sums.
+    """
+    n = x.shape[-1]
+    if residual is not None and residual.shape != x.shape:
+        raise ShapeMismatch("layer_norm residual", x.shape, residual.shape)
+    if keep is not None and keep.shape != x.shape:
+        raise ShapeMismatch("layer_norm keep", x.shape, keep.shape)
+    if residual is None:
+        s = x.data
+    elif keep is None:
+        s = x.data + residual.data
+    else:
+        s = residual.data * keep
+        s += x.data
+    s2 = s.reshape(-1, n)
+    inv_n = np.full(n, 1.0 / n, dtype=s.dtype)
+    xc = s2 - (s2 @ inv_n)[:, None]
+    inv = 1.0 / np.sqrt((xc * xc) @ inv_n + eps)[:, None]
+    xhat = xc
+    xhat *= inv
+    y = xhat * gamma.data
+    y += beta.data
+    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    out = _make(y.reshape(x.shape), parents, None)
     if out.requires_grad:
-        n = x.shape[-1]
 
         def bwd(g):
-            dxhat = g * gamma.data
-            dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-            dgamma = _unbroadcast(g * xhat, gamma.shape)
-            dbeta = _unbroadcast(g, beta.shape)
-            return dx, dgamma, dbeta
+            g2 = g.reshape(-1, n)
+            dxhat = g2 * gamma.data
+            dx = dxhat - (dxhat @ inv_n)[:, None]
+            dx -= xhat * ((dxhat * xhat) @ inv_n)[:, None]
+            dx *= inv
+            dx = dx.reshape(x.shape)
+            grads = (dx, _col_sums(g2 * xhat), _col_sums(g2))
+            if residual is None:
+                return grads
+            return grads + (dx if keep is None else dx * keep,)
 
         out._backward = bwd
     return out
@@ -446,23 +536,61 @@ def backward(loss):
             node.grad += g
 
 
-def init_moments(params):
-    return {name: (np.zeros_like(p.data), np.zeros_like(p.data)) for name, p in params.items()}
+class FlatParams:
+    """Named parameter tensors whose .data are views into one contiguous array.
+
+    `arrays` maps name -> initial array; the order fixes the layout. `flat`
+    holds every parameter and `grad`, after ``zero_grad``, every leaf
+    gradient: backward accumulates into per-parameter views of it.
+    """
+
+    def __init__(self, arrays, dtype):
+        self._slots, off = [], 0
+        for name, arr in arrays.items():
+            shape = np.shape(arr)
+            self._slots.append((name, off, off + math.prod(shape), shape))
+            off = self._slots[-1][2]
+        self.flat = np.empty(off, dtype=dtype)
+        self.params = {name: Tensor(view, requires_grad=True) for name, view in self.views(self.flat).items()}
+        for name, p in self.params.items():
+            p.data[...] = arrays[name]
+        self.grad = None
+
+    def views(self, flat):
+        """Per-name views of any array laid out like `flat`."""
+        return {name: flat[start:stop].reshape(shape) for name, start, stop, shape in self._slots}
+
+    def __getitem__(self, name):
+        return self.params[name]
+
+    def names(self):
+        return list(self.params)
+
+    def items(self):
+        return self.params.items()
+
+    def zero_grad(self):
+        """Bind every leaf's .grad to a view of a fresh zeroed flat gradient."""
+        self.grad = np.zeros_like(self.flat)
+        for p, g in zip(self.params.values(), self.views(self.grad).values()):
+            p.grad = g
+
+
+def init_moments(flat):
+    """Adam's first and second moments for a flat parameter array."""
+    return np.zeros_like(flat), np.zeros_like(flat)
 
 
 def adam_step(params, grads, moments, lr, step):
-    """One bias-corrected Adam update over every named parameter."""
+    """One bias-corrected Adam update, in place, over flat parameter,
+    gradient and (m, v) moment arrays."""
     if step < 1:
         raise ConfigError(f"adam step must be >= 1, got {step}")
     c1 = 1.0 - ADAM_BETA1 ** step
     c2 = 1.0 - ADAM_BETA2 ** step
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        m, v = moments[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.data -= (lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(p.data.dtype)
+    m, v = moments
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * grads * grads
+    params -= (lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)).astype(params.dtype)

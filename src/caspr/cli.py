@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import tempfile
+import typing
 
 import numpy as np
 
@@ -68,14 +69,29 @@ def _load_config(path):
     for section in ("model", "train", "synth", "paths"):
         if not isinstance(cfg_file.get(section, {}), dict):
             raise ConfigError(f"{path}: config section {section!r} must be a JSON object")
+    for key, value in cfg_file.get("paths", {}).items():
+        if not isinstance(value, str):
+            raise ConfigError(f"{path}: paths.{key} must be a string, got {type(value).__name__}")
     return cfg_file
 
 
 def _config(cls, cfg_file, section, overrides):
-    """Build a config dataclass from a config-file section plus flag overrides."""
+    """Build a config dataclass from a config-file section plus flag overrides.
+
+    Each value must have its field's type: an int field takes no bool, a
+    float field also takes an int.
+    """
+    values = {**cfg_file.get(section, {}), **overrides}
+    fields = typing.get_type_hints(cls)
+    for key, value in values.items():
+        want = fields.get(key)
+        accepted = (int, float) if want is float else want
+        if want is not None and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ConfigError(f"config section {section!r}: field {key!r} must be {want.__name__}, "
+                              f"got {type(value).__name__}")
     try:
-        return cls.from_json({**cfg_file.get(section, {}), **overrides})
-    except TypeError as exc:  # unknown key, or a value of the wrong type
+        return cls.from_json(values)
+    except TypeError as exc:  # unknown key
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
@@ -233,10 +249,7 @@ def cmd_pretrain(args):
 
 def _weights_from_checkpoint(path):
     ck = pretrain.load_checkpoint(_require(path, "checkpoint"))
-    rng = np.random.default_rng(0)
-    weights = transformer.build_weights(ck.model_cfg, ck.fitted, rng)
-    weights.load_arrays(ck.tensors)
-    return ck, weights
+    return ck, transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.tensors)
 
 
 def _embed_all(weights, dataset, batch_size=512):

@@ -86,6 +86,10 @@ class TruncatedFile(IoError):
     pass
 
 
+class CorruptFile(IoError):
+    """A file has the right framing but malformed content."""
+
+
 class LabelError(CasprError):
     exit_code = 1
 

@@ -62,15 +62,14 @@ def train_linear_probe(features, labels, task):
     xs = (x - mean) / std
 
     n, d = xs.shape
-    w = Tensor(np.zeros((d, 1)), dtype="f64", requires_grad=True)
-    b = Tensor(np.zeros(1), dtype="f64", requires_grad=True)
-    params = {"w": w, "b": b}
-    moments = init_moments(params)
+    params = ad.FlatParams({"w": np.zeros((d, 1)), "b": np.zeros(1)}, np.float64)
+    w, b = params["w"], params["b"]
+    moments = init_moments(params.flat)
     xt = Tensor(xs)
     yt = y.reshape(-1, 1)
 
     for step in range(1, PROBE_STEPS + 1):
-        z = ad.add(ad.matmul(xt, w), b)
+        z = ad.matmul(xt, w, b)
         if task == "binary":
             # logistic loss as 2-class cross-entropy on logits [0, z]
             logits = ad.concat([ad.mul(z, 0.0), z], axis=1)
@@ -82,10 +81,9 @@ def train_linear_probe(features, labels, task):
             data_loss = ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / n)
         penalty = ad.mul(ad.sum_(ad.mul(w, w)), PROBE_L2)
         loss = ad.add(data_loss, penalty)
-        w.grad = None
-        b.grad = None
+        params.zero_grad()
         ad.backward(loss)
-        adam_step(params, {"w": w.grad, "b": b.grad}, moments, PROBE_LR, step)
+        adam_step(params.flat, params.grad, moments, PROBE_LR, step)
 
     return LinearProbe(task=task, w=w.data[:, 0].copy(), b=float(b.data[0]),
                        feat_mean=mean, feat_std=std)

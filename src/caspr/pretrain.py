@@ -13,6 +13,7 @@ in serial mode.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,15 +29,16 @@ from .errors import (
     CasprError,
     ConfigError,
     ContractViolation,
+    CorruptFile,
     DivergenceError,
     NumericError,
+    SchemaMismatch,
     TruncatedFile,
     VersionMismatch,
 )
 from .ingest import FittedSchema
 from .transformer import (
     ModelConfig,
-    ModelWeights,
     build_weights,
     decoder_forward,
     encoder_forward,
@@ -161,7 +163,8 @@ def compute_gradients(weights, batch, plan, loss_scope="all", train=True, rng=No
     """Forward + backward on one (already masked) batch.
 
     Returns (grads by name, loss numerator, scored-position count); the
-    numerator is loss * count so shard results combine exactly.
+    numerator is loss * count so shard results combine exactly. The grads
+    are views of the flat gradient `weights.grad`.
     """
     weights.zero_grad()
     x = project_inputs(batch, weights)
@@ -171,8 +174,7 @@ def compute_gradients(weights, batch, plan, loss_scope="all", train=True, rng=No
     loss = reconstruction_loss(preds, batch, plan, loss_scope)
     ad.backward(loss)
     npad = float(batch.real.sum()) if loss_scope == "all" else float((plan & batch.real).sum())
-    grads = {name: (p.grad if p.grad is not None else np.zeros_like(p.data)) for name, p in weights.items()}
-    return grads, float(loss.data) * npad, npad
+    return {name: p.grad for name, p in weights.items()}, float(loss.data) * npad, npad
 
 
 @dataclass
@@ -187,11 +189,13 @@ class Checkpoint:
 
 
 def checkpoint_from(weights, moments, rng, epoch, adam_steps):
+    """Snapshot of training state; moments are per-name views of one copy of the flat (m, v)."""
+    m, v = (weights.views(x.copy()) for x in moments)
     return Checkpoint(
         model_cfg=weights.cfg,
         fitted=weights.fitted,
         tensors=weights.clone_arrays(),
-        moments={k: (m.copy(), v.copy()) for k, (m, v) in moments.items()},
+        moments={name: (m[name], v[name]) for name in m},
         rng_state=rng.bit_generator.state,
         epoch=epoch,
         adam_steps=adam_steps,
@@ -229,7 +233,12 @@ def save_checkpoint(ck, path):
             fh.write(arr.astype("<f4" if tag == 0 else "<f8", copy=False).tobytes())
 
 
+HEADER_KEYS = ("model", "fitted", "rng_state", "epoch", "adam_steps")
+DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+
+
 def load_checkpoint(path):
+    """Parse a checkpoint; any malformed content raises an IoError subclass."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -251,36 +260,57 @@ def load_checkpoint(path):
     if version != CHECKPOINT_VERSION:
         raise VersionMismatch(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack("<Q", take(8, "header length"))
-    header = json.loads(bytes(take(blob_len, "header")).decode("utf-8"))
+    try:
+        header = json.loads(bytes(take(blob_len, "header")).decode("utf-8"))
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise CorruptFile(f"{path}: malformed header: {exc}") from None
+    if not isinstance(header, dict) or any(k not in header for k in HEADER_KEYS):
+        raise CorruptFile(f"{path}: header must be an object with keys {', '.join(HEADER_KEYS)}")
 
     records = {}
     while off < len(data):
         (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        name = bytes(take(name_len, "tensor name")).decode("utf-8")
+        try:
+            name = bytes(take(name_len, "tensor name")).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorruptFile(f"{path}: tensor name at byte {off - name_len} is not UTF-8") from None
+        if name in records:
+            raise CorruptFile(f"{path}: duplicate tensor {name!r}")
         (rank,) = struct.unpack("<B", take(1, "tensor rank"))
         dims = [struct.unpack("<Q", take(8, "tensor dim"))[0] for _ in range(rank)]
         (tag,) = struct.unpack("<B", take(1, "dtype tag"))
-        dtype = np.dtype("<f4") if tag == 0 else np.dtype("<f8")
-        count = int(np.prod(dims)) if dims else 1
-        payload = take(count * dtype.itemsize, f"tensor {name!r} payload")
-        records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        if tag not in DTYPE_TAGS:
+            raise CorruptFile(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
+        dtype = DTYPE_TAGS[tag]
+        payload = take(math.prod(dims) * dtype.itemsize, f"tensor {name!r} payload")
+        try:
+            records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        except ValueError as exc:  # more dims than numpy supports
+            raise CorruptFile(f"{path}: tensor {name!r}: {exc}") from None
 
-    tensors = {k: v for k, v in records.items() if not k.startswith("adam/")}
-    moments = {}
+    tensors, firsts, seconds = {}, {}, {}
     for k, v in records.items():
         if k.startswith("adam/m/"):
-            moments.setdefault(k[len("adam/m/"):], [None, None])[0] = v
+            firsts[k[len("adam/m/"):]] = v
         elif k.startswith("adam/v/"):
-            moments.setdefault(k[len("adam/v/"):], [None, None])[1] = v
-    return Checkpoint(
-        model_cfg=ModelConfig.from_json(header["model"]),
-        fitted=FittedSchema.from_json(header["fitted"]),
-        tensors=tensors,
-        moments={k: (m, v) for k, (m, v) in moments.items()},
-        rng_state=header["rng_state"],
-        epoch=int(header["epoch"]),
-        adam_steps=int(header["adam_steps"]),
-    )
+            seconds[k[len("adam/v/"):]] = v
+        elif not k.startswith("adam/"):
+            tensors[k] = v
+    if firsts.keys() != seconds.keys():
+        odd = sorted(firsts.keys() ^ seconds.keys())
+        raise CorruptFile(f"{path}: Adam moments for {odd[0]!r} lack their other half")
+    try:
+        return Checkpoint(
+            model_cfg=ModelConfig.from_json(header["model"]),
+            fitted=FittedSchema.from_json(header["fitted"]),
+            tensors=tensors,
+            moments={name: (m, seconds[name]) for name, m in firsts.items()},
+            rng_state=header["rng_state"],
+            epoch=int(header["epoch"]),
+            adam_steps=int(header["adam_steps"]),
+        )
+    except (CasprError, ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
+        raise CorruptFile(f"{path}: malformed header field: {type(exc).__name__}: {exc}") from None
 
 
 def train(dataset, model_cfg, train_cfg, init=None):
@@ -296,17 +326,17 @@ def train(dataset, model_cfg, train_cfg, init=None):
     seqs, fitted = dataset.sequences, dataset.fitted
     rng = np.random.default_rng(train_cfg.seed)
     weights = build_weights(model_cfg, fitted, rng)
-    moments = init_moments(weights)
+    moments = init_moments(weights.flat)
     epoch_start = adam_steps = 0
     if init is not None:
         weights.load_arrays(init.tensors)
-        moments.update({name: (m.copy(), v.copy()) for name, (m, v) in init.moments.items()})
+        _load_moments(weights, moments, init.moments)
         if init.rng_state is not None:
             rng.bit_generator.state = init.rng_state
         epoch_start, adam_steps = init.epoch, init.adam_steps
     log = []
     last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)
-    pool = _WorkerPool(dataset, model_cfg, train_cfg) if train_cfg.workers > 1 else None
+    pool = _WorkerPool(dataset, weights, train_cfg) if train_cfg.workers > 1 else None
     try:
         for epoch in range(epoch_start, train_cfg.epochs):
             tic = time.perf_counter()
@@ -318,16 +348,17 @@ def train(dataset, model_cfg, train_cfg, init=None):
                 masked, plan = apply_mask(batch, model_cfg.mask_p, rng, train_cfg.mask_mode)
                 try:
                     if pool is None:
-                        grads, num, den = compute_gradients(
+                        _, num, den = compute_gradients(
                             weights, masked, plan, loss_scope=train_cfg.loss_scope, train=True, rng=rng)
+                        grad = weights.grad
                     else:
-                        grads, num, den = pool.gradients(weights, idx, plan, epoch, step)
+                        grad, num, den = pool.gradients(weights, idx, plan, epoch, step)
                 except NumericError as exc:
                     raise DivergenceError(str(exc), checkpoint=last_good) from exc
                 if not np.isfinite(num):
                     raise DivergenceError(f"loss diverged at epoch {epoch + 1}", checkpoint=last_good)
                 adam_steps += 1
-                adam_step(weights, grads, moments, train_cfg.lr, adam_steps)
+                adam_step(weights.flat, grad, moments, train_cfg.lr, adam_steps)
                 loss_num += num
                 loss_den += den
             log.append((epoch + 1, loss_num / loss_den, time.perf_counter() - tic))
@@ -338,23 +369,37 @@ def train(dataset, model_cfg, train_cfg, init=None):
     return last_good, log
 
 
+def _load_moments(weights, moments, named):
+    """Copy per-name (m, v) pairs into the views of the flat moments; absent names stay zero."""
+    views = [weights.views(x) for x in moments]
+    for name, pair in named.items():
+        if name not in weights.params:
+            raise SchemaMismatch(f"Adam moments for unknown weight {name!r}")
+        for flat_views, arr in zip(views, pair):
+            if arr.shape != flat_views[name].shape:
+                raise SchemaMismatch(f"Adam moment {name!r}: shape {arr.shape} != {flat_views[name].shape}")
+            flat_views[name][...] = arr
+
+
 # ---------------------------------------------------------------------------
 # synchronous data-parallel gradients
 
-def _worker_loop(conn, sequences, fitted, model_cfg, loss_scope, seed, worker_idx):
+def _worker_loop(conn, sequences, weights, loss_scope, seed, worker_idx):
+    """Serve steps on the worker's forked copy of `weights`, overwritten by each step's flat parameters."""
     while True:
         msg = conn.recv()
         if msg[0] == "stop":
             conn.close()
             return
-        _, arrays, idx, plan, epoch, step = msg
-        batch = prepare_batch([sequences[i] for i in idx], fitted, model_cfg)
+        _, flat, idx, plan, epoch, step = msg
+        batch = prepare_batch([sequences[i] for i in idx], weights.fitted, weights.cfg)
         masked = batch.with_keep((batch.real & ~plan).astype(batch.keep.dtype))
         rng = np.random.default_rng([seed, epoch, step, worker_idx])
-        weights = _bare_weights(model_cfg, fitted, arrays)
+        weights.flat[...] = flat
         try:
-            result = compute_gradients(weights, masked, plan,
-                                       loss_scope=loss_scope, train=True, rng=rng)
+            _, num, den = compute_gradients(weights, masked, plan,
+                                            loss_scope=loss_scope, train=True, rng=rng)
+            result = weights.grad, num, den
         except CasprError as exc:
             result = exc  # the parent re-raises it inside the training loop
         except Exception as exc:  # anything else still reaches the parent as one typed error
@@ -362,33 +407,24 @@ def _worker_loop(conn, sequences, fitted, model_cfg, loss_scope, seed, worker_id
         conn.send(result)
 
 
-def _bare_weights(model_cfg, fitted, arrays):
-    """Weights object wrapping received arrays without re-running init RNG."""
-    w = ModelWeights(model_cfg, fitted)
-    for name, arr in arrays.items():
-        w._add(name, arr)
-    return w
-
-
 class _WorkerPool:
     """Forked workers that turn each batch into one reduced gradient.
 
-    Each step shards the batch, sends every worker the current weights and
-    its shard, and combines the shard gradients weighted by their
+    Each step shards the batch, sends every worker the flat parameter array
+    and its shard, and combines the flat shard gradients weighted by their
     scored-position counts, which reproduces the full-batch gradient exactly
     (the loss is a flat mean over positions). Reduction runs in fixed
     worker-index order for reproducibility.
     """
 
-    def __init__(self, dataset, model_cfg, train_cfg):
+    def __init__(self, dataset, weights, train_cfg):
         ctx = mp.get_context("fork")
         self.conns, self.procs = [], []
         for wi in range(train_cfg.workers):
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(child, dataset.sequences, dataset.fitted, model_cfg,
-                      train_cfg.loss_scope, train_cfg.seed, wi),
+                args=(child, dataset.sequences, weights, train_cfg.loss_scope, train_cfg.seed, wi),
                 daemon=True,
             )
             proc.start()
@@ -397,28 +433,22 @@ class _WorkerPool:
             self.procs.append(proc)
 
     def gradients(self, weights, idx, plan, epoch, step):
-        """(grads, loss numerator, scored-position count) for one batch."""
+        """(flat grad, loss numerator, scored-position count) for one batch."""
         w_count = len(self.conns)
         if len(idx) < w_count:
             raise ConfigError(f"batch of {len(idx)} cannot feed {w_count} workers (shard starvation)")
-        arrays = {name: p.data for name, p in weights.items()}
         for wi, shard in enumerate(np.array_split(np.arange(len(idx)), w_count)):
-            self.conns[wi].send(("step", arrays, [int(idx[i]) for i in shard],
+            self.conns[wi].send(("step", weights.flat, [int(idx[i]) for i in shard],
                                  plan[shard], epoch, step))
         results = [self._recv(wi) for wi in range(w_count)]
         for r in results:
             if isinstance(r, CasprError):
                 raise r
         den_total = sum(r[2] for r in results)
-        grads = None
-        for shard_grads, _, den in results:  # fixed worker-index order
-            scale = den / den_total
-            if grads is None:
-                grads = {k: g * scale for k, g in shard_grads.items()}
-            else:
-                for k, g in shard_grads.items():
-                    grads[k] += g * scale
-        return grads, sum(r[1] for r in results), den_total
+        grad = results[0][0] * (results[0][2] / den_total)
+        for shard_grad, _, den in results[1:]:  # fixed worker-index order
+            grad += shard_grad * (den / den_total)
+        return grad, sum(r[1] for r in results), den_total
 
     def _recv(self, wi):
         try:

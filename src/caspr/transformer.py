@@ -136,40 +136,89 @@ def _xavier(rng, fan_in, fan_out, shape, dtype):
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-class ModelWeights:
-    """Named parameter store; iteration order is fixed at construction."""
+def _layout(cfg, fitted):
+    """(name, shape, init) for every learnable tensor, in the fixed parameter order.
 
-    def __init__(self, cfg, fitted):
+    init is "table" (embedding), "xavier" (weight), "bias", "ones" or "zeros".
+    """
+    h, f = cfg.hidden, cfg.ff_dim
+    for col in fitted.seq_categorical_cols:
+        yield f"emb/{col}", (len(fitted.vocab[col]) + 1, fitted.embed_dims[col]), "table"
+    yield "in_proj/w", (fitted.step_width, h), "xavier"
+    yield "in_proj/b", (h,), "bias"
+
+    def attn_block(prefix):
+        for name in ("wq", "wk", "wv", "wo"):
+            yield f"{prefix}/{name}", (h, h), "xavier"
+
+    def ffn_block(prefix):
+        yield f"{prefix}/w1", (h, f), "xavier"
+        yield f"{prefix}/b1", (f,), "bias"
+        yield f"{prefix}/w2", (f, h), "xavier"
+        yield f"{prefix}/b2", (h,), "bias"
+
+    def norm_block(prefix):
+        yield f"{prefix}/g", (h,), "ones"
+        yield f"{prefix}/b", (h,), "zeros"
+
+    for i in range(cfg.layers):
+        yield from attn_block(f"enc{i}/attn")
+        yield from norm_block(f"enc{i}/ln1")
+        yield from ffn_block(f"enc{i}/ffn")
+        yield from norm_block(f"enc{i}/ln2")
+    for i in range(cfg.layers):
+        yield from attn_block(f"dec{i}/self")
+        yield from norm_block(f"dec{i}/ln1")
+        yield from attn_block(f"dec{i}/cross")
+        yield from norm_block(f"dec{i}/ln2")
+        yield from ffn_block(f"dec{i}/ffn")
+        yield from norm_block(f"dec{i}/ln3")
+
+    for col in fitted.seq_numeric_cols:
+        yield f"head/num/{col}/w", (h, 1), "xavier"
+        yield f"head/num/{col}/b", (1,), "bias"
+    for col in fitted.seq_categorical_cols:
+        n_out = len(fitted.vocab[col]) + 1
+        yield f"head/cat/{col}/w", (h, n_out), "xavier"
+        yield f"head/cat/{col}/b", (n_out,), "bias"
+
+    s = fitted.statics_width
+    yield "emb_head/w1", (h + s, cfg.emb_out), "xavier"
+    yield "emb_head/b1", (cfg.emb_out,), "bias"
+    yield "emb_head/w2", (cfg.emb_out, cfg.emb_out), "xavier"
+    yield "emb_head/b2", (cfg.emb_out,), "bias"
+
+
+class ModelWeights(ad.FlatParams):
+    """The model's named parameters, packed into one flat buffer.
+
+    `arrays` must hold every tensor of the layout for (cfg, fitted) at its
+    shape; extra names are ignored. Parameter order is the layout's.
+    """
+
+    def __init__(self, cfg, fitted, arrays):
         self.cfg = cfg
         self.fitted = fitted
-        self.params: dict[str, Tensor] = {}
+        super().__init__(self._checked(arrays), ad.resolve_dtype(cfg.precision))
 
-    def _add(self, name, data):
-        self.params[name] = Tensor(data, requires_grad=True)
-
-    def __getitem__(self, name):
-        return self.params[name]
-
-    def names(self):
-        return list(self.params)
-
-    def items(self):
-        return self.params.items()
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
-
-    def clone_arrays(self):
-        return {name: p.data.copy() for name, p in self.params.items()}
-
-    def load_arrays(self, arrays):
-        for name, p in self.params.items():
+    def _checked(self, arrays):
+        ordered = {}
+        for name, shape, _ in _layout(self.cfg, self.fitted):
             if name not in arrays:
                 raise SchemaMismatch(f"missing weight tensor {name!r}")
-            if arrays[name].shape != p.data.shape:
-                raise SchemaMismatch(f"weight {name!r}: shape {arrays[name].shape} != {p.data.shape}")
-            p.data = arrays[name].astype(p.data.dtype, copy=True)
+            if np.shape(arrays[name]) != shape:
+                raise SchemaMismatch(f"weight {name!r}: shape {np.shape(arrays[name])} != {shape}")
+            ordered[name] = arrays[name]
+        return ordered
+
+    def clone_arrays(self):
+        """Per-name views of one copy of the flat buffer."""
+        return self.views(self.flat.copy())
+
+    def load_arrays(self, arrays):
+        """Copy `arrays` into the parameters in place; every .data stays a view of `flat`."""
+        for name, arr in self._checked(arrays).items():
+            self.params[name].data[...] = arr
 
 
 def build_weights(cfg, fitted, rng):
@@ -181,64 +230,18 @@ def build_weights(cfg, fitted, rng):
     where backward gradients blow up as 1/sqrt(eps) per norm.
     """
     dtype = ad.resolve_dtype(cfg.precision)
-    w = ModelWeights(cfg, fitted)
-    h = cfg.hidden
-
-    def bias(n):
-        return rng.uniform(-0.05, 0.05, size=n).astype(dtype)
-
-    for col in fitted.seq_categorical_cols:
-        rows = len(fitted.vocab[col]) + 1
-        dim = fitted.embed_dims[col]
-        table = rng.uniform(-0.05, 0.05, size=(rows, dim)).astype(dtype)
-        table[0] = 0.0  # padding/OOV row starts at zero, stays trainable
-        w._add(f"emb/{col}", table)
-
-    width = fitted.step_width
-    w._add("in_proj/w", _xavier(rng, width, h, (width, h), dtype))
-    w._add("in_proj/b", bias(h))
-
-    def attn_block(prefix):
-        for name in ("wq", "wk", "wv", "wo"):
-            w._add(f"{prefix}/{name}", _xavier(rng, h, h, (h, h), dtype))
-
-    def ffn_block(prefix):
-        w._add(f"{prefix}/w1", _xavier(rng, h, cfg.ff_dim, (h, cfg.ff_dim), dtype))
-        w._add(f"{prefix}/b1", bias(cfg.ff_dim))
-        w._add(f"{prefix}/w2", _xavier(rng, cfg.ff_dim, h, (cfg.ff_dim, h), dtype))
-        w._add(f"{prefix}/b2", bias(h))
-
-    def norm_block(prefix):
-        w._add(f"{prefix}/g", np.ones(h, dtype=dtype))
-        w._add(f"{prefix}/b", np.zeros(h, dtype=dtype))
-
-    for i in range(cfg.layers):
-        attn_block(f"enc{i}/attn")
-        norm_block(f"enc{i}/ln1")
-        ffn_block(f"enc{i}/ffn")
-        norm_block(f"enc{i}/ln2")
-    for i in range(cfg.layers):
-        attn_block(f"dec{i}/self")
-        norm_block(f"dec{i}/ln1")
-        attn_block(f"dec{i}/cross")
-        norm_block(f"dec{i}/ln2")
-        ffn_block(f"dec{i}/ffn")
-        norm_block(f"dec{i}/ln3")
-
-    for col in fitted.seq_numeric_cols:
-        w._add(f"head/num/{col}/w", _xavier(rng, h, 1, (h, 1), dtype))
-        w._add(f"head/num/{col}/b", bias(1))
-    for col in fitted.seq_categorical_cols:
-        n_out = len(fitted.vocab[col]) + 1
-        w._add(f"head/cat/{col}/w", _xavier(rng, h, n_out, (h, n_out), dtype))
-        w._add(f"head/cat/{col}/b", bias(n_out))
-
-    s = fitted.statics_width
-    w._add("emb_head/w1", _xavier(rng, h + s, cfg.emb_out, (h + s, cfg.emb_out), dtype))
-    w._add("emb_head/b1", bias(cfg.emb_out))
-    w._add("emb_head/w2", _xavier(rng, cfg.emb_out, cfg.emb_out, (cfg.emb_out, cfg.emb_out), dtype))
-    w._add("emb_head/b2", bias(cfg.emb_out))
-    return w
+    arrays = {}
+    for name, shape, init in _layout(cfg, fitted):
+        if init == "xavier":
+            arr = _xavier(rng, shape[0], shape[1], shape, dtype)
+        elif init in ("table", "bias"):
+            arr = rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
+            if init == "table":
+                arr[0] = 0.0  # padding/OOV row starts at zero, stays trainable
+        else:
+            arr = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
+        arrays[name] = arr
+    return ModelWeights(cfg, fitted, arrays)
 
 
 def _as_batch(batch, weights):
@@ -263,7 +266,7 @@ def project_inputs(batch, weights):
     # zero out pad and masked slots in one stroke, killing their gradients too
     keep = np.broadcast_to(batch.keep[..., None], x.shape).astype(x.dtype)
     x = ad.mul(x, Tensor(keep))
-    return ad.add(ad.matmul(x, weights["in_proj/w"]), weights["in_proj/b"])
+    return ad.matmul(x, weights["in_proj/w"], weights["in_proj/b"])
 
 
 def attention_mask(mask, dtype):
@@ -299,24 +302,19 @@ def _layer_weights(weights, prefix):
     return {name: weights[f"{prefix}/{name}"] for name in ("wq", "wk", "wv", "wo")}
 
 
-def _dropout(x, p, train, rng):
-    if not train or p <= 0.0:
-        return x
-    if rng is None:
-        raise ConfigError("dropout requires an rng in training mode")
-    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
-    return ad.mul(x, Tensor(mask))
-
-
 def _sublayer(x, out, weights, ln_prefix, p, train, rng):
-    """Residual add + post layer norm around a sublayer output."""
-    out = _dropout(out, p, train, rng)
-    return ad.layer_norm(ad.add(x, out), weights[f"{ln_prefix}/g"], weights[f"{ln_prefix}/b"])
+    """Dropout on the sublayer output, residual add and post layer norm, as one node."""
+    keep = None
+    if train and p > 0.0:
+        if rng is None:
+            raise ConfigError("dropout requires an rng in training mode")
+        keep = (rng.random(out.shape) >= p).astype(out.dtype) / (1.0 - p)
+    return ad.layer_norm(x, weights[f"{ln_prefix}/g"], weights[f"{ln_prefix}/b"], residual=out, keep=keep)
 
 
 def _ffn(x, weights, prefix):
-    inner = ad.relu(ad.add(ad.matmul(x, weights[f"{prefix}/w1"]), weights[f"{prefix}/b1"]))
-    return ad.add(ad.matmul(inner, weights[f"{prefix}/w2"]), weights[f"{prefix}/b2"])
+    inner = ad.relu(ad.matmul(x, weights[f"{prefix}/w1"], weights[f"{prefix}/b1"]))
+    return ad.matmul(inner, weights[f"{prefix}/w2"], weights[f"{prefix}/b2"])
 
 
 def encoder_mask(real):
@@ -371,9 +369,9 @@ def reconstruction_heads(decoder_out, weights):
     fitted = weights.fitted
     preds = {}
     for col in fitted.seq_numeric_cols:
-        preds[col] = ad.add(ad.matmul(decoder_out, weights[f"head/num/{col}/w"]), weights[f"head/num/{col}/b"])
+        preds[col] = ad.matmul(decoder_out, weights[f"head/num/{col}/w"], weights[f"head/num/{col}/b"])
     for col in fitted.seq_categorical_cols:
-        preds[col] = ad.add(ad.matmul(decoder_out, weights[f"head/cat/{col}/w"]), weights[f"head/cat/{col}/b"])
+        preds[col] = ad.matmul(decoder_out, weights[f"head/cat/{col}/w"], weights[f"head/cat/{col}/b"])
     return preds
 
 
@@ -396,13 +394,17 @@ def _pool(enc, batch, mode):
 
 
 def embed(batch, weights):
-    """Inference-mode entity vectors: pool encoder output, join statics, 2 dense layers."""
+    """Inference-mode entity vectors: pool encoder output, join statics, 2 dense layers.
+
+    Runs under ad.no_grad(), so it builds no backward graph.
+    """
     batch = _as_batch(batch, weights)
-    enc = encoder_forward(batch, weights, train=False)
-    pooled = _pool(enc, batch, weights.cfg.pooling)
-    joined = Tensor(np.concatenate([pooled, batch.statics.astype(pooled.dtype)], axis=1))
-    hidden = ad.relu(ad.add(ad.matmul(joined, weights["emb_head/w1"]), weights["emb_head/b1"]))
-    out = ad.add(ad.matmul(hidden, weights["emb_head/w2"]), weights["emb_head/b2"])
+    with ad.no_grad():
+        enc = encoder_forward(batch, weights, train=False)
+        pooled = _pool(enc, batch, weights.cfg.pooling)
+        joined = Tensor(np.concatenate([pooled, batch.statics.astype(pooled.dtype)], axis=1))
+        hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
+        out = ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"])
     if not np.isfinite(out.data).all():
         raise NumericError("embedding head produced non-finite values")
     return [EmbeddingRecord(entity=e, vector=out.data[i].copy()) for i, e in enumerate(batch.entities)]

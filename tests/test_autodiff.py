@@ -263,6 +263,121 @@ class TestAttention:
             ad.attention(q, q, q, None, heads=3)
 
 
+def dropout_keep(rng, shape, p=0.25):
+    return (rng.random(shape) >= p).astype(np.float64) / (1.0 - p)
+
+
+class TestFusedLayerNorm:
+    """layer_norm(x, g, b, residual, keep) normalizes x + residual·keep in one node."""
+
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_grads_match_fd(self, with_keep):
+        rng = np.random.default_rng(40 + with_keep)
+        x, r, g, b = leaf(rng, 2, 3, 8), leaf(rng, 2, 3, 8), leaf(rng, 8), leaf(rng, 8)
+        keep = dropout_keep(rng, (2, 3, 8)) if with_keep else None
+        w = Tensor(rng.normal(size=(2, 3, 8)), dtype="f64")
+        check_grads(lambda: ad.sum_(ad.mul(ad.layer_norm(x, g, b, residual=r, keep=keep), w)),
+                    [x, r, g, b], tol=1e-5)
+
+    @pytest.mark.parametrize("with_keep", [False, True])
+    def test_matches_unfused_chain(self, with_keep):
+        rng = np.random.default_rng(50 + with_keep)
+        keep = dropout_keep(rng, (3, 5, 8)) if with_keep else None
+        w = rng.normal(size=(3, 5, 8))
+        init = [rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8)),
+                rng.normal(size=8), rng.normal(size=8)]
+
+        def unfused(x, r, g, b):
+            dropped = r if keep is None else ad.mul(r, Tensor(keep))
+            return ad.layer_norm(ad.add(x, dropped), g, b)
+
+        results = []
+        for fn in (lambda x, r, g, b: ad.layer_norm(x, g, b, residual=r, keep=keep), unfused):
+            leaves = [Tensor(a, dtype="f64", requires_grad=True) for a in init]
+            out = fn(*leaves)
+            ad.backward(ad.sum_(ad.mul(out, Tensor(w))))
+            results.append([out.data] + [x.grad for x in leaves])
+        for fused, ref in zip(*results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+
+    def test_shape_mismatch(self):
+        x = Tensor(np.zeros((2, 4)))
+        g, b = Tensor(np.ones(4)), Tensor(np.zeros(4))
+        with pytest.raises(ShapeMismatch):
+            ad.layer_norm(x, g, b, residual=Tensor(np.zeros((2, 3))))
+        with pytest.raises(ShapeMismatch):
+            ad.layer_norm(x, g, b, residual=x, keep=np.ones((4,)))
+
+
+class TestDense:
+    """matmul(a, w, bias) with a 2-D weight is one GEMM over a's flattened rows."""
+
+    def test_grads_match_fd(self):
+        rng = np.random.default_rng(60)
+        a, w, bias = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
+        out_w = Tensor(rng.normal(size=(2, 3, 5)), dtype="f64")
+        check_grads(lambda: ad.sum_(ad.mul(ad.matmul(a, w, bias), out_w)), [a, w, bias])
+
+    def test_matches_unfused_chain(self):
+        """Against add(batched matmul with a stacked weight, bias): the general path."""
+        rng = np.random.default_rng(61)
+        init = [rng.normal(size=(3, 4, 6)), rng.normal(size=(6, 5)), rng.normal(size=5)]
+        out_w = rng.normal(size=(3, 4, 5))
+
+        def unfused(a, w, bias):
+            stacked = ad.concat([ad.reshape(w, (1, 6, 5))] * 3, axis=0)
+            return ad.add(ad.matmul(a, stacked), bias)
+
+        results = []
+        for fn in (lambda a, w, bias: ad.matmul(a, w, bias), unfused):
+            leaves = [Tensor(x, dtype="f64", requires_grad=True) for x in init]
+            out = fn(*leaves)
+            ad.backward(ad.sum_(ad.mul(out, Tensor(out_w))))
+            results.append([out.data] + [x.grad for x in leaves])
+        for fused, ref in zip(*results):
+            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+
+    def test_bias_shape_checked(self):
+        a, w = Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5)))
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(a, w, Tensor(np.zeros(4)))
+        with pytest.raises(ShapeMismatch):  # a bias needs a 2-D weight
+            ad.matmul(a, Tensor(np.zeros((2, 4, 5))), Tensor(np.zeros(5)))
+
+
+class TestNoGrad:
+    def test_builds_no_graph_and_restores(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        with ad.no_grad():
+            y = ad.relu(ad.mul(x, x))
+        assert not y.requires_grad and y._backward is None and y._parents == ()
+        assert ad.mul(x, x).requires_grad
+
+    def test_restored_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError), ad.no_grad():
+            raise RuntimeError
+        assert ad.mul(x, x)._backward is not None
+
+
+class TestFlatParams:
+    def test_params_are_views_of_flat(self):
+        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])}
+        params = ad.FlatParams(arrays, np.float64)
+        np.testing.assert_array_equal(params.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+        for name, p in params.items():
+            assert p.data.base is params.flat
+            np.testing.assert_array_equal(p.data, arrays[name])
+
+    def test_gradients_accumulate_into_flat_grad(self):
+        params = ad.FlatParams({"w": np.ones((2, 2)), "b": np.ones(2)}, np.float64)
+        params.zero_grad()
+        ad.backward(ad.sum_(ad.mul(params["w"], 3.0)))
+        np.testing.assert_array_equal(params.grad, [3.0, 3.0, 3.0, 3.0, 0.0, 0.0])
+        for name, p in params.items():
+            assert p.grad.base is params.grad
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_random_composite_graph_matches_fd(seed):

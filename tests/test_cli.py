@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from caspr import cli, pretrain
+from caspr import cli, pretrain, transformer
 from caspr.cli import main
 
 
@@ -89,6 +89,16 @@ def test_embed_row_per_entity(workspace, tmp_path):
     rows = read_csv(out)
     assert len(rows) == 61  # header + one row per entity
     assert rows[0][0] == "entity"
+
+
+def test_embed_runs_no_random_init(workspace, tmp_path, monkeypatch):
+    """Weights come straight from the checkpoint tensors."""
+    def no_init(*args, **kwargs):
+        raise AssertionError("build_weights called")
+
+    monkeypatch.setattr(transformer, "build_weights", no_init)
+    assert main(["embed", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
+                 "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "e.csv")]) == 0
 
 
 def test_embed_deterministic(workspace, tmp_path):
@@ -272,6 +282,11 @@ class TestExitCodes:
         ('{"train": {"epochs": 1, "no_such_knob": 1}}', "no_such_knob"),
         ('{"train": {"epochs": 1,}', "malformed JSON"),
         ('{"paths": ["run"]}', "section 'paths'"),
+        ('{"train": {"epochs": "2"}}', "field 'epochs' must be int, got str"),
+        ('{"model": {"hidden": "16"}}', "field 'hidden' must be int, got str"),
+        ('{"train": {"lr": "0.01"}}', "field 'lr' must be float, got str"),
+        ('{"train": {"epochs": true}}', "field 'epochs' must be int, got bool"),
+        ('{"paths": {"out": 5}}', "paths.out must be a string, got int"),
     ])
     def test_bad_config_is_config_error(self, workspace, tmp_path, capsys, text, what):
         cfg = tmp_path / "bad.json"
@@ -282,6 +297,21 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError") and what in err[0]
+
+    def test_int_accepted_for_float_field(self):
+        cfg = cli._config(pretrain.TrainConfig, {"train": {"lr": 1}}, "train", {})
+        assert cfg.lr == 1
+
+    def test_corrupt_checkpoint_is_one_io_error_line(self, workspace, tmp_path, capsys):
+        data = bytearray((workspace["run_dir"] / "checkpoint.bin").read_bytes())
+        data[data.index(b'"adam_steps"') + 1] ^= 0x01  # the header key no longer matches
+        ck = tmp_path / "flipped.bin"
+        ck.write_bytes(bytes(data))
+        code = main(["embed", "--checkpoint", str(ck), "--data", str(workspace["data_dir"] / "data.csv"),
+                     "--out", str(tmp_path / "emb.csv")])
+        assert code == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: CorruptFile")
 
     def test_flag_overrides_config(self, workspace, tmp_path):
         out = tmp_path / "override"

@@ -1,17 +1,22 @@
+import json
 import math
 import os
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
-from caspr import pretrain, transformer as tf
+from caspr import autodiff as ad, pretrain, transformer as tf
 from caspr.autodiff import Tensor, adam_step, init_moments
 from caspr.errors import (
     BadMagic,
     CasprError,
     ConfigError,
+    CorruptFile,
+    IoError,
     ParseError,
+    SchemaMismatch,
     ShapeMismatch,
     TruncatedFile,
     VersionMismatch,
@@ -176,24 +181,49 @@ class TestAdam:
         fitted = tiny_fitted()
         _, weights = small_weights(fitted)
         before = weights.clone_arrays()
-        grads = {name: np.zeros_like(p.data) for name, p in weights.items()}
-        adam_step(weights, grads, init_moments(weights), TrainConfig(epochs=1).lr, 1)
+        grads = np.zeros_like(weights.flat)
+        adam_step(weights.flat, grads, init_moments(weights.flat), TrainConfig(epochs=1).lr, 1)
         for name, arr in weights.clone_arrays().items():
             np.testing.assert_array_equal(arr, before[name])
 
     def test_first_step_closed_form(self):
-        p = Tensor(np.array([1.0]), dtype="f64", requires_grad=True)
-
-        class W:
-            def items(self):
-                return [("p", p)]
-
-        moments = {"p": (np.zeros(1), np.zeros(1))}
-        adam_step(W(), {"p": np.array([0.1])}, moments, TrainConfig(epochs=1).lr, 1)
-        np.testing.assert_allclose(p.data[0] - 1.0, -9.99999e-4, atol=1e-9)
+        p = np.array([1.0])
+        moments = init_moments(p)
+        adam_step(p, np.array([0.1]), moments, TrainConfig(epochs=1).lr, 1)
+        np.testing.assert_allclose(p[0] - 1.0, -9.99999e-4, atol=1e-9)
 
     def test_default_learning_rate(self):
         assert TrainConfig(epochs=1).lr == 1e-3
+
+    def test_flat_update_bit_identical_to_per_name_loop(self):
+        """The flat update against the per-tensor loop it replaced, over several steps."""
+        rng = np.random.default_rng(17)
+        shapes = {"a": (3, 4), "b": (4,), "c": (2, 2, 5)}
+        init = {k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()}
+        steps = [{k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()} for _ in range(4)]
+
+        ref = {k: v.copy() for k, v in init.items()}
+        ref_moments = {k: (np.zeros_like(v), np.zeros_like(v)) for k, v in ref.items()}
+        for step, grads in enumerate(steps, start=1):
+            c1 = 1.0 - ad.ADAM_BETA1 ** step
+            c2 = 1.0 - ad.ADAM_BETA2 ** step
+            for name, p in ref.items():
+                g = grads[name]
+                m, v = ref_moments[name]
+                m *= ad.ADAM_BETA1
+                m += (1.0 - ad.ADAM_BETA1) * g
+                v *= ad.ADAM_BETA2
+                v += (1.0 - ad.ADAM_BETA2) * g * g
+                p -= (0.01 * (m / c1) / (np.sqrt(v / c2) + ad.ADAM_EPS)).astype(p.dtype)
+
+        params = ad.FlatParams(init, np.float32)
+        moments = init_moments(params.flat)
+        for step, grads in enumerate(steps, start=1):
+            adam_step(params.flat, np.concatenate([grads[k].ravel() for k in shapes]), moments, 0.01, step)
+        for name, p in params.items():
+            assert p.data.tobytes() == ref[name].tobytes()
+        for flat, named in zip(moments, zip(*ref_moments.values())):
+            assert flat.tobytes() == np.concatenate([x.ravel() for x in named]).tobytes()
 
 
 class TestCheckpoint:
@@ -238,6 +268,103 @@ class TestCheckpoint:
         cut.write_bytes(data[: len(data) - 7])
         with pytest.raises(TruncatedFile):
             load_checkpoint(cut)
+
+
+def small_checkpoint_bytes(tmp_path):
+    ds = tiny_dataset(n=6)
+    ck, _ = train(ds, tf.ModelConfig(hidden=4, ff_dim=4, layers=1, heads=2, t=6, emb_out=2),
+                  TrainConfig(epochs=1, seed=1, batch_size=6))
+    path = tmp_path / "small.bin"
+    save_checkpoint(ck, path)
+    return path.read_bytes()
+
+
+def craft_checkpoint(header, records):
+    """Checkpoint bytes from a header object and (name bytes, array, dtype tag) records."""
+    blob = json.dumps(header).encode("utf-8")
+    parts = [b"CSPR1", struct.pack("<I", 1), struct.pack("<Q", len(blob)), blob]
+    for name, arr, tag in records:
+        parts += [struct.pack("<H", len(name)), name, struct.pack("<B", arr.ndim)]
+        parts += [struct.pack("<Q", d) for d in arr.shape]
+        parts += [struct.pack("<B", tag), arr.astype("<f4" if tag == 0 else "<f8").tobytes()]
+    return b"".join(parts)
+
+
+class TestCheckpointHardening:
+    """load_checkpoint raises only IoError subclasses on malformed content."""
+
+    @pytest.fixture
+    def parts(self, tmp_path):
+        data = small_checkpoint_bytes(tmp_path)
+        (blob_len,) = struct.unpack("<Q", data[9:17])
+        header = json.loads(data[17:17 + blob_len])
+        ck = load_checkpoint(tmp_path / "small.bin")
+        records = [(k.encode(), v, 0) for k, v in ck.tensors.items()]
+        for name, (m, v) in ck.moments.items():
+            records += [(f"adam/m/{name}".encode(), m, 0), (f"adam/v/{name}".encode(), v, 0)]
+        return header, records
+
+    def load(self, tmp_path, data):
+        path = tmp_path / "crafted.bin"
+        path.write_bytes(data)
+        return load_checkpoint(path)
+
+    def test_crafted_roundtrip_loads(self, tmp_path, parts):
+        header, records = parts
+        ck = self.load(tmp_path, craft_checkpoint(header, records))
+        assert len(ck.tensors) + 2 * len(ck.moments) == len(records)
+
+    @pytest.mark.parametrize("defect, what", [
+        ("dtype_tag", "unknown dtype tag 7"),
+        ("duplicate", "duplicate tensor"),
+        ("half_moment", "other half"),
+        ("bad_name", "not UTF-8"),
+        ("missing_key", "header must be an object"),
+        ("bad_json", "malformed header"),
+        ("bad_field", "malformed header field"),
+    ])
+    def test_defect_is_corrupt_file(self, tmp_path, parts, defect, what):
+        header, records = parts
+        if defect == "dtype_tag":
+            records[0] = (records[0][0], records[0][1], 7)
+        elif defect == "duplicate":
+            records.append(records[0])
+        elif defect == "half_moment":
+            records = [r for r in records if not r[0].startswith(b"adam/v/in_proj/w")]
+        elif defect == "bad_name":
+            records[0] = (b"\xff\xfe" + records[0][0][2:], records[0][1], 0)
+        elif defect == "missing_key":
+            del header["adam_steps"]
+        elif defect == "bad_field":
+            header["model"]["hidden"] = 5  # not divisible by heads
+        data = craft_checkpoint(header, records)
+        if defect == "bad_json":
+            data = data.replace(b'"epoch"', b'"epoch\xff', 1)
+        with pytest.raises(CorruptFile, match=what):
+            self.load(tmp_path, data)
+
+    def test_fuzz_truncation_and_byte_flips(self, tmp_path):
+        data = small_checkpoint_bytes(tmp_path)
+        rng = np.random.default_rng(0)
+        cases = [data[:n] for n in range(0, len(data), 17)]
+        # two flips of every byte of the magic, version, header and first
+        # tensor records, then one flip at a sample of later positions
+        flips = [(pos, mask) for pos in range(900) for mask in (0x01, 0xFF)]
+        flips += [(int(pos), 0xFF) for pos in rng.integers(900, len(data), 200)]
+        for pos, mask in flips:
+            flipped = bytearray(data)
+            flipped[pos] ^= mask
+            cases.append(bytes(flipped))
+        path = tmp_path / "fuzz.bin"
+        outcomes = {"loaded": 0, "rejected": 0}
+        for case in cases:
+            path.write_bytes(case)
+            try:
+                load_checkpoint(path)
+                outcomes["loaded"] += 1
+            except IoError:
+                outcomes["rejected"] += 1
+        assert outcomes["loaded"] and outcomes["rejected"]
 
 
 MODEL = dict(hidden=8, ff_dim=16, layers=2, heads=2, t=6, dropout=0.1, precision="f32")
@@ -308,6 +435,29 @@ class TestTrain:
         combined = [l for _, l, _ in half_log] + [l for _, l, _ in rest_log]
         assert combined == [l for _, l, _ in full_log]
         assert [e for e, _, _ in rest_log] == [4, 5, 6]
+
+    def test_resumed_parameters_stay_views_of_flat(self, monkeypatch):
+        ds = tiny_dataset(n=6)
+        cfg = tf.ModelConfig(**MODEL)
+        ck, _ = train(ds, cfg, TrainConfig(epochs=1, seed=3, batch_size=6))
+        seen = []
+        real = pretrain.compute_gradients
+
+        def spy(weights, *args, **kwargs):
+            seen.append(all(p.data.base is weights.flat for _, p in weights.items()))
+            return real(weights, *args, **kwargs)
+
+        monkeypatch.setattr(pretrain, "compute_gradients", spy)
+        train(ds, cfg, TrainConfig(epochs=2, seed=3, batch_size=6), init=ck)
+        assert seen and all(seen)
+
+    def test_resume_rejects_moments_of_unknown_weight(self):
+        ds = tiny_dataset(n=6)
+        cfg = tf.ModelConfig(**MODEL)
+        ck, _ = train(ds, cfg, TrainConfig(epochs=1, seed=3, batch_size=6))
+        ck.moments["no/such"] = (np.zeros(2), np.zeros(2))
+        with pytest.raises(SchemaMismatch, match="no/such"):
+            train(ds, cfg, TrainConfig(epochs=2, seed=3, batch_size=6), init=ck)
 
 
 class TestDataParallel:

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -341,3 +343,71 @@ class TestEmbed:
         seq2 = make_sequence("b", [0.1], [1], cfg.t, statics=(0.0, 0.0))
         r1, r2 = tf.embed([seq1, seq2], weights)
         assert np.abs(r1.vector - r2.vector).max() > 0
+
+    def test_no_grad_matches_graph_path_and_builds_no_closures(self, monkeypatch):
+        fitted = tiny_fitted(statics=1)
+        cfg, weights = small_weights(fitted, precision="f32")
+        seqs = random_sequences(np.random.default_rng(15), 4, cfg.t, fitted, statics=1)
+        made = []
+        make = ad._make
+
+        def recording_make(data, parents, backward_fn):
+            made.append(make(data, parents, backward_fn))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_make", recording_make)
+        fast = tf.embed(seqs, weights)
+        assert made and all(t._backward is None and t._parents == () for t in made)
+
+        made.clear()
+        monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+        graph = tf.embed(seqs, weights)
+        assert any(t._backward is not None for t in made)  # the reference did build a graph
+        for a, b in zip(fast, graph):
+            assert a.entity == b.entity and a.vector.tobytes() == b.vector.tobytes()
+
+
+class TestWeights:
+    """ModelWeights keeps every parameter as a view into one flat buffer."""
+
+    @staticmethod
+    def assert_views_of_flat(weights):
+        offset = 0
+        for _, p in weights.items():
+            assert p.data.base is weights.flat
+            assert np.shares_memory(p.data, weights.flat[offset:offset + p.data.size])
+            offset += p.data.size
+        assert offset == weights.flat.size
+
+    def test_views_after_build_and_load(self):
+        fitted = tiny_fitted(statics=1)
+        cfg, weights = small_weights(fitted)
+        self.assert_views_of_flat(weights)
+        _, other = small_weights(fitted, seed=1)
+        weights.load_arrays(other.clone_arrays())
+        self.assert_views_of_flat(weights)
+        np.testing.assert_array_equal(weights.flat, other.flat)
+
+    def test_constructor_packs_named_arrays(self):
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted)
+        arrays = dict(reversed(list(weights.clone_arrays().items())))  # order does not matter
+        again = tf.ModelWeights(cfg, fitted, arrays)
+        assert again.names() == weights.names()
+        np.testing.assert_array_equal(again.flat, weights.flat)
+        self.assert_views_of_flat(again)
+
+    def test_missing_or_misshapen_tensor_rejected(self):
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted)
+        arrays = weights.clone_arrays()
+        del arrays["in_proj/b"]
+        with pytest.raises(SchemaMismatch, match="missing"):
+            tf.ModelWeights(cfg, fitted, arrays)
+        with pytest.raises(SchemaMismatch, match="missing"):
+            weights.load_arrays(arrays)
+        arrays["in_proj/b"] = np.zeros(cfg.hidden + 1)
+        with pytest.raises(SchemaMismatch, match="shape"):
+            tf.ModelWeights(cfg, fitted, arrays)
+        with pytest.raises(SchemaMismatch, match="shape"):
+            weights.load_arrays(arrays)
