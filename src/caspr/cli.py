@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import os
@@ -23,6 +24,9 @@ from .errors import CasprError, ConfigError, DivergenceError, IoError, LabelErro
 
 log = logging.getLogger("caspr")
 
+TEST_FRAC = 0.3      # share of entities the probe is scored on
+EMBED_BATCH = 512    # entities per embedding forward pass
+
 
 def _setup_logging():
     level = os.environ.get("CASPR_LOG", "error").lower()
@@ -31,23 +35,23 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def atomic_write(path, write_fn, mode="w"):
-    """Write via a temp file in the same directory, then rename into place."""
+def atomic_write(path, write_fn):
+    """Write UTF-8 text via a temp file in the same directory, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with os.fdopen(fd, mode, encoding=None if "b" in mode else "utf-8", newline=None if "b" in mode else "") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give, not mkstemp's 0600
             write_fn(fh)
         os.replace(tmp, path)
     except OSError as exc:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
         raise IoError(f"cannot write {path}: {exc}") from exc
-    except Exception:
-        if os.path.exists(tmp):
+    finally:
+        if os.path.exists(tmp):  # only when the rename did not happen
             os.unlink(tmp)
-        raise
 
 
 def _require(path, what):
@@ -90,28 +94,32 @@ def _config(cls, cfg_file, section, overrides):
             raise ConfigError(f"config section {section!r}: field {key!r} must be {want.__name__}, "
                               f"got {type(value).__name__}")
     try:
-        return cls.from_json(values)
+        return cls(**values)
     except TypeError as exc:  # unknown key
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
-def _path(args, cfg_file, key, required=True):
+def _path(args, cfg_file, key):
     """Resolve a path from flags first, then the config's "paths" section."""
     value = getattr(args, key, None) or cfg_file.get("paths", {}).get(key)
-    if value is None and required:
+    if value is None:
         raise ConfigError(f"missing --{key.replace('_', '-')} (or paths.{key} in the config file)")
     return value
 
 
-def _model_config(args, cfg_file):
-    overrides = {"precision": args.precision} if getattr(args, "precision", None) else {}
-    return _config(transformer.ModelConfig, cfg_file, "model", overrides)
-
-
-def _train_config(args, cfg_file):
-    overrides = {flag: getattr(args, flag) for flag in ("seed", "epochs", "batch_size", "workers")
-                 if getattr(args, flag, None) is not None}
-    return _config(pretrain.TrainConfig, cfg_file, "train", overrides)
+def _training_inputs(args):
+    """(model config, train config, dataset, out path) for pretrain and bench."""
+    cfg_file = _load_config(args.config)
+    model_cfg = _config(transformer.ModelConfig, cfg_file, "model",
+                        {"precision": args.precision} if args.precision else {})
+    train_cfg = _config(pretrain.TrainConfig, cfg_file, "train",
+                        {flag: getattr(args, flag) for flag in ("seed", "epochs", "batch_size", "workers")
+                         if getattr(args, flag, None) is not None})
+    fitted = ingest.load_fitted_json(_require(_path(args, cfg_file, "fitted"), "fitted schema"))
+    data_path = _path(args, cfg_file, "data")
+    out = _path(args, cfg_file, "out")
+    dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
+    return model_cfg, train_cfg, dataset, out
 
 
 def _write_embeddings(records, path):
@@ -130,8 +138,7 @@ def _write_embeddings(records, path):
 
 def read_feature_csv(path):
     """entity column plus float feature columns; returns (ids, matrix)."""
-    with open(_require(path, "feature file"), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with ingest.open_csv(_require(path, "feature file")) as reader:
         header = next(reader, None)
         if not header or header[0] != "entity":
             raise ParseError(f"{path}: expected header starting with 'entity'")
@@ -148,8 +155,7 @@ def read_feature_csv(path):
 
 
 def read_labels_csv(path):
-    with open(_require(path, "labels file"), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with ingest.open_csv(_require(path, "labels file")) as reader:
         header = next(reader, None)
         if not header or header[:2] != ["entity", "label"]:
             raise ParseError(f"{path}: expected header entity,label")
@@ -162,16 +168,16 @@ def read_labels_csv(path):
     return out
 
 
-def split_train_test(n, test_frac, seed):
+def split_train_test(n, seed):
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    n_test = max(1, int(round(n * test_frac)))
+    n_test = max(1, int(round(n * TEST_FRAC)))
     return perm[n_test:], perm[:n_test]
 
 
-def evaluate_features(features, labels, task, seed=0, test_frac=0.3):
+def evaluate_features(features, labels, task, seed=0):
     """Split, fit the linear probe, score held-out data."""
-    train_idx, test_idx = split_train_test(len(features), test_frac, seed)
+    train_idx, test_idx = split_train_test(len(features), seed)
     probe = metrics.train_linear_probe(features[train_idx], labels[train_idx], task)
     scores = probe.scores(features[test_idx])
     held = labels[test_idx]
@@ -218,13 +224,7 @@ def _write_checkpoint(ck, out_dir):
 
 
 def cmd_pretrain(args):
-    cfg_file = _load_config(args.config)
-    model_cfg = _model_config(args, cfg_file)
-    train_cfg = _train_config(args, cfg_file)
-    fitted = ingest.load_fitted_json(_require(_path(args, cfg_file, "fitted"), "fitted schema"))
-    data_path = _path(args, cfg_file, "data")
-    out_dir = _path(args, cfg_file, "out")
-    dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
+    model_cfg, train_cfg, dataset, out_dir = _training_inputs(args)
     log.info("pretraining on %d sequences for %d epochs (workers=%d)",
              len(dataset.sequences), train_cfg.epochs, train_cfg.workers)
     try:
@@ -252,10 +252,10 @@ def _weights_from_checkpoint(path):
     return ck, transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.tensors)
 
 
-def _embed_all(weights, dataset, batch_size=512):
+def _embed_all(weights, dataset):
     records = []
-    for start in range(0, len(dataset.sequences), batch_size):
-        chunk = dataset.sequences[start:start + batch_size]
+    for start in range(0, len(dataset.sequences), EMBED_BATCH):
+        chunk = dataset.sequences[start:start + EMBED_BATCH]
         records.extend(transformer.embed(chunk, weights))
     return records
 
@@ -310,8 +310,7 @@ def cmd_eval(args):
 
 def read_relevance_csv(path):
     """entity,relevant_items with pipe-separated item ids."""
-    with open(_require(path, "relevance file"), encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with ingest.open_csv(_require(path, "relevance file")) as reader:
         header = next(reader, None)
         if not header or header[0] != "entity":
             raise ParseError(f"{path}: expected header starting with 'entity'")
@@ -373,17 +372,11 @@ def cmd_rank(args):
 
 
 def cmd_bench(args):
-    cfg_file = _load_config(args.config)
-    model_cfg = _model_config(args, cfg_file)
-    train_cfg = _train_config(args, cfg_file)
-    fitted = ingest.load_fitted_json(_require(_path(args, cfg_file, "fitted"), "fitted schema"))
-    data_path = _path(args, cfg_file, "data")
-    out = _path(args, cfg_file, "out")
-    dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
+    model_cfg, train_cfg, dataset, out = _training_inputs(args)
     worker_list = [int(x) for x in args.workers_list.split(",")]
     rows = []
     for w in worker_list:
-        cfg = pretrain.TrainConfig.from_json({**train_cfg.to_json(), "workers": w})
+        cfg = dataclasses.replace(train_cfg, workers=w)
         _, loss_log = pretrain.train(dataset, model_cfg, cfg)
         epoch_times = [wall for _, _, wall in loss_log]
         epoch_s = float(np.median(epoch_times))

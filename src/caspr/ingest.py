@@ -9,6 +9,7 @@ keeps the latest `t` rows and left-pads shorter histories.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -137,8 +138,8 @@ class FittedSchema:
         return cls(
             schema=Schema.from_json(obj["schema"]),
             vocab={k: list(v) for k, v in obj["vocab"].items()},
-            means=dict(obj["means"]),
-            stds=dict(obj["stds"]),
+            means={k: float(v) for k, v in obj["means"].items()},
+            stds={k: float(v) for k, v in obj["stds"].items()},
             embed_dims={k: int(v) for k, v in obj["embed_dims"].items()},
         )
 
@@ -189,10 +190,19 @@ def _parse_number(text, column, row_index):
         raise ParseError(f"bad number {text!r} in column {column!r}", row_index) from None
 
 
+@contextlib.contextmanager
+def open_csv(path):
+    """csv.reader over a UTF-8 file; bytes that are not UTF-8 raise ParseError."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8: {exc}") from None
+
+
 def iter_raw_rows(path, schema):
     """Yield raw CSV records as dicts keyed by schema column names."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -213,10 +223,13 @@ def fit_schema(rows, schema):
     cat_cols = schema.names_of("categorical") + schema.names_of("static_categorical")
     # Sums are taken about each column's first value, so a column far from
     # zero (epoch-like values, large balances) keeps its spread instead of
-    # losing it to cancellation in sumsq / n - mean².
+    # losing it to cancellation in sumsq / n - mean². A deviation below `tiny`
+    # would square to a subnormal or zero, so its square is summed scaled up.
+    tiny, scale = 2.0 ** -500, 2.0 ** 600
     shifts = None
     sums = {c: 0.0 for c in numeric_cols}
     sumsqs = {c: 0.0 for c in numeric_cols}
+    tiny_sqs = {c: 0.0 for c in numeric_cols}
     vocab = {c: [] for c in cat_cols}
     seen = {c: set() for c in cat_cols}
     n = 0
@@ -227,7 +240,10 @@ def fit_schema(rows, schema):
         for c in numeric_cols:
             d = _parse_number(rec[c], c, i) - shifts[c]
             sums[c] += d
-            sumsqs[c] += d * d
+            if -tiny < d < tiny:
+                tiny_sqs[c] += (d * scale) ** 2
+            else:
+                sumsqs[c] += d * d
         for c in cat_cols:
             v = rec[c]
             if v not in seen[c]:
@@ -239,8 +255,9 @@ def fit_schema(rows, schema):
     means = {c: shifts[c] + sums[c] / n for c in numeric_cols}
     stds = {}
     for c in numeric_cols:
-        var = max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0)
-        std = math.sqrt(var)
+        std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0))
+        if sumsqs[c] == 0:  # every deviation below `tiny`: take the spread in units of 1 / scale
+            std = math.sqrt(max(tiny_sqs[c] / n - (sums[c] * scale / n) ** 2, 0.0)) / scale
         stds[c] = std if std > 0 else 1.0
     return FittedSchema(schema=schema, vocab=vocab, means=means, stds=stds)
 
@@ -295,11 +312,22 @@ def load_dataset(data_path, fitted, t):
     return SequenceDataset(sequences=build_sequences(rows, fitted, t), fitted=fitted)
 
 
-def load_schema_json(path):
+def _load_json(cls, path):
+    """cls.from_json of a JSON file: ParseError for bad JSON or UTF-8, SchemaMismatch for bad structure."""
     with open(path, encoding="utf-8") as fh:
-        return Schema.from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ParseError(f"{path}: malformed JSON: {exc}") from None
+    try:
+        return cls.from_json(obj)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise SchemaMismatch(f"{path}: not a {cls.__name__}: {type(exc).__name__}: {exc}") from None
+
+
+def load_schema_json(path):
+    return _load_json(Schema, path)
 
 
 def load_fitted_json(path):
-    with open(path, encoding="utf-8") as fh:
-        return FittedSchema.from_json(json.load(fh))
+    return _load_json(FittedSchema, path)

@@ -54,7 +54,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"CSPR1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2   # 2: the model header has no "pooling" key
 
 
 @dataclass
@@ -64,8 +64,6 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     workers: int = 1
-    mask_mode: str = "bernoulli"   # bernoulli | fixed (exact per-sequence rate)
-    loss_scope: str = "all"        # all | masked non-pad positions
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -74,24 +72,12 @@ class TrainConfig:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.batch_size < self.workers:
             raise ConfigError(f"batch_size ({self.batch_size}) must be >= workers ({self.workers})")
-        if self.mask_mode not in ("bernoulli", "fixed"):
-            raise ConfigError(f"unknown mask_mode {self.mask_mode!r}")
-        if self.loss_scope not in ("all", "masked"):
-            raise ConfigError(f"unknown loss_scope {self.loss_scope!r}")
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
-def apply_mask(batch, mask_p, rng, mode="bernoulli"):
+def apply_mask(batch, mask_p, rng):
     """Pick positions to hide and zero them out of the model's view.
 
-    Each real position is masked independently with probability mask_p
-    ("bernoulli") or an exact per-sequence count is drawn ("fixed"). A
+    Each real position is masked independently with probability mask_p. A
     sequence with at least one real step always gets at least one masked
     position when mask_p > 0, otherwise short sequences would contribute no
     recovery signal at all.
@@ -101,47 +87,42 @@ def apply_mask(batch, mask_p, rng, mode="bernoulli"):
     real = batch.real
     plan = np.zeros_like(real)
     if mask_p > 0.0:
-        if mode == "bernoulli":
-            plan = (rng.random(real.shape) < mask_p) & real
-            needs_force = real.any(axis=1) & ~plan.any(axis=1)
-            for bi in np.flatnonzero(needs_force):
-                slots = np.flatnonzero(real[bi])
-                plan[bi, slots[rng.integers(len(slots))]] = True
-        else:
-            for bi in range(real.shape[0]):
-                slots = np.flatnonzero(real[bi])
-                if len(slots) == 0:
-                    continue
-                n_mask = min(len(slots), max(1, round(mask_p * len(slots))))
-                plan[bi, rng.choice(slots, size=n_mask, replace=False)] = True
+        plan = (rng.random(real.shape) < mask_p) & real
+        needs_force = real.any(axis=1) & ~plan.any(axis=1)
+        for bi in np.flatnonzero(needs_force):
+            slots = np.flatnonzero(real[bi])
+            plan[bi, slots[rng.integers(len(slots))]] = True
     keep = (real & ~plan).astype(batch.keep.dtype)
     return batch.with_keep(keep), plan
 
 
-def reconstruction_loss(preds, batch, plan, loss_scope="all"):
-    """Mean over scored positions of squared numeric error plus categorical CE."""
-    weight = (batch.real if loss_scope == "all" else (plan & batch.real))
-    w = weight.astype(batch.nums.dtype)
+def reconstruction_loss(preds, batch):
+    """Mean over real positions of squared numeric error plus categorical CE.
+
+    `preds` lists numeric heads, then categorical, each in batch column order.
+    """
+    w = batch.real.astype(batch.nums.dtype)
     denom = float(w.sum())
     if denom == 0:
         raise ContractViolation("reconstruction_loss: no positions to score")
     total = None
+    n_num = n_cat = 0
     for col, pred in preds.items():
         if np.isnan(pred.data).any():
             raise NumericError(f"NaN in reconstruction head {col!r}")
         if pred.shape[-1] == 1:  # numeric head
-            ci = _numeric_index(preds, col)
-            diff = ad.sub(ad.reshape(pred, pred.shape[:2]), Tensor(batch.nums[..., ci]))
+            diff = ad.sub(ad.reshape(pred, pred.shape[:2]), Tensor(batch.nums[..., n_num]))
             term = ad.sum_(ad.mul(ad.mul(diff, diff), Tensor(w)))
+            n_num += 1
         else:
-            ci = _categorical_index(preds, col)
             lsm = ad.log_softmax(pred, axis=-1)
             onehot = np.zeros(pred.shape, dtype=pred.data.dtype)
-            codes = batch.cats[..., ci]
+            codes = batch.cats[..., n_cat]
             b_idx, t_idx = np.indices(codes.shape)
             onehot[b_idx, t_idx, codes] = 1.0
             picked = ad.sum_(ad.mul(lsm, Tensor(onehot)), axis=-1)
             term = ad.mul(ad.sum_(ad.mul(picked, Tensor(w))), -1.0)
+            n_cat += 1
         total = term if total is None else ad.add(total, term)
     loss = ad.mul(total, 1.0 / denom)
     if np.isnan(loss.data).any():
@@ -149,20 +130,10 @@ def reconstruction_loss(preds, batch, plan, loss_scope="all"):
     return loss
 
 
-# Head dicts iterate numeric columns first, then categoricals, matching the
-# column order used when the batch arrays were built.
-def _numeric_index(preds, col):
-    return [c for c, p in preds.items() if p.shape[-1] == 1].index(col)
-
-
-def _categorical_index(preds, col):
-    return [c for c, p in preds.items() if p.shape[-1] != 1].index(col)
-
-
-def compute_gradients(weights, batch, plan, loss_scope="all", train=True, rng=None):
+def compute_gradients(weights, batch, train=True, rng=None):
     """Forward + backward on one (already masked) batch.
 
-    Returns (grads by name, loss numerator, scored-position count); the
+    Returns (grads by name, loss numerator, real-position count); the
     numerator is loss * count so shard results combine exactly. The grads
     are views of the flat gradient `weights.grad`.
     """
@@ -171,10 +142,10 @@ def compute_gradients(weights, batch, plan, loss_scope="all", train=True, rng=No
     enc = encoder_forward(batch, weights, train=train, rng=rng, inputs=x)
     dec = decoder_forward(batch, enc, weights, train=train, rng=rng, inputs=x)
     preds = reconstruction_heads(dec, weights)
-    loss = reconstruction_loss(preds, batch, plan, loss_scope)
+    loss = reconstruction_loss(preds, batch)
     ad.backward(loss)
-    npad = float(batch.real.sum()) if loss_scope == "all" else float((plan & batch.real).sum())
-    return {name: p.grad for name, p in weights.items()}, float(loss.data) * npad, npad
+    n_real = float(batch.real.sum())
+    return {name: p.grad for name, p in weights.items()}, float(loss.data) * n_real, n_real
 
 
 @dataclass
@@ -205,7 +176,7 @@ def checkpoint_from(weights, moments, rng, epoch, adam_steps):
 def save_checkpoint(ck, path):
     """Binary layout: magic, u32 version, u64-length JSON header, tensor records."""
     header = {
-        "model": ck.model_cfg.to_json(),
+        "model": asdict(ck.model_cfg),
         "fitted": ck.fitted.to_json(),
         "rng_state": ck.rng_state,
         "epoch": ck.epoch,
@@ -301,7 +272,7 @@ def load_checkpoint(path):
         raise CorruptFile(f"{path}: Adam moments for {odd[0]!r} lack their other half")
     try:
         return Checkpoint(
-            model_cfg=ModelConfig.from_json(header["model"]),
+            model_cfg=ModelConfig(**header["model"]),
             fitted=FittedSchema.from_json(header["fitted"]),
             tensors=tensors,
             moments={name: (m, seconds[name]) for name, m in firsts.items()},
@@ -345,11 +316,10 @@ def train(dataset, model_cfg, train_cfg, init=None):
             for step, start in enumerate(range(0, len(seqs), train_cfg.batch_size)):
                 idx = perm[start:start + train_cfg.batch_size]
                 batch = prepare_batch([seqs[i] for i in idx], fitted, model_cfg)
-                masked, plan = apply_mask(batch, model_cfg.mask_p, rng, train_cfg.mask_mode)
+                masked, plan = apply_mask(batch, model_cfg.mask_p, rng)
                 try:
                     if pool is None:
-                        _, num, den = compute_gradients(
-                            weights, masked, plan, loss_scope=train_cfg.loss_scope, train=True, rng=rng)
+                        _, num, den = compute_gradients(weights, masked, train=True, rng=rng)
                         grad = weights.grad
                     else:
                         grad, num, den = pool.gradients(weights, idx, plan, epoch, step)
@@ -384,7 +354,7 @@ def _load_moments(weights, moments, named):
 # ---------------------------------------------------------------------------
 # synchronous data-parallel gradients
 
-def _worker_loop(conn, sequences, weights, loss_scope, seed, worker_idx):
+def _worker_loop(conn, sequences, weights, seed, worker_idx):
     """Serve steps on the worker's forked copy of `weights`, overwritten by each step's flat parameters."""
     while True:
         msg = conn.recv()
@@ -397,8 +367,7 @@ def _worker_loop(conn, sequences, weights, loss_scope, seed, worker_idx):
         rng = np.random.default_rng([seed, epoch, step, worker_idx])
         weights.flat[...] = flat
         try:
-            _, num, den = compute_gradients(weights, masked, plan,
-                                            loss_scope=loss_scope, train=True, rng=rng)
+            _, num, den = compute_gradients(weights, masked, train=True, rng=rng)
             result = weights.grad, num, den
         except CasprError as exc:
             result = exc  # the parent re-raises it inside the training loop
@@ -412,9 +381,11 @@ class _WorkerPool:
 
     Each step shards the batch, sends every worker the flat parameter array
     and its shard, and combines the flat shard gradients weighted by their
-    scored-position counts, which reproduces the full-batch gradient exactly
-    (the loss is a flat mean over positions). Reduction runs in fixed
-    worker-index order for reproducibility.
+    real-position counts, which reproduces the full-batch gradient exactly
+    (the loss is a flat mean over positions). A batch with fewer entities
+    than workers, such as an epoch's short last batch, goes to the first
+    len(batch) workers only. Reduction runs in fixed worker-index order for
+    reproducibility.
     """
 
     def __init__(self, dataset, weights, train_cfg):
@@ -424,7 +395,7 @@ class _WorkerPool:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(child, dataset.sequences, weights, train_cfg.loss_scope, train_cfg.seed, wi),
+                args=(child, dataset.sequences, weights, train_cfg.seed, wi),
                 daemon=True,
             )
             proc.start()
@@ -433,10 +404,8 @@ class _WorkerPool:
             self.procs.append(proc)
 
     def gradients(self, weights, idx, plan, epoch, step):
-        """(flat grad, loss numerator, scored-position count) for one batch."""
-        w_count = len(self.conns)
-        if len(idx) < w_count:
-            raise ConfigError(f"batch of {len(idx)} cannot feed {w_count} workers (shard starvation)")
+        """(flat grad, loss numerator, real-position count) for one batch."""
+        w_count = min(len(idx), len(self.conns))
         for wi, shard in enumerate(np.array_split(np.arange(len(idx)), w_count)):
             self.conns[wi].send(("step", weights.flat, [int(idx[i]) for i in shard],
                                  plan[shard], epoch, step))

@@ -44,15 +44,6 @@ class SynthConfig:
         if self.min_len < 1 or self.max_len < self.min_len:
             raise ConfigError("need 1 <= min_len <= max_len")
 
-    def to_json(self):
-        return {k: getattr(self, k) for k in (
-            "n_entities", "t_mean", "seed", "signal", "item_vocab", "channel_vocab",
-            "amount_log_mu", "amount_log_sigma", "max_len", "min_len")}
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
-
 
 SCHEMA_JSON = {
     "columns": {
@@ -121,21 +112,25 @@ def generate_rows(cfg):
 
 
 def generate(cfg, out_dir):
-    """Write data.csv, labels.csv and schema.json; returns their paths."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Write data.csv, labels.csv and schema.json atomically; returns their paths."""
+    from .cli import atomic_write  # imported here because cli imports this module
+
     rows, labels = generate_rows(cfg)
     data_path = os.path.join(out_dir, "data.csv")
     labels_path = os.path.join(out_dir, "labels.csv")
     schema_path = os.path.join(out_dir, "schema.json")
-    with open(data_path, "w", encoding="utf-8", newline="") as fh:
+
+    def write_data(fh):
         fh.write("entity,ts,amount,item,channel\n")
         for r in rows:
             fh.write(f"{r['entity']},{r['ts']},{r['amount']:.4f},{r['item']},{r['channel']}\n")
-    with open(labels_path, "w", encoding="utf-8", newline="") as fh:
+
+    def write_labels(fh):
         fh.write("entity,label\n")
         for entity in sorted(labels):
             fh.write(f"{entity},{labels[entity]}\n")
-    with open(schema_path, "w", encoding="utf-8") as fh:
-        json.dump(SCHEMA_JSON, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+
+    atomic_write(data_path, write_data)
+    atomic_write(labels_path, write_labels)
+    atomic_write(schema_path, lambda fh: fh.write(json.dumps(SCHEMA_JSON, indent=2, sort_keys=True) + "\n"))
     return data_path, labels_path, schema_path

@@ -16,7 +16,7 @@ real step always carries scalar 1.0 regardless of pad length.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class ModelConfig:
     mask_p: float = 0.3
     emb_out: int = 16
     precision: str = "f32"
-    pooling: str = "mean"   # mean | last | max over non-pad positions
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
@@ -47,19 +46,10 @@ class ModelConfig:
             raise ConfigError(f"mask_p must be in [0, 1], got {self.mask_p}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.pooling not in ("mean", "last", "max"):
-            raise ConfigError(f"unknown pooling {self.pooling!r}")
 
     @property
     def d_k(self):
         return self.hidden // self.heads
-
-    def to_json(self):
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, obj):
-        return cls(**obj)
 
 
 @dataclass
@@ -375,21 +365,13 @@ def reconstruction_heads(decoder_out, weights):
     return preds
 
 
-def _pool(enc, batch, mode):
+def _mean_pool(enc, batch):
+    """Mean of the encoder output over each entity's real positions."""
     data = enc.data
-    real = batch.real
-    counts = real.sum(axis=1)
     pooled = np.zeros((data.shape[0], data.shape[2]), dtype=data.dtype)
-    for bi in range(data.shape[0]):
-        if counts[bi] == 0:
-            continue  # all-pad entity pools to zero
-        rows = data[bi][real[bi]]
-        if mode == "mean":
-            pooled[bi] = rows.mean(axis=0)
-        elif mode == "last":
-            pooled[bi] = rows[-1]
-        else:
-            pooled[bi] = rows.max(axis=0)
+    for bi, real in enumerate(batch.real):
+        if real.any():  # an all-pad entity pools to zero
+            pooled[bi] = data[bi][real].mean(axis=0)
     return pooled
 
 
@@ -401,7 +383,7 @@ def embed(batch, weights):
     batch = _as_batch(batch, weights)
     with ad.no_grad():
         enc = encoder_forward(batch, weights, train=False)
-        pooled = _pool(enc, batch, weights.cfg.pooling)
+        pooled = _mean_pool(enc, batch)
         joined = Tensor(np.concatenate([pooled, batch.statics.astype(pooled.dtype)], axis=1))
         hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
         out = ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"])

@@ -46,15 +46,15 @@ def test_criterion_1_gradient_correctness(capfd):
                       dropout=0.0, emb_out=4, precision="f64")
     weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(0))
     batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
-    masked, plan = apply_mask(batch, 0.3, np.random.default_rng(1))
+    masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
 
     def loss_value():
         enc = tf.encoder_forward(masked, weights, train=False)
         dec = tf.decoder_forward(masked, enc, weights, train=False)
         preds = tf.reconstruction_heads(dec, weights)
-        return float(pretrain.reconstruction_loss(preds, masked, plan).data)
+        return float(pretrain.reconstruction_loss(preds, masked).data)
 
-    grads, _, _ = compute_gradients(weights, masked, plan, train=False)
+    grads, _, _ = compute_gradients(weights, masked, train=False)
 
     h = 1e-5
     worst = 0.0
@@ -171,8 +171,8 @@ def test_criterion_5_data_parallel_equivalence(capfd):
                       emb_out=8, precision="f64")
     weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(3))
     batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
-    masked, plan = apply_mask(batch, 0.3, np.random.default_rng(5))
-    full_grads, _, _ = compute_gradients(weights, masked, plan, train=False)
+    masked, _ = apply_mask(batch, 0.3, np.random.default_rng(5))
+    full_grads, _, _ = compute_gradients(weights, masked, train=False)
 
     worst = 0.0
     for w in (2, 4):
@@ -182,7 +182,7 @@ def test_criterion_5_data_parallel_equivalence(capfd):
         for shard in np.array_split(np.arange(len(ds.sequences)), w):
             sub = tf.prepare_batch([ds.sequences[i] for i in shard], ds.fitted, cfg)
             sub = sub.with_keep(masked.keep[shard])
-            grads, _, den = compute_gradients(weights, sub, plan[shard], train=False)
+            grads, _, den = compute_gradients(weights, sub, train=False)
             parts.append((grads, den))
             den_total += den
         for grads, den in parts:

@@ -12,7 +12,8 @@ import os
 
 import pytest
 
-from caspr import autodiff
+from caspr import autodiff, pretrain
+from caspr.cli import main
 
 LAYERTRACE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
 
@@ -41,3 +42,25 @@ def test_training_steps_are_counted_at_pretrain():
     pretrain = importlib.import_module("caspr.pretrain")
     assert pretrain.adam_step is autodiff.adam_step
     assert "adam_step(" in inspect.getsource(pretrain.train)
+
+
+def test_pretrain_saves_through_save_checkpoint(tmp_path, monkeypatch):
+    """perfbench/selfcheck.py injects a corrupt checkpoint by replacing
+    pretrain.save_checkpoint with a (ck, path) function."""
+    real_save = pretrain.save_checkpoint
+    calls = []
+
+    def spy(ck, path):
+        calls.append(os.path.abspath(path))
+        real_save(ck, path)
+
+    monkeypatch.setattr(pretrain, "save_checkpoint", spy)
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--out", str(data), "--n-entities", "8", "--seed", "1"]) == 0
+    assert main(["fit", "--schema", str(data / "schema.json"), "--data", str(data / "data.csv"),
+                 "--out", str(tmp_path / "fitted.json")]) == 0
+    config = tmp_path / "tiny.json"
+    config.write_text('{"model": {"hidden": 4, "ff_dim": 4, "layers": 1, "heads": 2, "t": 4}}')
+    assert main(["pretrain", "--config", str(config), "--fitted", str(tmp_path / "fitted.json"),
+                 "--data", str(data / "data.csv"), "--out", str(out), "--epochs", "1"]) == 0
+    assert calls and all(os.path.dirname(path) == str(out) for path in calls)

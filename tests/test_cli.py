@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from caspr import cli, pretrain, transformer
+from caspr import cli, pretrain, synthgen, transformer
 from caspr.cli import main
 
 
@@ -172,6 +172,31 @@ def test_eval_report_write_is_atomic(workspace, tmp_path, monkeypatch):
     assert not list(tmp_path.glob(".tmp-*"))
 
 
+def test_synth_write_is_atomic(tmp_path, monkeypatch):
+    out = tmp_path / "data"
+    out.mkdir()
+    (out / "data.csv").write_text("entity,ts,amount,item,channel\ne0,1,1.0,item_000,ch_0\n")
+    before = (out / "data.csv").read_bytes()
+    rows, labels = synthgen.generate_rows(synthgen.SynthConfig(n_entities=4, seed=1))
+    rows[2]["amount"] = "not a number"  # fails inside the :.4f format of its row
+    monkeypatch.setattr(synthgen, "generate_rows", lambda cfg: (rows, labels))
+    with pytest.raises(ValueError):
+        main(["synth", "--out", str(out), "--n-entities", "4", "--seed", "1"])
+    assert (out / "data.csv").read_bytes() == before
+    assert not list(out.glob(".tmp-*"))
+
+
+def test_artifacts_get_the_mode_open_gives(workspace, tmp_path):
+    (tmp_path / "plain").write_text("")
+    expected = (tmp_path / "plain").stat().st_mode
+    emb = tmp_path / "emb.csv"
+    assert main(["embed", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
+                 "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(emb)]) == 0
+    for path in (workspace["data_dir"] / "data.csv", workspace["data_dir"] / "schema.json",
+                 workspace["run_dir"] / "loss_log.csv", emb):
+        assert path.stat().st_mode == expected, path
+
+
 def test_full_pipeline_from_one_config_file(tmp_path):
     """fit -> pretrain -> embed -> eval driven entirely by one RunConfig."""
     data_dir = tmp_path / "data"
@@ -287,6 +312,9 @@ class TestExitCodes:
         ('{"train": {"lr": "0.01"}}', "field 'lr' must be float, got str"),
         ('{"train": {"epochs": true}}', "field 'epochs' must be int, got bool"),
         ('{"paths": {"out": 5}}', "paths.out must be a string, got int"),
+        ('{"model": {"pooling": "mean"}}', "pooling"),
+        ('{"train": {"mask_mode": "bernoulli"}}', "mask_mode"),
+        ('{"train": {"loss_scope": "all"}}', "loss_scope"),
     ])
     def test_bad_config_is_config_error(self, workspace, tmp_path, capsys, text, what):
         cfg = tmp_path / "bad.json"
@@ -297,6 +325,30 @@ class TestExitCodes:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError") and what in err[0]
+
+    @pytest.mark.parametrize("command, target, content, error", [
+        ("fit", "schema", b'{"columns": {"entity": "entity_id",', "ParseError"),
+        ("fit", "schema", b'["entity", "ts"]', "SchemaMismatch"),
+        ("fit", "data", b"entity,ts,amount,item,channel\ne1,100,1.0,item_\xff,ch_0\n", "ParseError"),
+        ("pretrain", "fitted", b'{"schema": {"columns": {', "ParseError"),
+        ("pretrain", "fitted", lambda ws: json.dumps({**json.loads(ws["fitted"].read_text()),
+                                                      "means": {"amount": "x"}}).encode(), "SchemaMismatch"),
+    ])
+    def test_malformed_input_file_is_one_error_line(self, workspace, tmp_path, capsys,
+                                                    command, target, content, error):
+        paths = {"schema": workspace["data_dir"] / "schema.json",
+                 "data": workspace["data_dir"] / "data.csv", "fitted": workspace["fitted"]}
+        paths[target] = tmp_path / f"bad-{target}"
+        paths[target].write_bytes(content(workspace) if callable(content) else content)
+        argv = [command, "--data", str(paths["data"]), "--out", str(tmp_path / "out")]
+        if command == "fit":
+            argv += ["--schema", str(paths["schema"])]
+        else:
+            argv += ["--config", str(workspace["cfg"]), "--fitted", str(paths["fitted"])]
+        code = main(argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code in (2, 3)
+        assert len(err) == 1 and err[0].startswith(f"error: {error}")
 
     def test_int_accepted_for_float_field(self):
         cfg = cli._config(pretrain.TrainConfig, {"train": {"lr": 1}}, "train", {})

@@ -78,6 +78,7 @@ class TestFitSchema:
            spread=st.sampled_from([1e-2, 1.0, 1e3]),
            devs=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=50))
     @example(offset=1e9, spread=1.0, devs=[-1.0, 1.0, -1.0, 1.0])
+    @example(offset=0.0, spread=0.01, devs=[0.0, 1.1125369292536007e-308])  # squares underflow
     def test_std_exact_at_large_offsets(self, offset, spread, devs):
         # statistics.pstdev is exact (rational arithmetic); np.std is not a
         # usable oracle here, since its own mean rounds at offsets near 1e12

@@ -88,14 +88,6 @@ class TestApplyMask:
         rate = plan.sum() / positions
         assert 0.29 <= rate <= 0.31
 
-    def test_fixed_mode_exact_count(self):
-        fitted = tiny_fitted()
-        cfg, _ = small_weights(fitted, t=10)
-        seqs = [make_sequence("a", np.zeros(10), np.ones(10, dtype=int), 10)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
-        _, plan = apply_mask(batch, 0.3, np.random.default_rng(0), mode="fixed")
-        assert plan.sum() == 3
-
 
 class TestReconstructionLoss:
     def _batch_and_preds(self, cfg, fitted, values, codes, logits_fn, preds_num=None):
@@ -117,8 +109,7 @@ class TestReconstructionLoss:
             s.cats = np.array([], dtype=np.int64)
         batch = tf.prepare_batch(seqs, fitted, cfg)
         preds = {"x0": Tensor(batch.nums.copy())}
-        plan = np.zeros_like(batch.real)
-        loss = reconstruction_loss(preds, batch, plan)
+        loss = reconstruction_loss(preds, batch)
         assert loss.item() == 0.0
 
     def test_uniform_logits_give_log_vocab(self):
@@ -129,7 +120,7 @@ class TestReconstructionLoss:
             s.nums = np.array([])
         batch = tf.prepare_batch(seqs, fitted, cfg)
         preds = {"c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64")}
-        loss = reconstruction_loss(preds, batch, np.zeros_like(batch.real))
+        loss = reconstruction_loss(preds, batch)
         np.testing.assert_allclose(loss.item(), math.log(4), rtol=1e-12)
 
     def test_combined_fixture(self):
@@ -144,22 +135,8 @@ class TestReconstructionLoss:
             "x0": Tensor(num_pred[..., None], dtype="f64"),
             "c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64"),
         }
-        loss = reconstruction_loss(preds, batch, np.zeros_like(batch.real))
+        loss = reconstruction_loss(preds, batch)
         np.testing.assert_allclose(loss.item(), 0.25 + math.log(4), rtol=1e-12)
-
-    def test_masked_scope_restricts_to_plan(self):
-        fitted = tiny_fitted(vocab_sizes=())
-        cfg, _ = small_weights(fitted)
-        seqs = [make_sequence("a", [1.0, 2.0], [0, 0], cfg.t)]
-        for s in seqs[0].steps:
-            s.cats = np.array([], dtype=np.int64)
-        batch = tf.prepare_batch(seqs, fitted, cfg)
-        pred = batch.nums.copy()
-        pred[0, -1, 0] += 3.0  # error only on the final position
-        plan = np.zeros_like(batch.real)
-        plan[0, -2] = True  # scope excludes the erroneous position
-        loss = reconstruction_loss({"x0": Tensor(pred)}, batch, plan, loss_scope="masked")
-        assert loss.item() == 0.0
 
 
 def test_fully_masked_short_sequences_keep_gradients_bounded():
@@ -169,9 +146,8 @@ def test_fully_masked_short_sequences_keep_gradients_bounded():
     cfg, weights = small_weights(fitted, t=5)
     seqs = [make_sequence(f"e{i}", [0.5, -0.5], [1, 2], 5) for i in range(4)]
     batch = tf.prepare_batch(seqs, fitted, cfg)
-    plan = batch.real.copy()  # mask everything
-    masked = batch.with_keep(np.zeros_like(batch.keep))
-    grads, num, _ = compute_gradients(weights, masked, plan, train=False)
+    masked = batch.with_keep(np.zeros_like(batch.keep))  # mask everything
+    grads, num, _ = compute_gradients(weights, masked, train=False)
     assert np.isfinite(num)
     assert max(np.abs(g).max() for g in grads.values()) < 1e4
 
@@ -252,10 +228,11 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        path = tmp_path / "v9.bin"
-        path.write_bytes(b"CSPR1" + (9).to_bytes(4, "little") + b"\x00" * 16)
-        with pytest.raises(VersionMismatch):
-            load_checkpoint(path)
+        for version in (1, 9):
+            path = tmp_path / f"v{version}.bin"
+            path.write_bytes(b"CSPR1" + version.to_bytes(4, "little") + b"\x00" * 16)
+            with pytest.raises(VersionMismatch):
+                load_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):
         ds = tiny_dataset()
@@ -282,7 +259,7 @@ def small_checkpoint_bytes(tmp_path):
 def craft_checkpoint(header, records):
     """Checkpoint bytes from a header object and (name bytes, array, dtype tag) records."""
     blob = json.dumps(header).encode("utf-8")
-    parts = [b"CSPR1", struct.pack("<I", 1), struct.pack("<Q", len(blob)), blob]
+    parts = [b"CSPR1", struct.pack("<I", pretrain.CHECKPOINT_VERSION), struct.pack("<Q", len(blob)), blob]
     for name, arr, tag in records:
         parts += [struct.pack("<H", len(name)), name, struct.pack("<B", arr.ndim)]
         parts += [struct.pack("<Q", d) for d in arr.shape]
@@ -471,9 +448,9 @@ class TestDataParallel:
                              dropout=0.0, precision="f64")
         _, weights = small_weights(ds.fitted, hidden=8, ff_dim=16, layers=2, heads=2, t=6)
         batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
-        masked, plan = apply_mask(batch, 0.3, np.random.default_rng(1))
+        masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
 
-        full_grads, _, full_den = compute_gradients(weights, masked, plan, train=False)
+        full_grads, _, full_den = compute_gradients(weights, masked, train=False)
 
         for w in (2, 4):
             shards = np.array_split(np.arange(16), w)
@@ -483,7 +460,7 @@ class TestDataParallel:
             for shard in shards:
                 sub = tf.prepare_batch([ds.sequences[i] for i in shard], ds.fitted, cfg)
                 sub_masked = sub.with_keep(masked.keep[shard])
-                grads, _, den = compute_gradients(weights, sub_masked, plan[shard], train=False)
+                grads, _, den = compute_gradients(weights, sub_masked, train=False)
                 parts.append((grads, den))
                 den_total += den
             for grads, den in parts:
@@ -531,6 +508,16 @@ class TestDataParallel:
             again = pickle.loads(pickle.dumps(exc))
             assert type(again) is type(exc) and str(again) == str(exc)
             assert again.__dict__ == exc.__dict__
+
+    def test_short_last_batch_uses_fewer_workers(self):
+        """9 entities in batches of 4 leave a last batch of 1 for 2 workers."""
+        ds = tiny_dataset(n=9, seed=2)
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6,
+                             dropout=0.0, precision="f64")
+        _, serial_log = train(ds, cfg, TrainConfig(epochs=2, seed=4, batch_size=4))
+        _, par_log = train(ds, cfg, TrainConfig(epochs=2, seed=4, batch_size=4, workers=2))
+        np.testing.assert_allclose([l for _, l, _ in par_log], [l for _, l, _ in serial_log],
+                                   rtol=1e-12, atol=0)
 
     def test_dropout_resume_matches_straight_run(self, tmp_path):
         ds = tiny_dataset(n=12, seed=8)
