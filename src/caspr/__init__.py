@@ -7,12 +7,12 @@ entity, and evaluate against the order-invariant RFM baseline.
 
 from .autodiff import Tensor, backward
 from .errors import CasprError
-from .ingest import ColumnSpec, FittedSchema, Schema, fit_schema, encode_rows, build_sequences
+from .ingest import ColumnSpec, FittedSchema, Schema, SequenceDataset, build_dataset, fit_schema
 from .metrics import auroc, f1_positive, ranking_metrics, rmse, train_linear_probe
 from .pretrain import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 from .rfm import rfm_features, rfm_table
 from .synthgen import SynthConfig
-from .transformer import EmbeddingRecord, ModelConfig, build_weights, embed
+from .transformer import EmbeddingRecord, ModelConfig, build_weights, embed, prepare_batch
 
 __version__ = "0.1.0"
 
@@ -24,8 +24,8 @@ __all__ = [
     "Schema",
     "FittedSchema",
     "fit_schema",
-    "encode_rows",
-    "build_sequences",
+    "SequenceDataset",
+    "build_dataset",
     "auroc",
     "f1_positive",
     "rmse",
@@ -43,5 +43,6 @@ __all__ = [
     "ModelConfig",
     "build_weights",
     "embed",
+    "prepare_batch",
     "__version__",
 ]

@@ -226,7 +226,7 @@ def _write_checkpoint(ck, out_dir):
 def cmd_pretrain(args):
     model_cfg, train_cfg, dataset, out_dir = _training_inputs(args)
     log.info("pretraining on %d sequences for %d epochs (workers=%d)",
-             len(dataset.sequences), train_cfg.epochs, train_cfg.workers)
+             len(dataset.entities), train_cfg.epochs, train_cfg.workers)
     try:
         ck, loss_log = pretrain.train(dataset, model_cfg, train_cfg)
     except DivergenceError as exc:
@@ -254,9 +254,9 @@ def _weights_from_checkpoint(path):
 
 def _embed_all(weights, dataset):
     records = []
-    for start in range(0, len(dataset.sequences), EMBED_BATCH):
-        chunk = dataset.sequences[start:start + EMBED_BATCH]
-        records.extend(transformer.embed(chunk, weights))
+    for start in range(0, len(dataset.entities), EMBED_BATCH):
+        batch = transformer.prepare_batch(dataset, slice(start, start + EMBED_BATCH), weights.cfg)
+        records.extend(transformer.embed(batch, weights))
     return records
 
 

@@ -1,11 +1,11 @@
 """Schema-driven parsing of raw activity logs into per-entity sequences.
 
-The pipeline is fit -> encode -> build_sequences. Fitting derives
-vocabularies (first-seen order, code 0 reserved for padding/out-of-vocab),
-z-score statistics (population std, zero replaced by 1) and the embedding
-width per categorical column. Encoding maps raw records to typed rows;
-sequence building groups rows per entity, sorts by timestamp (stable),
-keeps the latest `t` rows and left-pads shorter histories.
+The pipeline is fit -> build_dataset. Fitting derives vocabularies
+(first-seen order, code 0 reserved for padding/out-of-vocab), z-score
+statistics (population std, zero replaced by 1) and the embedding width per
+categorical column. Building encodes raw records, groups them per entity,
+sorts by timestamp (stable), keeps the latest `t` rows and left-pads
+shorter histories into one padded array per field.
 """
 from __future__ import annotations
 
@@ -137,35 +137,30 @@ class FittedSchema:
     def from_json(cls, obj):
         return cls(
             schema=Schema.from_json(obj["schema"]),
-            vocab={k: list(v) for k, v in obj["vocab"].items()},
+            vocab={k: _str_list(v, f"vocab {k!r}") for k, v in obj["vocab"].items()},
             means={k: float(v) for k, v in obj["means"].items()},
             stds={k: float(v) for k, v in obj["stds"].items()},
             embed_dims={k: int(v) for k, v in obj["embed_dims"].items()},
         )
 
 
-@dataclass
-class ActivityRow:
-    entity: str
-    ts: int
-    nums: np.ndarray     # sequential numeric values (raw after parse, z-scored after encode)
-    cats: np.ndarray     # sequential categorical codes
-    static_nums: np.ndarray
-    static_cats: np.ndarray
-
-
-@dataclass
-class EntitySequence:
-    entity: str
-    steps: list[ActivityRow]   # ascending ts, at most t entries
-    pad_len: int               # leading (oldest-side) pad slots; pad_len + len(steps) = t
-    statics: np.ndarray        # z-scored static numerics followed by static categorical codes
+def _str_list(value, what):
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise TypeError(f"{what} must be a list of strings, got {value!r:.60}")
+    return value
 
 
 @dataclass
 class SequenceDataset:
-    sequences: list[EntitySequence]
+    """One row per entity, in id order: its latest t steps, stably sorted by
+    timestamp and left-padded, so that any batch is a row gather."""
+
     fitted: FittedSchema
+    entities: np.ndarray   # (N,) entity ids (str objects)
+    real: np.ndarray       # (N, t) bool, True where a real step sits
+    nums: np.ndarray       # (N, t, n_num) f64 z-scored values, 0 at pad
+    cats: np.ndarray       # (N, t, n_cat) int64 vocab codes, 0 at pad
+    statics: np.ndarray    # (N, s) f64 z-scored static numerics, then static codes, of the latest row
 
 
 def parse_timestamp(text, row_index=None):
@@ -184,10 +179,14 @@ def parse_timestamp(text, row_index=None):
 
 
 def _parse_number(text, column, row_index):
+    """A finite float; nan and inf would reach the model as NaN, so they are rejected here."""
     try:
-        return float(text)
+        x = float(text)
     except ValueError:
         raise ParseError(f"bad number {text!r} in column {column!r}", row_index) from None
+    if x - x:  # 0.0 for every finite x, NaN for nan and inf
+        raise ParseError(f"non-finite number {text!r} in column {column!r}", row_index)
+    return x
 
 
 @contextlib.contextmanager
@@ -224,12 +223,14 @@ def fit_schema(rows, schema):
     # Sums are taken about each column's first value, so a column far from
     # zero (epoch-like values, large balances) keeps its spread instead of
     # losing it to cancellation in sumsq / n - mean². A deviation below `tiny`
-    # would square to a subnormal or zero, so its square is summed scaled up.
-    tiny, scale = 2.0 ** -500, 2.0 ** 600
+    # would square to a subnormal or zero, so its square is summed scaled up;
+    # one above `huge` could overflow the sum, so its square is summed scaled down.
+    tiny, huge, scale = 2.0 ** -500, 2.0 ** 400, 2.0 ** 600
     shifts = None
     sums = {c: 0.0 for c in numeric_cols}
     sumsqs = {c: 0.0 for c in numeric_cols}
     tiny_sqs = {c: 0.0 for c in numeric_cols}
+    huge_sqs = {c: 0.0 for c in numeric_cols}
     vocab = {c: [] for c in cat_cols}
     seen = {c: set() for c in cat_cols}
     n = 0
@@ -242,8 +243,10 @@ def fit_schema(rows, schema):
             sums[c] += d
             if -tiny < d < tiny:
                 tiny_sqs[c] += (d * scale) ** 2
-            else:
+            elif -huge < d < huge:
                 sumsqs[c] += d * d
+            else:
+                huge_sqs[c] += (d / scale) ** 2
         for c in cat_cols:
             v = rec[c]
             if v not in seen[c]:
@@ -255,61 +258,67 @@ def fit_schema(rows, schema):
     means = {c: shifts[c] + sums[c] / n for c in numeric_cols}
     stds = {}
     for c in numeric_cols:
-        std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0))
-        if sumsqs[c] == 0:  # every deviation below `tiny`: take the spread in units of 1 / scale
+        if huge_sqs[c]:  # some deviation above `huge`: take the spread in units of scale
+            var = (huge_sqs[c] + sumsqs[c] / scale / scale) / n - (sums[c] / scale / n) ** 2
+            std = math.sqrt(max(var, 0.0)) * scale
+        elif sumsqs[c]:
+            std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0))
+        else:  # every deviation below `tiny`: take the spread in units of 1 / scale
             std = math.sqrt(max(tiny_sqs[c] / n - (sums[c] * scale / n) ** 2, 0.0)) / scale
         stds[c] = std if std > 0 else 1.0
     return FittedSchema(schema=schema, vocab=vocab, means=means, stds=stds)
 
 
-def encode_rows(rows, fitted):
-    """Map raw records to ActivityRows: z-scored numerics, vocab codes (OOV -> 0)."""
-    sch = fitted.schema
-    out = []
-    for i, rec in enumerate(rows):
-        ts = parse_timestamp(rec[sch.ts_col], i)
-        nums = np.array(
-            [(_parse_number(rec[c], c, i) - fitted.means[c]) / fitted.stds[c] for c in fitted.seq_numeric_cols],
-            dtype=np.float64,
-        )
-        cats = np.array([fitted.code_of(c, rec[c]) for c in fitted.seq_categorical_cols], dtype=np.int64)
-        snums = np.array(
-            [(_parse_number(rec[c], c, i) - fitted.means[c]) / fitted.stds[c] for c in fitted.static_numeric_cols],
-            dtype=np.float64,
-        )
-        scats = np.array([fitted.code_of(c, rec[c]) for c in fitted.static_categorical_cols], dtype=np.int64)
-        out.append(ActivityRow(entity=rec[sch.entity_col], ts=ts, nums=nums, cats=cats,
-                               static_nums=snums, static_cats=scats))
-    return out
+def build_dataset(records, fitted, t):
+    """Raw records -> SequenceDataset: z-scored numerics, vocab codes (OOV -> 0).
 
-
-def build_sequences(rows, fitted, t):
-    """Group rows by entity, order by ts (stable), truncate to the latest t.
-
-    Output is sorted by entity id so the result is independent of input row
-    order (up to timestamp ties, which keep input order).
+    Entities come out sorted by id, so the result is independent of input
+    row order up to timestamp ties, which keep input order.
     """
     if t < 1:
         raise SchemaMismatch(f"sequence length t must be >= 1, got {t}")
-    groups: dict[str, list[ActivityRow]] = {}
-    for row in rows:
-        groups.setdefault(row.entity, []).append(row)
-    sequences = []
-    for entity in sorted(groups):
-        ordered = sorted(groups[entity], key=lambda r: r.ts)
-        steps = ordered[-t:]
-        latest = ordered[-1]
-        statics = np.concatenate([latest.static_nums, latest.static_cats.astype(np.float64)])
-        sequences.append(EntitySequence(entity=entity, steps=steps, pad_len=t - len(steps), statics=statics))
-    return sequences
+    sch = fitted.schema
+    num_cols = fitted.seq_numeric_cols + fitted.static_numeric_cols
+    cat_cols = fitted.seq_categorical_cols + fitted.static_categorical_cols
+    first_seen, owner, stamps, values, codes = {}, [], [], [], []
+    for i, rec in enumerate(records):
+        stamps.append(parse_timestamp(rec[sch.ts_col], i))
+        owner.append(first_seen.setdefault(rec[sch.entity_col], len(first_seen)))
+        values.append([_parse_number(rec[c], c, i) for c in num_cols])
+        codes.append([fitted.code_of(c, rec[c]) for c in cat_cols])
+    if not owner:
+        raise EmptyDataset("build_dataset: no data rows")
+    try:
+        stamps = np.array(stamps, dtype=np.int64)
+    except OverflowError:
+        raise ParseError("timestamp outside the 64-bit range") from None
+    entities = np.array(sorted(first_seen), dtype=object)
+    rank = np.empty(len(entities), dtype=np.int64)
+    rank[[first_seen[e] for e in entities]] = np.arange(len(entities))
+    owner = rank[owner]
+    order = np.lexsort((stamps, owner))  # stable: by entity, then timestamp, then input order
+    owner = owner[order]
+    values = (np.array(values, dtype=np.float64)[order] - [fitted.means[c] for c in num_cols]) \
+        / [fitted.stds[c] for c in num_cols]
+    codes = np.array(codes, dtype=np.int64)[order]
+    from_end = np.cumsum(np.bincount(owner))[owner] - np.arange(len(order)) - 1  # 0 at each latest row
+    kept = from_end < t
+    slot = t - 1 - from_end[kept]
+    n_num, n_cat = len(fitted.seq_numeric_cols), len(fitted.seq_categorical_cols)
+    real = np.zeros((len(entities), t), dtype=bool)
+    nums = np.zeros((len(entities), t, n_num))
+    cats = np.zeros((len(entities), t, n_cat), dtype=np.int64)
+    real[owner[kept], slot] = True
+    nums[owner[kept], slot] = values[kept, :n_num]
+    cats[owner[kept], slot] = codes[kept, :n_cat]
+    latest = from_end == 0
+    statics = np.concatenate([values[latest, n_num:], codes[latest, n_cat:]], axis=1)
+    return SequenceDataset(fitted, entities, real, nums, cats, statics)
 
 
 def load_dataset(data_path, fitted, t):
-    """CSV -> encoded, padded sequences under an already-fitted schema."""
-    rows = encode_rows(iter_raw_rows(data_path, fitted.schema), fitted)
-    if not rows:
-        raise EmptyDataset(f"{data_path}: no data rows")
-    return SequenceDataset(sequences=build_sequences(rows, fitted, t), fitted=fitted)
+    """CSV -> padded per-entity arrays under an already-fitted schema."""
+    return build_dataset(iter_raw_rows(data_path, fitted.schema), fitted, t)
 
 
 def _load_json(cls, path):

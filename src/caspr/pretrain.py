@@ -292,11 +292,11 @@ def train(dataset, model_cfg, train_cfg, init=None):
     worker count the loss column is reproducible run to run and resuming
     from a checkpoint continues the uninterrupted log exactly.
     """
-    if not dataset.sequences:
+    n = len(dataset.entities)
+    if not n:
         raise ConfigError("train: empty dataset")
-    seqs, fitted = dataset.sequences, dataset.fitted
     rng = np.random.default_rng(train_cfg.seed)
-    weights = build_weights(model_cfg, fitted, rng)
+    weights = build_weights(model_cfg, dataset.fitted, rng)
     moments = init_moments(weights.flat)
     epoch_start = adam_steps = 0
     if init is not None:
@@ -311,11 +311,11 @@ def train(dataset, model_cfg, train_cfg, init=None):
     try:
         for epoch in range(epoch_start, train_cfg.epochs):
             tic = time.perf_counter()
-            perm = rng.permutation(len(seqs))
+            perm = rng.permutation(n)
             loss_num = loss_den = 0.0
-            for step, start in enumerate(range(0, len(seqs), train_cfg.batch_size)):
+            for step, start in enumerate(range(0, n, train_cfg.batch_size)):
                 idx = perm[start:start + train_cfg.batch_size]
-                batch = prepare_batch([seqs[i] for i in idx], fitted, model_cfg)
+                batch = prepare_batch(dataset, idx, model_cfg)
                 masked, plan = apply_mask(batch, model_cfg.mask_p, rng)
                 try:
                     if pool is None:
@@ -354,7 +354,7 @@ def _load_moments(weights, moments, named):
 # ---------------------------------------------------------------------------
 # synchronous data-parallel gradients
 
-def _worker_loop(conn, sequences, weights, seed, worker_idx):
+def _worker_loop(conn, dataset, weights, seed, worker_idx):
     """Serve steps on the worker's forked copy of `weights`, overwritten by each step's flat parameters."""
     while True:
         msg = conn.recv()
@@ -362,7 +362,7 @@ def _worker_loop(conn, sequences, weights, seed, worker_idx):
             conn.close()
             return
         _, flat, idx, plan, epoch, step = msg
-        batch = prepare_batch([sequences[i] for i in idx], weights.fitted, weights.cfg)
+        batch = prepare_batch(dataset, idx, weights.cfg)
         masked = batch.with_keep((batch.real & ~plan).astype(batch.keep.dtype))
         rng = np.random.default_rng([seed, epoch, step, worker_idx])
         weights.flat[...] = flat
@@ -395,7 +395,7 @@ class _WorkerPool:
             parent, child = ctx.Pipe()
             proc = ctx.Process(
                 target=_worker_loop,
-                args=(child, dataset.sequences, weights, train_cfg.seed, wi),
+                args=(child, dataset, weights, train_cfg.seed, wi),
                 daemon=True,
             )
             proc.start()
@@ -407,8 +407,7 @@ class _WorkerPool:
         """(flat grad, loss numerator, real-position count) for one batch."""
         w_count = min(len(idx), len(self.conns))
         for wi, shard in enumerate(np.array_split(np.arange(len(idx)), w_count)):
-            self.conns[wi].send(("step", weights.flat, [int(idx[i]) for i in shard],
-                                 plan[shard], epoch, step))
+            self.conns[wi].send(("step", weights.flat, idx[shard], plan[shard], epoch, step))
         results = [self._recv(wi) for wi in range(w_count)]
         for r in results:
             if isinstance(r, CasprError):

@@ -60,9 +60,9 @@ class EmbeddingRecord:
 
 @dataclass
 class Batch:
-    """Model-ready arrays for a list of EntitySequences (fixed length t)."""
+    """Model-ready rows of a SequenceDataset at the model's dtype."""
 
-    entities: list[str]
+    entities: np.ndarray  # (B,) entity ids
     pos: np.ndarray       # (B, t) position scalar per slot, 0 at pad
     nums: np.ndarray      # (B, t, n_num) z-scored values, 0 at pad
     cats: np.ndarray      # (B, t, n_cat) int codes, 0 at pad
@@ -70,54 +70,30 @@ class Batch:
     keep: np.ndarray      # (B, t) float, 1 where the model may see the step
     statics: np.ndarray   # (B, s)
 
-    @property
-    def size(self):
-        return len(self.entities)
-
     def with_keep(self, keep):
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
 
 
-def prepare_batch(sequences, fitted, cfg):
-    """Materialize sequences into slot-aligned arrays of length cfg.t.
+def prepare_batch(dataset, idx, cfg):
+    """Gather rows `idx` (an index array or a slice) of `dataset` at cfg.precision.
 
     Real steps occupy the trailing slots; slot i (1-based) carries position
     scalar i/t, so the most recent step is always at scalar 1.0.
     """
-    t = cfg.t
+    t = dataset.real.shape[1]
+    if t != cfg.t:
+        raise SchemaMismatch(f"dataset was built with t={t}, the model expects t={cfg.t}")
     dtype = ad.resolve_dtype(cfg.precision)
-    b = len(sequences)
-    n_num = len(fitted.seq_numeric_cols)
-    n_cat = len(fitted.seq_categorical_cols)
-    pos = np.zeros((b, t), dtype=dtype)
-    nums = np.zeros((b, t, n_num), dtype=dtype)
-    cats = np.zeros((b, t, n_cat), dtype=np.int64)
-    real = np.zeros((b, t), dtype=bool)
-    statics = np.zeros((b, fitted.statics_width), dtype=dtype)
-    for bi, seq in enumerate(sequences):
-        k = len(seq.steps)
-        if k > t:
-            raise SchemaMismatch(f"sequence for {seq.entity!r} has {k} steps, exceeds t={t}")
-        for j, step in enumerate(seq.steps):
-            slot = t - k + j
-            pos[bi, slot] = (slot + 1) / t
-            if len(step.nums) != n_num or len(step.cats) != n_cat:
-                raise SchemaMismatch(f"row arity mismatch for entity {seq.entity!r}")
-            nums[bi, slot] = step.nums
-            cats[bi, slot] = step.cats
-            real[bi, slot] = True
-        if len(seq.statics) != fitted.statics_width:
-            raise SchemaMismatch(f"statics width mismatch for entity {seq.entity!r}")
-        statics[bi] = seq.statics
-    keep = real.astype(dtype)
+    real = dataset.real[idx]
+    pos = real * ((np.arange(t) + 1) / t)
     return Batch(
-        entities=[s.entity for s in sequences],
-        pos=pos,
-        nums=nums,
-        cats=cats,
+        entities=dataset.entities[idx],
+        pos=pos.astype(dtype),
+        nums=dataset.nums[idx].astype(dtype),
+        cats=dataset.cats[idx],
         real=real,
-        keep=keep,
-        statics=statics,
+        keep=real.astype(dtype),
+        statics=dataset.statics[idx].astype(dtype),
     )
 
 
@@ -234,15 +210,8 @@ def build_weights(cfg, fitted, rng):
     return ModelWeights(cfg, fitted, arrays)
 
 
-def _as_batch(batch, weights):
-    if isinstance(batch, Batch):
-        return batch
-    return prepare_batch(batch, weights.fitted, weights.cfg)
-
-
 def project_inputs(batch, weights):
     """Assemble step vectors and project them into the hidden size."""
-    batch = _as_batch(batch, weights)
     fitted, cfg = weights.fitted, weights.cfg
     if batch.nums.shape[2] != len(fitted.seq_numeric_cols) or batch.cats.shape[2] != len(fitted.seq_categorical_cols):
         raise SchemaMismatch(
@@ -328,7 +297,6 @@ def encoder_forward(batch, weights, train=False, rng=None, inputs=None):
     `inputs` is project_inputs(batch, weights) when the caller has it
     already; the decoder starts from the same projection.
     """
-    batch = _as_batch(batch, weights)
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
     mask = attention_mask(encoder_mask(batch.real), h.dtype)
@@ -341,7 +309,6 @@ def encoder_forward(batch, weights, train=False, rng=None, inputs=None):
 
 def decoder_forward(batch, encoder_out, weights, train=False, rng=None, inputs=None):
     """Causal self-attention, causal cross-attention over encoder output, FFN."""
-    batch = _as_batch(batch, weights)
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
     mask = attention_mask(causal_mask(batch.real), h.dtype)
@@ -366,13 +333,9 @@ def reconstruction_heads(decoder_out, weights):
 
 
 def _mean_pool(enc, batch):
-    """Mean of the encoder output over each entity's real positions."""
-    data = enc.data
-    pooled = np.zeros((data.shape[0], data.shape[2]), dtype=data.dtype)
-    for bi, real in enumerate(batch.real):
-        if real.any():  # an all-pad entity pools to zero
-            pooled[bi] = data[bi][real].mean(axis=0)
-    return pooled
+    """Mean of the encoder output over each entity's real positions; an all-pad entity pools to zero."""
+    real = batch.real[..., None]
+    return (enc.data * real).sum(axis=1) / np.maximum(real.sum(axis=1), 1).astype(enc.dtype)
 
 
 def embed(batch, weights):
@@ -380,7 +343,6 @@ def embed(batch, weights):
 
     Runs under ad.no_grad(), so it builds no backward graph.
     """
-    batch = _as_batch(batch, weights)
     with ad.no_grad():
         enc = encoder_forward(batch, weights, train=False)
         pooled = _mean_pool(enc, batch)

@@ -13,11 +13,11 @@ import pytest
 
 from caspr import ingest, metrics, pretrain, rfm, synthgen, transformer as tf
 from caspr.cli import evaluate_features
-from caspr.ingest import SequenceDataset
 from caspr.pretrain import TrainConfig, apply_mask, compute_gradients, load_checkpoint, save_checkpoint, train
 from caspr.transformer import ModelConfig
 
 from test_rfm import EVENTS, EXPECTED, REFERENCE
+from test_transformer import fill_pad_slots
 
 
 def report(capfd, num, name, passed, detail=""):
@@ -31,8 +31,7 @@ def load_synth(cfg, t):
     schema = ingest.Schema.from_json(synthgen.SCHEMA_JSON)
     raw = [{k: str(v) for k, v in r.items()} for r in rows]
     fitted = ingest.fit_schema(raw, schema)
-    seqs = ingest.build_sequences(ingest.encode_rows(raw, fitted), fitted, t)
-    return SequenceDataset(seqs, fitted), labels, raw
+    return ingest.build_dataset(raw, fitted, t), labels, raw
 
 
 # ---------------------------------------------------------------------- 1
@@ -45,7 +44,7 @@ def test_criterion_1_gradient_correctness(capfd):
     cfg = ModelConfig(hidden=4, ff_dim=8, layers=2, heads=2, t=5,
                       dropout=0.0, emb_out=4, precision="f64")
     weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(0))
-    batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
+    batch = tf.prepare_batch(ds, slice(None), cfg)
     masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
 
     def loss_value():
@@ -98,8 +97,8 @@ def pipeline2000():
     weights = tf.build_weights(ck.model_cfg, ck.fitted, np.random.default_rng(0))
     weights.load_arrays(ck.tensors)
     records = []
-    for s in range(0, len(ds.sequences), 512):
-        records.extend(tf.embed(ds.sequences[s:s + 512], weights))
+    for s in range(0, len(ds.entities), 512):
+        records.extend(tf.embed(tf.prepare_batch(ds, slice(s, s + 512), ck.model_cfg), weights))
     features = np.array([r.vector for r in records])
     y = np.array([labels[r.entity] for r in records], dtype=np.float64)
 
@@ -151,7 +150,7 @@ def test_criterion_3_masking_statistics(capfd):
     ds, _, _ = load_synth(synthgen.SynthConfig(n_entities=7000, seed=2, min_len=15, max_len=15),
                           t=15)
     cfg = ModelConfig()
-    batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
+    batch = tf.prepare_batch(ds, slice(None), cfg)
     _, plan = apply_mask(batch, 0.3, np.random.default_rng(0))
     positions = int(batch.real.sum())
     rate = plan.sum() / positions
@@ -170,7 +169,7 @@ def test_criterion_5_data_parallel_equivalence(capfd):
     cfg = ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=8, dropout=0.0,
                       emb_out=8, precision="f64")
     weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(3))
-    batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
+    batch = tf.prepare_batch(ds, slice(None), cfg)
     masked, _ = apply_mask(batch, 0.3, np.random.default_rng(5))
     full_grads, _, _ = compute_gradients(weights, masked, train=False)
 
@@ -179,8 +178,8 @@ def test_criterion_5_data_parallel_equivalence(capfd):
         combined = None
         den_total = 0.0
         parts = []
-        for shard in np.array_split(np.arange(len(ds.sequences)), w):
-            sub = tf.prepare_batch([ds.sequences[i] for i in shard], ds.fitted, cfg)
+        for shard in np.array_split(np.arange(len(ds.entities)), w):
+            sub = tf.prepare_batch(ds, shard, cfg)
             sub = sub.with_keep(masked.keep[shard])
             grads, _, den = compute_gradients(weights, sub, train=False)
             parts.append((grads, den))
@@ -275,34 +274,35 @@ def test_criterion_7_causality_and_pad_invariance(capfd):
             vocab={"c": ["a", "b", "c"]}, means={"x": 0.0}, stds={"x": 1.0})
         weights = tf.build_weights(cfg, fitted, rng)
 
-        def seq_of(values, codes, entity="e"):
-            steps = [ingest.ActivityRow(entity, i, np.array([v]), np.array([c]),
-                                        np.array([]), np.array([], dtype=np.int64))
-                     for i, (v, c) in enumerate(zip(values, codes))]
-            return ingest.EntitySequence(entity, steps, t - len(steps), np.array([]))
+        def batch_of(values, codes):
+            records = [{"entity": "e", "ts": str(i), "x": repr(float(v)), "c": "abc"[c - 1]}
+                       for i, (v, c) in enumerate(zip(values, codes))]
+            return tf.prepare_batch(ingest.build_dataset(records, fitted, t), slice(None), cfg)
 
         values = rng.normal(size=t)
         codes = rng.integers(1, 4, size=t)
-        seqs = [seq_of(values, codes)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = batch_of(values, codes)
         enc = tf.encoder_forward(batch, weights)
         base = tf.decoder_forward(batch, enc, weights).data
 
         for j in range(t):
-            pert = tf.prepare_batch(seqs, fitted, cfg)
+            pert = batch_of(values, codes)
             pert.nums = pert.nums.copy()
             pert.nums[0, j, 0] += 0.5
             out = tf.decoder_forward(pert, enc, weights).data
             if j > 0:
                 worst_causal = max(worst_causal, float(np.abs(out[0, :j] - base[0, :j]).max()))
 
+        # random content in the pad slots must move neither the embedding nor
+        # the decoder output at real positions
         k = max(1, t - 2)
-        short = seq_of(values[:k], codes[:k])
-        more_pad = seq_of(values[:k], codes[:k])
-        more_pad.pad_len += 1  # extra declared padding, same real steps
-        va = tf.embed([short], weights)[0].vector
-        vb = tf.embed([more_pad], weights)[0].vector
-        worst_pad = max(worst_pad, float(np.abs(va - vb).max()))
+        short = batch_of(values[:k], codes[:k])
+        noisy = fill_pad_slots(short, rng, vocab_n=3)
+        va = tf.embed(short, weights)[0].vector
+        vb = tf.embed(noisy, weights)[0].vector
+        dec_a = tf.decoder_forward(short, tf.encoder_forward(short, weights), weights).data[short.real]
+        dec_b = tf.decoder_forward(noisy, tf.encoder_forward(noisy, weights), weights).data[short.real]
+        worst_pad = max(worst_pad, float(np.abs(va - vb).max()), float(np.abs(dec_a - dec_b).max()))
 
     ok = worst_causal < 1e-9 and worst_pad < 1e-6
     report(capfd, 7, "causality and pad invariance", ok,

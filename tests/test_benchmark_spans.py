@@ -1,9 +1,11 @@
-"""The traced benchmark looks up caspr functions by name; keep those names resolvable.
+"""The benchmark looks up caspr names; keep those names resolvable.
 
 perfbench/layertrace.py wraps each (module, function) in its SPANS with
 getattr and no default, and replaces autodiff._make to count graph nodes,
-so a rename in caspr would crash `perfbench/run.py --trace 1`. This test
-reads perfbench/ and changes nothing there.
+so a rename in caspr would crash `perfbench/run.py --trace 1`.
+perfbench/run.py also reads ModelConfig().emb_out as the embedding width it
+checks and rfm.FEATURE_NAMES as the RFM table's width. This test reads
+perfbench/ and changes nothing there.
 """
 import importlib
 import importlib.util
@@ -12,7 +14,7 @@ import os
 
 import pytest
 
-from caspr import autodiff, pretrain
+from caspr import autodiff, pretrain, rfm, transformer
 from caspr.cli import main
 
 LAYERTRACE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
@@ -31,6 +33,11 @@ SPANS = load_layertrace().SPANS
 @pytest.mark.parametrize("home, func", SPANS, ids=[f"{h}.{f}" for h, f in SPANS])
 def test_span_resolves(home, func):
     assert callable(getattr(importlib.import_module(f"caspr.{home}"), func))
+
+
+def test_widths_read_by_the_benchmark_resolve():
+    assert type(transformer.ModelConfig().emb_out) is int
+    assert isinstance(rfm.FEATURE_NAMES, list) and all(type(n) is str for n in rfm.FEATURE_NAMES)
 
 
 def test_node_counter_hook_resolves():

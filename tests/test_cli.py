@@ -262,6 +262,22 @@ class TestExitCodes:
         assert code == 3
         assert "SchemaMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "rfm", "pretrain", "embed"])
+    @pytest.mark.parametrize("amount", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_number_is_parse_error(self, workspace, tmp_path, capsys, command, amount):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("entity,ts,amount,item,channel\n"
+                       f"e1,100,1.0,item_001,ch_0\ne1,200,{amount},item_001,ch_0\n")
+        schema, out = str(workspace["data_dir"] / "schema.json"), str(tmp_path / "out")
+        args = {"fit": ["--schema", schema], "rfm": ["--schema", schema],
+                "pretrain": ["--config", str(workspace["cfg"]), "--fitted", str(workspace["fitted"])],
+                "embed": ["--checkpoint", str(workspace["run_dir"] / "checkpoint.bin")]}[command]
+        code = main([command, "--data", str(bad), "--out", out] + args)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: non-finite number")
+        assert "'amount'" in err[0]
+
     def test_missing_path_reports_config_error(self, tmp_path, capsys):
         code = main(["rfm", "--data", str(tmp_path / "x.csv"),
                      "--out", str(tmp_path / "o.csv")])
@@ -333,6 +349,10 @@ class TestExitCodes:
         ("pretrain", "fitted", b'{"schema": {"columns": {', "ParseError"),
         ("pretrain", "fitted", lambda ws: json.dumps({**json.loads(ws["fitted"].read_text()),
                                                       "means": {"amount": "x"}}).encode(), "SchemaMismatch"),
+        pytest.param("pretrain", "fitted",
+                     lambda ws: json.dumps({**json.loads(ws["fitted"].read_text()),
+                                            "vocab": {"channel": "ch_0ch_1"}}).encode(),
+                     "SchemaMismatch", id="pretrain-fitted-vocab-as-string-SchemaMismatch"),
     ])
     def test_malformed_input_file_is_one_error_line(self, workspace, tmp_path, capsys,
                                                     command, target, content, error):
@@ -347,7 +367,7 @@ class TestExitCodes:
             argv += ["--config", str(workspace["cfg"]), "--fitted", str(paths["fitted"])]
         code = main(argv)
         err = capsys.readouterr().err.splitlines()
-        assert code in (2, 3)
+        assert code == {"ParseError": 2, "SchemaMismatch": 3}[error]
         assert len(err) == 1 and err[0].startswith(f"error: {error}")
 
     def test_int_accepted_for_float_field(self):

@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from caspr import ingest
 from caspr.errors import EmptyDataset, ParseError, SchemaMismatch
-from caspr.ingest import ColumnSpec, Schema, build_sequences, embed_dim_for, encode_rows, fit_schema
+from caspr.ingest import ColumnSpec, Schema, build_dataset, embed_dim_for, fit_schema
 
 
 def make_schema(extra=()):
@@ -91,6 +92,27 @@ class TestFitSchema:
         np.testing.assert_allclose(fitted.means["x"], statistics.fmean(xs), rtol=1e-12,
                                    atol=1e-12 * (max(xs) - min(xs)))
 
+    @pytest.mark.parametrize("xs", [[0.0, 1e200], [1e300, -1e300], [-1e200, 1e199, 3e200, 0.5]])
+    def test_std_finite_at_huge_spreads(self, xs):
+        schema = make_schema([ColumnSpec("x", "numerical")])
+        fitted = fit_schema(rows_of(schema, [("a", i, x) for i, x in enumerate(xs)]), schema)
+        assert math.isfinite(fitted.stds["x"])
+        np.testing.assert_allclose(fitted.stds["x"], statistics.pstdev(xs), rtol=1e-12)
+        np.testing.assert_allclose(fitted.means["x"], statistics.fmean(xs), rtol=1e-12, atol=1e-12)
+
+    def test_normal_range_std_is_the_plain_shifted_formula(self):
+        """Spreads that need no rescaling keep the shifted-sums formula bit for bit."""
+        rng = np.random.default_rng(3)
+        schema = make_schema([ColumnSpec("x", "numerical")])
+        for scale in (1e-3, 1.0, 1e6, 1e100):
+            xs = [float(x) for x in rng.normal(7.0, 1.0, size=50) * scale]
+            fitted = fit_schema(rows_of(schema, [("a", i, x) for i, x in enumerate(xs)]), schema)
+            s = sq = 0.0
+            for x in xs:
+                s += x - xs[0]
+                sq += (x - xs[0]) * (x - xs[0])
+            assert fitted.stds["x"] == math.sqrt(max(sq / 50 - (s / 50) ** 2, 0.0))
+
     def test_embed_dim_from_observed_cardinality(self):
         schema = make_schema([ColumnSpec("c", "categorical")])
         recs = rows_of(schema, [("a", i, f"v{i % 16}") for i in range(60)])
@@ -101,6 +123,13 @@ class TestFitSchema:
         schema = make_schema([ColumnSpec("x", "numerical")])
         with pytest.raises(ParseError) as exc:
             fit_schema(rows_of(schema, [("a", 1, 1.0), ("a", 2, "oops")]), schema)
+        assert exc.value.row_index == 1
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_number_names_row_and_column(self, text):
+        schema = make_schema([ColumnSpec("x", "numerical")])
+        with pytest.raises(ParseError, match="non-finite number .* in column 'x'") as exc:
+            fit_schema(rows_of(schema, [("a", 1, 1.0), ("a", 2, text)]), schema)
         assert exc.value.row_index == 1
 
     def test_bad_timestamp_rejected(self):
@@ -114,6 +143,8 @@ class TestFitSchema:
 
 
 class TestEncodeRows:
+    """build_dataset encodes each record: vocab codes, OOV -> 0, z-scores."""
+
     def setup_method(self):
         self.schema = make_schema([ColumnSpec("tier", "categorical"), ColumnSpec("x", "numerical")])
         self.recs = rows_of(self.schema, [("a", 1, "gold", 10.0), ("a", 2, "silver", 12.0),
@@ -121,82 +152,93 @@ class TestEncodeRows:
         self.fitted = fit_schema(self.recs, self.schema)
 
     def test_vocab_lookup(self):
-        rows = encode_rows(self.recs, self.fitted)
-        assert rows[0].cats[0] == 1 and rows[1].cats[0] == 2
+        ds = build_dataset(self.recs, self.fitted, 2)
+        assert list(ds.cats[0, :, 0]) == [1, 2]
 
     def test_unseen_value_maps_to_zero(self):
         recs = rows_of(self.schema, [("c", 5, "platinum", 10.0)])
-        assert encode_rows(recs, self.fitted)[0].cats[0] == 0
+        assert build_dataset(recs, self.fitted, 1).cats[0, 0, 0] == 0
 
     def test_zscore_identity(self):
         fitted = ingest.FittedSchema(self.schema, vocab={"tier": ["gold"]},
                                      means={"x": 10.0}, stds={"x": 2.0})
         recs = rows_of(self.schema, [("a", 1, "gold", 12.0)])
-        np.testing.assert_allclose(encode_rows(recs, fitted)[0].nums[0], 1.0)
+        np.testing.assert_allclose(build_dataset(recs, fitted, 1).nums[0, 0, 0], 1.0)
 
     def test_zscored_column_has_zero_mean_unit_std(self):
         rng = np.random.default_rng(0)
         values = rng.normal(5.0, 3.0, size=500)
         schema = make_schema([ColumnSpec("x", "numerical")])
         recs = rows_of(schema, [("a", i, v) for i, v in enumerate(values)])
-        fitted = fit_schema(recs, schema)
-        z = np.array([r.nums[0] for r in encode_rows(recs, fitted)])
+        z = build_dataset(recs, fit_schema(recs, schema), 500).nums[0, :, 0]
         assert abs(z.mean()) < 1e-6
         assert abs(z.std() - 1.0) < 1e-6
 
 
 class TestBuildSequences:
+    """build_dataset lays out each entity's steps. Rows are told apart by `x`,
+    which an identity fit (mean 0, std 1) keeps exact."""
+
     def setup_method(self):
         self.schema = make_schema([ColumnSpec("x", "numerical")])
+        self.fitted = ingest.FittedSchema(self.schema, vocab={}, means={"x": 0.0}, stds={"x": 1.0})
 
-    def _sequences(self, records, t):
-        fitted = fit_schema(rows_of(self.schema, records), self.schema)
-        rows = encode_rows(rows_of(self.schema, records), fitted)
-        return build_sequences(rows, fitted, t)
+    def _dataset(self, records, t):
+        return build_dataset(rows_of(self.schema, records), self.fitted, t)
 
     def test_truncation_keeps_latest(self):
-        recs = [("a", i, float(i)) for i in range(20)]
-        (seq,) = self._sequences(recs, 15)
-        assert len(seq.steps) == 15
-        assert [s.ts for s in seq.steps] == list(range(5, 20))
-        assert seq.pad_len == 0
+        ds = self._dataset([("a", i, float(i)) for i in range(20)], 15)
+        assert ds.real.all()
+        assert list(ds.nums[0, :, 0]) == list(range(5, 20))
 
     def test_padding_arithmetic(self):
-        recs = [("a", i, float(i)) for i in range(3)]
-        (seq,) = self._sequences(recs, 15)
-        assert len(seq.steps) == 3 and seq.pad_len == 12
+        ds = self._dataset([("a", i, float(i + 1)) for i in range(3)], 15)
+        assert list(ds.real[0]) == [False] * 12 + [True] * 3
+        assert list(ds.nums[0, :, 0]) == [0.0] * 12 + [1.0, 2.0, 3.0]
 
     def test_shuffled_timestamps_sorted(self):
-        recs = [("a", 30, 1.0), ("a", 10, 2.0), ("a", 20, 3.0)]
-        (seq,) = self._sequences(recs, 15)
-        assert [s.ts for s in seq.steps] == [10, 20, 30]
+        ds = self._dataset([("a", 30, 1.0), ("a", 10, 2.0), ("a", 20, 3.0)], 15)
+        assert list(ds.nums[0, -3:, 0]) == [2.0, 3.0, 1.0]
+
+    def test_timestamp_ties_keep_input_order(self):
+        ds = self._dataset([("a", 5, 1.0), ("a", 5, 2.0), ("a", 1, 3.0), ("a", 5, 4.0)], 3)
+        assert list(ds.nums[0, :, 0]) == [1.0, 2.0, 4.0]
+
+    def test_entities_in_id_order(self):
+        ds = self._dataset([("b", 1, 1.0), ("a", 2, 2.0), ("c", 0, 3.0), ("a", 1, 4.0)], 2)
+        assert list(ds.entities) == ["a", "b", "c"]
+        np.testing.assert_array_equal(ds.nums[:, :, 0], [[4.0, 2.0], [0.0, 1.0], [0.0, 3.0]])
 
     def test_permutation_invariance(self):
-        # invariance is over row order fed to build_sequences; fitting itself
+        # invariance is over the row order fed to build_dataset; fitting itself
         # is order-sensitive by contract (vocab keeps first-seen order)
         rng = np.random.default_rng(1)
         recs = [(f"e{i % 7}", int(ts), float(rng.normal())) for i, ts in
                 enumerate(rng.choice(10_000, size=60, replace=False))]
-        raw = rows_of(self.schema, recs)
-        fitted = fit_schema(raw, self.schema)
-        rows = encode_rows(raw, fitted)
-        seqs_a = build_sequences(rows, fitted, 8)
-        shuffled = list(rows)
+        shuffled = list(recs)
         rng.shuffle(shuffled)
-        seqs_b = build_sequences(shuffled, fitted, 8)
-        assert [s.entity for s in seqs_a] == [s.entity for s in seqs_b]
-        for sa, sb in zip(seqs_a, seqs_b):
-            assert [x.ts for x in sa.steps] == [x.ts for x in sb.steps]
-            np.testing.assert_array_equal(np.array([x.nums for x in sa.steps]),
-                                          np.array([x.nums for x in sb.steps]))
+        a, b = self._dataset(recs, 8), self._dataset(shuffled, 8)
+        assert list(a.entities) == list(b.entities)
+        for field in ("real", "nums", "cats", "statics"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_statics_come_from_most_recent_row(self):
-        schema = make_schema([ColumnSpec("age", "static_numerical")])
-        recs = rows_of(schema, [("a", 1, 30.0), ("a", 9, 31.0), ("a", 5, 99.0)])
+        schema = make_schema([ColumnSpec("age", "static_numerical"), ColumnSpec("tier", "static_categorical")])
+        recs = rows_of(schema, [("a", 1, 30.0, "x"), ("a", 9, 31.0, "y"), ("a", 5, 99.0, "x")])
         fitted = fit_schema(recs, schema)
-        (seq,) = build_sequences(encode_rows(recs, fitted), fitted, 4)
+        ds = build_dataset(recs, fitted, 4)
         expected = (31.0 - fitted.means["age"]) / fitted.stds["age"]
-        np.testing.assert_allclose(seq.statics[0], expected)
+        np.testing.assert_allclose(ds.statics[0], [expected, fitted.code_of("tier", "y")])
+
+    def test_empty_input_and_bad_length_rejected(self):
+        with pytest.raises(EmptyDataset):
+            self._dataset([], 4)
+        with pytest.raises(SchemaMismatch):
+            self._dataset([("a", 1, 1.0)], 0)
+
+    def test_timestamp_beyond_64_bits_is_parse_error(self):
+        with pytest.raises(ParseError, match="64-bit"):
+            self._dataset([("a", 2 ** 63, 1.0)], 4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -204,13 +246,23 @@ class TestBuildSequences:
        st.integers(1, 12))
 def test_sequences_never_exceed_t_and_keep_max_suffix(timestamps, t):
     schema = make_schema([ColumnSpec("x", "numerical")])
-    recs = rows_of(schema, [("a", ts, 0.0) for ts in timestamps])
-    fitted = fit_schema(recs, schema)
-    (seq,) = build_sequences(encode_rows(recs, fitted), fitted, t)
-    assert len(seq.steps) <= t
-    assert seq.pad_len + len(seq.steps) == t
-    kept = [s.ts for s in seq.steps]
-    assert kept == sorted(timestamps)[-t:]
+    fitted = ingest.FittedSchema(schema, vocab={}, means={"x": 0.0}, stds={"x": 1.0})
+    ds = build_dataset(rows_of(schema, [("a", ts, float(ts)) for ts in timestamps]), fitted, t)
+    kept = sorted(timestamps)[-t:]
+    assert ds.real.shape == (1, t)
+    assert list(ds.real[0]) == [False] * (t - len(kept)) + [True] * len(kept)
+    assert list(ds.nums[0, t - len(kept):, 0]) == kept
+    assert not ds.nums[0, :t - len(kept)].any()
+
+
+@pytest.mark.parametrize("vocab", ["ch_0ch_1", ["ch_0", 1], None])
+def test_fitted_vocab_must_be_a_list_of_strings(tmp_path, vocab):
+    schema = make_schema([ColumnSpec("channel", "categorical")])
+    obj = fit_schema(rows_of(schema, [("a", 1, "ch_0")]), schema).to_json()
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps({**obj, "vocab": {"channel": vocab}}))
+    with pytest.raises(SchemaMismatch, match="list of strings"):
+        ingest.load_fitted_json(path)
 
 
 def test_fitted_schema_json_roundtrip():

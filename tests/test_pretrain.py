@@ -21,7 +21,6 @@ from caspr.errors import (
     TruncatedFile,
     VersionMismatch,
 )
-from caspr.ingest import SequenceDataset
 from caspr.pretrain import (
     TrainConfig,
     apply_mask,
@@ -32,21 +31,18 @@ from caspr.pretrain import (
     train,
 )
 
-from test_transformer import make_sequence, random_sequences, small_weights, tiny_fitted
+from test_transformer import make_dataset, random_dataset, small_weights, tiny_fitted, whole_batch
 
 
 def tiny_dataset(n=12, seed=0, t=6, statics=0):
-    fitted = tiny_fitted(statics=statics)
-    seqs = random_sequences(np.random.default_rng(seed), n, t, fitted, statics=statics)
-    return SequenceDataset(seqs, fitted)
+    return random_dataset(np.random.default_rng(seed), n, t, tiny_fitted(statics=statics), statics=statics)
 
 
 class TestApplyMask:
     def test_zero_rate_is_noop(self):
         fitted = tiny_fitted()
         cfg, _ = small_weights(fitted)
-        batch = tf.prepare_batch(random_sequences(np.random.default_rng(0), 4, cfg.t, fitted),
-                                 fitted, cfg)
+        batch = whole_batch(random_dataset(np.random.default_rng(0), 4, cfg.t, fitted), cfg)
         masked, plan = apply_mask(batch, 0.0, np.random.default_rng(0))
         assert not plan.any()
         np.testing.assert_array_equal(masked.keep, batch.keep)
@@ -54,24 +50,21 @@ class TestApplyMask:
     def test_full_rate_masks_every_real_position(self):
         fitted = tiny_fitted()
         cfg, _ = small_weights(fitted)
-        batch = tf.prepare_batch(random_sequences(np.random.default_rng(1), 4, cfg.t, fitted),
-                                 fitted, cfg)
+        batch = whole_batch(random_dataset(np.random.default_rng(1), 4, cfg.t, fitted), cfg)
         _, plan = apply_mask(batch, 1.0, np.random.default_rng(0))
         np.testing.assert_array_equal(plan, batch.real)
 
     def test_pad_positions_never_masked(self):
         fitted = tiny_fitted()
         cfg, _ = small_weights(fitted)
-        batch = tf.prepare_batch(random_sequences(np.random.default_rng(2), 32, cfg.t, fitted),
-                                 fitted, cfg)
+        batch = whole_batch(random_dataset(np.random.default_rng(2), 32, cfg.t, fitted), cfg)
         _, plan = apply_mask(batch, 0.9, np.random.default_rng(0))
         assert not (plan & ~batch.real).any()
 
     def test_force_one_on_short_sequences(self):
         fitted = tiny_fitted()
         cfg, _ = small_weights(fitted)
-        seqs = [make_sequence(f"e{i}", [0.1], [1], cfg.t) for i in range(64)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = whole_batch(make_dataset(fitted, cfg.t, *[(f"e{i}", [0.1], [1]) for i in range(64)]), cfg)
         _, plan = apply_mask(batch, 0.05, np.random.default_rng(0))
         assert (plan.sum(axis=1) >= 1).all()
 
@@ -79,9 +72,9 @@ class TestApplyMask:
         fitted = tiny_fitted()
         cfg = tf.ModelConfig(t=15, precision="f64")
         rng = np.random.default_rng(3)
-        seqs = [make_sequence(f"e{i}", rng.normal(size=15), rng.integers(1, 4, size=15), 15)
-                for i in range(7000)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        ds = make_dataset(fitted, 15, *[(f"e{i}", rng.normal(size=15), rng.integers(1, 4, size=15))
+                                        for i in range(7000)])
+        batch = whole_batch(ds, cfg)
         _, plan = apply_mask(batch, 0.3, np.random.default_rng(0))
         positions = batch.real.sum()
         assert positions >= 1e5
@@ -90,24 +83,11 @@ class TestApplyMask:
 
 
 class TestReconstructionLoss:
-    def _batch_and_preds(self, cfg, fitted, values, codes, logits_fn, preds_num=None):
-        seqs = [make_sequence("a", values, codes, cfg.t)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
-        preds = {}
-        if preds_num is not None:
-            preds["x0"] = Tensor(preds_num[..., None])
-        if logits_fn is not None:
-            preds["c0"] = Tensor(logits_fn(batch))
-        return batch, preds
-
     def test_perfect_numeric_reconstruction_zero_loss(self):
         fitted = tiny_fitted(vocab_sizes=())
         cfg, _ = small_weights(fitted)
         values = [0.5, -0.25, 1.0]
-        seqs = [make_sequence("a", values, [0, 0, 0], cfg.t)]
-        for s in seqs[0].steps:
-            s.cats = np.array([], dtype=np.int64)
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = whole_batch(make_dataset(fitted, cfg.t, ("a", values, ())), cfg)
         preds = {"x0": Tensor(batch.nums.copy())}
         loss = reconstruction_loss(preds, batch)
         assert loss.item() == 0.0
@@ -115,10 +95,7 @@ class TestReconstructionLoss:
     def test_uniform_logits_give_log_vocab(self):
         fitted = tiny_fitted(n_num=0, vocab_sizes=(3,))
         cfg, _ = small_weights(fitted)
-        seqs = [make_sequence("a", [0.0, 0.0], [1, 2], cfg.t)]
-        for s in seqs[0].steps:
-            s.nums = np.array([])
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = whole_batch(make_dataset(fitted, cfg.t, ("a", (), [1, 2])), cfg)
         preds = {"c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64")}
         loss = reconstruction_loss(preds, batch)
         np.testing.assert_allclose(loss.item(), math.log(4), rtol=1e-12)
@@ -127,8 +104,7 @@ class TestReconstructionLoss:
         # one real position: numeric error 0.5 plus uniform 4-class CE
         fitted = tiny_fitted(n_num=1, vocab_sizes=(3,))
         cfg, _ = small_weights(fitted)
-        seqs = [make_sequence("a", [1.0], [2], cfg.t)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = whole_batch(make_dataset(fitted, cfg.t, ("a", [1.0], [2])), cfg)
         num_pred = batch.nums[..., 0].copy()
         num_pred[0, -1] += 0.5
         preds = {
@@ -144,8 +120,7 @@ def test_fully_masked_short_sequences_keep_gradients_bounded():
     layer norms must stay away from their zero-variance singularity."""
     fitted = tiny_fitted()
     cfg, weights = small_weights(fitted, t=5)
-    seqs = [make_sequence(f"e{i}", [0.5, -0.5], [1, 2], 5) for i in range(4)]
-    batch = tf.prepare_batch(seqs, fitted, cfg)
+    batch = whole_batch(make_dataset(fitted, 5, *[(f"e{i}", [0.5, -0.5], [1, 2]) for i in range(4)]), cfg)
     masked = batch.with_keep(np.zeros_like(batch.keep))  # mask everything
     grads, num, _ = compute_gradients(weights, masked, train=False)
     assert np.isfinite(num)
@@ -379,7 +354,7 @@ class TestTrain:
         weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(0))
         weights.load_arrays(ck.tensors)
 
-        batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
+        batch = whole_batch(ds, cfg)
         masked, plan = apply_mask(batch, cfg.mask_p, np.random.default_rng(0))
         enc = tf.encoder_forward(masked, weights)
         dec = tf.decoder_forward(masked, enc, weights)
@@ -447,7 +422,7 @@ class TestDataParallel:
         cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=6,
                              dropout=0.0, precision="f64")
         _, weights = small_weights(ds.fitted, hidden=8, ff_dim=16, layers=2, heads=2, t=6)
-        batch = tf.prepare_batch(ds.sequences, ds.fitted, cfg)
+        batch = whole_batch(ds, cfg)
         masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
 
         full_grads, _, full_den = compute_gradients(weights, masked, train=False)
@@ -458,7 +433,7 @@ class TestDataParallel:
             den_total = 0.0
             parts = []
             for shard in shards:
-                sub = tf.prepare_batch([ds.sequences[i] for i in shard], ds.fitted, cfg)
+                sub = tf.prepare_batch(ds, shard, cfg)
                 sub_masked = sub.with_keep(masked.keep[shard])
                 grads, _, den = compute_gradients(weights, sub_masked, train=False)
                 parts.append((grads, den))

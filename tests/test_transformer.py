@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from caspr import autodiff as ad
 from caspr import transformer as tf
 from caspr.autodiff import Tensor
 from caspr.errors import ConfigError, NumericError, SchemaMismatch
-from caspr.ingest import ActivityRow, ColumnSpec, EntitySequence, FittedSchema, Schema
+from caspr.ingest import ColumnSpec, FittedSchema, Schema, build_dataset
 
 
 def tiny_fitted(n_num=1, vocab_sizes=(3,), statics=0):
@@ -22,27 +24,60 @@ def tiny_fitted(n_num=1, vocab_sizes=(3,), statics=0):
     return FittedSchema(schema, vocab=vocab, means=means, stds=stds)
 
 
-def make_sequence(entity, values, codes, t, statics=(), ts_start=0):
-    steps = [
-        ActivityRow(entity=entity, ts=ts_start + i, nums=np.atleast_1d(np.float64(v)),
-                    cats=np.atleast_1d(np.int64(c)), static_nums=np.array(list(statics)),
-                    static_cats=np.array([], dtype=np.int64))
-        for i, (v, c) in enumerate(zip(values, codes))
-    ]
-    return EntitySequence(entity=entity, steps=steps, pad_len=t - len(steps),
-                          statics=np.array(list(statics), dtype=np.float64))
+def entity_records(fitted, entity, values, codes, statics=(), ts_start=0):
+    """Raw records of one entity under tiny_fitted, whose zero means and unit stds keep
+    values exact: step i holds numerics values[i] and codes codes[i] (0 = out of vocab)."""
+    k = max(len(values), len(codes))
+    nums = np.asarray(values, dtype=np.float64).reshape(k, len(fitted.seq_numeric_cols))
+    cats = np.asarray(codes, dtype=np.int64).reshape(k, len(fitted.seq_categorical_cols))
+    records = []
+    for i in range(k):
+        rec = {"entity": entity, "ts": str(ts_start + i)}
+        rec |= {c: repr(float(v)) for c, v in zip(fitted.seq_numeric_cols, nums[i])}
+        rec |= {c: fitted.vocab[c][code - 1] if code else "<oov>"
+                for c, code in zip(fitted.seq_categorical_cols, cats[i])}
+        rec |= {c: repr(float(v)) for c, v in zip(fitted.static_numeric_cols, statics)}
+        records.append(rec)
+    return records
 
 
-def random_sequences(rng, n, t, fitted, max_len=None, statics=0):
-    out = []
+def make_dataset(fitted, t, *entities):
+    """build_dataset over the entity_records of each (entity, values, codes[, statics]) tuple."""
+    return build_dataset([r for args in entities for r in entity_records(fitted, *args)], fitted, t)
+
+
+def random_dataset(rng, n, t, fitted, max_len=None, statics=0):
+    """n entities e000, e001, ... (rows in that order) of 1..max_len random steps."""
+    entities = []
     vocab_n = len(fitted.vocab["c0"])
     for i in range(n):
         k = int(rng.integers(1, (max_len or t) + 1))
         values = rng.normal(size=k)
         codes = rng.integers(1, vocab_n + 1, size=k)
         st = tuple(rng.normal(size=statics))
-        out.append(make_sequence(f"e{i}", values, codes, t, statics=st))
-    return out
+        entities.append((f"e{i:03d}", values, codes, st))
+    return make_dataset(fitted, t, *entities)
+
+
+def whole_batch(ds, cfg):
+    return tf.prepare_batch(ds, slice(None), cfg)
+
+
+def without_real_steps(batch):
+    """The batch with every slot a pad slot, a row build_dataset never emits."""
+    none = np.zeros_like(batch.real)
+    return dataclasses.replace(batch, real=none, keep=none.astype(batch.keep.dtype))
+
+
+def fill_pad_slots(batch, rng, vocab_n):
+    """The batch with random numerics, positions and in-range codes (0..vocab_n) in its pad slots."""
+    pad = ~batch.real
+    return dataclasses.replace(
+        batch,
+        pos=np.where(pad, rng.uniform(size=pad.shape), batch.pos).astype(batch.pos.dtype),
+        nums=np.where(pad[..., None], rng.normal(size=batch.nums.shape), batch.nums).astype(batch.nums.dtype),
+        cats=np.where(pad[..., None], rng.integers(0, vocab_n + 1, size=batch.cats.shape), batch.cats),
+    )
 
 
 def small_weights(fitted, seed=0, **overrides):
@@ -69,24 +104,45 @@ class TestProjectInputs:
     def test_position_scalar_last_slot_is_one(self):
         fitted = tiny_fitted()
         cfg, _ = small_weights(fitted, t=15)
-        seq = make_sequence("a", [0.5] * 15, [1] * 15, 15)
-        batch = tf.prepare_batch([seq], fitted, cfg)
+        batch = whole_batch(make_dataset(fitted, 15, ("a", [0.5] * 15, [1] * 15)), cfg)
         assert batch.pos[0, -1] == 1.0
         np.testing.assert_allclose(batch.pos[0], (np.arange(15) + 1) / 15)
+
+    def test_batch_is_a_row_gather_at_model_precision(self):
+        fitted = tiny_fitted(statics=1)
+        cfg, _ = small_weights(fitted, precision="f32")
+        ds = random_dataset(np.random.default_rng(2), 5, cfg.t, fitted, statics=1)
+        idx = np.array([3, 0, 3])
+        batch = tf.prepare_batch(ds, idx, cfg)
+        assert list(batch.entities) == ["e003", "e000", "e003"]
+        np.testing.assert_array_equal(batch.real, ds.real[idx])
+        np.testing.assert_array_equal(batch.cats, ds.cats[idx])
+        for got, rows in ((batch.nums, ds.nums[idx]), (batch.statics, ds.statics[idx])):
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, rows.astype(np.float32))
+        np.testing.assert_array_equal(batch.pos, ds.real[idx] * np.float32((np.arange(cfg.t) + 1) / cfg.t))
+        np.testing.assert_array_equal(batch.keep, ds.real[idx])
+        sliced = tf.prepare_batch(ds, slice(1, 3), cfg)
+        np.testing.assert_array_equal(sliced.nums, tf.prepare_batch(ds, [1, 2], cfg).nums)
+
+    def test_dataset_of_another_length_rejected(self):
+        fitted = tiny_fitted()
+        cfg, _ = small_weights(fitted, t=6)
+        ds = make_dataset(fitted, 5, ("a", [0.5], [1]))
+        with pytest.raises(SchemaMismatch, match="t=5"):
+            tf.prepare_batch(ds, [0], cfg)
 
     def test_output_shape_default_config(self):
         fitted = tiny_fitted()
         cfg = tf.ModelConfig(precision="f64")
         weights = tf.build_weights(cfg, fitted, np.random.default_rng(0))
-        seqs = random_sequences(np.random.default_rng(1), 3, 15, fitted)
-        out = tf.project_inputs(seqs, weights)
+        out = tf.project_inputs(whole_batch(random_dataset(np.random.default_rng(1), 3, 15, fitted), cfg), weights)
         assert out.shape == (3, 15, 16)
 
     def test_all_pad_projects_to_zero_input(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        seq = EntitySequence("a", [], pad_len=cfg.t, statics=np.array([]))
-        batch = tf.prepare_batch([seq], fitted, cfg)
+        batch = without_real_steps(whole_batch(make_dataset(fitted, cfg.t, ("a", [0.5], [1])), cfg))
         parts = np.concatenate([batch.pos[..., None] * batch.keep[..., None],
                                 batch.nums * batch.keep[..., None]], axis=2)
         assert (parts == 0).all()
@@ -97,9 +153,7 @@ class TestProjectInputs:
     def test_schema_mismatch_detected(self):
         fitted2 = tiny_fitted(n_num=2)
         cfg, weights = small_weights(tiny_fitted(n_num=1))
-        seq = make_sequence("a", [1.0], [1], cfg.t)
-        seq.steps[0].nums = np.array([1.0, 2.0])
-        batch = tf.prepare_batch([seq], fitted2, cfg)
+        batch = whole_batch(make_dataset(fitted2, cfg.t, ("a", [[1.0, 2.0]], [1])), cfg)
         with pytest.raises(SchemaMismatch):
             tf.project_inputs(batch, weights)
 
@@ -172,33 +226,33 @@ class TestEncoder:
     def test_zero_layers_is_projection(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, layers=0)
-        seqs = random_sequences(np.random.default_rng(6), 2, cfg.t, fitted)
-        enc = tf.encoder_forward(seqs, weights)
-        proj = tf.project_inputs(seqs, weights)
+        batch = whole_batch(random_dataset(np.random.default_rng(6), 2, cfg.t, fitted), cfg)
+        enc = tf.encoder_forward(batch, weights)
+        proj = tf.project_inputs(batch, weights)
         np.testing.assert_allclose(enc.data, proj.data)
 
     def test_default_output_shape(self):
         fitted = tiny_fitted()
         cfg = tf.ModelConfig(precision="f64")
         weights = tf.build_weights(cfg, fitted, np.random.default_rng(0))
-        seqs = random_sequences(np.random.default_rng(7), 4, 15, fitted)
-        assert tf.encoder_forward(seqs, weights).shape == (4, 15, 16)
+        batch = whole_batch(random_dataset(np.random.default_rng(7), 4, 15, fitted), cfg)
+        assert tf.encoder_forward(batch, weights).shape == (4, 15, 16)
 
     def test_inference_is_deterministic(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, dropout=0.5)
-        seqs = random_sequences(np.random.default_rng(8), 2, cfg.t, fitted)
-        a = tf.encoder_forward(seqs, weights, train=False)
-        b = tf.encoder_forward(seqs, weights, train=False)
+        batch = whole_batch(random_dataset(np.random.default_rng(8), 2, cfg.t, fitted), cfg)
+        a = tf.encoder_forward(batch, weights, train=False)
+        b = tf.encoder_forward(batch, weights, train=False)
         assert (a.data == b.data).all()
 
     def test_dropout_changes_training_output(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, dropout=0.5)
-        seqs = random_sequences(np.random.default_rng(9), 2, cfg.t, fitted)
+        batch = whole_batch(random_dataset(np.random.default_rng(9), 2, cfg.t, fitted), cfg)
         rng = np.random.default_rng(0)
-        a = tf.encoder_forward(seqs, weights, train=True, rng=rng)
-        b = tf.encoder_forward(seqs, weights, train=True, rng=rng)
+        a = tf.encoder_forward(batch, weights, train=True, rng=rng)
+        b = tf.encoder_forward(batch, weights, train=True, rng=rng)
         assert not (a.data == b.data).all()
 
 
@@ -210,7 +264,7 @@ class TestAttentionMaskCheck:
     def test_all_blocked_query_row_raises(self, monkeypatch, mask_fn, forward):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        batch = tf.prepare_batch(random_sequences(np.random.default_rng(12), 2, cfg.t, fitted), fitted, cfg)
+        batch = whole_batch(random_dataset(np.random.default_rng(12), 2, cfg.t, fitted), cfg)
 
         def blocked(real):
             mask = np.zeros(real.shape + real.shape[-1:])
@@ -233,12 +287,12 @@ class TestDecoderCausality:
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
         rng = np.random.default_rng(10)
-        seqs = [make_sequence("a", rng.normal(size=cfg.t), rng.integers(1, 4, size=cfg.t), cfg.t)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        ds = make_dataset(fitted, cfg.t, ("a", rng.normal(size=cfg.t), rng.integers(1, 4, size=cfg.t)))
+        batch = whole_batch(ds, cfg)
         enc = tf.encoder_forward(batch, weights)
         base = tf.decoder_forward(batch, enc, weights).data.copy()
 
-        perturbed = tf.prepare_batch(seqs, fitted, cfg)
+        perturbed = whole_batch(ds, cfg)
         perturbed.nums = perturbed.nums.copy()
         perturbed.nums[0, 2, 0] += 1.0  # slot index 2 = position 3
         out = tf.decoder_forward(perturbed, enc, weights).data
@@ -249,12 +303,12 @@ class TestDecoderCausality:
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, t=5)
         rng = np.random.default_rng(11)
-        seqs = [make_sequence("a", rng.normal(size=cfg.t), rng.integers(1, 4, size=cfg.t), cfg.t)]
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        ds = make_dataset(fitted, cfg.t, ("a", rng.normal(size=cfg.t), rng.integers(1, 4, size=cfg.t)))
+        batch = whole_batch(ds, cfg)
         enc = tf.encoder_forward(batch, weights)
         base = tf.decoder_forward(batch, enc, weights).data.copy()
         for j in range(cfg.t):
-            pert = tf.prepare_batch(seqs, fitted, cfg)
+            pert = whole_batch(ds, cfg)
             pert.nums = pert.nums.copy()
             pert.nums[0, j, 0] += 0.7
             out = tf.decoder_forward(pert, enc, weights).data
@@ -266,11 +320,7 @@ class TestReconstructionHeads:
     def test_output_arity(self):
         fitted = tiny_fitted(n_num=2, vocab_sizes=(5,))
         cfg, weights = small_weights(fitted)
-        seqs = [make_sequence("a", [0.1, 0.2], [1, 2], cfg.t)]
-        # sequences here carry 1 numeric value; rebuild with two columns
-        seqs[0].steps[0].nums = np.array([0.1, 0.3])
-        seqs[0].steps[1].nums = np.array([0.2, 0.4])
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = whole_batch(make_dataset(fitted, cfg.t, ("a", [[0.1, 0.3], [0.2, 0.4]], [1, 2])), cfg)
         dec = tf.decoder_forward(batch, tf.encoder_forward(batch, weights), weights)
         preds = tf.reconstruction_heads(dec, weights)
         assert preds["x0"].shape == (1, cfg.t, 1)
@@ -280,8 +330,7 @@ class TestReconstructionHeads:
     def test_logits_finite(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        seqs = random_sequences(np.random.default_rng(12), 3, cfg.t, fitted)
-        batch = tf.prepare_batch(seqs, fitted, cfg)
+        batch = whole_batch(random_dataset(np.random.default_rng(12), 3, cfg.t, fitted), cfg)
         dec = tf.decoder_forward(batch, tf.encoder_forward(batch, weights), weights)
         for pred in tf.reconstruction_heads(dec, weights).values():
             assert np.isfinite(pred.data).all()
@@ -291,63 +340,74 @@ class TestEmbed:
     def test_vector_length_is_emb_out(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, emb_out=16)
-        seqs = random_sequences(np.random.default_rng(13), 2, cfg.t, fitted)
-        recs = tf.embed(seqs, weights)
+        recs = tf.embed(whole_batch(random_dataset(np.random.default_rng(13), 2, cfg.t, fitted), cfg), weights)
         assert all(len(r.vector) == 16 for r in recs)
 
     def test_identical_sequences_identical_vectors(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        seq_a = make_sequence("a", [0.3, -0.2], [1, 2], cfg.t)
-        seq_b = make_sequence("b", [0.3, -0.2], [1, 2], cfg.t)
-        ra, rb = tf.embed([seq_a, seq_b], weights)
+        ds = make_dataset(fitted, cfg.t, ("a", [0.3, -0.2], [1, 2]), ("b", [0.3, -0.2], [1, 2]))
+        ra, rb = tf.embed(whole_batch(ds, cfg), weights)
         np.testing.assert_array_equal(ra.vector, rb.vector)
 
     def test_batch_permutation_no_leakage(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        seqs = random_sequences(np.random.default_rng(14), 5, cfg.t, fitted)
-        recs = {r.entity: r.vector for r in tf.embed(seqs, weights)}
-        recs_perm = {r.entity: r.vector for r in tf.embed(seqs[::-1], weights)}
-        solo = {s.entity: tf.embed([s], weights)[0].vector for s in seqs}
+        ds = random_dataset(np.random.default_rng(14), 5, cfg.t, fitted)
+        recs = {r.entity: r.vector for r in tf.embed(whole_batch(ds, cfg), weights)}
+        recs_perm = {r.entity: r.vector for r in tf.embed(tf.prepare_batch(ds, np.arange(5)[::-1], cfg), weights)}
+        solo = {e: tf.embed(tf.prepare_batch(ds, [i], cfg), weights)[0].vector for i, e in enumerate(ds.entities)}
         for entity in recs:
             np.testing.assert_allclose(recs[entity], recs_perm[entity], atol=1e-12)
             np.testing.assert_allclose(recs[entity], solo[entity], atol=1e-12)
 
     def test_pad_invariance(self):
+        """Whatever sits in the pad slots moves neither the embedding nor the decoder's real positions."""
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, t=10)
-        values, codes = [0.5, -1.0, 0.25], [1, 2, 3]
-        short = make_sequence("a", values, codes, 10)
-        short.pad_len = 5  # claims fewer pads than the layout implies
-        padded = make_sequence("a", values, codes, 10)
-        ra = tf.embed([short], weights)[0].vector
-        rb = tf.embed([padded], weights)[0].vector
-        np.testing.assert_allclose(ra, rb, atol=1e-6)
+        batch = whole_batch(random_dataset(np.random.default_rng(16), 4, cfg.t, fitted, max_len=7), cfg)
+        noisy = fill_pad_slots(batch, np.random.default_rng(17), vocab_n=3)
+        assert (noisy.nums != batch.nums).any()
+        for a, b in zip(tf.embed(noisy, weights), tf.embed(batch, weights)):
+            np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
+        dec = [tf.decoder_forward(b, tf.encoder_forward(b, weights), weights).data for b in (batch, noisy)]
+        np.testing.assert_allclose(dec[1][batch.real], dec[0][batch.real], atol=1e-6)
 
     def test_all_pad_pools_to_zero(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        seq = EntitySequence("a", [], pad_len=cfg.t, statics=np.array([]))
-        vec = tf.embed([seq], weights)[0].vector
+        batch = without_real_steps(whole_batch(make_dataset(fitted, cfg.t, ("a", [0.5], [1])), cfg))
+        vec = tf.embed(batch, weights)[0].vector
         # pooled part is zero, so the vector equals the head applied to zeros
         zeros = np.zeros((1, cfg.hidden))
         h1 = np.maximum(zeros @ weights["emb_head/w1"].data + weights["emb_head/b1"].data, 0)
         expected = h1 @ weights["emb_head/w2"].data + weights["emb_head/b2"].data
         np.testing.assert_allclose(vec, expected[0], atol=1e-12)
 
+    def test_mean_pool_matches_per_entity_loop(self):
+        rng = np.random.default_rng(18)
+        for dtype in (np.float32, np.float64):
+            enc = Tensor(rng.normal(size=(6, 9, 4)).astype(dtype))
+            real = rng.random((6, 9)) < 0.5
+            real[0] = False
+            reference = np.zeros((6, 4), dtype=dtype)
+            for bi, row in enumerate(real):
+                if row.any():
+                    reference[bi] = enc.data[bi][row].mean(axis=0)
+            pooled = tf._mean_pool(enc, SimpleNamespace(real=real))
+            assert pooled.dtype == dtype and pooled.tobytes() == reference.tobytes()
+
     def test_statics_concatenated(self):
         fitted = tiny_fitted(statics=2)
         cfg, weights = small_weights(fitted)
-        seq1 = make_sequence("a", [0.1], [1], cfg.t, statics=(1.0, -1.0))
-        seq2 = make_sequence("b", [0.1], [1], cfg.t, statics=(0.0, 0.0))
-        r1, r2 = tf.embed([seq1, seq2], weights)
+        ds = make_dataset(fitted, cfg.t, ("a", [0.1], [1], (1.0, -1.0)), ("b", [0.1], [1], (0.0, 0.0)))
+        r1, r2 = tf.embed(whole_batch(ds, cfg), weights)
         assert np.abs(r1.vector - r2.vector).max() > 0
 
     def test_no_grad_matches_graph_path_and_builds_no_closures(self, monkeypatch):
         fitted = tiny_fitted(statics=1)
         cfg, weights = small_weights(fitted, precision="f32")
-        seqs = random_sequences(np.random.default_rng(15), 4, cfg.t, fitted, statics=1)
+        batch = whole_batch(random_dataset(np.random.default_rng(15), 4, cfg.t, fitted, statics=1), cfg)
         made = []
         make = ad._make
 
@@ -356,12 +416,12 @@ class TestEmbed:
             return made[-1]
 
         monkeypatch.setattr(ad, "_make", recording_make)
-        fast = tf.embed(seqs, weights)
+        fast = tf.embed(batch, weights)
         assert made and all(t._backward is None and t._parents == () for t in made)
 
         made.clear()
         monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
-        graph = tf.embed(seqs, weights)
+        graph = tf.embed(batch, weights)
         assert any(t._backward is not None for t in made)  # the reference did build a graph
         for a, b in zip(fast, graph):
             assert a.entity == b.entity and a.vector.tobytes() == b.vector.tobytes()
