@@ -25,7 +25,6 @@ from .errors import CasprError, ConfigError, DivergenceError, IoError, LabelErro
 log = logging.getLogger("caspr")
 
 TEST_FRAC = 0.3      # share of entities the probe is scored on
-EMBED_BATCH = 512    # entities per embedding forward pass
 
 
 def _setup_logging():
@@ -254,8 +253,9 @@ def _weights_from_checkpoint(path):
 
 def _embed_all(weights, dataset):
     records = []
-    for start in range(0, len(dataset.entities), EMBED_BATCH):
-        batch = transformer.prepare_batch(dataset, slice(start, start + EMBED_BATCH), weights.cfg)
+    tile = transformer.TILE
+    for start in range(0, len(dataset.entities), tile):
+        batch = transformer.prepare_batch(dataset, slice(start, start + tile), weights.cfg)
         records.extend(transformer.embed(batch, weights))
     return records
 

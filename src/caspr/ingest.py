@@ -135,11 +135,19 @@ class FittedSchema:
 
     @classmethod
     def from_json(cls, obj):
+        means = {k: float(v) for k, v in obj["means"].items()}
+        stds = {k: float(v) for k, v in obj["stds"].items()}
+        for k, mean in means.items():
+            if not math.isfinite(mean):
+                raise ValueError(f"mean of column {k!r} is {mean}, not a finite number")
+        for k, std in stds.items():
+            if not 0.0 < std < math.inf:  # a z-score divides by it
+                raise ValueError(f"std of column {k!r} is {std}, not a finite number > 0")
         return cls(
             schema=Schema.from_json(obj["schema"]),
             vocab={k: _str_list(v, f"vocab {k!r}") for k, v in obj["vocab"].items()},
-            means={k: float(v) for k, v in obj["means"].items()},
-            stds={k: float(v) for k, v in obj["stds"].items()},
+            means=means,
+            stds=stds,
             embed_dims={k: int(v) for k, v in obj["embed_dims"].items()},
         )
 
@@ -224,12 +232,14 @@ def fit_schema(rows, schema):
     # zero (epoch-like values, large balances) keeps its spread instead of
     # losing it to cancellation in sumsq / n - mean². A deviation below `tiny`
     # would square to a subnormal or zero, so its square is summed scaled up;
-    # one above `huge` could overflow the sum, so its square is summed scaled down.
+    # one above `huge` could overflow the sums (or be an overflow itself, as
+    # 1e308 - -1e308 is), so it and its square are summed in units of scale.
     tiny, huge, scale = 2.0 ** -500, 2.0 ** 400, 2.0 ** 600
     shifts = None
     sums = {c: 0.0 for c in numeric_cols}
     sumsqs = {c: 0.0 for c in numeric_cols}
     tiny_sqs = {c: 0.0 for c in numeric_cols}
+    huge_sums = {c: 0.0 for c in numeric_cols}
     huge_sqs = {c: 0.0 for c in numeric_cols}
     vocab = {c: [] for c in cat_cols}
     seen = {c: set() for c in cat_cols}
@@ -239,14 +249,18 @@ def fit_schema(rows, schema):
         if shifts is None:
             shifts = {c: _parse_number(rec[c], c, i) for c in numeric_cols}
         for c in numeric_cols:
-            d = _parse_number(rec[c], c, i) - shifts[c]
-            sums[c] += d
+            x = _parse_number(rec[c], c, i)
+            d = x - shifts[c]
             if -tiny < d < tiny:
+                sums[c] += d
                 tiny_sqs[c] += (d * scale) ** 2
             elif -huge < d < huge:
+                sums[c] += d
                 sumsqs[c] += d * d
             else:
-                huge_sqs[c] += (d / scale) ** 2
+                d = x / scale - shifts[c] / scale
+                huge_sums[c] += d
+                huge_sqs[c] += d * d
         for c in cat_cols:
             v = rec[c]
             if v not in seen[c]:
@@ -255,11 +269,13 @@ def fit_schema(rows, schema):
         n += 1
     if n == 0:
         raise EmptyDataset("fit_schema: empty input stream")
-    means = {c: shifts[c] + sums[c] / n for c in numeric_cols}
-    stds = {}
+    means, stds = {}, {}
     for c in numeric_cols:
-        if huge_sqs[c]:  # some deviation above `huge`: take the spread in units of scale
-            var = (huge_sqs[c] + sumsqs[c] / scale / scale) / n - (sums[c] / scale / n) ** 2
+        means[c] = shifts[c] + sums[c] / n
+        if huge_sqs[c]:  # some deviation above `huge`: take mean and spread in units of scale
+            dev = (huge_sums[c] + sums[c] / scale) / n
+            means[c] = (shifts[c] / scale + dev) * scale
+            var = (huge_sqs[c] + sumsqs[c] / scale / scale) / n - dev ** 2
             std = math.sqrt(max(var, 0.0)) * scale
         elif sumsqs[c]:
             std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0))
@@ -267,6 +283,28 @@ def fit_schema(rows, schema):
             std = math.sqrt(max(tiny_sqs[c] / n - (sums[c] * scale / n) ** 2, 0.0)) / scale
         stds[c] = std if std > 0 else 1.0
     return FittedSchema(schema=schema, vocab=vocab, means=means, stds=stds)
+
+
+def _z_scores(values, fitted, num_cols):
+    """(values - mean) / std per column, as a ParseError naming row and column where it is not finite.
+
+    x - mean can overflow for finite statistics (1.7e308 against a mean of
+    -8.5e307); those cells are redone as x / std - mean / std, which stays
+    finite whenever the z-score itself is.
+    """
+    means = np.array([fitted.means[c] for c in num_cols])
+    stds = np.array([fitted.stds[c] for c in num_cols])
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = (values - means) / stds
+        far = ~np.isfinite(z)
+        if far.any():
+            z[far] = (values / stds - means / stds)[far]
+            far = ~np.isfinite(z)
+    if far.any():
+        row, col = (int(i[0]) for i in np.nonzero(far))
+        raise ParseError(f"number {float(values[row, col])!r} in column {num_cols[col]!r} is too far "
+                         "from the fitted mean for a finite z-score", row)
+    return z
 
 
 def build_dataset(records, fitted, t):
@@ -298,8 +336,7 @@ def build_dataset(records, fitted, t):
     owner = rank[owner]
     order = np.lexsort((stamps, owner))  # stable: by entity, then timestamp, then input order
     owner = owner[order]
-    values = (np.array(values, dtype=np.float64)[order] - [fitted.means[c] for c in num_cols]) \
-        / [fitted.stds[c] for c in num_cols]
+    values = _z_scores(np.array(values, dtype=np.float64), fitted, num_cols)[order]
     codes = np.array(codes, dtype=np.int64)[order]
     from_end = np.cumsum(np.bincount(owner))[owner] - np.arange(len(order)) - 1  # 0 at each latest row
     kept = from_end < t

@@ -8,7 +8,8 @@ logits for categoricals). There is one training loop. With workers > 1 only
 the source of a batch's gradients changes: forked workers receive identical
 weights each step and return shard gradients, and one reduction feeds one
 optimizer update, so replicas never drift and failures surface exactly as
-in serial mode.
+in serial mode. The same reduction combines the row tiles of at most
+transformer.TILE entities that a step or shard is split into.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import multiprocessing as mp
 
 import numpy as np
 
-from . import autodiff as ad
+from . import autodiff as ad, transformer
 from .autodiff import Tensor, adam_step, init_moments
 from .errors import (
     BadMagic,
@@ -50,7 +51,7 @@ from .transformer import (
 __all__ = [
     "TrainConfig", "Checkpoint", "DivergenceError", "apply_mask",
     "reconstruction_loss", "train", "save_checkpoint", "load_checkpoint",
-    "compute_gradients",
+    "compute_gradients", "combine",
 ]
 
 CHECKPOINT_MAGIC = b"CSPR1"
@@ -131,12 +132,21 @@ def reconstruction_loss(preds, batch):
 
 
 def compute_gradients(weights, batch, train=True, rng=None):
-    """Forward + backward on one (already masked) batch.
+    """Forward + backward on one (already masked) batch, TILE entities at a time.
 
     Returns (grads by name, loss numerator, real-position count); the
-    numerator is loss * count so shard results combine exactly. The grads
-    are views of the flat gradient `weights.grad`.
+    numerator is loss * count so tile and shard results combine exactly.
+    The grads are views of the flat gradient `weights.grad`.
     """
+    n, tile = len(batch.entities), transformer.TILE
+    tiles = (batch.rows(slice(start, start + tile)) for start in range(0, n, tile))
+    grad, num, den = combine([_tile_gradients(weights, part, train, rng) for part in tiles])
+    weights.grad[...] = grad
+    return {name: p.grad for name, p in weights.items()}, num, den
+
+
+def _tile_gradients(weights, batch, train, rng):
+    """(flat grad, loss numerator, real-position count) of one tile; the grad is a fresh `weights.grad`."""
     weights.zero_grad()
     x = project_inputs(batch, weights)
     enc = encoder_forward(batch, weights, train=train, rng=rng, inputs=x)
@@ -145,7 +155,22 @@ def compute_gradients(weights, batch, train=True, rng=None):
     loss = reconstruction_loss(preds, batch)
     ad.backward(loss)
     n_real = float(batch.real.sum())
-    return {name: p.grad for name, p in weights.items()}, float(loss.data) * n_real, n_real
+    return weights.grad, float(loss.data) * n_real, n_real
+
+
+def combine(parts):
+    """Reduce (flat grad, loss numerator, real-position count) triples of row tiles or shards into one.
+
+    Each grad is the gradient of its own part's mean loss, so weighting it
+    by the part's share of the real positions reproduces the gradient of
+    the whole batch's mean (the loss is a flat mean over positions). Parts
+    are added in list order, which makes the result reproducible.
+    """
+    den_total = sum(den for _, _, den in parts)
+    grad = parts[0][0] * (parts[0][2] / den_total)
+    for part_grad, _, den in parts[1:]:
+        grad += part_grad * (den / den_total)
+    return grad, sum(num for _, num, _ in parts), den_total
 
 
 @dataclass
@@ -380,12 +405,11 @@ class _WorkerPool:
     """Forked workers that turn each batch into one reduced gradient.
 
     Each step shards the batch, sends every worker the flat parameter array
-    and its shard, and combines the flat shard gradients weighted by their
-    real-position counts, which reproduces the full-batch gradient exactly
-    (the loss is a flat mean over positions). A batch with fewer entities
-    than workers, such as an epoch's short last batch, goes to the first
-    len(batch) workers only. Reduction runs in fixed worker-index order for
-    reproducibility.
+    and its shard, and reduces the flat shard gradients with `combine`, the
+    reduction compute_gradients applies to row tiles; a worker tiles its own
+    shard the same way. A batch with fewer entities than workers, such as an
+    epoch's short last batch, goes to the first len(batch) workers only.
+    Reduction runs in fixed worker-index order for reproducibility.
     """
 
     def __init__(self, dataset, weights, train_cfg):
@@ -406,17 +430,23 @@ class _WorkerPool:
     def gradients(self, weights, idx, plan, epoch, step):
         """(flat grad, loss numerator, real-position count) for one batch."""
         w_count = min(len(idx), len(self.conns))
-        for wi, shard in enumerate(np.array_split(np.arange(len(idx)), w_count)):
-            self.conns[wi].send(("step", weights.flat, idx[shard], plan[shard], epoch, step))
-        results = [self._recv(wi) for wi in range(w_count)]
+        shards = np.array_split(np.arange(len(idx)), w_count)
+        sent = [self._send(wi, ("step", weights.flat, idx[shard], plan[shard], epoch, step))
+                for wi, shard in enumerate(shards)]
+        # every worker that took the step is answered for before anything is raised
+        results = [self._recv(wi) if error is None else error for wi, error in enumerate(sent)]
         for r in results:
             if isinstance(r, CasprError):
                 raise r
-        den_total = sum(r[2] for r in results)
-        grad = results[0][0] * (results[0][2] / den_total)
-        for shard_grad, _, den in results[1:]:  # fixed worker-index order
-            grad += shard_grad * (den / den_total)
-        return grad, sum(r[1] for r in results), den_total
+        return combine(results)  # fixed worker-index order
+
+    def _send(self, wi, msg):
+        """None once `msg` is on its way, else the error for a worker that is gone."""
+        try:
+            self.conns[wi].send(msg)
+        except OSError:
+            return CasprError(f"data-parallel worker {wi} exited before its step")
+        return None
 
     def _recv(self, wi):
         try:

@@ -13,10 +13,15 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .errors import EmptyEntity, SchemaMismatch
+from .errors import EmptyEntity, ParseError, SchemaMismatch
 from .ingest import iter_raw_rows, parse_timestamp, _parse_number
 
 SECONDS_PER_DAY = 86400.0
+
+# Event times that have a calendar date, leaving the default reference time
+# (a day after the latest event) and the week after it inside year 9999 too.
+FIRST_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
+END_TS = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp())
 
 FEATURE_NAMES = [
     "rec_days_since_last",
@@ -156,6 +161,8 @@ def rfm_events_from_csv(data_path, schema):
     by_entity: dict[str, list] = {}
     for i, rec in enumerate(iter_raw_rows(data_path, schema)):
         ts = parse_timestamp(rec[schema.ts_col], i)
+        if not FIRST_TS <= ts < END_TS:
+            raise ParseError(f"timestamp {rec[schema.ts_col]!r} lies outside the years 1 to 9998", i)
         amount = _parse_number(rec[schema.monetary], schema.monetary, i)
         by_entity.setdefault(rec[schema.entity_col], []).append((ts, amount))
     if not by_entity:

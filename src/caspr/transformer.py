@@ -26,6 +26,13 @@ from .errors import ConfigError, NumericError, SchemaMismatch
 
 NEG_INF = -1e9
 
+# Entities per model pass. Per-entity cost grows with batch size once the
+# (B, heads, t, t) attention arrays and the layer activations leave cache;
+# on the default model, 128 was the fastest (or tied) of 32..512 for both a
+# training step and embed. Training steps, data-parallel shards and embed
+# all run in row tiles of at most TILE.
+TILE = 128
+
 
 @dataclass
 class ModelConfig:
@@ -72,6 +79,11 @@ class Batch:
 
     def with_keep(self, keep):
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
+
+    def rows(self, sl):
+        """Rows `sl` (a slice) of every field, as views."""
+        return Batch(self.entities[sl], self.pos[sl], self.nums[sl], self.cats[sl], self.real[sl],
+                     self.keep[sl], self.statics[sl])
 
 
 def prepare_batch(dataset, idx, cfg):

@@ -51,6 +51,24 @@ def test_training_steps_are_counted_at_pretrain():
     assert "adam_step(" in inspect.getsource(pretrain.train)
 
 
+def test_one_compute_gradients_call_per_step(monkeypatch):
+    """layertrace counts steps and graph nodes per step from pretrain.compute_gradients
+    calls, so a step whose batch spans several tiles must still be one call."""
+    from test_pretrain import MODEL, tiny_dataset
+
+    real_compute, calls = pretrain.compute_gradients, []
+
+    def spy(weights, batch, **kwargs):
+        calls.append(len(batch.entities))
+        return real_compute(weights, batch, **kwargs)
+
+    monkeypatch.setattr(pretrain, "compute_gradients", spy)
+    monkeypatch.setattr(transformer, "TILE", 4)
+    _, log = pretrain.train(tiny_dataset(n=20), transformer.ModelConfig(**MODEL),
+                            pretrain.TrainConfig(epochs=2, seed=0, batch_size=12))
+    assert calls == [12, 8, 12, 8] and len(log) == 2
+
+
 def test_pretrain_saves_through_save_checkpoint(tmp_path, monkeypatch):
     """perfbench/selfcheck.py injects a corrupt checkpoint by replacing
     pretrain.save_checkpoint with a (ck, path) function."""

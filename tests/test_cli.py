@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from caspr import cli, pretrain, synthgen, transformer
+from caspr import cli, ingest, pretrain, synthgen, transformer
 from caspr.cli import main
 
 
@@ -107,6 +107,17 @@ def test_embed_deterministic(workspace, tmp_path):
         assert main(["embed", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
                      "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(out)]) == 0
     assert sha256(a) == sha256(b)
+
+
+def test_embed_tiles_match_one_whole_dataset_chunk(workspace, monkeypatch):
+    ck, weights = cli._weights_from_checkpoint(workspace["run_dir"] / "checkpoint.bin")
+    ds = ingest.load_dataset(workspace["data_dir"] / "data.csv", ck.fitted, ck.model_cfg.t)
+    monkeypatch.setattr(transformer, "TILE", len(ds.entities))
+    whole = cli._embed_all(weights, ds)
+    monkeypatch.setattr(transformer, "TILE", 16)  # 60 entities: tiles of 16, 16, 16 and 12
+    tiled = cli._embed_all(weights, ds)
+    assert [r.entity for r in tiled] == [r.entity for r in whole]
+    assert all(a.vector.tobytes() == b.vector.tobytes() for a, b in zip(tiled, whole))
 
 
 def test_rfm_table_output(workspace, tmp_path):
@@ -278,6 +289,25 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: non-finite number")
         assert "'amount'" in err[0]
 
+    def test_rfm_timestamp_outside_the_calendar_is_parse_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("entity,ts,amount,item,channel\n"
+                       "e1,100,1.0,item_001,ch_0\ne1,100000000000000000000,2.0,item_001,ch_0\n")
+        code = main(["rfm", "--schema", str(workspace["data_dir"] / "schema.json"),
+                     "--data", str(bad), "--out", str(tmp_path / "rfm.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: timestamp")
+
+    def test_fit_keeps_statistics_finite_at_the_float_range(self, workspace, tmp_path):
+        data, out = tmp_path / "wide.csv", tmp_path / "fitted.json"
+        data.write_text("entity,ts,amount,item,channel\n"
+                        "e1,100,1e308,item_001,ch_0\ne2,200,-1e308,item_001,ch_0\n")
+        assert main(["fit", "--schema", str(workspace["data_dir"] / "schema.json"),
+                     "--data", str(data), "--out", str(out)]) == 0
+        fitted = ingest.load_fitted_json(out)
+        assert fitted.means["amount"] == 0.0 and fitted.stds["amount"] == 1e308
+
     def test_missing_path_reports_config_error(self, tmp_path, capsys):
         code = main(["rfm", "--data", str(tmp_path / "x.csv"),
                      "--out", str(tmp_path / "o.csv")])
@@ -353,6 +383,10 @@ class TestExitCodes:
                      lambda ws: json.dumps({**json.loads(ws["fitted"].read_text()),
                                             "vocab": {"channel": "ch_0ch_1"}}).encode(),
                      "SchemaMismatch", id="pretrain-fitted-vocab-as-string-SchemaMismatch"),
+        pytest.param("pretrain", "fitted",
+                     lambda ws: json.dumps({**json.loads(ws["fitted"].read_text()),
+                                            "stds": {"amount": 0.0}}).encode(),
+                     "SchemaMismatch", id="pretrain-fitted-zero-std-SchemaMismatch"),
     ])
     def test_malformed_input_file_is_one_error_line(self, workspace, tmp_path, capsys,
                                                     command, target, content, error):

@@ -92,13 +92,15 @@ class TestFitSchema:
         np.testing.assert_allclose(fitted.means["x"], statistics.fmean(xs), rtol=1e-12,
                                    atol=1e-12 * (max(xs) - min(xs)))
 
-    @pytest.mark.parametrize("xs", [[0.0, 1e200], [1e300, -1e300], [-1e200, 1e199, 3e200, 0.5]])
+    @pytest.mark.parametrize("xs", [[0.0, 1e200], [1e300, -1e300], [-1e200, 1e199, 3e200, 0.5],
+                                    [1e308, -1e308], [0.0, 1e308, 1e308]])
     def test_std_finite_at_huge_spreads(self, xs):
+        # statistics.mean is exact; fmean's float sum overflows on the last case
         schema = make_schema([ColumnSpec("x", "numerical")])
         fitted = fit_schema(rows_of(schema, [("a", i, x) for i, x in enumerate(xs)]), schema)
-        assert math.isfinite(fitted.stds["x"])
+        assert math.isfinite(fitted.stds["x"]) and math.isfinite(fitted.means["x"])
         np.testing.assert_allclose(fitted.stds["x"], statistics.pstdev(xs), rtol=1e-12)
-        np.testing.assert_allclose(fitted.means["x"], statistics.fmean(xs), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(fitted.means["x"], statistics.mean(xs), rtol=1e-12, atol=1e-12)
 
     def test_normal_range_std_is_the_plain_shifted_formula(self):
         """Spreads that need no rescaling keep the shifted-sums formula bit for bit."""
@@ -173,6 +175,21 @@ class TestEncodeRows:
         z = build_dataset(recs, fit_schema(recs, schema), 500).nums[0, :, 0]
         assert abs(z.mean()) < 1e-6
         assert abs(z.std() - 1.0) < 1e-6
+
+    def test_zscore_finite_where_the_deviation_overflows(self):
+        # fits to mean -8.5e307 and std 1.47e308, but 1.7e308 - mean is inf
+        schema = make_schema([ColumnSpec("x", "numerical")])
+        recs = rows_of(schema, [("a", i, x) for i, x in enumerate([1.7e308] + [-1.7e308] * 3)])
+        fitted = fit_schema(recs, schema)
+        z = build_dataset(recs, fitted, 4).nums[0, :, 0]
+        np.testing.assert_allclose(z, [math.sqrt(3.0)] + [-1.0 / math.sqrt(3.0)] * 3, rtol=1e-12)
+
+    def test_infinite_zscore_is_parse_error_naming_row_and_column(self):
+        schema = make_schema([ColumnSpec("x", "numerical")])
+        fitted = ingest.FittedSchema(schema, vocab={}, means={"x": 0.0}, stds={"x": 1e-3})
+        recs = rows_of(schema, [("a", 1, 0.0), ("a", 2, 1e308)])
+        with pytest.raises(ParseError, match=r"row 1: .*'x'.*finite z-score"):
+            build_dataset(recs, fitted, 2)
 
 
 class TestBuildSequences:
@@ -262,6 +279,17 @@ def test_fitted_vocab_must_be_a_list_of_strings(tmp_path, vocab):
     path = tmp_path / "fitted.json"
     path.write_text(json.dumps({**obj, "vocab": {"channel": vocab}}))
     with pytest.raises(SchemaMismatch, match="list of strings"):
+        ingest.load_fitted_json(path)
+
+
+@pytest.mark.parametrize("stat, value", [("stds", 0.0), ("stds", -1.0), ("stds", math.nan), ("stds", math.inf),
+                                         ("means", math.nan), ("means", -math.inf)])
+def test_fitted_statistics_must_be_finite_with_positive_std(tmp_path, stat, value):
+    schema = make_schema([ColumnSpec("x", "numerical")])
+    obj = fit_schema(rows_of(schema, [("a", 1, 2.0), ("a", 2, 3.0)]), schema).to_json()
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps({**obj, stat: {"x": value}}))
+    with pytest.raises(SchemaMismatch, match=f"{stat[:-1]} of column 'x'"):
         ingest.load_fitted_json(path)
 
 

@@ -319,6 +319,63 @@ class TestCheckpointHardening:
         assert outcomes["loaded"] and outcomes["rejected"]
 
 
+class TestTiles:
+    def test_tiled_gradients_match_one_tile(self, monkeypatch):
+        ds = tiny_dataset(n=16, seed=6)
+        cfg, weights = small_weights(ds.fitted)
+        masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
+        one_grads, one_num, one_den = compute_gradients(weights, masked, train=False)
+        one_grads = {name: g.copy() for name, g in one_grads.items()}
+        monkeypatch.setattr(tf, "TILE", 5)  # tiles of 5, 5, 5 and 1 entities
+        grads, num, den = compute_gradients(weights, masked, train=False)
+        assert den == one_den
+        np.testing.assert_allclose(num, one_num, rtol=1e-12)
+        for name, g in grads.items():
+            assert np.shares_memory(g, weights.grad)
+            np.testing.assert_allclose(g, one_grads[name], rtol=0, atol=1e-9)
+
+    def test_one_tile_batch_is_the_plain_pass_byte_for_byte(self):
+        """A batch of at most TILE entities gets the bytes of one un-tiled forward + backward."""
+        ds = tiny_dataset(n=12, seed=5)
+        cfg = tf.ModelConfig(**MODEL)  # dropout on, so the rng draws must match too
+        weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(2))
+        masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
+        grads, num, den = compute_gradients(weights, masked, train=True, rng=np.random.default_rng(7))
+        grads = {name: g.copy() for name, g in grads.items()}
+
+        rng = np.random.default_rng(7)
+        weights.zero_grad()
+        x = tf.project_inputs(masked, weights)
+        enc = tf.encoder_forward(masked, weights, train=True, rng=rng, inputs=x)
+        dec = tf.decoder_forward(masked, enc, weights, train=True, rng=rng, inputs=x)
+        loss = reconstruction_loss(tf.reconstruction_heads(dec, weights), masked)
+        ad.backward(loss)
+        assert den == float(masked.real.sum())
+        assert num == float(loss.data) * den
+        for name, p in weights.items():
+            assert grads[name].tobytes() == p.grad.tobytes()
+
+    def test_tiled_data_parallel_loss_matches_serial(self, monkeypatch):
+        """Steps of 12 run as tiles of 4 serially and as shards of 6 (tiles of 4 and 2) on 2 workers."""
+        monkeypatch.setattr(tf, "TILE", 4)
+        ds = tiny_dataset(n=24, seed=3)
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, dropout=0.0, precision="f64")
+        _, serial_log = train(ds, cfg, TrainConfig(epochs=2, seed=4, batch_size=12))
+        _, par_log = train(ds, cfg, TrainConfig(epochs=2, seed=4, batch_size=12, workers=2))
+        for (_, ls, _), (_, lp, _) in zip(serial_log, par_log, strict=True):
+            assert abs(lp - ls) < 1e-9
+
+    def test_tiled_serial_run_is_repeatable(self, monkeypatch):
+        monkeypatch.setattr(tf, "TILE", 5)
+        ds = tiny_dataset(n=24, seed=4)
+        cfg = tf.ModelConfig(**MODEL)  # dropout draws run tile by tile
+        runs = [train(ds, cfg, TrainConfig(epochs=2, seed=3, batch_size=12)) for _ in range(2)]
+        (ck_a, log_a), (ck_b, log_b) = runs
+        assert [l for _, l, _ in log_a] == [l for _, l, _ in log_b]
+        for name, arr in ck_a.tensors.items():
+            assert arr.tobytes() == ck_b.tensors[name].tobytes()
+
+
 MODEL = dict(hidden=8, ff_dim=16, layers=2, heads=2, t=6, dropout=0.1, precision="f32")
 
 
@@ -476,6 +533,23 @@ class TestDataParallel:
         with pytest.raises(CasprError, match="worker 0"):
             train(tiny_dataset(), tf.ModelConfig(**MODEL),
                   TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
+
+    def test_worker_dead_before_a_step_is_a_typed_error(self, monkeypatch):
+        """A worker killed between two steps is named, and the live worker is still answered for."""
+        real_gradients = pretrain._WorkerPool.gradients
+
+        def then_kill_worker_1(pool, *args):
+            result = real_gradients(pool, *args)
+            pool.procs[1].kill()
+            pool.procs[1].join(timeout=10)
+            assert not pool.procs[1].is_alive()
+            return result
+
+        monkeypatch.setattr(pretrain._WorkerPool, "gradients", then_kill_worker_1)
+        with pytest.raises(CasprError, match="worker 1") as exc:
+            train(tiny_dataset(), tf.ModelConfig(**MODEL),
+                  TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
+        assert type(exc.value) is CasprError
 
     def test_every_error_survives_the_pipe(self):
         for exc in (ShapeMismatch("matmul", (2, 3), (4, 5)), ParseError("bad ts", 7),
