@@ -12,7 +12,7 @@ from .metrics import auroc, f1_positive, ranking_metrics, rmse, train_linear_pro
 from .pretrain import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
 from .rfm import rfm_features, rfm_table
 from .synthgen import SynthConfig
-from .transformer import EmbeddingRecord, ModelConfig, build_weights, embed, prepare_batch
+from .transformer import ModelConfig, build_weights, embed, prepare_batch
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "rfm_features",
     "rfm_table",
     "SynthConfig",
-    "EmbeddingRecord",
     "ModelConfig",
     "build_weights",
     "embed",

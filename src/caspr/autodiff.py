@@ -6,16 +6,16 @@ in reverse topological order. Storage is numpy, float32 by default and
 float64 for gradient checking (finite differences are meaningless at f32).
 Inside ``no_grad()`` ops build no parent links and no closures.
 
-Broadcasting is deliberately narrow: elementwise ops accept equal shapes, a
-scalar, or a trailing-shape operand broadcast over leading batch dimensions.
-Anything else raises ShapeMismatch. Three ops are fused into one node each,
-with hand-derived backwards: ``attention`` (the whole multi-head softmax
-attention), ``matmul`` with a 2-D weight and an optional bias (one GEMM
-over the flattened rows, a dense layer), and ``layer_norm`` with an optional
-residual and dropout keep mask (a post-norm sublayer). ``FlatParams`` keeps
-named parameters as views into one contiguous array and gathers their
-gradients into views of another, so that ``adam_step``, the one optimizer,
-shared by pretraining and the linear probe, is a single vectorized update.
+Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
+a scalar operand, and anything else raises ShapeMismatch. Three ops are
+fused into one node each, with hand-derived backwards: ``attention`` (the
+whole multi-head softmax attention), ``matmul`` (a dense layer: a 2-D
+weight and an optional bias as one GEMM over the flattened rows), and
+``layer_norm`` with an optional residual and dropout keep mask (a post-norm
+sublayer). ``FlatParams`` keeps named parameters as views into one
+contiguous array and gathers their gradients into views of another, so that
+``adam_step``, the one optimizer, shared by pretraining and the linear
+probe, is a single vectorized update.
 """
 from __future__ import annotations
 
@@ -72,43 +72,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    def zero_grad(self):
-        self.grad = None
-
-    def item(self):
-        return float(self.data.reshape(-1)[0])
-
-    # operator sugar; the real work lives in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return sum_(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean(self, axis, keepdims)
-
 
 def _wrap(x, like):
     """Coerce a constant (scalar or array) to a Tensor matching `like`'s dtype."""
@@ -138,21 +101,13 @@ def _make(data, parents, backward_fn):
 
 
 def _unbroadcast(grad, shape):
-    """Reduce `grad` back down to `shape` after leading-dim broadcasting."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for i, n in enumerate(shape):
-        if n == 1 and grad.shape[i] != 1:
-            grad = grad.sum(axis=i, keepdims=True)
-    return grad
+    """Reduce `grad` to `shape`: itself for an equal-shape operand, its sum for a scalar one."""
+    return grad if grad.shape == shape else grad.sum()
 
 
 def _check_elementwise(op, a, b):
-    """Equal shapes, scalar, or trailing-shape broadcast only."""
-    if a.shape == b.shape or a.data.ndim == 0 or b.data.ndim == 0:
-        return
-    small, big = (a, b) if a.data.ndim <= b.data.ndim else (b, a)
-    if big.shape[big.data.ndim - small.data.ndim:] != small.shape:
+    """Equal shapes or a scalar operand only."""
+    if a.shape != b.shape and a.data.ndim and b.data.ndim:
         raise ShapeMismatch(op, a.shape, b.shape)
 
 
@@ -184,38 +139,6 @@ def mul(a, b):
     return out
 
 
-def matmul(a, b, bias=None):
-    """a @ b, plus `bias` over the last axis when given.
-
-    With a 2-D `b` (a dense layer's weight) the leading axes of `a` are
-    flattened into one (N, k) @ (k, n) GEMM, so the weight gradient is a
-    single a₂ᵀg₂ rather than a batched product summed over the batch.
-    `bias` (shape (n,)) requires a 2-D `b`.
-    """
-    b = _wrap(b, a)
-    if a.data.ndim < 1 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
-        raise ShapeMismatch("matmul", a.shape, b.shape)
-    if b.data.ndim == 2 and a.data.ndim >= 2:
-        return _dense(a, b, bias)
-    if bias is not None:
-        raise ShapeMismatch("matmul bias", b.shape, bias.shape)
-    try:
-        data = np.matmul(a.data, b.data)
-    except ValueError:
-        raise ShapeMismatch("matmul", a.shape, b.shape) from None
-    out = _make(data, (a, b), None)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-
-        def bwd(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), a.shape)
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), b.shape)
-            return ga, gb
-
-        out._backward = bwd
-    return out
-
-
 def _col_sums(x2):
     """Column sums of a 2-D array as one GEMV against a ones vector.
 
@@ -224,8 +147,15 @@ def _col_sums(x2):
     return np.ones(x2.shape[0], dtype=x2.dtype) @ x2
 
 
-def _dense(a, w, bias):
-    """One GEMM over a's rows flattened to (N, k), bias added in place."""
+def matmul(a, w, bias=None):
+    """Dense layer a @ w + bias as one GEMM over a's rows flattened to (N, k).
+
+    `w` must be 2-D, (k, n), and `bias` (n,) when given, so the weight
+    gradient is a single a₂ᵀg₂ rather than a batched product summed over
+    the batch.
+    """
+    if a.data.ndim < 1 or w.data.ndim != 2 or a.shape[-1] != w.shape[0]:
+        raise ShapeMismatch("matmul", a.shape, w.shape)
     k, n = w.shape
     if bias is not None and bias.shape != (n,):
         raise ShapeMismatch("matmul bias", w.shape, bias.shape)
@@ -258,34 +188,6 @@ def concat(tensors, axis=-1):
     return out
 
 
-def slice_(a, key):
-    data = a.data[key]
-    out = _make(data, (a,), None)
-    if out.requires_grad:
-
-        def bwd(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
-            return (full,)
-
-        out._backward = bwd
-    return out
-
-
-def transpose(a, axes=None):
-    if axes is None:
-        if a.data.ndim < 2:
-            raise ShapeMismatch("transpose", a.shape, a.shape)
-        axes = list(range(a.data.ndim))
-        axes[-1], axes[-2] = axes[-2], axes[-1]
-    axes = tuple(axes)
-    out = _make(np.transpose(a.data, axes), (a,), None)
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
-        out._backward = lambda g: (np.transpose(g, inverse),)
-    return out
-
-
 def reshape(a, shape):
     shape = tuple(shape)
     out = _make(a.data.reshape(shape), (a,), None)
@@ -298,14 +200,6 @@ def sum_(a, axis=None, keepdims=False):
     out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
     if out.requires_grad:
         out._backward = lambda g: (_spread(g, a.shape, axis, keepdims),)
-    return out
-
-
-def mean(a, axis=None, keepdims=False):
-    out = _make(a.data.mean(axis=axis, keepdims=keepdims), (a,), None)
-    if out.requires_grad:
-        count = a.data.size if axis is None else np.prod([a.shape[i] for i in _norm_axes(axis, a.data.ndim)])
-        out._backward = lambda g: (_spread(g, a.shape, axis, keepdims) / count,)
     return out
 
 

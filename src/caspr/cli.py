@@ -8,6 +8,7 @@ and reruns with the same seed produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -20,7 +21,7 @@ import typing
 import numpy as np
 
 from . import ingest, metrics, pretrain, rfm, synthgen, transformer
-from .errors import CasprError, ConfigError, DivergenceError, IoError, LabelError, ParseError, SchemaMismatch
+from .errors import CasprError, ConfigError, DivergenceError, IoError, ParseError, SchemaMismatch
 
 log = logging.getLogger("caspr")
 
@@ -34,23 +35,34 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def atomic_write(path, write_fn):
-    """Write UTF-8 text via a temp file in the same directory, then rename into place."""
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temp path in `path`'s directory and rename it onto `path` on a clean exit.
+
+    The temp file gets the mode open() would give, not mkstemp's 0600, and
+    is removed whenever the rename did not happen.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    os.close(fd)
     umask = os.umask(0)
     os.umask(umask)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            os.fchmod(fd, 0o666 & ~umask)  # the mode open() would give, not mkstemp's 0600
-            write_fn(fh)
+        os.chmod(tmp, 0o666 & ~umask)
+        yield tmp
         os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     finally:
         if os.path.exists(tmp):  # only when the rename did not happen
             os.unlink(tmp)
+
+
+def atomic_write(path, write_fn):
+    """Write UTF-8 text via a temp file in the same directory, then rename into place."""
+    with _replacing(path) as tmp, open(tmp, "w", encoding="utf-8", newline="") as fh:
+        write_fn(fh)
 
 
 def _require(path, what):
@@ -121,16 +133,13 @@ def _training_inputs(args):
     return model_cfg, train_cfg, dataset, out
 
 
-def _write_embeddings(records, path):
-    if not records:
-        raise LabelError("no embeddings to write")
-    dim = len(records[0].vector)
-
+def _write_embeddings(entities, vectors, path):
+    """One CSV row per entity: its id, then the `repr` of each float of its vector."""
     def write(fh):
         writer = csv.writer(fh)
-        writer.writerow(["entity"] + [f"e{i}" for i in range(dim)])
-        for rec in records:
-            writer.writerow([rec.entity] + [repr(float(x)) for x in rec.vector])
+        writer.writerow(["entity"] + [f"e{i}" for i in range(vectors.shape[1])])
+        for entity, vec in zip(entities, vectors):
+            writer.writerow([entity] + [repr(float(x)) for x in vec])
 
     atomic_write(path, write)
 
@@ -214,11 +223,9 @@ def cmd_fit(args):
 
 def _write_checkpoint(ck, out_dir):
     """Save `ck` as <out_dir>/checkpoint.bin via a temp file and a rename."""
-    os.makedirs(out_dir, exist_ok=True)
     ck_path = os.path.join(out_dir, "checkpoint.bin")
-    tmp = ck_path + ".tmp"
-    pretrain.save_checkpoint(ck, tmp)
-    os.replace(tmp, ck_path)
+    with _replacing(ck_path) as tmp:
+        pretrain.save_checkpoint(ck, tmp)
     return ck_path
 
 
@@ -252,12 +259,11 @@ def _weights_from_checkpoint(path):
 
 
 def _embed_all(weights, dataset):
-    records = []
+    """(N, emb_out) embeddings of every dataset entity, embedded TILE entities at a time."""
     tile = transformer.TILE
-    for start in range(0, len(dataset.entities), tile):
-        batch = transformer.prepare_batch(dataset, slice(start, start + tile), weights.cfg)
-        records.extend(transformer.embed(batch, weights))
-    return records
+    batches = (transformer.prepare_batch(dataset, slice(start, start + tile), weights.cfg)
+               for start in range(0, len(dataset.entities), tile))
+    return np.concatenate([transformer.embed(batch, weights) for batch in batches])
 
 
 def cmd_embed(args):
@@ -269,9 +275,8 @@ def cmd_embed(args):
     if out is None:
         raise ConfigError("missing --out (or paths.embeddings in the config file)")
     dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
-    records = _embed_all(weights, dataset)
-    _write_embeddings(records, out)
-    print(f"wrote {out} ({len(records)} entities)")
+    _write_embeddings(dataset.entities, _embed_all(weights, dataset), out)
+    print(f"wrote {out} ({len(dataset.entities)} entities)")
     return 0
 
 
@@ -333,8 +338,7 @@ def cmd_rank(args):
     dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
     relevant = read_relevance_csv(_path(args, cfg_file, "relevance"))
 
-    records = _embed_all(weights, dataset)
-    entity_vecs = {r.entity: r.vector for r in records}
+    entity_vecs = dict(zip(dataset.entities, _embed_all(weights, dataset)))
     vocab = ck.fitted.vocab[item_col]
     table = weights[f"emb/{item_col}"].data.astype(np.float64)
     item_vecs = table[1:]  # row 0 is padding/OOV

@@ -134,15 +134,14 @@ def reconstruction_loss(preds, batch):
 def compute_gradients(weights, batch, train=True, rng=None):
     """Forward + backward on one (already masked) batch, TILE entities at a time.
 
-    Returns (grads by name, loss numerator, real-position count); the
-    numerator is loss * count so tile and shard results combine exactly.
-    The grads are views of the flat gradient `weights.grad`.
+    Returns (flat grad, loss numerator, real-position count), the triple
+    `combine` reduces; the numerator is loss * count so tile and shard
+    results combine exactly. Per-name views of the grad are
+    ``weights.views(grad)``.
     """
     n, tile = len(batch.entities), transformer.TILE
     tiles = (batch.rows(slice(start, start + tile)) for start in range(0, n, tile))
-    grad, num, den = combine([_tile_gradients(weights, part, train, rng) for part in tiles])
-    weights.grad[...] = grad
-    return {name: p.grad for name, p in weights.items()}, num, den
+    return combine([_tile_gradients(weights, part, train, rng) for part in tiles])
 
 
 def _tile_gradients(weights, batch, train, rng):
@@ -344,8 +343,7 @@ def train(dataset, model_cfg, train_cfg, init=None):
                 masked, plan = apply_mask(batch, model_cfg.mask_p, rng)
                 try:
                     if pool is None:
-                        _, num, den = compute_gradients(weights, masked, train=True, rng=rng)
-                        grad = weights.grad
+                        grad, num, den = compute_gradients(weights, masked, train=True, rng=rng)
                     else:
                         grad, num, den = pool.gradients(weights, idx, plan, epoch, step)
                 except NumericError as exc:
@@ -392,8 +390,7 @@ def _worker_loop(conn, dataset, weights, seed, worker_idx):
         rng = np.random.default_rng([seed, epoch, step, worker_idx])
         weights.flat[...] = flat
         try:
-            _, num, den = compute_gradients(weights, masked, train=True, rng=rng)
-            result = weights.grad, num, den
+            result = compute_gradients(weights, masked, train=True, rng=rng)
         except CasprError as exc:
             result = exc  # the parent re-raises it inside the training loop
         except Exception as exc:  # anything else still reaches the parent as one typed error

@@ -60,12 +60,6 @@ class ModelConfig:
 
 
 @dataclass
-class EmbeddingRecord:
-    entity: str
-    vector: np.ndarray
-
-
-@dataclass
 class Batch:
     """Model-ready rows of a SequenceDataset at the model's dtype."""
 
@@ -252,12 +246,6 @@ def attention_mask(mask, dtype):
     return m.astype(dtype)[:, None]
 
 
-def scaled_dot_attention(q, k, v, mask=None):
-    """Single-head softmax(QK^T / sqrt(d_k)) V with an additive mask (NEG_INF = blocked)."""
-    m = None if mask is None else attention_mask(mask, q.dtype)
-    return ad.attention(q, k, v, m, heads=1)
-
-
 def multi_head(h, context, mask, layer, heads):
     """Q/K/V projections, fused multi-head attention, W^O.
 
@@ -353,7 +341,7 @@ def _mean_pool(enc, batch):
 def embed(batch, weights):
     """Inference-mode entity vectors: pool encoder output, join statics, 2 dense layers.
 
-    Runs under ad.no_grad(), so it builds no backward graph.
+    Returns a (B, emb_out) array in batch row order. Runs under ad.no_grad(), so it builds no backward graph.
     """
     with ad.no_grad():
         enc = encoder_forward(batch, weights, train=False)
@@ -363,4 +351,4 @@ def embed(batch, weights):
         out = ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"])
     if not np.isfinite(out.data).all():
         raise NumericError("embedding head produced non-finite values")
-    return [EmbeddingRecord(entity=e, vector=out.data[i].copy()) for i, e in enumerate(batch.entities)]
+    return out.data

@@ -53,7 +53,7 @@ def test_criterion_1_gradient_correctness(capfd):
         preds = tf.reconstruction_heads(dec, weights)
         return float(pretrain.reconstruction_loss(preds, masked).data)
 
-    grads, _, _ = compute_gradients(weights, masked, train=False)
+    grads = weights.views(compute_gradients(weights, masked, train=False)[0])
 
     h = 1e-5
     worst = 0.0
@@ -96,11 +96,9 @@ def pipeline2000():
 
     weights = tf.build_weights(ck.model_cfg, ck.fitted, np.random.default_rng(0))
     weights.load_arrays(ck.tensors)
-    records = []
-    for s in range(0, len(ds.entities), 512):
-        records.extend(tf.embed(tf.prepare_batch(ds, slice(s, s + 512), ck.model_cfg), weights))
-    features = np.array([r.vector for r in records])
-    y = np.array([labels[r.entity] for r in records], dtype=np.float64)
+    features = np.concatenate([tf.embed(tf.prepare_batch(ds, slice(s, s + 512), ck.model_cfg), weights)
+                               for s in range(0, len(ds.entities), 512)])
+    y = np.array([labels[e] for e in ds.entities], dtype=np.float64)
 
     by_entity = {}
     for r in raw:
@@ -171,7 +169,7 @@ def test_criterion_5_data_parallel_equivalence(capfd):
     weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(3))
     batch = tf.prepare_batch(ds, slice(None), cfg)
     masked, _ = apply_mask(batch, 0.3, np.random.default_rng(5))
-    full_grads, _, _ = compute_gradients(weights, masked, train=False)
+    full_grads = weights.views(compute_gradients(weights, masked, train=False)[0])
 
     worst = 0.0
     for w in (2, 4):
@@ -181,8 +179,8 @@ def test_criterion_5_data_parallel_equivalence(capfd):
         for shard in np.array_split(np.arange(len(ds.entities)), w):
             sub = tf.prepare_batch(ds, shard, cfg)
             sub = sub.with_keep(masked.keep[shard])
-            grads, _, den = compute_gradients(weights, sub, train=False)
-            parts.append((grads, den))
+            grad, _, den = compute_gradients(weights, sub, train=False)
+            parts.append((weights.views(grad), den))
             den_total += den
         for grads, den in parts:
             scale = den / den_total
@@ -298,8 +296,8 @@ def test_criterion_7_causality_and_pad_invariance(capfd):
         k = max(1, t - 2)
         short = batch_of(values[:k], codes[:k])
         noisy = fill_pad_slots(short, rng, vocab_n=3)
-        va = tf.embed(short, weights)[0].vector
-        vb = tf.embed(noisy, weights)[0].vector
+        va = tf.embed(short, weights)[0]
+        vb = tf.embed(noisy, weights)[0]
         dec_a = tf.decoder_forward(short, tf.encoder_forward(short, weights), weights).data[short.real]
         dec_b = tf.decoder_forward(noisy, tf.encoder_forward(noisy, weights), weights).data[short.real]
         worst_pad = max(worst_pad, float(np.abs(va - vb).max()), float(np.abs(dec_a - dec_b).max()))

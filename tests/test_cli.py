@@ -116,8 +116,8 @@ def test_embed_tiles_match_one_whole_dataset_chunk(workspace, monkeypatch):
     whole = cli._embed_all(weights, ds)
     monkeypatch.setattr(transformer, "TILE", 16)  # 60 entities: tiles of 16, 16, 16 and 12
     tiled = cli._embed_all(weights, ds)
-    assert [r.entity for r in tiled] == [r.entity for r in whole]
-    assert all(a.vector.tobytes() == b.vector.tobytes() for a, b in zip(tiled, whole))
+    assert tiled.shape == whole.shape == (len(ds.entities), ck.model_cfg.emb_out)
+    assert tiled.tobytes() == whole.tobytes()
 
 
 def test_rfm_table_output(workspace, tmp_path):
@@ -204,7 +204,7 @@ def test_artifacts_get_the_mode_open_gives(workspace, tmp_path):
     assert main(["embed", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
                  "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(emb)]) == 0
     for path in (workspace["data_dir"] / "data.csv", workspace["data_dir"] / "schema.json",
-                 workspace["run_dir"] / "loss_log.csv", emb):
+                 workspace["run_dir"] / "loss_log.csv", workspace["run_dir"] / "checkpoint.bin", emb):
         assert path.stat().st_mode == expected, path
 
 
@@ -307,6 +307,27 @@ class TestExitCodes:
                      "--data", str(data), "--out", str(out)]) == 0
         fitted = ingest.load_fitted_json(out)
         assert fitted.means["amount"] == 0.0 and fitted.stds["amount"] == 1e308
+
+    def test_failed_checkpoint_write_keeps_the_old_checkpoint(self, workspace, tmp_path, capsys, monkeypatch):
+        run = tmp_path / "run"
+        argv = ["pretrain", "--config", str(workspace["cfg"]), "--fitted", str(workspace["fitted"]),
+                "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(run), "--epochs", "1"]
+        assert main(argv) == 0
+        before = (run / "checkpoint.bin").read_bytes()
+        capsys.readouterr()
+
+        def disk_full(ck, path):
+            with open(path, "wb") as fh:
+                fh.write(b"CSPR1")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pretrain, "save_checkpoint", disk_full)
+        assert main(argv) == 5
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: IoError: ")
+        assert str(run / "checkpoint.bin") in err[0] and "No space left on device" in err[0]
+        assert (run / "checkpoint.bin").read_bytes() == before
+        assert sorted(p.name for p in run.iterdir()) == ["checkpoint.bin", "loss_log.csv"]
 
     def test_missing_path_reports_config_error(self, tmp_path, capsys):
         code = main(["rfm", "--data", str(tmp_path / "x.csv"),

@@ -90,7 +90,7 @@ class TestReconstructionLoss:
         batch = whole_batch(make_dataset(fitted, cfg.t, ("a", values, ())), cfg)
         preds = {"x0": Tensor(batch.nums.copy())}
         loss = reconstruction_loss(preds, batch)
-        assert loss.item() == 0.0
+        assert float(loss.data) == 0.0
 
     def test_uniform_logits_give_log_vocab(self):
         fitted = tiny_fitted(n_num=0, vocab_sizes=(3,))
@@ -98,7 +98,7 @@ class TestReconstructionLoss:
         batch = whole_batch(make_dataset(fitted, cfg.t, ("a", (), [1, 2])), cfg)
         preds = {"c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64")}
         loss = reconstruction_loss(preds, batch)
-        np.testing.assert_allclose(loss.item(), math.log(4), rtol=1e-12)
+        np.testing.assert_allclose(float(loss.data), math.log(4), rtol=1e-12)
 
     def test_combined_fixture(self):
         # one real position: numeric error 0.5 plus uniform 4-class CE
@@ -112,7 +112,7 @@ class TestReconstructionLoss:
             "c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64"),
         }
         loss = reconstruction_loss(preds, batch)
-        np.testing.assert_allclose(loss.item(), 0.25 + math.log(4), rtol=1e-12)
+        np.testing.assert_allclose(float(loss.data), 0.25 + math.log(4), rtol=1e-12)
 
 
 def test_fully_masked_short_sequences_keep_gradients_bounded():
@@ -122,9 +122,9 @@ def test_fully_masked_short_sequences_keep_gradients_bounded():
     cfg, weights = small_weights(fitted, t=5)
     batch = whole_batch(make_dataset(fitted, 5, *[(f"e{i}", [0.5, -0.5], [1, 2]) for i in range(4)]), cfg)
     masked = batch.with_keep(np.zeros_like(batch.keep))  # mask everything
-    grads, num, _ = compute_gradients(weights, masked, train=False)
+    grad, num, _ = compute_gradients(weights, masked, train=False)
     assert np.isfinite(num)
-    assert max(np.abs(g).max() for g in grads.values()) < 1e4
+    assert max(np.abs(g).max() for g in weights.views(grad).values()) < 1e4
 
 
 class TestAdam:
@@ -324,14 +324,13 @@ class TestTiles:
         ds = tiny_dataset(n=16, seed=6)
         cfg, weights = small_weights(ds.fitted)
         masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
-        one_grads, one_num, one_den = compute_gradients(weights, masked, train=False)
-        one_grads = {name: g.copy() for name, g in one_grads.items()}
+        one_grad, one_num, one_den = compute_gradients(weights, masked, train=False)
+        one_grads = weights.views(one_grad)
         monkeypatch.setattr(tf, "TILE", 5)  # tiles of 5, 5, 5 and 1 entities
-        grads, num, den = compute_gradients(weights, masked, train=False)
+        grad, num, den = compute_gradients(weights, masked, train=False)
         assert den == one_den
         np.testing.assert_allclose(num, one_num, rtol=1e-12)
-        for name, g in grads.items():
-            assert np.shares_memory(g, weights.grad)
+        for name, g in weights.views(grad).items():
             np.testing.assert_allclose(g, one_grads[name], rtol=0, atol=1e-9)
 
     def test_one_tile_batch_is_the_plain_pass_byte_for_byte(self):
@@ -340,8 +339,8 @@ class TestTiles:
         cfg = tf.ModelConfig(**MODEL)  # dropout on, so the rng draws must match too
         weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(2))
         masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
-        grads, num, den = compute_gradients(weights, masked, train=True, rng=np.random.default_rng(7))
-        grads = {name: g.copy() for name, g in grads.items()}
+        grad, num, den = compute_gradients(weights, masked, train=True, rng=np.random.default_rng(7))
+        grads = weights.views(grad)
 
         rng = np.random.default_rng(7)
         weights.zero_grad()
@@ -482,7 +481,8 @@ class TestDataParallel:
         batch = whole_batch(ds, cfg)
         masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
 
-        full_grads, _, full_den = compute_gradients(weights, masked, train=False)
+        full_grad, _, full_den = compute_gradients(weights, masked, train=False)
+        full_grads = weights.views(full_grad)
 
         for w in (2, 4):
             shards = np.array_split(np.arange(16), w)
@@ -492,8 +492,8 @@ class TestDataParallel:
             for shard in shards:
                 sub = tf.prepare_batch(ds, shard, cfg)
                 sub_masked = sub.with_keep(masked.keep[shard])
-                grads, _, den = compute_gradients(weights, sub_masked, train=False)
-                parts.append((grads, den))
+                grad, _, den = compute_gradients(weights, sub_masked, train=False)
+                parts.append((weights.views(grad), den))
                 den_total += den
             for grads, den in parts:
                 scale = den / den_total

@@ -163,21 +163,21 @@ class TestScaledDotAttention:
         q = Tensor(np.array([[[1.0, 2.0]]]), dtype="f64")
         k = Tensor(np.array([[[0.3, -0.4]]]), dtype="f64")
         v = Tensor(np.array([[[5.0, 6.0]]]), dtype="f64")
-        out = tf.scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v, None, heads=1)
         np.testing.assert_allclose(out.data, v.data)
 
     def test_zero_scores_average_values(self):
         q = Tensor(np.zeros((1, 1, 2)), dtype="f64")
         k = Tensor(np.zeros((1, 3, 2)), dtype="f64")
         v = Tensor(np.arange(6.0).reshape(1, 3, 2), dtype="f64")
-        out = tf.scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v, None, heads=1)
         np.testing.assert_allclose(out.data[0, 0], v.data[0].mean(axis=0))
 
     def test_two_key_fixture(self):
         q = Tensor(np.array([[[1.0, 0.0]]]), dtype="f64")
         k = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]), dtype="f64")
         v = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]), dtype="f64")
-        out = tf.scaled_dot_attention(q, k, v)
+        out = ad.attention(q, k, v, None, heads=1)
         np.testing.assert_allclose(out.data[0, 0], [0.66976155, 0.33023845], atol=1e-6)
 
     def test_fully_masked_row_raises(self):
@@ -186,7 +186,7 @@ class TestScaledDotAttention:
         v = Tensor(np.zeros((1, 2, 2)), dtype="f64")
         mask = np.full((1, 2, 2), tf.NEG_INF)
         with pytest.raises(NumericError):
-            tf.scaled_dot_attention(q, k, v, mask)
+            ad.attention(q, k, v, tf.attention_mask(mask, q.dtype), heads=1)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
@@ -204,8 +204,8 @@ class TestMultiHead:
         layer = {k: weights[f"enc0/attn/{k}"] for k in ("wq", "wk", "wv", "wo")}
         out = tf.multi_head(h, h, None, layer, heads=1)
         direct = ad.matmul(
-            tf.scaled_dot_attention(ad.matmul(h, layer["wq"]), ad.matmul(h, layer["wk"]),
-                                    ad.matmul(h, layer["wv"])),
+            ad.attention(ad.matmul(h, layer["wq"]), ad.matmul(h, layer["wk"]), ad.matmul(h, layer["wv"]),
+                         None, heads=1),
             layer["wo"])
         np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
@@ -340,23 +340,24 @@ class TestEmbed:
     def test_vector_length_is_emb_out(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, emb_out=16)
-        recs = tf.embed(whole_batch(random_dataset(np.random.default_rng(13), 2, cfg.t, fitted), cfg), weights)
-        assert all(len(r.vector) == 16 for r in recs)
+        vecs = tf.embed(whole_batch(random_dataset(np.random.default_rng(13), 2, cfg.t, fitted), cfg), weights)
+        assert vecs.shape == (2, 16)
 
     def test_identical_sequences_identical_vectors(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
         ds = make_dataset(fitted, cfg.t, ("a", [0.3, -0.2], [1, 2]), ("b", [0.3, -0.2], [1, 2]))
-        ra, rb = tf.embed(whole_batch(ds, cfg), weights)
-        np.testing.assert_array_equal(ra.vector, rb.vector)
+        va, vb = tf.embed(whole_batch(ds, cfg), weights)
+        np.testing.assert_array_equal(va, vb)
 
     def test_batch_permutation_no_leakage(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
         ds = random_dataset(np.random.default_rng(14), 5, cfg.t, fitted)
-        recs = {r.entity: r.vector for r in tf.embed(whole_batch(ds, cfg), weights)}
-        recs_perm = {r.entity: r.vector for r in tf.embed(tf.prepare_batch(ds, np.arange(5)[::-1], cfg), weights)}
-        solo = {e: tf.embed(tf.prepare_batch(ds, [i], cfg), weights)[0].vector for i, e in enumerate(ds.entities)}
+        recs = dict(zip(ds.entities, tf.embed(whole_batch(ds, cfg), weights)))
+        perm = tf.prepare_batch(ds, np.arange(5)[::-1], cfg)
+        recs_perm = dict(zip(perm.entities, tf.embed(perm, weights)))
+        solo = {e: tf.embed(tf.prepare_batch(ds, [i], cfg), weights)[0] for i, e in enumerate(ds.entities)}
         for entity in recs:
             np.testing.assert_allclose(recs[entity], recs_perm[entity], atol=1e-12)
             np.testing.assert_allclose(recs[entity], solo[entity], atol=1e-12)
@@ -368,8 +369,7 @@ class TestEmbed:
         batch = whole_batch(random_dataset(np.random.default_rng(16), 4, cfg.t, fitted, max_len=7), cfg)
         noisy = fill_pad_slots(batch, np.random.default_rng(17), vocab_n=3)
         assert (noisy.nums != batch.nums).any()
-        for a, b in zip(tf.embed(noisy, weights), tf.embed(batch, weights)):
-            np.testing.assert_allclose(a.vector, b.vector, atol=1e-6)
+        np.testing.assert_allclose(tf.embed(noisy, weights), tf.embed(batch, weights), atol=1e-6)
         dec = [tf.decoder_forward(b, tf.encoder_forward(b, weights), weights).data for b in (batch, noisy)]
         np.testing.assert_allclose(dec[1][batch.real], dec[0][batch.real], atol=1e-6)
 
@@ -377,7 +377,7 @@ class TestEmbed:
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
         batch = without_real_steps(whole_batch(make_dataset(fitted, cfg.t, ("a", [0.5], [1])), cfg))
-        vec = tf.embed(batch, weights)[0].vector
+        vec = tf.embed(batch, weights)[0]
         # pooled part is zero, so the vector equals the head applied to zeros
         zeros = np.zeros((1, cfg.hidden))
         h1 = np.maximum(zeros @ weights["emb_head/w1"].data + weights["emb_head/b1"].data, 0)
@@ -401,8 +401,8 @@ class TestEmbed:
         fitted = tiny_fitted(statics=2)
         cfg, weights = small_weights(fitted)
         ds = make_dataset(fitted, cfg.t, ("a", [0.1], [1], (1.0, -1.0)), ("b", [0.1], [1], (0.0, 0.0)))
-        r1, r2 = tf.embed(whole_batch(ds, cfg), weights)
-        assert np.abs(r1.vector - r2.vector).max() > 0
+        v1, v2 = tf.embed(whole_batch(ds, cfg), weights)
+        assert np.abs(v1 - v2).max() > 0
 
     def test_no_grad_matches_graph_path_and_builds_no_closures(self, monkeypatch):
         fitted = tiny_fitted(statics=1)
@@ -423,8 +423,7 @@ class TestEmbed:
         monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
         graph = tf.embed(batch, weights)
         assert any(t._backward is not None for t in made)  # the reference did build a graph
-        for a, b in zip(fast, graph):
-            assert a.entity == b.entity and a.vector.tobytes() == b.vector.tobytes()
+        assert fast.shape == graph.shape and fast.tobytes() == graph.tobytes()
 
 
 class TestWeights:
