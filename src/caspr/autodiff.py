@@ -6,13 +6,15 @@ in reverse topological order. Storage is numpy, float32 by default and
 float64 for gradient checking (finite differences are meaningless at f32).
 Inside ``no_grad()`` ops build no parent links and no closures.
 
-Broadcasting is deliberately narrow: elementwise ops accept equal shapes or
-a scalar operand, and anything else raises ShapeMismatch. Three ops are
-fused into one node each, with hand-derived backwards: ``attention`` (the
-whole multi-head softmax attention), ``matmul`` (a dense layer: a 2-D
-weight and an optional bias as one GEMM over the flattened rows), and
-``layer_norm`` with an optional residual and dropout keep mask (a post-norm
-sublayer). ``FlatParams`` keeps named parameters as views into one
+There is no broadcasting: ``mul`` scales a tensor by a constant of its
+own shape, and any other operand raises ShapeMismatch.
+Three ops are fused into one node each, with hand-derived backwards:
+``attention`` (the whole multi-head softmax attention), ``matmul`` (a dense
+layer: a 2-D weight and an optional bias as one GEMM over the flattened
+rows), and ``layer_norm`` with an optional residual and dropout keep mask
+(a post-norm sublayer). Losses are numpy kernels, ``squared_error`` and
+``cross_entropy``, that return a value and its gradient; ``scalar`` makes
+their sum one node. ``FlatParams`` keeps named parameters as views into one
 contiguous array and gathers their gradients into views of another, so that
 ``adam_step``, the one optimizer, shared by pretraining and the linear
 probe, is a single vectorized update.
@@ -73,13 +75,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def _wrap(x, like):
-    """Coerce a constant (scalar or array) to a Tensor matching `like`'s dtype."""
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.dtype))
-
-
 @contextlib.contextmanager
 def no_grad():
     """Inference mode: ops made inside build no graph and no backward closures."""
@@ -100,43 +95,48 @@ def _make(data, parents, backward_fn):
     return out
 
 
-def _unbroadcast(grad, shape):
-    """Reduce `grad` to `shape`: itself for an equal-shape operand, its sum for a scalar one."""
-    return grad if grad.shape == shape else grad.sum()
-
-
-def _check_elementwise(op, a, b):
-    """Equal shapes or a scalar operand only."""
-    if a.shape != b.shape and a.data.ndim and b.data.ndim:
-        raise ShapeMismatch(op, a.shape, b.shape)
-
-
-def add(a, b):
-    b = _wrap(b, a)
-    _check_elementwise("add", a, b)
-    out = _make(a.data + b.data, (a, b), None)
+def mul(a, c):
+    """`a` times a constant array `c` of a's shape; only `a` gets a gradient."""
+    if c.shape != a.shape:
+        raise ShapeMismatch("mul", a.shape, c.shape)
+    out = _make(a.data * c, (a,), None)
     if out.requires_grad:
-        out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+        out._backward = lambda g: (g * c,)
     return out
 
 
-def sub(a, b):
-    b = _wrap(b, a)
-    _check_elementwise("sub", a, b)
-    out = _make(a.data - b.data, (a, b), None)
+def scalar(value, inputs, grads):
+    """A scalar node whose gradient with respect to inputs[i] is grads[i], derived by hand."""
+    out = _make(np.asarray(value), tuple(inputs), None)
     if out.requires_grad:
-        out._backward = lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape))
+        out._backward = lambda g: tuple(g * grad for grad in grads)
     return out
 
 
-def mul(a, b):
-    b = _wrap(b, a)
-    _check_elementwise("mul", a, b)
-    out = _make(a.data * b.data, (a, b), None)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-        out._backward = lambda g: (_unbroadcast(g * bd, a.shape), _unbroadcast(g * ad, b.shape))
-    return out
+def squared_error(pred, target, w, scale):
+    """(Σ w·(pred − target)², the gradient of scale times it w.r.t. pred).
+
+    `w` weights each position; `scale` is a 0-d array of pred's dtype.
+    """
+    diff = pred - target
+    d = (scale * w) * diff
+    return (diff * diff * w).sum(), d + d
+
+
+def cross_entropy(logits, codes, w, scale):
+    """(Σ −w·log softmax(logits)[code], the gradient of scale times it w.r.t. logits).
+
+    The softmax runs over the last axis; integer `codes` and weights `w`
+    have logits' shape without it. The gradient is softmax·c with c =
+    scale·w subtracted at each position's code.
+    """
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    z = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    pick = (*np.indices(codes.shape), codes)
+    c = scale * w
+    grad = np.exp(z) * c[..., None]
+    grad[pick] -= c
+    return -(z[pick] * w).sum(), grad
 
 
 def _col_sums(x2):
@@ -186,36 +186,6 @@ def concat(tensors, axis=-1):
         splits = np.cumsum(sizes)[:-1]
         out._backward = lambda g: tuple(np.split(g, splits, axis=axis))
     return out
-
-
-def reshape(a, shape):
-    shape = tuple(shape)
-    out = _make(a.data.reshape(shape), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: (g.reshape(a.shape),)
-    return out
-
-
-def sum_(a, axis=None, keepdims=False):
-    out = _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: (_spread(g, a.shape, axis, keepdims),)
-    return out
-
-
-def _norm_axes(axis, ndim):
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
-
-
-def _spread(g, shape, axis, keepdims):
-    """Broadcast a reduced gradient back to the pre-reduction shape."""
-    if axis is None:
-        return np.broadcast_to(g, shape).copy()
-    if not keepdims:
-        g = np.expand_dims(g, _norm_axes(axis, len(shape)))
-    return np.broadcast_to(g, shape).copy()
 
 
 def relu(a):
@@ -305,19 +275,6 @@ def attention(q, k, v, mask, heads):
                     _merged_matmul(np.swapaxes(p, -1, -2), gh))
 
         out._backward = bwd
-    return out
-
-
-def log_softmax(a, axis=-1):
-    if np.isnan(a.data).any():
-        raise NumericError("log_softmax: NaN in input")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    z = shifted - lse
-    out = _make(z, (a,), None)
-    if out.requires_grad:
-        sm = np.exp(z)
-        out._backward = lambda g: (g - sm * g.sum(axis=axis, keepdims=True),)
     return out
 
 
@@ -456,9 +413,6 @@ class FlatParams:
 
     def __getitem__(self, name):
         return self.params[name]
-
-    def names(self):
-        return list(self.params)
 
     def items(self):
         return self.params.items()

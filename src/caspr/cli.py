@@ -155,10 +155,7 @@ def read_feature_csv(path):
             if len(rec) != len(header):
                 raise ParseError(f"{path}: expected {len(header)} fields", i)
             ids.append(rec[0])
-            try:
-                rows.append([float(x) for x in rec[1:]])
-            except ValueError:
-                raise ParseError(f"{path}: non-numeric feature value", i) from None
+            rows.append([ingest._parse_number(x, col, i) for col, x in zip(header[1:], rec[1:])])
     return ids, np.array(rows, dtype=np.float64)
 
 
@@ -169,10 +166,9 @@ def read_labels_csv(path):
             raise ParseError(f"{path}: expected header entity,label")
         out = {}
         for i, rec in enumerate(reader):
-            try:
-                out[rec[0]] = float(rec[1])
-            except (IndexError, ValueError):
-                raise ParseError(f"{path}: bad label row", i) from None
+            if len(rec) < 2:
+                raise ParseError(f"{path}: bad label row", i)
+            out[rec[0]] = ingest._parse_number(rec[1], "label", i)
     return out
 
 
@@ -184,7 +180,8 @@ def split_train_test(n, seed):
 
 
 def evaluate_features(features, labels, task, seed=0):
-    """Split, fit the linear probe, score held-out data."""
+    """Check every label, split, fit the linear probe, score held-out data."""
+    metrics.check_labels(labels, task)
     train_idx, test_idx = split_train_test(len(features), seed)
     probe = metrics.train_linear_probe(features[train_idx], labels[train_idx], task)
     scores = probe.scores(features[test_idx])

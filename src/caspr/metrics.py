@@ -3,8 +3,8 @@ regression and ranking metrics.
 
 The probe standardizes its inputs, then minimizes a logistic or
 least-squares objective (L2 penalty 1e-4 on the weights, not the bias) with
-Adam running on the autodiff core, so probe quality reflects only the
-representation it is fed.
+the shared Adam on gradients from the autodiff loss kernels, so probe
+quality reflects only the representation it is fed.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, adam_step, init_moments
+from .autodiff import adam_step, init_moments
 from .errors import CaseError, LabelError, SchemaMismatch
 
 PROBE_L2 = 1e-4
@@ -41,8 +41,21 @@ class LinearProbe:
         return coef, intercept
 
 
+def check_labels(labels, task):
+    """LabelError unless every label is finite, and 0 or 1 for a binary task."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if task == "binary" and not np.isin(labels, (0.0, 1.0)).all():
+        raise LabelError("binary labels must be 0 or 1")
+    if not np.isfinite(labels).all():
+        raise LabelError("labels must be finite")
+
+
 def train_linear_probe(features, labels, task):
-    """Fit the probe by full-batch Adam on the autodiff graph."""
+    """Fit the probe by full-batch Adam on hand-derived gradients.
+
+    The weights and bias share one flat array; each step forms the data
+    gradient dz from a loss kernel, then dW = xsᵀdz + 2λw and db = Σdz.
+    """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if x.ndim != 2 or len(x) != len(y):
@@ -51,10 +64,11 @@ def train_linear_probe(features, labels, task):
         raise LabelError("probe needs at least 2 examples")
     if task not in ("binary", "regression"):
         raise LabelError(f"unknown probe task {task!r}")
-    if task == "binary":
-        classes = np.unique(y)
-        if not np.isin(classes, (0.0, 1.0)).all() or len(classes) < 2:
-            raise LabelError("binary probe requires labels {0,1} with both classes present")
+    if not np.isfinite(x).all():
+        raise LabelError("probe features must be finite")
+    check_labels(y, task)
+    if task == "binary" and len(np.unique(y)) < 2:
+        raise LabelError("binary probe requires labels {0,1} with both classes present")
 
     mean = x.mean(axis=0)
     std = x.std(axis=0)
@@ -62,37 +76,35 @@ def train_linear_probe(features, labels, task):
     xs = (x - mean) / std
 
     n, d = xs.shape
-    params = ad.FlatParams({"w": np.zeros((d, 1)), "b": np.zeros(1)}, np.float64)
-    w, b = params["w"], params["b"]
-    moments = init_moments(params.flat)
-    xt = Tensor(xs)
-    yt = y.reshape(-1, 1)
+    params = np.zeros(d + 1)
+    w, b = params[:d].reshape(d, 1), params[d:]
+    moments = init_moments(params)
+    scale = np.asarray(1.0 / n)
+    ones = np.ones(n)
+    yt, codes = y.reshape(-1, 1), y.astype(np.intp)
 
     for step in range(1, PROBE_STEPS + 1):
-        z = ad.matmul(xt, w, b)
+        z = xs @ w
+        z += b
         if task == "binary":
-            # logistic loss as 2-class cross-entropy on logits [0, z]
-            logits = ad.concat([ad.mul(z, 0.0), z], axis=1)
-            lsm = ad.log_softmax(logits, axis=1)
-            onehot = np.column_stack([1.0 - yt[:, 0], yt[:, 0]])
-            data_loss = ad.mul(ad.sum_(ad.mul(lsm, Tensor(onehot))), -1.0 / n)
+            # logistic loss as 2-class cross-entropy on logits [0, z]; dz is the z column
+            _, dlogits = ad.cross_entropy(np.concatenate([np.zeros_like(z), z], axis=1), codes, ones, scale)
+            dz = np.ascontiguousarray(dlogits[:, 1:])
         else:
-            diff = ad.sub(z, Tensor(yt))
-            data_loss = ad.mul(ad.sum_(ad.mul(diff, diff)), 1.0 / n)
-        penalty = ad.mul(ad.sum_(ad.mul(w, w)), PROBE_L2)
-        loss = ad.add(data_loss, penalty)
-        params.zero_grad()
-        ad.backward(loss)
-        adam_step(params.flat, params.grad, moments, PROBE_LR, step)
+            _, dz = ad.squared_error(z, yt, ones[:, None], scale)
+        dw = xs.T @ dz
+        dw += PROBE_L2 * w  # + 2λw, one λw per factor of w∘w
+        dw += PROBE_L2 * w
+        adam_step(params, np.concatenate([dw[:, 0], ones @ dz]), moments, PROBE_LR, step)
 
-    return LinearProbe(task=task, w=w.data[:, 0].copy(), b=float(b.data[0]),
-                       feat_mean=mean, feat_std=std)
+    return LinearProbe(task=task, w=w[:, 0].copy(), b=float(b[0]), feat_mean=mean, feat_std=std)
 
 
 def auroc(scores, labels):
     """Mann-Whitney AUROC: P(score_pos > score_neg), ties counted 0.5."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    check_labels(labels, "binary")
     n_pos = int((labels == 1).sum())
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:

@@ -24,7 +24,7 @@ import multiprocessing as mp
 import numpy as np
 
 from . import autodiff as ad, transformer
-from .autodiff import Tensor, adam_step, init_moments
+from .autodiff import adam_step, init_moments
 from .errors import (
     BadMagic,
     CasprError,
@@ -100,32 +100,29 @@ def apply_mask(batch, mask_p, rng):
 def reconstruction_loss(preds, batch):
     """Mean over real positions of squared numeric error plus categorical CE.
 
-    `preds` lists numeric heads, then categorical, each in batch column order.
+    `preds` lists numeric heads, then categorical, each in batch column
+    order. The result is one scalar node; each head's gradient comes from
+    its loss kernel.
     """
     w = batch.real.astype(batch.nums.dtype)
     denom = float(w.sum())
     if denom == 0:
         raise ContractViolation("reconstruction_loss: no positions to score")
-    total = None
+    scale = np.asarray(1.0 / denom, dtype=w.dtype)
+    values, grads = [], []
     n_num = n_cat = 0
     for col, pred in preds.items():
         if np.isnan(pred.data).any():
             raise NumericError(f"NaN in reconstruction head {col!r}")
         if pred.shape[-1] == 1:  # numeric head
-            diff = ad.sub(ad.reshape(pred, pred.shape[:2]), Tensor(batch.nums[..., n_num]))
-            term = ad.sum_(ad.mul(ad.mul(diff, diff), Tensor(w)))
+            value, grad = ad.squared_error(pred.data.reshape(w.shape), batch.nums[..., n_num], w, scale)
             n_num += 1
         else:
-            lsm = ad.log_softmax(pred, axis=-1)
-            onehot = np.zeros(pred.shape, dtype=pred.data.dtype)
-            codes = batch.cats[..., n_cat]
-            b_idx, t_idx = np.indices(codes.shape)
-            onehot[b_idx, t_idx, codes] = 1.0
-            picked = ad.sum_(ad.mul(lsm, Tensor(onehot)), axis=-1)
-            term = ad.mul(ad.sum_(ad.mul(picked, Tensor(w))), -1.0)
+            value, grad = ad.cross_entropy(pred.data, batch.cats[..., n_cat], w, scale)
             n_cat += 1
-        total = term if total is None else ad.add(total, term)
-    loss = ad.mul(total, 1.0 / denom)
+        values.append(value)
+        grads.append(grad.reshape(pred.shape))
+    loss = ad.scalar(sum(values[1:], values[0]) * scale, preds.values(), grads)
     if np.isnan(loss.data).any():
         raise NumericError("reconstruction loss is NaN")
     return loss

@@ -230,7 +230,7 @@ def project_inputs(batch, weights):
     x = ad.concat(parts, axis=2) if len(parts) > 1 else parts[0]
     # zero out pad and masked slots in one stroke, killing their gradients too
     keep = np.broadcast_to(batch.keep[..., None], x.shape).astype(x.dtype)
-    x = ad.mul(x, Tensor(keep))
+    x = ad.mul(x, keep)
     return ad.matmul(x, weights["in_proj/w"], weights["in_proj/b"])
 
 

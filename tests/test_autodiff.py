@@ -48,6 +48,11 @@ def leaf(rng, *shape):
     return Tensor(rng.normal(size=shape), dtype="f64", requires_grad=True)
 
 
+def readout(out, w):
+    """Σ out∘w as one scalar node; its gradient with respect to out is w."""
+    return ad.scalar((out.data * w).sum(), [out], [w])
+
+
 class TestForward:
     def test_matmul_shape(self):
         a = Tensor(np.ones((2, 3)))
@@ -89,15 +94,13 @@ class TestForward:
         with pytest.raises(NumericError):
             ad.softmax(Tensor([[np.nan, 1.0]]))
 
-    def test_add_suffix_broadcast_only(self):
-        """Equal shapes or a scalar operand; a trailing-shape operand is refused."""
+    def test_mul_requires_equal_shapes(self):
+        """A constant of the tensor's own shape; scalars and trailing shapes are refused."""
         a = Tensor(np.ones((2, 3, 4)))
-        assert ad.add(a, 2.0).shape == (2, 3, 4)
-        assert ad.add(Tensor(2.0), a).shape == (2, 3, 4)
-        with pytest.raises(ShapeMismatch):
-            ad.add(a, Tensor(np.ones(4)))
-        with pytest.raises(ShapeMismatch):
-            ad.add(a, Tensor(np.ones(3)))
+        assert ad.mul(a, np.full((2, 3, 4), 2.0)).shape == (2, 3, 4)
+        for c in (np.asarray(2.0), np.ones(4), np.ones((3, 4))):
+            with pytest.raises(ShapeMismatch):
+                ad.mul(a, c)
 
     def test_concat_and_slice_roundtrip(self):
         a = Tensor(np.arange(6.0).reshape(2, 3))
@@ -109,90 +112,121 @@ class TestForward:
 
 class TestBackward:
     def test_square_at_three(self):
-        x = Tensor(3.0, dtype="f64", requires_grad=True)
-        loss = ad.mul(x, x)
-        ad.backward(loss)
-        np.testing.assert_allclose(x.grad, 6.0)
+        """x @ x for a 1x1 x: one node that uses x twice accumulates both gradients."""
+        x = Tensor([[3.0]], dtype="f64", requires_grad=True)
+        ad.backward(ad.matmul(x, x))
+        np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_unused_leaf_gets_no_grad(self):
         x = Tensor([1.0], dtype="f64", requires_grad=True)
         y = Tensor([2.0], dtype="f64", requires_grad=True)
-        ad.backward(ad.sum_(ad.mul(x, x)))
+        ad.backward(readout(ad.relu(x), np.ones(1)))
         assert y.grad is None
 
     def test_grad_of_sum_ab_is_b(self):
         rng = np.random.default_rng(3)
         a = leaf(rng, 4, 5)
-        b = Tensor(rng.normal(size=(4, 5)), dtype="f64")
-        ad.backward(ad.sum_(ad.mul(a, b)))
-        np.testing.assert_allclose(a.grad, b.data, atol=1e-12)
-        check_grads(lambda: ad.sum_(ad.mul(a, b)), [a], tol=1e-6)
+        b = rng.normal(size=(4, 5))
+        ones = np.ones((4, 5))
+        ad.backward(readout(ad.mul(a, b), ones))
+        np.testing.assert_allclose(a.grad, b, atol=1e-12)
+        check_grads(lambda: readout(ad.mul(a, b), ones), [a], tol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractViolation):
-            ad.backward(ad.mul(x, x))
+            ad.backward(ad.relu(x))
 
     def test_repeated_backward_accumulates(self):
-        x = Tensor(2.0, dtype="f64", requires_grad=True)
-        loss = ad.mul(x, x)
+        x = Tensor([[2.0]], dtype="f64", requires_grad=True)
+        loss = ad.matmul(x, x)
         ad.backward(loss)
         ad.backward(loss)
-        np.testing.assert_allclose(x.grad, 8.0)
+        np.testing.assert_allclose(x.grad, [[8.0]])
 
     def test_matmul_grads(self):
         rng = np.random.default_rng(4)
         a, b = leaf(rng, 3, 4), leaf(rng, 4, 2)
-        check_grads(lambda: ad.sum_(ad.matmul(a, b)), [a, b])
+        check_grads(lambda: readout(ad.matmul(a, b), np.ones((3, 2))), [a, b])
 
     def test_batched_matmul_grads(self):
         rng = np.random.default_rng(5)
         a, b = leaf(rng, 2, 3, 4), leaf(rng, 4, 5)
-        check_grads(lambda: ad.mul(ad.sum_(ad.matmul(a, b)), 1.0 / 30), [a, b])
+        check_grads(lambda: readout(ad.matmul(a, b), np.full((2, 3, 5), 1.0 / 30)), [a, b])
 
     def test_softmax_grads(self):
         rng = np.random.default_rng(6)
         x = leaf(rng, 3, 5)
-        w = Tensor(rng.normal(size=(3, 5)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.softmax(x), w)), [x])
-
-    def test_log_softmax_grads(self):
-        rng = np.random.default_rng(7)
-        x = leaf(rng, 4, 6)
-        w = Tensor(rng.normal(size=(4, 6)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.log_softmax(x), w)), [x])
+        w = rng.normal(size=(3, 5))
+        check_grads(lambda: readout(ad.softmax(x), w), [x])
 
     def test_layer_norm_grads(self):
         rng = np.random.default_rng(8)
         x, g, b = leaf(rng, 2, 3, 8), leaf(rng, 8), leaf(rng, 8)
-        w = Tensor(rng.normal(size=(2, 3, 8)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.layer_norm(x, g, b), w)), [x, g, b], tol=1e-5)
+        w = rng.normal(size=(2, 3, 8))
+        check_grads(lambda: readout(ad.layer_norm(x, g, b), w), [x, g, b], tol=1e-5)
 
     def test_embedding_grads_scatter(self):
         rng = np.random.default_rng(9)
         table = leaf(rng, 5, 3)
         codes = np.array([[0, 2], [2, 4]])
-        w = Tensor(rng.normal(size=(2, 2, 3)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.embedding(table, codes), w)), [table])
-
-    def test_reshape_grads(self):
-        rng = np.random.default_rng(10)
-        x = leaf(rng, 2, 3, 4)
-        w = Tensor(rng.normal(size=(2, 12)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.reshape(x, (2, 12)), w)), [x])
-
-    def test_mean_axis_grads(self):
-        """A last-axis mean from the kept ops: sum_(axis=-1), as in the loss, then a scalar scale."""
-        rng = np.random.default_rng(11)
-        x = leaf(rng, 3, 4, 5)
-        w = Tensor(rng.normal(size=(3, 4)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.mul(ad.sum_(x, axis=-1), 1.0 / 5), w)), [x])
+        w = rng.normal(size=(2, 2, 3))
+        check_grads(lambda: readout(ad.embedding(table, codes), w), [table])
 
     def test_relu_grads_away_from_kink(self):
+        """The relu node feeds the concat twice, so its gradient accumulates."""
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(4, 4)) + np.sign(rng.normal(size=(4, 4))) * 0.5,
                    dtype="f64", requires_grad=True)
-        check_grads(lambda: ad.sum_(ad.mul(ad.relu(x), ad.relu(x))), [x])
+        w = rng.normal(size=(4, 8))
+
+        def fn():
+            r = ad.relu(x)
+            return readout(ad.concat([r, r], axis=-1), w)
+
+        check_grads(fn, [x])
+
+
+def loss_node(kernel, pred, target, w, scale):
+    value, grad = kernel(pred.data, target, w, scale)
+    return ad.scalar(value * scale, [pred], [grad])
+
+
+class TestLossKernels:
+    """Each kernel's gradient is that of scale times its value; zero weights drop a position."""
+
+    def test_squared_error_grads_match_fd(self):
+        rng = np.random.default_rng(14)
+        pred = leaf(rng, 3, 5)
+        target = rng.normal(size=(3, 5))
+        w = (rng.random((3, 5)) < 0.6).astype(np.float64)
+        w[0] = 0.0
+        scale = np.asarray(1.0 / 7)
+        check_grads(lambda: loss_node(ad.squared_error, pred, target, w, scale), [pred])
+        value, grad = ad.squared_error(pred.data, target, w, scale)
+        np.testing.assert_allclose(value, (w * (pred.data - target) ** 2).sum(), rtol=1e-12)
+        assert (grad[w == 0] == 0).all()
+
+    def test_cross_entropy_grads(self):
+        rng = np.random.default_rng(7)
+        logits = leaf(rng, 3, 4, 6)
+        codes = rng.integers(0, 6, size=(3, 4))
+        w = (rng.random((3, 4)) < 0.6).astype(np.float64)
+        w[:, 0] = 0.0
+        scale = np.asarray(0.25)
+        check_grads(lambda: loss_node(ad.cross_entropy, logits, codes, w, scale), [logits])
+        value, grad = ad.cross_entropy(logits.data, codes, w, scale)
+        x = logits.data
+        log_p = x - np.log(np.exp(x).sum(axis=-1, keepdims=True))
+        ref = -(w * np.take_along_axis(log_p, codes[..., None], axis=-1)[..., 0]).sum()
+        np.testing.assert_allclose(value, ref, rtol=1e-12)
+        assert (grad[w == 0] == 0).all()
+
+    def test_scalar_node_scales_each_input_gradient(self):
+        a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        ad.backward(ad.scalar(5.0, [a, b], [np.full(2, 2.0), np.arange(3.0)]))
+        np.testing.assert_array_equal(a.grad, [2.0, 2.0])
+        np.testing.assert_array_equal(b.grad, [0.0, 1.0, 2.0])
 
 
 def causal_pad_mask(rng, b, t):
@@ -237,8 +271,8 @@ class TestAttention:
         rng = np.random.default_rng(20 + heads)
         q, k, v = leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
         mask = causal_pad_mask(rng, 2, 5)[:, None]
-        w = Tensor(rng.normal(size=(2, 5, 4)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.attention(q, k, v, mask, heads), w)), [q, k, v])
+        w = rng.normal(size=(2, 5, 4))
+        check_grads(lambda: readout(ad.attention(q, k, v, mask, heads), w), [q, k, v])
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_matches_unfused_chain(self, heads):
@@ -248,7 +282,7 @@ class TestAttention:
         init = np.random.default_rng(7).normal(size=(3, 3, 6, 8))
         leaves = [Tensor(x, dtype="f64", requires_grad=True) for x in init]
         out = ad.attention(*leaves, mask[:, None], heads)
-        ad.backward(ad.sum_(ad.mul(out, Tensor(w))))
+        ad.backward(readout(out, w))
         fused = [out.data] + [x.grad for x in leaves]
         for got, ref in zip(fused, unfused_attention(*init, mask, heads, w)):
             np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
@@ -279,8 +313,8 @@ class TestFusedLayerNorm:
         rng = np.random.default_rng(40 + with_keep)
         x, r, g, b = leaf(rng, 2, 3, 8), leaf(rng, 2, 3, 8), leaf(rng, 8), leaf(rng, 8)
         keep = dropout_keep(rng, (2, 3, 8)) if with_keep else None
-        w = Tensor(rng.normal(size=(2, 3, 8)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.layer_norm(x, g, b, residual=r, keep=keep), w)),
+        w = rng.normal(size=(2, 3, 8))
+        check_grads(lambda: readout(ad.layer_norm(x, g, b, residual=r, keep=keep), w),
                     [x, r, g, b], tol=1e-5)
 
     @pytest.mark.parametrize("with_keep", [False, True])
@@ -291,18 +325,19 @@ class TestFusedLayerNorm:
         init = [rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8)),
                 rng.normal(size=8), rng.normal(size=8)]
 
-        def unfused(x, r, g, b):
-            dropped = r if keep is None else ad.mul(r, Tensor(keep))
-            return ad.layer_norm(ad.add(x, dropped), g, b)
+        x, r, g, b = leaves = [Tensor(a, dtype="f64", requires_grad=True) for a in init]
+        out = ad.layer_norm(x, g, b, residual=r, keep=keep)
+        ad.backward(readout(out, w))
+        fused = [out.data] + [a.grad for a in leaves]
 
-        results = []
-        for fn in (lambda x, r, g, b: ad.layer_norm(x, g, b, residual=r, keep=keep), unfused):
-            leaves = [Tensor(a, dtype="f64", requires_grad=True) for a in init]
-            out = fn(*leaves)
-            ad.backward(ad.sum_(ad.mul(out, Tensor(w))))
-            results.append([out.data] + [x.grad for x in leaves])
-        for fused, ref in zip(*results):
-            np.testing.assert_allclose(fused, ref, rtol=0, atol=1e-12)
+        # the unfused chain: plain layer_norm on s = x + r·keep, then ds through the add
+        kept = init[1] if keep is None else init[1] * keep
+        s, g, b = (Tensor(a, dtype="f64", requires_grad=True) for a in (init[0] + kept, init[2], init[3]))
+        ref = ad.layer_norm(s, g, b)
+        ad.backward(readout(ref, w))
+        dr = s.grad if keep is None else s.grad * keep
+        for got, want in zip(fused, [ref.data, s.grad, dr, g.grad, b.grad]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_shape_mismatch(self):
         x = Tensor(np.zeros((2, 4)))
@@ -319,8 +354,8 @@ class TestDense:
     def test_grads_match_fd(self):
         rng = np.random.default_rng(60)
         a, w, bias = leaf(rng, 2, 3, 4), leaf(rng, 4, 5), leaf(rng, 5)
-        out_w = Tensor(rng.normal(size=(2, 3, 5)), dtype="f64")
-        check_grads(lambda: ad.sum_(ad.mul(ad.matmul(a, w, bias), out_w)), [a, w, bias])
+        out_w = rng.normal(size=(2, 3, 5))
+        check_grads(lambda: readout(ad.matmul(a, w, bias), out_w), [a, w, bias])
 
     def test_matches_unfused_chain(self):
         """Against a per-entity einsum forward and its gradients."""
@@ -329,7 +364,7 @@ class TestDense:
         g = rng.normal(size=(3, 4, 5))
         leaves = [Tensor(x, dtype="f64", requires_grad=True) for x in init]
         out = ad.matmul(*leaves)
-        ad.backward(ad.sum_(ad.mul(out, Tensor(g))))
+        ad.backward(readout(out, g))
         reference = [np.einsum("btk,kn->btn", a, w) + bias, np.einsum("btn,kn->btk", g, w),
                      np.einsum("btk,btn->kn", a, g), np.einsum("btn->n", g)]
         for got, ref in zip([out.data] + [x.grad for x in leaves], reference):
@@ -349,15 +384,15 @@ class TestNoGrad:
     def test_builds_no_graph_and_restores(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         with ad.no_grad():
-            y = ad.relu(ad.mul(x, x))
+            y = ad.relu(ad.mul(x, np.ones((2, 3))))
         assert not y.requires_grad and y._backward is None and y._parents == ()
-        assert ad.mul(x, x).requires_grad
+        assert ad.mul(x, np.ones((2, 3))).requires_grad
 
     def test_restored_after_exception(self):
         x = Tensor(np.ones(2), requires_grad=True)
         with pytest.raises(RuntimeError), ad.no_grad():
             raise RuntimeError
-        assert ad.mul(x, x)._backward is not None
+        assert ad.relu(x)._backward is not None
 
 
 class TestFlatParams:
@@ -372,7 +407,7 @@ class TestFlatParams:
     def test_gradients_accumulate_into_flat_grad(self):
         params = ad.FlatParams({"w": np.ones((2, 2)), "b": np.ones(2)}, np.float64)
         params.zero_grad()
-        ad.backward(ad.sum_(ad.mul(params["w"], 3.0)))
+        ad.backward(readout(params["w"], np.full((2, 2), 3.0)))
         np.testing.assert_array_equal(params.grad, [3.0, 3.0, 3.0, 3.0, 0.0, 0.0])
         for name, p in params.items():
             assert p.grad.base is params.grad
@@ -387,11 +422,15 @@ def test_random_composite_graph_matches_fd(seed):
     b = Tensor(rng.normal(size=(3, 4)), dtype="f64", requires_grad=True)
     c = Tensor(rng.normal(size=(4,)), dtype="f64", requires_grad=True)
 
+    codes = rng.integers(0, 4, size=2)
+    w = rng.normal(size=(2, 4))
+    scale = np.asarray(0.5)
+
     def fn():
         h = ad.matmul(a, b, c)
-        s = ad.softmax(h, axis=-1)
-        m = ad.mul(s, ad.log_softmax(h, axis=-1))
-        return ad.mul(ad.sum_(m), 1.0 / m.data.size)
+        s = ad.softmax(ad.layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4))), axis=-1)
+        value, grad = ad.cross_entropy(h.data, codes, np.ones(2), scale)
+        return ad.scalar(value * scale + (s.data * w).sum(), [h, s], [grad, w])
 
     check_grads(fn, [a, b, c], tol=2e-5)
 

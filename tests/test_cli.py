@@ -289,6 +289,37 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: non-finite number")
         assert "'amount'" in err[0]
 
+    @staticmethod
+    def write_eval_inputs(tmp_path, labels, features=None):
+        """A one-feature table and its labels for entities e00, e01, ...; returns eval's file flags."""
+        feats, labs = tmp_path / "features.csv", tmp_path / "labels.csv"
+        features = features or [repr(float(y)) if y in ("0", "1") else "0.5" for y in labels]
+        feats.write_text("entity,f0\n" + "".join(f"e{i:02d},{x}\n" for i, x in enumerate(features)))
+        labs.write_text("entity,label\n" + "".join(f"e{i:02d},{y}\n" for i, y in enumerate(labels)))
+        return ["--features", str(feats), "--labels", str(labs), "--out", str(tmp_path / "report.csv")]
+
+    @pytest.mark.parametrize("task", ["binary", "regression"])
+    @pytest.mark.parametrize("bad_file", ["features", "labels"])
+    def test_non_finite_eval_input_is_parse_error(self, tmp_path, capsys, task, bad_file):
+        labels = ["0", "1"] * 10
+        features = [str(i % 3) for i in range(20)]
+        (features if bad_file == "features" else labels)[4] = "nan"
+        code = main(["eval", "--task", task] + self.write_eval_inputs(tmp_path, labels, features))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ParseError: row 4: non-finite number")
+        assert ("'f0'" if bad_file == "features" else "'label'") in err[0]
+
+    @pytest.mark.parametrize("label", ["2", "0.5", "-1"])
+    def test_out_of_range_held_out_binary_label_is_label_error(self, tmp_path, capsys, label):
+        """The bad label sits in the held-out split, which the probe's own check never sees."""
+        labels = ["0", "1"] * 15
+        labels[cli.split_train_test(len(labels), 0)[1][0]] = label
+        code = main(["eval", "--task", "binary", "--seed", "0"] + self.write_eval_inputs(tmp_path, labels))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: LabelError: binary labels must be 0 or 1")
+
     def test_rfm_timestamp_outside_the_calendar_is_parse_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("entity,ts,amount,item,channel\n"

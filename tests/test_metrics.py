@@ -52,6 +52,12 @@ class TestAuroc:
         assert abs(auroc(scores, labels) + auroc(-scores, labels) - 1.0) < 1e-12
 
 
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.inf, np.nan])
+    def test_labels_outside_zero_one_rejected(self, bad):
+        with pytest.raises(LabelError):
+            auroc([0.1, 0.2, 0.3, 0.4], [0.0, 1.0, 0.0, bad])
+
+
 class TestF1:
     def test_perfect_predictions(self):
         assert f1_positive([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0]) == 1.0
@@ -206,3 +212,16 @@ class TestLinearProbe:
         p2 = train_linear_probe(x, y, "binary")
         np.testing.assert_array_equal(p1.w, p2.w)
         assert p1.b == p2.b
+
+    @pytest.mark.parametrize("task", ["binary", "regression"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["features", "labels"])
+    def test_non_finite_inputs_rejected(self, task, bad, where):
+        x = np.random.default_rng(0).normal(size=(8, 2))
+        y = np.array([0.0, 1.0] * 4)
+        if where == "features":
+            x[3, 1] = bad
+        else:
+            y[3] = bad
+        with pytest.raises(LabelError):
+            train_linear_probe(x, y, task)

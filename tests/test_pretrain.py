@@ -115,6 +115,21 @@ class TestReconstructionLoss:
         np.testing.assert_allclose(float(loss.data), 0.25 + math.log(4), rtol=1e-12)
 
 
+    def test_matches_numpy_mean_of_terms(self):
+        """Random heads against a plain-numpy mean, over real positions, of each head's term."""
+        rng = np.random.default_rng(5)
+        fitted = tiny_fitted()
+        cfg, _ = small_weights(fitted)
+        batch = whole_batch(random_dataset(rng, 5, cfg.t, fitted), cfg)
+        num = rng.normal(size=batch.real.shape + (1,))
+        logits = 3.0 * rng.normal(size=batch.real.shape + (4,))
+        loss = reconstruction_loss({"x0": Tensor(num, dtype="f64"), "c0": Tensor(logits, dtype="f64")}, batch)
+        log_p = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
+        picked = np.take_along_axis(log_p, batch.cats[..., :1], axis=-1)[..., 0]
+        terms = (num[..., 0] - batch.nums[..., 0]) ** 2 - picked
+        assert 0 < batch.real.sum() < batch.real.size
+        np.testing.assert_allclose(float(loss.data), terms[batch.real].mean(), rtol=1e-12)
+
 def test_fully_masked_short_sequences_keep_gradients_bounded():
     """A sequence whose every real step is masked enters as all zeros; the
     layer norms must stay away from their zero-variance singularity."""

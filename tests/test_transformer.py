@@ -452,7 +452,7 @@ class TestWeights:
         cfg, weights = small_weights(fitted)
         arrays = dict(reversed(list(weights.clone_arrays().items())))  # order does not matter
         again = tf.ModelWeights(cfg, fitted, arrays)
-        assert again.names() == weights.names()
+        assert list(again.params) == list(weights.params)
         np.testing.assert_array_equal(again.flat, weights.flat)
         self.assert_views_of_flat(again)
 
