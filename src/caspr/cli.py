@@ -133,23 +133,24 @@ def _training_inputs(args):
     return model_cfg, train_cfg, dataset, out
 
 
-def _write_embeddings(entities, vectors, path):
-    """One CSV row per entity: its id, then the `repr` of each float of its vector."""
+def _write_features(path, names, entities, matrix):
+    """One CSV row per entity: its id, then the `repr` of each float of its row of `matrix`."""
     def write(fh):
         writer = csv.writer(fh)
-        writer.writerow(["entity"] + [f"e{i}" for i in range(vectors.shape[1])])
-        for entity, vec in zip(entities, vectors):
-            writer.writerow([entity] + [repr(float(x)) for x in vec])
+        writer.writerow(["entity", *names])
+        writer.writerows([entity, *map(repr, row)] for entity, row in zip(entities, matrix.tolist()))
 
     atomic_write(path, write)
 
 
 def read_feature_csv(path):
-    """entity column plus float feature columns; returns (ids, matrix)."""
+    """entity column plus at least one float feature column; returns (ids, matrix)."""
     with ingest.open_csv(_require(path, "feature file")) as reader:
         header = next(reader, None)
         if not header or header[0] != "entity":
             raise ParseError(f"{path}: expected header starting with 'entity'")
+        if len(header) == 1:
+            raise ParseError(f"{path}: no feature columns after 'entity'")
         ids, rows = [], []
         for i, rec in enumerate(reader):
             if len(rec) != len(header):
@@ -272,7 +273,8 @@ def cmd_embed(args):
     if out is None:
         raise ConfigError("missing --out (or paths.embeddings in the config file)")
     dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
-    _write_embeddings(dataset.entities, _embed_all(weights, dataset), out)
+    vectors = _embed_all(weights, dataset)
+    _write_features(out, [f"e{i}" for i in range(vectors.shape[1])], dataset.entities, vectors)
     print(f"wrote {out} ({len(dataset.entities)} entities)")
     return 0
 
@@ -283,16 +285,9 @@ def cmd_rfm(args):
     data_path = _path(args, cfg_file, "data")
     out = _path(args, cfg_file, "out")
     by_entity = rfm.rfm_events_from_csv(_require(data_path, "data file"), schema)
-    table = rfm.rfm_table(by_entity)
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["entity"] + rfm.FEATURE_NAMES)
-        for entity, vec in table:
-            writer.writerow([entity] + [repr(float(x)) for x in vec])
-
-    atomic_write(out, write)
-    print(f"wrote {out} ({len(table)} entities)")
+    entities, vectors = zip(*rfm.rfm_table(by_entity))
+    _write_features(out, rfm.FEATURE_NAMES, entities, np.array(vectors))
+    print(f"wrote {out} ({len(entities)} entities)")
     return 0
 
 

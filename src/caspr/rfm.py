@@ -1,15 +1,21 @@
 """Recency/frequency/monetary baseline features, one fixed 19-float vector
 per entity.
 
-All durations are fractional days. Weekly buckets are ISO weeks and monthly
-buckets calendar months (UTC), spanning the entity's first activity through
-the reference time with empty periods counted as zero. Standard deviations
-use the population convention (divide by n) so single-event entities yield
-0 rather than NaN.
+All durations are fractional days. Weekly buckets are Monday-aligned ISO
+weeks and monthly buckets calendar months (UTC), spanning the entity's first
+activity through the reference time with empty periods counted as zero.
+Standard deviations use the population convention (divide by n) so
+single-event entities yield 0 rather than NaN.
+
+The table is one vectorized pass: every entity's events sit in one array
+sorted by (entity, time), and each feature is a reduction over the entity's
+segment of it. Bucket statistics read only the non-empty buckets, so memory
+is O(events) however many weeks an entity spans.
 """
 from __future__ import annotations
 
-from datetime import datetime, timedelta, timezone
+import itertools
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -19,7 +25,7 @@ from .ingest import iter_raw_rows, parse_timestamp, _parse_number
 SECONDS_PER_DAY = 86400.0
 
 # Event times that have a calendar date, leaving the default reference time
-# (a day after the latest event) and the week after it inside year 9999 too.
+# (a day after the latest event) inside year 9999 too.
 FIRST_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 END_TS = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp())
 
@@ -46,112 +52,79 @@ FEATURE_NAMES = [
 ]
 
 
-def _utc_date(ts):
-    return datetime.fromtimestamp(ts, tz=timezone.utc).date()
+def _bucket_moments(bucket, is_start, owner, amount, n_buckets):
+    """Mean and population std of each entity's event count and spend per bucket.
+
+    `bucket` is each event's bucket index, non-decreasing within an entity,
+    and `n_buckets` how many consecutive buckets each entity spans. Only the
+    non-empty buckets are summed; the empty ones are zeros, which add
+    n_empty * mean**2 to the squared deviations. Returns (count mean, count
+    std, spend mean, spend std) arrays.
+    """
+    new_run = is_start.copy()
+    new_run[1:] |= bucket[1:] != bucket[:-1]
+    run = np.cumsum(new_run) - 1
+    run_owner = owner[new_run]
+    n_empty = n_buckets - np.bincount(run_owner)
+    moments = []
+    for per_run in (np.bincount(run).astype(np.float64), np.bincount(run, weights=amount)):
+        mean = np.bincount(run_owner, weights=per_run) / n_buckets
+        sq_dev = np.bincount(run_owner, weights=(per_run - mean[run_owner]) ** 2)
+        moments += [mean, np.sqrt((sq_dev + n_empty * mean**2) / n_buckets)]
+    return moments
 
 
-def _iso_week_key(d):
-    iso = d.isocalendar()
-    return (iso[0], iso[1])
+def _feature_matrix(ts, amount, owner, starts, counts, reference_ts):
+    """(entities, 19) features, ordered as FEATURE_NAMES, of events sorted by (owner, ts)."""
+    is_start = np.zeros(len(ts), dtype=bool)
+    is_start[starts] = True
+    first, last = ts[starts], ts[starts + counts - 1]
 
+    # an entity's gaps sit on its rows after the first; gaps are >= 0, so a 0
+    # on its first row is neutral for the sum and the max
+    gap = np.diff(ts, prepend=ts[0]) / SECONDS_PER_DAY
+    inner_gap = np.where(is_start, 0.0, gap)
+    n_gaps = np.maximum(counts - 1, 1)
+    gap_mean = np.add.reduceat(inner_gap, starts) / n_gaps
+    gap_dev = np.where(is_start, 0.0, gap - gap_mean[owner])
+    gap_min = np.where(counts > 1, np.minimum.reduceat(np.where(is_start, np.inf, gap), starts), 0.0)
+    gap_max = np.maximum.reduceat(inner_gap, starts)
+    gap_std = np.sqrt(np.add.reduceat(gap_dev**2, starts) / n_gaps)
 
-def _iter_iso_weeks(first, last):
-    """Every ISO (year, week) from first's week through last's week."""
-    monday = first - timedelta(days=first.weekday())
-    keys = []
-    while monday <= last:
-        keys.append(_iso_week_key(monday))
-        monday += timedelta(days=7)
-    return keys
+    amount_mean = np.add.reduceat(amount, starts) / counts
+    amount_std = np.sqrt(np.add.reduceat((amount - amount_mean[owner]) ** 2, starts) / counts)
 
+    # whole seconds truncated as int() does, then floored to the UTC day
+    day = ts.astype(np.int64) // 86400
+    ref_day = int(reference_ts) // 86400
+    # epoch day 0 is a Thursday, so (day + 3) // 7 counts Monday-aligned weeks:
+    # consecutive indices are consecutive ISO (year, week) keys
+    week = (day + 3) // 7
+    month = day.astype("datetime64[D]").astype("datetime64[M]").astype(np.int64)
+    ref_month = np.datetime64(ref_day, "D").astype("datetime64[M]").astype(np.int64)
+    wc_mean, wc_std, ws_mean, ws_std = _bucket_moments(
+        week, is_start, owner, amount, (ref_day + 3) // 7 - week[starts] + 1)
+    mc_mean, mc_std, ms_mean, ms_std = _bucket_moments(
+        month, is_start, owner, amount, ref_month - month[starts] + 1)
 
-def _iter_months(first, last):
-    keys = []
-    y, m = first.year, first.month
-    while (y, m) <= (last.year, last.month):
-        keys.append((y, m))
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return keys
-
-
-def _bucket_stats(values_by_key, all_keys):
-    series = np.array([values_by_key.get(k, 0.0) for k in all_keys], dtype=np.float64)
-    return float(series.mean()), float(series.std())
+    return np.column_stack([
+        (reference_ts - last) / SECONDS_PER_DAY,
+        (reference_ts - first) / SECONDS_PER_DAY,
+        (last - first) / SECONDS_PER_DAY,
+        gap_min, gap_max, gap_mean, gap_std,
+        wc_mean, wc_std, mc_mean, mc_std,
+        np.minimum.reduceat(amount, starts), np.maximum.reduceat(amount, starts), amount_mean, amount_std,
+        ws_mean, ws_std, ms_mean, ms_std,
+    ])
 
 
 def rfm_features(events, reference_ts):
-    """Compute the 19-feature vector for one entity.
+    """The 19-feature vector of one entity: its row of `rfm_table`.
 
     `events` is a list of (ts, amount) pairs; reference_ts must be at or
     after the latest event.
     """
-    if not events:
-        raise EmptyEntity("rfm_features: entity has no activity rows")
-    events = sorted(events, key=lambda e: e[0])
-    ts = np.array([e[0] for e in events], dtype=np.float64)
-    amounts = np.array([e[1] for e in events], dtype=np.float64)
-    if reference_ts < ts[-1]:
-        raise SchemaMismatch("reference_ts precedes the latest activity")
-
-    days_since_last = (reference_ts - ts[-1]) / SECONDS_PER_DAY
-    days_since_first = (reference_ts - ts[0]) / SECONDS_PER_DAY
-    span = (ts[-1] - ts[0]) / SECONDS_PER_DAY
-
-    if len(ts) > 1:
-        gaps = np.diff(ts) / SECONDS_PER_DAY
-        gap_stats = [float(gaps.min()), float(gaps.max()), float(gaps.mean()), float(gaps.std())]
-    else:
-        gap_stats = [0.0, 0.0, 0.0, 0.0]
-
-    first_date = _utc_date(int(ts[0]))
-    ref_date = _utc_date(int(reference_ts))
-    week_keys = _iter_iso_weeks(first_date, ref_date)
-    month_keys = _iter_months(first_date, ref_date)
-
-    week_counts: dict = {}
-    week_spend: dict = {}
-    month_counts: dict = {}
-    month_spend: dict = {}
-    for t_i, a_i in zip(ts, amounts):
-        d = _utc_date(int(t_i))
-        wk = _iso_week_key(d)
-        mk = (d.year, d.month)
-        week_counts[wk] = week_counts.get(wk, 0.0) + 1.0
-        week_spend[wk] = week_spend.get(wk, 0.0) + a_i
-        month_counts[mk] = month_counts.get(mk, 0.0) + 1.0
-        month_spend[mk] = month_spend.get(mk, 0.0) + a_i
-
-    wc_mean, wc_std = _bucket_stats(week_counts, week_keys)
-    mc_mean, mc_std = _bucket_stats(month_counts, month_keys)
-    ws_mean, ws_std = _bucket_stats(week_spend, week_keys)
-    ms_mean, ms_std = _bucket_stats(month_spend, month_keys)
-
-    vec = np.array(
-        [
-            days_since_last,
-            days_since_first,
-            span,
-            *gap_stats,
-            wc_mean,
-            wc_std,
-            mc_mean,
-            mc_std,
-            float(amounts.min()),
-            float(amounts.max()),
-            float(amounts.mean()),
-            float(amounts.std()),
-            ws_mean,
-            ws_std,
-            ms_mean,
-            ms_std,
-        ],
-        dtype=np.float64,
-    )
-    if not np.isfinite(vec).all():
-        raise SchemaMismatch("rfm_features produced a non-finite value")
-    return vec
+    return rfm_table({"": events}, reference_ts)[0][1]
 
 
 def rfm_events_from_csv(data_path, schema):
@@ -174,8 +147,30 @@ def rfm_table(by_entity, reference_ts=None):
     """One (entity, vector) row per entity, sorted by id.
 
     When reference_ts is omitted it defaults to the dataset's maximum
-    timestamp plus one day.
+    timestamp plus one day. Events with equal timestamps keep their input
+    order.
     """
+    entities = sorted(by_entity)
+    if not entities:
+        raise EmptyEntity("rfm_table: no entities")
+    counts = np.array([len(by_entity[e]) for e in entities], dtype=np.int64)
+    if not counts.all():
+        raise EmptyEntity(f"rfm_table: entity {entities[counts.argmin()]!r} has no activity rows")
+    pairs = itertools.chain.from_iterable(by_entity[e] for e in entities)
+    events = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.float64,
+                         count=2 * int(counts.sum())).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(entities)), counts)
+    order = np.lexsort((events[:, 0], owner))  # stable, so equal times keep their input order
+    ts, amount = events[order, 0], events[order, 1]
     if reference_ts is None:
-        reference_ts = max(ts for events in by_entity.values() for ts, _ in events) + SECONDS_PER_DAY
-    return [(entity, rfm_features(by_entity[entity], reference_ts)) for entity in sorted(by_entity)]
+        reference_ts = ts.max() + SECONDS_PER_DAY
+    if reference_ts < ts.max():
+        raise SchemaMismatch("reference_ts precedes the latest activity")
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite feature, refused below
+        matrix = _feature_matrix(ts, amount, owner, np.cumsum(counts) - counts, counts, reference_ts)
+    bad = np.argwhere(~np.isfinite(matrix))
+    if len(bad):
+        row, col = bad[0]
+        raise SchemaMismatch(f"rfm_features produced a non-finite {FEATURE_NAMES[col]} "
+                             f"for entity {entities[row]!r}")
+    return list(zip(entities, matrix))

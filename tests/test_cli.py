@@ -3,6 +3,9 @@ plus rfm/rank/bench surfaces, exit codes and artifact determinism."""
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -329,6 +332,32 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: timestamp")
+
+    def test_rfm_overflow_is_one_error_line(self, workspace, tmp_path):
+        """Run as its own process: numpy's RuntimeWarnings reach the real stderr, not capsys."""
+        data = tmp_path / "wide.csv"
+        data.write_text("entity,ts,amount,item,channel\n"
+                        "e1,100,1e308,item_001,ch_0\ne1,200,-1e308,item_001,ch_0\n")
+        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "caspr.cli", "rfm",
+                               "--schema", str(workspace["data_dir"] / "schema.json"),
+                               "--data", str(data), "--out", str(tmp_path / "rfm.csv")],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            "error: SchemaMismatch: rfm_features produced a non-finite mon_amount_std for entity 'e1'"]
+        assert not (tmp_path / "rfm.csv").exists()
+
+    def test_eval_feature_file_without_feature_columns_is_parse_error(self, tmp_path, capsys):
+        argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+        features = tmp_path / "features.csv"
+        features.write_text("entity\n" + "".join(f"e{i:02d}\n" for i in range(20)))
+        code = main(["eval", "--task", "binary", "--seed", "0"] + argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: ParseError: {features}: no feature columns after 'entity'"]
+        assert not (tmp_path / "report.csv").exists()
 
     def test_fit_keeps_statistics_finite_at_the_float_range(self, workspace, tmp_path):
         data, out = tmp_path / "wide.csv", tmp_path / "fitted.json"
