@@ -213,7 +213,7 @@ def cmd_fit(args):
     if out is None:
         raise ConfigError("missing --out (or paths.fitted in the config file)")
     schema = ingest.load_schema_json(_require(schema_path, "schema file"))
-    fitted = ingest.fit_schema(ingest.iter_raw_rows(_require(data_path, "data file"), schema), schema)
+    fitted = ingest.fit_schema(ingest.read_columns(_require(data_path, "data file"), schema), schema)
     atomic_write(out, lambda fh: json.dump(fitted.to_json(), fh, indent=2, sort_keys=True))
     print(f"wrote {out}")
     return 0

@@ -6,11 +6,17 @@ statistics (population std, zero replaced by 1) and the embedding width per
 categorical column. Building encodes raw records, groups them per entity,
 sorts by timestamp (stable), keeps the latest `t` rows and left-pads
 shorter histories into one padded array per field.
+
+Both read the log through read_columns, in chunks of CHUNK_ROWS records
+turned into columns, and parse each column with one numpy cast; a chunk is
+parsed cell by cell only to name its first bad cell. Error rows are 0-based
+data rows.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,6 +27,11 @@ import numpy as np
 from .errors import EmptyDataset, ParseError, SchemaMismatch
 
 KINDS = ("entity_id", "timestamp", "numerical", "categorical", "static_numerical", "static_categorical")
+
+# Records per read_columns chunk: enough to amortize each column cast, and few
+# enough that a chunk's cells stay in cache (8192 reads a log 1.5x slower).
+CHUNK_ROWS = 1024
+INT64 = (-2 ** 63, 2 ** 63, "the 64-bit range")  # timestamps that build_dataset can hold
 
 
 @dataclass(frozen=True)
@@ -208,24 +219,97 @@ def open_csv(path):
 
 
 def iter_raw_rows(path, schema):
-    """Yield raw CSV records as dicts keyed by schema column names."""
+    """The CSV's header, once checked against the schema, then each data record: lists of strings.
+
+    Every record read_columns hands on comes through here, which is where
+    perfbench/layertrace.py counts rows.
+    """
     with open_csv(path) as reader:
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDataset(f"{path}: no header row") from None
+        header = next(reader, None)
+        if header is None:
+            raise EmptyDataset(f"{path}: no header row")
         missing = [c.name for c in schema.columns if c.name not in header]
         if missing:
             raise SchemaMismatch(f"{path}: columns missing from CSV header: {missing}")
-        index = {name: header.index(name) for name in header}
-        for i, record in enumerate(reader):
-            if len(record) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(record)}", i)
-            yield {c.name: record[index[c.name]] for c in schema.columns}
+        repeated = [c.name for c in schema.columns if header.count(c.name) > 1]
+        if repeated:
+            raise SchemaMismatch(f"{path}: columns repeated in CSV header: {repeated}")
+        yield header
+        yield from reader
+
+
+def read_columns(path, schema):
+    """Yield (first data row index, {schema column: cells}) per run of up to CHUNK_ROWS records.
+
+    A record of the wrong width is a ParseError raised after the rows before it are yielded.
+    """
+    rows = iter_raw_rows(path, schema)
+    header = next(rows)
+    index = {c.name: header.index(c.name) for c in schema.columns}
+    start = 0
+    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+        good = chunk
+        if set(map(len, chunk)) != {len(header)}:
+            good = list(itertools.takewhile(lambda row: len(row) == len(header), chunk))
+        if good:
+            cols = list(zip(*good))
+            yield start, {name: cols[i] for name, i in index.items()}
+        if len(good) < len(chunk):
+            raise ParseError(f"expected {len(header)} fields, got {len(chunk[len(good)])}", start + len(good))
+        start += len(chunk)
+
+
+def columns_of(rows, schema):
+    """The chunks of `rows`: read_columns chunks pass through, and a list of record dicts is one chunk."""
+    if not isinstance(rows, list):
+        return rows
+    return [(0, {c.name: [rec[c.name] for rec in rows] for c in schema.columns})] if rows else []
+
+
+def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
+    """A chunk's timestamps, int64, and numbers, a (len(num_cols), rows) float64 array.
+
+    Each column is cast whole, which calls int() or float() on every cell. Only where a
+    cast fails, or gives a non-finite number or a timestamp outside `ts_bounds` (lo, hi,
+    what), is the chunk parsed again cell by cell in row order, to name the first bad cell.
+    """
+    lo, hi, what = ts_bounds
+    n = len(cols[ts_col])
+    try:
+        ts = np.array(cols[ts_col], dtype=np.int64)
+        nums = np.array([cols[c] for c in num_cols], dtype=np.float64).reshape(len(num_cols), n)
+        if lo <= ts.min() and ts.max() < hi and np.isfinite(nums).all():
+            return ts, nums
+    except (ValueError, OverflowError):
+        pass
+    ts, nums = [], []
+    for i, cells in enumerate(zip(cols[ts_col], *(cols[c] for c in num_cols)), start):
+        ts.append(parse_timestamp(cells[0], i))
+        if not lo <= ts[-1] < hi:
+            raise ParseError(f"timestamp {cells[0]!r} lies outside {what}", i)
+        nums.append([_parse_number(x, c, i) for x, c in zip(cells[1:], num_cols)])
+    return np.array(ts, dtype=np.int64), np.array(nums, dtype=np.float64).reshape(n, len(num_cols)).T
+
+
+def entity_codes(cells, codes):
+    """Each cell's code in `codes` (entity id -> int), which gains the ids it lacks, in any order."""
+    codes.update(zip(dict.fromkeys(cells).keys() - codes.keys(), itertools.count(len(codes))))
+    return np.fromiter(map(codes.__getitem__, cells), np.int64, len(cells))
+
+
+def sorted_entities(codes, owner):
+    """The ids of `codes` in sorted order, as an object array, and each code in `owner` as an index into it."""
+    entities = sorted(codes)
+    rank = np.empty(len(entities), dtype=np.int64)
+    rank[[codes[e] for e in entities]] = np.arange(len(entities))
+    return np.array(entities, dtype=object), rank[owner]
 
 
 def fit_schema(rows, schema):
-    """Single pass over raw records: build vocabularies and z-score stats."""
+    """Single pass over the records: build vocabularies and z-score stats.
+
+    `rows` is a list of record dicts or the chunks of read_columns.
+    """
     numeric_cols = schema.names_of("numerical") + schema.names_of("static_numerical")
     cat_cols = schema.names_of("categorical") + schema.names_of("static_categorical")
     # Sums are taken about each column's first value, so a column far from
@@ -234,55 +318,46 @@ def fit_schema(rows, schema):
     # would square to a subnormal or zero, so its square is summed scaled up;
     # one above `huge` could overflow the sums (or be an overflow itself, as
     # 1e308 - -1e308 is), so it and its square are summed in units of scale.
+    # Each sum runs left to right over the rows, as np.cumsum adds, so the
+    # statistics do not depend on the chunking.
     tiny, huge, scale = 2.0 ** -500, 2.0 ** 400, 2.0 ** 600
     shifts = None
-    sums = {c: 0.0 for c in numeric_cols}
-    sumsqs = {c: 0.0 for c in numeric_cols}
-    tiny_sqs = {c: 0.0 for c in numeric_cols}
-    huge_sums = {c: 0.0 for c in numeric_cols}
-    huge_sqs = {c: 0.0 for c in numeric_cols}
-    vocab = {c: [] for c in cat_cols}
-    seen = {c: set() for c in cat_cols}
+    sums = np.zeros((5, len(numeric_cols)))  # of d, d², tiny (d·scale)², huge d / scale and its square
+    seen = {c: {} for c in cat_cols}
     n = 0
-    for i, rec in enumerate(rows):
-        parse_timestamp(rec[schema.ts_col], i)
-        if shifts is None:
-            shifts = {c: _parse_number(rec[c], c, i) for c in numeric_cols}
-        for c in numeric_cols:
-            x = _parse_number(rec[c], c, i)
-            d = x - shifts[c]
-            if -tiny < d < tiny:
-                sums[c] += d
-                tiny_sqs[c] += (d * scale) ** 2
-            elif -huge < d < huge:
-                sums[c] += d
-                sumsqs[c] += d * d
-            else:
-                d = x / scale - shifts[c] / scale
-                huge_sums[c] += d
-                huge_sqs[c] += d * d
+    for start, cols in columns_of(rows, schema):
+        _, x = parse_chunk(start, cols, schema.ts_col, numeric_cols)
+        shifts = x[:, :1] if shifts is None else shifts
+        with np.errstate(over="ignore", invalid="ignore"):  # the masks below drop what overflows
+            d, far = x - shifts, x / scale - shifts / scale
+        small, normal = np.abs(d) < tiny, np.abs(d) < huge
+        normal, big = normal & ~small, ~normal
+        terms = np.stack([np.where(big, 0.0, d), np.where(normal, d, 0.0) ** 2, np.zeros_like(d),
+                          np.where(big, far, 0.0), np.where(big, far, 0.0) ** 2])
+        terms[:, :, 0] += sums
+        sums = np.cumsum(terms, axis=2)[:, :, -1]
+        for j, i in zip(*np.nonzero(small & (d != 0))):  # Python's ** 2, which can round unlike d * d
+            sums[2, j] += (float(d[j, i]) * scale) ** 2
         for c in cat_cols:
-            v = rec[c]
-            if v not in seen[c]:
-                seen[c].add(v)
-                vocab[c].append(v)
-        n += 1
+            seen[c].update(dict.fromkeys(cols[c]))
+        n += x.shape[1]
     if n == 0:
         raise EmptyDataset("fit_schema: empty input stream")
     means, stds = {}, {}
-    for c in numeric_cols:
-        means[c] = shifts[c] + sums[c] / n
-        if huge_sqs[c]:  # some deviation above `huge`: take mean and spread in units of scale
-            dev = (huge_sums[c] + sums[c] / scale) / n
-            means[c] = (shifts[c] / scale + dev) * scale
-            var = (huge_sqs[c] + sumsqs[c] / scale / scale) / n - dev ** 2
+    for j, c in enumerate(numeric_cols):
+        shift, (s, sq, tiny_sq, huge_s, huge_sq) = float(shifts[j, 0]), sums[:, j].tolist()
+        means[c] = shift + s / n
+        if huge_sq:  # some deviation above `huge`: take mean and spread in units of scale
+            dev = (huge_s + s / scale) / n
+            means[c] = (shift / scale + dev) * scale
+            var = (huge_sq + sq / scale / scale) / n - dev ** 2
             std = math.sqrt(max(var, 0.0)) * scale
-        elif sumsqs[c]:
-            std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0))
+        elif sq:
+            std = math.sqrt(max(sq / n - (s / n) ** 2, 0.0))
         else:  # every deviation below `tiny`: take the spread in units of 1 / scale
-            std = math.sqrt(max(tiny_sqs[c] / n - (sums[c] * scale / n) ** 2, 0.0)) / scale
+            std = math.sqrt(max(tiny_sq / n - (s * scale / n) ** 2, 0.0)) / scale
         stds[c] = std if std > 0 else 1.0
-    return FittedSchema(schema=schema, vocab=vocab, means=means, stds=stds)
+    return FittedSchema(schema=schema, vocab={c: list(v) for c, v in seen.items()}, means=means, stds=stds)
 
 
 def _z_scores(values, fitted, num_cols):
@@ -307,37 +382,34 @@ def _z_scores(values, fitted, num_cols):
     return z
 
 
-def build_dataset(records, fitted, t):
-    """Raw records -> SequenceDataset: z-scored numerics, vocab codes (OOV -> 0).
+def build_dataset(rows, fitted, t):
+    """Records -> SequenceDataset: z-scored numerics, vocab codes (OOV -> 0).
 
-    Entities come out sorted by id, so the result is independent of input
-    row order up to timestamp ties, which keep input order.
+    `rows` is a list of record dicts or the chunks of read_columns. Entities
+    come out sorted by id, so the result is independent of input row order up
+    to timestamp ties, which keep input order.
     """
     if t < 1:
         raise SchemaMismatch(f"sequence length t must be >= 1, got {t}")
     sch = fitted.schema
     num_cols = fitted.seq_numeric_cols + fitted.static_numeric_cols
     cat_cols = fitted.seq_categorical_cols + fitted.static_categorical_cols
-    first_seen, owner, stamps, values, codes = {}, [], [], [], []
-    for i, rec in enumerate(records):
-        stamps.append(parse_timestamp(rec[sch.ts_col], i))
-        owner.append(first_seen.setdefault(rec[sch.entity_col], len(first_seen)))
-        values.append([_parse_number(rec[c], c, i) for c in num_cols])
-        codes.append([fitted.code_of(c, rec[c]) for c in cat_cols])
-    if not owner:
+    ids, parts = {}, []
+    for start, cols in columns_of(rows, sch):
+        stamps, values = parse_chunk(start, cols, sch.ts_col, num_cols)
+        codes = [np.fromiter(map(fitted._codes[c].get, cols[c], itertools.repeat(0)), np.int64, len(stamps))
+                 for c in cat_cols]
+        parts.append((entity_codes(cols[sch.entity_col], ids), stamps, values,
+                      np.array(codes, dtype=np.int64).reshape(len(cat_cols), len(stamps))))
+    if not parts:
         raise EmptyDataset("build_dataset: no data rows")
-    try:
-        stamps = np.array(stamps, dtype=np.int64)
-    except OverflowError:
-        raise ParseError("timestamp outside the 64-bit range") from None
-    entities = np.array(sorted(first_seen), dtype=object)
-    rank = np.empty(len(entities), dtype=np.int64)
-    rank[[first_seen[e] for e in entities]] = np.arange(len(entities))
-    owner = rank[owner]
+    owner, stamps, values, codes = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    del parts
+    entities, owner = sorted_entities(ids, owner)
     order = np.lexsort((stamps, owner))  # stable: by entity, then timestamp, then input order
     owner = owner[order]
-    values = _z_scores(np.array(values, dtype=np.float64), fitted, num_cols)[order]
-    codes = np.array(codes, dtype=np.int64)[order]
+    values = _z_scores(values.T, fitted, num_cols)[order]
+    codes = codes.T[order]
     from_end = np.cumsum(np.bincount(owner))[owner] - np.arange(len(order)) - 1  # 0 at each latest row
     kept = from_end < t
     slot = t - 1 - from_end[kept]
@@ -355,7 +427,7 @@ def build_dataset(records, fitted, t):
 
 def load_dataset(data_path, fitted, t):
     """CSV -> padded per-entity arrays under an already-fitted schema."""
-    return build_dataset(iter_raw_rows(data_path, fitted.schema), fitted, t)
+    return build_dataset(read_columns(data_path, fitted.schema), fitted, t)
 
 
 def _load_json(cls, path):

@@ -19,8 +19,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import EmptyEntity, ParseError, SchemaMismatch
-from .ingest import iter_raw_rows, parse_timestamp, _parse_number
+from .errors import EmptyEntity, SchemaMismatch
+from .ingest import entity_codes, parse_chunk, read_columns, sorted_entities
 
 SECONDS_PER_DAY = 86400.0
 
@@ -28,6 +28,7 @@ SECONDS_PER_DAY = 86400.0
 # (a day after the latest event) inside year 9999 too.
 FIRST_TS = int(datetime(1, 1, 1, tzinfo=timezone.utc).timestamp())
 END_TS = int(datetime(9999, 1, 1, tzinfo=timezone.utc).timestamp())
+CALENDAR = (FIRST_TS, END_TS, "the years 1 to 9998")
 
 FEATURE_NAMES = [
     "rec_days_since_last",
@@ -128,40 +129,43 @@ def rfm_features(events, reference_ts):
 
 
 def rfm_events_from_csv(data_path, schema):
-    """Group (ts, amount) pairs per entity using the schema's monetary column."""
+    """(sorted entity ids, each row's index into them, ts, monetary amount) arrays, in file order."""
     if schema.monetary is None:
         raise SchemaMismatch("schema has no monetary column for RFM features")
-    by_entity: dict[str, list] = {}
-    for i, rec in enumerate(iter_raw_rows(data_path, schema)):
-        ts = parse_timestamp(rec[schema.ts_col], i)
-        if not FIRST_TS <= ts < END_TS:
-            raise ParseError(f"timestamp {rec[schema.ts_col]!r} lies outside the years 1 to 9998", i)
-        amount = _parse_number(rec[schema.monetary], schema.monetary, i)
-        by_entity.setdefault(rec[schema.entity_col], []).append((ts, amount))
-    if not by_entity:
+    ids, parts = {}, []
+    for start, cols in read_columns(data_path, schema):
+        ts, amount = parse_chunk(start, cols, schema.ts_col, [schema.monetary], CALENDAR)
+        parts.append((entity_codes(cols[schema.entity_col], ids), ts, amount[0]))
+    if not parts:
         raise EmptyEntity(f"{data_path}: no data rows")
-    return by_entity
+    owner, ts, amount = (np.concatenate(p) for p in zip(*parts))
+    entities, owner = sorted_entities(ids, owner)
+    return entities, owner, ts.astype(np.float64), amount
 
 
 def rfm_table(by_entity, reference_ts=None):
     """One (entity, vector) row per entity, sorted by id.
 
-    When reference_ts is omitted it defaults to the dataset's maximum
-    timestamp plus one day. Events with equal timestamps keep their input
-    order.
+    `by_entity` maps each entity to its (ts, amount) pairs, or is the arrays
+    of rfm_events_from_csv. When reference_ts is omitted it defaults to the
+    dataset's maximum timestamp plus one day. Events with equal timestamps
+    keep their input order.
     """
-    entities = sorted(by_entity)
-    if not entities:
-        raise EmptyEntity("rfm_table: no entities")
-    counts = np.array([len(by_entity[e]) for e in entities], dtype=np.int64)
-    if not counts.all():
-        raise EmptyEntity(f"rfm_table: entity {entities[counts.argmin()]!r} has no activity rows")
-    pairs = itertools.chain.from_iterable(by_entity[e] for e in entities)
-    events = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.float64,
-                         count=2 * int(counts.sum())).reshape(-1, 2)
-    owner = np.repeat(np.arange(len(entities)), counts)
-    order = np.lexsort((events[:, 0], owner))  # stable, so equal times keep their input order
-    ts, amount = events[order, 0], events[order, 1]
+    if isinstance(by_entity, dict):
+        entities = sorted(by_entity)
+        if not entities:
+            raise EmptyEntity("rfm_table: no entities")
+        counts = np.array([len(by_entity[e]) for e in entities], dtype=np.int64)
+        if not counts.all():
+            raise EmptyEntity(f"rfm_table: entity {entities[counts.argmin()]!r} has no activity rows")
+        pairs = itertools.chain.from_iterable(by_entity[e] for e in entities)
+        events = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.float64,
+                             count=2 * int(counts.sum())).reshape(-1, 2)
+        by_entity = entities, np.repeat(np.arange(len(entities)), counts), events[:, 0], events[:, 1]
+    entities, owner, ts, amount = by_entity
+    order = np.lexsort((ts, owner))  # stable, so equal times keep their input order
+    owner, ts, amount = owner[order], ts[order], amount[order]
+    counts = np.bincount(owner, minlength=len(entities))
     if reference_ts is None:
         reference_ts = ts.max() + SECONDS_PER_DAY
     if reference_ts < ts.max():

@@ -333,6 +333,34 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: timestamp")
 
+    @pytest.mark.parametrize("command", ["fit", "pretrain", "embed", "rank"])
+    def test_timestamp_outside_64_bits_is_one_parse_error_naming_its_row(self, workspace, tmp_path, capsys,
+                                                                         command):
+        bad, relevance = tmp_path / "bad.csv", tmp_path / "relevance.csv"
+        bad.write_text("entity,ts,amount,item,channel\n"
+                       "e1,100,1.0,item_001,ch_0\ne1,99999999999999999999,2.0,item_001,ch_0\n")
+        relevance.write_text("entity,relevant_items\ne1,item_001\n")
+        checkpoint = str(workspace["run_dir"] / "checkpoint.bin")
+        args = {"fit": ["--schema", str(workspace["data_dir"] / "schema.json")],
+                "pretrain": ["--config", str(workspace["cfg"]), "--fitted", str(workspace["fitted"])],
+                "embed": ["--checkpoint", checkpoint],
+                "rank": ["--checkpoint", checkpoint, "--relevance", str(relevance)]}[command]
+        code = main([command, "--data", str(bad), "--out", str(tmp_path / "out")] + args)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: ParseError: row 1: timestamp '99999999999999999999' lies outside the 64-bit range"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "rfm"])
+    def test_header_repeating_a_schema_column_is_schema_mismatch(self, workspace, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("entity,ts,amount,item,channel,amount\ne1,100,1.0,item_001,ch_0,2.0\n")
+        code = main([command, "--schema", str(workspace["data_dir"] / "schema.json"), "--data", str(bad),
+                     "--out", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: SchemaMismatch: {bad}: columns repeated in CSV header: ['amount']"]
+
     def test_rfm_overflow_is_one_error_line(self, workspace, tmp_path):
         """Run as its own process: numpy's RuntimeWarnings reach the real stderr, not capsys."""
         data = tmp_path / "wide.csv"
