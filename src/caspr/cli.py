@@ -21,7 +21,7 @@ import typing
 import numpy as np
 
 from . import ingest, metrics, pretrain, rfm, synthgen, transformer
-from .errors import CasprError, ConfigError, DivergenceError, IoError, ParseError, SchemaMismatch
+from .errors import CasprError, ConfigError, DivergenceError, IoError, NumericError, ParseError, SchemaMismatch
 
 log = logging.getLogger("caspr")
 
@@ -143,33 +143,61 @@ def _write_features(path, names, entities, matrix):
     atomic_write(path, write)
 
 
+def _read_records(path, what):
+    """The header (None for an empty file) and the data records of a CSV file."""
+    with ingest.open_csv(_require(path, what)) as reader:
+        return next(reader, None), list(reader)
+
+
 def read_feature_csv(path):
-    """entity column plus at least one float feature column; returns (ids, matrix)."""
-    with ingest.open_csv(_require(path, "feature file")) as reader:
-        header = next(reader, None)
-        if not header or header[0] != "entity":
-            raise ParseError(f"{path}: expected header starting with 'entity'")
-        if len(header) == 1:
-            raise ParseError(f"{path}: no feature columns after 'entity'")
-        ids, rows = [], []
-        for i, rec in enumerate(reader):
-            if len(rec) != len(header):
-                raise ParseError(f"{path}: expected {len(header)} fields", i)
-            ids.append(rec[0])
-            rows.append([ingest._parse_number(x, col, i) for col, x in zip(header[1:], rec[1:])])
-    return ids, np.array(rows, dtype=np.float64)
+    """entity column plus at least one float feature column; returns (ids, feature names, matrix).
+
+    Each entity has one row. The records are checked in order: the first of
+    the wrong width or repeating an entity is a ParseError, unless a bad cell
+    before it is.
+    """
+    header, records = _read_records(path, "feature file")
+    if not header or header[0] != "entity":
+        raise ParseError(f"{path}: expected header starting with 'entity'")
+    if len(header) == 1:
+        raise ParseError(f"{path}: no feature columns after 'entity'")
+    row_of = {}
+    for end, rec in enumerate(records):
+        if len(rec) != len(header) or rec[0] in row_of:
+            break
+        row_of[rec[0]] = end
+    else:
+        end = len(records)
+    cols = list(zip(*records[:end])) or [()] * len(header)
+    matrix = ingest.parse_numbers(0, cols[1:], header[1:])
+    if end < len(records):
+        rec = records[end]
+        if len(rec) != len(header):
+            raise ParseError(f"{path}: expected {len(header)} fields", end)
+        raise ParseError(f"{path}: entity {rec[0]!r} is already on row {row_of[rec[0]]}", end)
+    # Row-major: the probe's column means and spreads sum the rows in this layout's order.
+    return list(cols[0]), header[1:], np.ascontiguousarray(matrix.T)
 
 
 def read_labels_csv(path):
-    with ingest.open_csv(_require(path, "labels file")) as reader:
-        header = next(reader, None)
-        if not header or header[:2] != ["entity", "label"]:
-            raise ParseError(f"{path}: expected header entity,label")
-        out = {}
-        for i, rec in enumerate(reader):
-            if len(rec) < 2:
-                raise ParseError(f"{path}: bad label row", i)
-            out[rec[0]] = ingest._parse_number(rec[1], "label", i)
+    """entity -> label. An entity may repeat only with an equal label.
+
+    A bad cell is a ParseError before any repeat is checked; a short row
+    is one after the rows before it are checked.
+    """
+    header, records = _read_records(path, "labels file")
+    if not header or header[:2] != ["entity", "label"]:
+        raise ParseError(f"{path}: expected header entity,label")
+    end = next((i for i, rec in enumerate(records) if len(rec) < 2), len(records))
+    labels = ingest.parse_numbers(0, [[rec[1] for rec in records[:end]]], ["label"])[0].tolist()
+    out = {}
+    for i, (rec, label) in enumerate(zip(records, labels)):
+        if out.get(rec[0], label) != label:
+            raise ParseError(f"{path}: entity {rec[0]!r} has label {out[rec[0]]!r} on an earlier row "
+                             f"and {label!r} here", i)
+        out[rec[0]] = label
+    if end < len(records):
+        raise ParseError(f"{path}: bad label row", end)
     return out
 
 
@@ -180,16 +208,25 @@ def split_train_test(n, seed):
     return perm[n_test:], perm[:n_test]
 
 
-def evaluate_features(features, labels, task, seed=0):
-    """Check every label, split, fit the linear probe, score held-out data."""
+def evaluate_features(features, labels, task, seed=0, columns=None):
+    """Check every label, split, fit the linear probe, score held-out data.
+
+    `columns` names the feature columns in errors; a held-out score that is
+    not finite is a NumericError naming its row of `features`.
+    """
     metrics.check_labels(labels, task)
     train_idx, test_idx = split_train_test(len(features), seed)
-    probe = metrics.train_linear_probe(features[train_idx], labels[train_idx], task)
-    scores = probe.scores(features[test_idx])
+    probe = metrics.train_linear_probe(features[train_idx], labels[train_idx], task, columns)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        scores = probe.scores(features[test_idx])
+    if not np.isfinite(scores).all():
+        row = int(test_idx[np.argmin(np.isfinite(scores))])
+        raise NumericError(f"the probe's score of held-out feature row {row} is not finite")
     held = labels[test_idx]
     if task == "binary":
-        return {"auroc": metrics.auroc(scores, held),
-                "f1_pos": metrics.f1_positive(1.0 / (1.0 + np.exp(-scores)), held)}
+        with np.errstate(over="ignore"):  # the sigmoid of a far score is 0 or 1
+            probs = 1.0 / (1.0 + np.exp(-scores))
+        return {"auroc": metrics.auroc(scores, held), "f1_pos": metrics.f1_positive(probs, held)}
     return {"rmse": metrics.rmse(scores, held)}
 
 
@@ -293,13 +330,13 @@ def cmd_rfm(args):
 
 def cmd_eval(args):
     cfg_file = _load_config(args.config)
-    ids, feats = read_feature_csv(_path(args, cfg_file, "features"))
+    ids, names, feats = read_feature_csv(_path(args, cfg_file, "features"))
     label_map = read_labels_csv(_path(args, cfg_file, "labels"))
     missing = [e for e in ids if e not in label_map]
     if missing:
         raise SchemaMismatch(f"{len(missing)} entities have no label (first: {missing[0]!r})")
     labels = np.array([label_map[e] for e in ids], dtype=np.float64)
-    report = evaluate_features(feats, labels, args.task, seed=args.seed or 0)
+    report = evaluate_features(feats, labels, args.task, seed=args.seed or 0, columns=names)
     atomic_write(_path(args, cfg_file, "out"), lambda fh: metrics.write_report_csv(report, fh))
     print(metrics.format_report(report))
     return 0

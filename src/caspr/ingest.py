@@ -266,6 +266,22 @@ def columns_of(rows, schema):
     return [(0, {c.name: [rec[c.name] for rec in rows] for c in schema.columns})] if rows else []
 
 
+def parse_numbers(start, columns, names):
+    """Cell lists `columns`, named `names`, as one (len(names), rows) float64 array, cast whole.
+
+    Only if the cast fails or gives a non-finite number are the cells parsed again one by
+    one in row order, to name the first bad cell by column and row (counted from `start`).
+    """
+    try:
+        x = np.array(columns, dtype=np.float64)
+        if np.isfinite(x).all():
+            return x
+    except ValueError:
+        pass
+    rows = [[_parse_number(x, c, i) for x, c in zip(cells, names)] for i, cells in enumerate(zip(*columns), start)]
+    return np.array(rows, dtype=np.float64).T
+
+
 def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
     """A chunk's timestamps, int64, and numbers, a (len(num_cols), rows) float64 array.
 
@@ -277,9 +293,8 @@ def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
     n = len(cols[ts_col])
     try:
         ts = np.array(cols[ts_col], dtype=np.int64)
-        nums = np.array([cols[c] for c in num_cols], dtype=np.float64).reshape(len(num_cols), n)
-        if lo <= ts.min() and ts.max() < hi and np.isfinite(nums).all():
-            return ts, nums
+        if lo <= ts.min() and ts.max() < hi:
+            return ts, parse_numbers(start, [cols[c] for c in num_cols], num_cols).reshape(len(num_cols), n)
     except (ValueError, OverflowError):
         pass
     ts, nums = [], []

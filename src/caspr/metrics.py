@@ -3,8 +3,9 @@ regression and ranking metrics.
 
 The probe standardizes its inputs, then minimizes a logistic or
 least-squares objective (L2 penalty 1e-4 on the weights, not the bias) with
-the shared Adam on gradients from the autodiff loss kernels, so probe
-quality reflects only the representation it is fed.
+the shared Adam on hand-derived gradients: `logistic_grad` below for the
+binary task, autodiff's `squared_error` kernel for regression. Probe
+quality thus reflects only the representation it is fed.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import adam_step, init_moments
-from .errors import CaseError, LabelError, SchemaMismatch
+from .errors import CaseError, LabelError, NumericError, SchemaMismatch
 
 PROBE_L2 = 1e-4
 PROBE_STEPS = 600
@@ -50,11 +51,30 @@ def check_labels(labels, task):
         raise LabelError("labels must be finite")
 
 
-def train_linear_probe(features, labels, task):
+def logistic_grad(z, y, c):
+    """c times the gradient of the logistic loss Σ −log σ(±z) w.r.t. the scores z, for 0/1 labels y.
+
+    This is the z column of `autodiff.cross_entropy`'s gradient on logits
+    [0, z] at weight c, taken in that kernel's order of operations, so the
+    two agree bit for bit: with m = max(z, 0) and s1 = z − m,
+    dz = exp(s1 − log(exp(0 − m) + exp(s1)))·c − c·y.
+    """
+    m = np.maximum(z, 0.0)
+    s1 = z - m
+    dz = np.exp(s1 - np.log(np.exp(-m) + np.exp(s1)))
+    dz *= c
+    dz -= c * y
+    return dz
+
+
+def train_linear_probe(features, labels, task, columns=None):
     """Fit the probe by full-batch Adam on hand-derived gradients.
 
-    The weights and bias share one flat array; each step forms the data
-    gradient dz from a loss kernel, then dW = xsᵀdz + 2λw and db = Σdz.
+    The weights and bias share one flat array, and their gradient another;
+    each step forms the data gradient dz of the scores z = xs·w + b, then
+    dW = xsᵀdz + 2λw and db = Σdz. A feature column whose mean or spread
+    overflows is a NumericError naming it by its entry in `columns`, or
+    by its index.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -70,34 +90,38 @@ def train_linear_probe(features, labels, task):
     if task == "binary" and len(np.unique(y)) < 2:
         raise LabelError("binary probe requires labels {0,1} with both classes present")
 
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mean = x.mean(axis=0)
+        std = x.std(axis=0)
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        j = int(np.argmax(overflow))
+        name = repr(columns[j]) if columns is not None else j
+        raise NumericError(f"probe feature column {name}: its mean or standard deviation overflows")
     std[std == 0] = 1.0
     xs = (x - mean) / std
 
     n, d = xs.shape
-    params = np.zeros(d + 1)
-    w, b = params[:d].reshape(d, 1), params[d:]
+    params, grad = np.zeros(d + 1), np.empty(d + 1)
+    w, dw = params[:d], grad[:d]
     moments = init_moments(params)
-    scale = np.asarray(1.0 / n)
     ones = np.ones(n)
-    yt, codes = y.reshape(-1, 1), y.astype(np.intp)
+    scale = np.asarray(1.0 / n)
 
     for step in range(1, PROBE_STEPS + 1):
         z = xs @ w
-        z += b
+        z += params[d]
         if task == "binary":
-            # logistic loss as 2-class cross-entropy on logits [0, z]; dz is the z column
-            _, dlogits = ad.cross_entropy(np.concatenate([np.zeros_like(z), z], axis=1), codes, ones, scale)
-            dz = np.ascontiguousarray(dlogits[:, 1:])
+            dz = logistic_grad(z, y, scale)
         else:
-            _, dz = ad.squared_error(z, yt, ones[:, None], scale)
-        dw = xs.T @ dz
+            _, dz = ad.squared_error(z, y, ones, scale)
+        np.matmul(xs.T, dz, out=dw)
         dw += PROBE_L2 * w  # + 2λw, one λw per factor of w∘w
         dw += PROBE_L2 * w
-        adam_step(params, np.concatenate([dw[:, 0], ones @ dz]), moments, PROBE_LR, step)
+        grad[d] = ones @ dz
+        adam_step(params, grad, moments, PROBE_LR, step)
 
-    return LinearProbe(task=task, w=w[:, 0].copy(), b=float(b[0]), feat_mean=mean, feat_std=std)
+    return LinearProbe(task=task, w=w.copy(), b=float(params[d]), feat_mean=mean, feat_std=std)
 
 
 def auroc(scores, labels):
@@ -144,7 +168,11 @@ def rmse(preds, targets):
     targets = np.asarray(targets, dtype=np.float64)
     if preds.shape != targets.shape:
         raise LabelError(f"rmse: shapes {preds.shape} and {targets.shape} differ")
-    return float(np.sqrt(((preds - targets) ** 2).mean()))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        value = float(np.sqrt(((preds - targets) ** 2).mean()))
+    if not np.isfinite(value):
+        raise NumericError(f"rmse is {value}: an error is too large to square")
+    return value
 
 
 @dataclass

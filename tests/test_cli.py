@@ -387,6 +387,80 @@ class TestExitCodes:
         assert err == [f"error: ParseError: {features}: no feature columns after 'entity'"]
         assert not (tmp_path / "report.csv").exists()
 
+    def test_eval_feature_file_repeating_an_entity_is_parse_error(self, tmp_path, capsys):
+        """A second row for an entity could land in the held-out split and leak it."""
+        argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+        features = tmp_path / "features.csv"
+        features.write_text("entity,f0\n" + "".join(f"e{i:02d},{i % 2}.0\n" for i in range(20)) + "e03,1.0\n")
+        code = main(["eval", "--task", "binary", "--seed", "0"] + argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: ParseError: row 20: {features}: entity 'e03' is already on row 3"]
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_eval_labels_file_repeating_an_entity_with_another_label_is_parse_error(self, tmp_path, capsys):
+        argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+        labels = tmp_path / "labels.csv"
+        labels.write_text(labels.read_text() + "e05,1.0\n")  # an equal label may repeat
+        assert main(["eval", "--task", "binary", "--seed", "0"] + argv) == 0
+        labels.write_text(labels.read_text() + "e04,1\n")
+        code = main(["eval", "--task", "binary", "--seed", "0"] + argv)
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: ParseError: row 21: {labels}: entity 'e04' has label 0.0 on an earlier row "
+                       "and 1.0 here"]
+
+    @pytest.mark.parametrize("cells, message", [
+        ({(2, 2): "inf", (5, 1): "x"}, "row 2: non-finite number 'inf' in column 'f1'"),
+        ({(2, 2): "x", (5, 1): "inf"}, "row 2: bad number 'x' in column 'f1'"),
+        ({(4, 2): "x", (4, 1): "-inf"}, "row 4: non-finite number '-inf' in column 'f0'"),
+    ])
+    def test_eval_feature_file_error_names_the_earlier_bad_cell(self, tmp_path, capsys, cells, message):
+        """As the per-cell reader did: the first bad cell in row order, then column order."""
+        argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+        rows = [[f"e{i:02d}", str(i % 2), str(i % 3)] for i in range(20)]
+        for (row, col), text in cells.items():
+            rows[row][col] = text
+        rows[7].append("9")  # a long row after both bad cells
+        (tmp_path / "features.csv").write_text("entity,f0,f1\n" + "".join(",".join(r) + "\n" for r in rows))
+        code = main(["eval", "--task", "binary", "--seed", "0"] + argv)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: ParseError: {message}"]
+
+    def test_eval_feature_file_short_row_before_a_bad_cell_is_named(self, tmp_path, capsys):
+        argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+        features = tmp_path / "features.csv"
+        features.write_text("entity,f0\ne00,0.0\ne01\ne02,x\n")
+        assert main(["eval", "--task", "binary"] + argv) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: ParseError: row 1: {features}: expected 2 fields"]
+
+    @pytest.mark.parametrize("task, far, message", [
+        ("binary", None, "probe feature column 'f0': its mean or standard deviation overflows"),
+        ("regression", None, "probe feature column 'f0': its mean or standard deviation overflows"),
+        ("binary", "1.7e308", "the probe's score of held-out feature row {row} is not finite"),
+        ("regression", "1e200", "rmse is inf: an error is too large to square"),
+    ], ids=["mean-binary", "mean-regression", "held-out-score", "rmse"])
+    def test_eval_overflow_is_one_error_line(self, tmp_path, task, far, message):
+        """Run as its own process: numpy's RuntimeWarnings reach the real stderr, not capsys.
+
+        Without `far`, the feature column alternates 1e308 and 9e307, whose sum
+        overflows; with it, one held-out value lies far outside the training spread.
+        """
+        labels = ["0", "1"] * 10
+        row = int(cli.split_train_test(len(labels), 0)[1][0])
+        values = ["1e308", "9e307"] * 10
+        if far:
+            values = [str(i % 3) for i in range(20)]
+            values[row] = far
+        argv = self.write_eval_inputs(tmp_path, labels, values)
+        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-m", "caspr.cli", "eval", "--task", task, "--seed", "0"] + argv,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == [f"error: NumericError: {message.format(row=row)}"]
+        assert not (tmp_path / "report.csv").exists()
+
     def test_fit_keeps_statistics_finite_at_the_float_range(self, workspace, tmp_path):
         data, out = tmp_path / "wide.csv", tmp_path / "fitted.json"
         data.write_text("entity,ts,amount,item,channel\n"

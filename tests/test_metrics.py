@@ -1,18 +1,90 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from caspr.errors import CaseError, LabelError, SchemaMismatch
+from caspr import autodiff as ad
+from caspr import metrics
+from caspr.autodiff import adam_step, init_moments
+from caspr.errors import CaseError, LabelError, NumericError, SchemaMismatch
 from caspr.metrics import (
     RankingCase,
     auroc,
     f1_positive,
     fit_item_projection,
+    logistic_grad,
     rank_items,
     ranking_metrics,
     rmse,
     train_linear_probe,
 )
+
+
+def reference_probe(features, labels, task):
+    """The probe before its binary step became one logistic kernel, as the oracle.
+
+    The binary loss is 2-class cross-entropy on logits [0, z] through the
+    general autodiff kernel, and the weight is a (d, 1) column. Returns
+    (w, b, feat_mean, feat_std); inputs are assumed valid.
+    """
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    mean = x.mean(axis=0)
+    std = x.std(axis=0)
+    std[std == 0] = 1.0
+    xs = (x - mean) / std
+
+    n, d = xs.shape
+    params = np.zeros(d + 1)
+    w, b = params[:d].reshape(d, 1), params[d:]
+    moments = init_moments(params)
+    scale = np.asarray(1.0 / n)
+    ones = np.ones(n)
+    yt, codes = y.reshape(-1, 1), y.astype(np.intp)
+
+    for step in range(1, metrics.PROBE_STEPS + 1):
+        z = xs @ w
+        z += b
+        if task == "binary":
+            _, dlogits = ad.cross_entropy(np.concatenate([np.zeros_like(z), z], axis=1), codes, ones, scale)
+            dz = np.ascontiguousarray(dlogits[:, 1:])
+        else:
+            _, dz = ad.squared_error(z, yt, ones[:, None], scale)
+        dw = xs.T @ dz
+        dw += metrics.PROBE_L2 * w
+        dw += metrics.PROBE_L2 * w
+        adam_step(params, np.concatenate([dw[:, 0], ones @ dz]), moments, metrics.PROBE_LR, step)
+
+    return w[:, 0].copy(), float(b[0]), mean, std
+
+
+def bits(*arrays):
+    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+
+
+@st.composite
+def probe_inputs(draw):
+    """(features, labels, task): 2-200 rows, 1-20 columns, some constant, some of few tied values."""
+    n, d = draw(st.integers(2, 200)), draw(st.integers(1, 20))
+    task = draw(st.sampled_from(["binary", "regression"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["normal", "tied", "constant"]), min_size=d, max_size=d)):
+        size = 10.0 ** draw(st.integers(-6, 6))
+        if kind == "normal":
+            columns.append(rng.normal(draw(st.floats(-10, 10)), size, n))
+        elif kind == "tied":
+            columns.append(rng.choice(rng.normal(0.0, size, 3), n))
+        else:
+            columns.append(np.full(n, draw(st.floats(-1e6, 1e6))))
+    x = np.stack(columns, axis=1)
+    if task == "binary":
+        y = rng.integers(0, 2, n).astype(np.float64)
+        y[:2] = [0.0, 1.0]
+    else:
+        y = rng.normal(0.0, 10.0 ** draw(st.integers(-3, 3)), n)
+    return x, y, task
 
 
 class TestAuroc:
@@ -225,3 +297,45 @@ class TestLinearProbe:
             y[3] = bad
         with pytest.raises(LabelError):
             train_linear_probe(x, y, task)
+
+    @settings(max_examples=60, deadline=None)
+    @given(probe_inputs(), st.integers(1, 12))
+    @example((np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), "binary"), 600)
+    @example((np.arange(8.0).reshape(-1, 1), 2.0 * np.arange(8.0) + 1.0, "regression"), 600)
+    def test_equals_the_cross_entropy_probe_bit_for_bit(self, inputs, steps):
+        x, y, task = inputs
+        with mock.patch.object(metrics, "PROBE_STEPS", steps):
+            probe = train_linear_probe(x, y, task)
+            want = reference_probe(x, y, task)
+        assert bits(probe.w, probe.b, probe.feat_mean, probe.feat_std) == bits(*want)
+
+    @pytest.mark.parametrize("task", ["binary", "regression"])
+    def test_overflowing_mean_or_spread_is_numeric_error(self, task):
+        x = np.array([[1.0, 1e308], [2.0, 9e307]] * 4)
+        with pytest.raises(NumericError, match="column 1:"):
+            train_linear_probe(x, np.array([0.0, 1.0] * 4), task)
+        with pytest.raises(NumericError, match="column 'big':"):
+            train_linear_probe(x, np.array([0.0, 1.0] * 4), task, columns=["small", "big"])
+
+
+class TestLogisticGrad:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-700.0, 700.0), st.sampled_from([0.0, -0.0, 700.0, -700.0, 1e-300])),
+                    min_size=1, max_size=64),
+           st.integers(0, 2 ** 32 - 1))
+    def test_is_the_z_column_of_cross_entropy_on_zero_z(self, z, seed):
+        z = np.array(z)
+        y = np.random.default_rng(seed).integers(0, 2, len(z)).astype(np.float64)
+        scale = np.asarray(1.0 / len(z))  # as the probe passes them: unit weights, scale 1/n
+        _, want = ad.cross_entropy(np.stack([np.zeros_like(z), z], axis=1), y.astype(np.intp), np.ones(len(z)), scale)
+        assert bits(logistic_grad(z, y, scale)) == bits(np.ascontiguousarray(want[:, 1]))
+
+    def test_matches_the_logistic_derivative(self):
+        z = np.array([-30.0, -2.0, 0.0, 0.5, 40.0])
+        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        np.testing.assert_allclose(logistic_grad(z, y, 0.5), 0.5 * (1.0 / (1.0 + np.exp(-z)) - y), atol=1e-15)
+
+
+def test_rmse_that_overflows_is_numeric_error():
+    with pytest.raises(NumericError, match="too large to square"):
+        rmse([1e200, 0.0], [-1e200, 0.0])
