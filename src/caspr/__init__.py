@@ -10,7 +10,7 @@ from .errors import CasprError
 from .ingest import ColumnSpec, FittedSchema, Schema, SequenceDataset, build_dataset, fit_schema
 from .metrics import auroc, f1_positive, ranking_metrics, rmse, train_linear_probe
 from .pretrain import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
-from .rfm import rfm_features, rfm_table
+from .rfm import rfm_table
 from .synthgen import SynthConfig
 from .transformer import ModelConfig, build_weights, embed, prepare_batch
 
@@ -36,7 +36,6 @@ __all__ = [
     "train",
     "save_checkpoint",
     "load_checkpoint",
-    "rfm_features",
     "rfm_table",
     "SynthConfig",
     "ModelConfig",

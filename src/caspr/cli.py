@@ -321,9 +321,8 @@ def cmd_rfm(args):
     schema = ingest.load_schema_json(_require(_path(args, cfg_file, "schema"), "schema file"))
     data_path = _path(args, cfg_file, "data")
     out = _path(args, cfg_file, "out")
-    by_entity = rfm.rfm_events_from_csv(_require(data_path, "data file"), schema)
-    entities, vectors = zip(*rfm.rfm_table(by_entity))
-    _write_features(out, rfm.FEATURE_NAMES, entities, np.array(vectors))
+    entities, matrix = rfm.rfm_table(rfm.rfm_events_from_csv(_require(data_path, "data file"), schema))
+    _write_features(out, rfm.FEATURE_NAMES, entities, matrix)
     print(f"wrote {out} ({len(entities)} entities)")
     return 0
 

@@ -96,7 +96,3 @@ class LabelError(CasprError):
 
 class CaseError(CasprError):
     exit_code = 1
-
-
-class EmptyEntity(CasprError):
-    exit_code = 1

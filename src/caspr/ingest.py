@@ -10,7 +10,8 @@ shorter histories into one padded array per field.
 Both read the log through read_columns, in chunks of CHUNK_ROWS records
 turned into columns, and parse each column with one numpy cast; a chunk is
 parsed cell by cell only to name its first bad cell. Error rows are 0-based
-data rows.
+data rows. read_events turns the chunks into event arrays in file order;
+build_dataset and the RFM table both read the log through it.
 """
 from __future__ import annotations
 
@@ -259,13 +260,6 @@ def read_columns(path, schema):
         start += len(chunk)
 
 
-def columns_of(rows, schema):
-    """The chunks of `rows`: read_columns chunks pass through, and a list of record dicts is one chunk."""
-    if not isinstance(rows, list):
-        return rows
-    return [(0, {c.name: [rec[c.name] for rec in rows] for c in schema.columns})] if rows else []
-
-
 def parse_numbers(start, columns, names):
     """Cell lists `columns`, named `names`, as one (len(names), rows) float64 array, cast whole.
 
@@ -306,25 +300,37 @@ def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
     return np.array(ts, dtype=np.int64), np.array(nums, dtype=np.float64).reshape(n, len(num_cols)).T
 
 
-def entity_codes(cells, codes):
-    """Each cell's code in `codes` (entity id -> int), which gains the ids it lacks, in any order."""
-    codes.update(zip(dict.fromkeys(cells).keys() - codes.keys(), itertools.count(len(codes))))
-    return np.fromiter(map(codes.__getitem__, cells), np.int64, len(cells))
+def read_events(chunks, schema, num_cols, codes=(), ts_bounds=INT64):
+    """The events of read_columns `chunks`, in file order, as arrays.
 
-
-def sorted_entities(codes, owner):
-    """The ids of `codes` in sorted order, as an object array, and each code in `owner` as an index into it."""
-    entities = sorted(codes)
-    rank = np.empty(len(entities), dtype=np.int64)
-    rank[[codes[e] for e in entities]] = np.arange(len(entities))
-    return np.array(entities, dtype=object), rank[owner]
-
-
-def fit_schema(rows, schema):
-    """Single pass over the records: build vocabularies and z-score stats.
-
-    `rows` is a list of record dicts or the chunks of read_columns.
+    Returns the entity ids, sorted, as an object array; each event's index
+    into them; the int64 timestamps; the numbers of `num_cols`, a
+    (len(num_cols), events) float64 array; and the (len(codes), events) int64
+    vocab codes, where `codes` holds (categorical column, {value: code})
+    pairs and a value missing from a column's dict is code 0. Cells are
+    parsed, and timestamps bounded by `ts_bounds`, as in parse_chunk.
     """
+    ids, parts = {}, []  # entity id -> a code in any order, ranked by id at the end
+    for start, cols in chunks:
+        ts, nums = parse_chunk(start, cols, schema.ts_col, num_cols, ts_bounds)
+        cells = cols[schema.entity_col]
+        ids.update(zip(dict.fromkeys(cells).keys() - ids.keys(), itertools.count(len(ids))))
+        cats = [np.fromiter(map(vocab.get, cols[c], itertools.repeat(0)), np.int64, len(ts))
+                for c, vocab in codes]
+        parts.append((np.fromiter(map(ids.__getitem__, cells), np.int64, len(ts)), ts, nums,
+                      np.array(cats, dtype=np.int64).reshape(len(codes), len(ts))))
+    if not parts:
+        raise EmptyDataset("the activity log has no data rows")
+    owner, ts, nums, cats = (np.concatenate(p, axis=-1) for p in zip(*parts))
+    del parts
+    entities = sorted(ids)
+    rank = np.empty(len(entities), dtype=np.int64)
+    rank[[ids[e] for e in entities]] = np.arange(len(entities))
+    return np.array(entities, dtype=object), rank[owner], ts, nums, cats
+
+
+def fit_schema(chunks, schema):
+    """Single pass over the chunks of read_columns: build vocabularies and z-score stats."""
     numeric_cols = schema.names_of("numerical") + schema.names_of("static_numerical")
     cat_cols = schema.names_of("categorical") + schema.names_of("static_categorical")
     # Sums are taken about each column's first value, so a column far from
@@ -340,7 +346,7 @@ def fit_schema(rows, schema):
     sums = np.zeros((5, len(numeric_cols)))  # of d, d², tiny (d·scale)², huge d / scale and its square
     seen = {c: {} for c in cat_cols}
     n = 0
-    for start, cols in columns_of(rows, schema):
+    for start, cols in chunks:
         _, x = parse_chunk(start, cols, schema.ts_col, numeric_cols)
         shifts = x[:, :1] if shifts is None else shifts
         with np.errstate(over="ignore", invalid="ignore"):  # the masks below drop what overflows
@@ -357,7 +363,7 @@ def fit_schema(rows, schema):
             seen[c].update(dict.fromkeys(cols[c]))
         n += x.shape[1]
     if n == 0:
-        raise EmptyDataset("fit_schema: empty input stream")
+        raise EmptyDataset("the activity log has no data rows")
     means, stds = {}, {}
     for j, c in enumerate(numeric_cols):
         shift, (s, sq, tiny_sq, huge_s, huge_sq) = float(shifts[j, 0]), sums[:, j].tolist()
@@ -397,30 +403,18 @@ def _z_scores(values, fitted, num_cols):
     return z
 
 
-def build_dataset(rows, fitted, t):
-    """Records -> SequenceDataset: z-scored numerics, vocab codes (OOV -> 0).
+def build_dataset(chunks, fitted, t):
+    """The chunks of read_columns -> SequenceDataset: z-scored numerics, vocab codes (OOV -> 0).
 
-    `rows` is a list of record dicts or the chunks of read_columns. Entities
-    come out sorted by id, so the result is independent of input row order up
-    to timestamp ties, which keep input order.
+    Entities come out sorted by id, so the result is independent of input row
+    order up to timestamp ties, which keep input order.
     """
     if t < 1:
         raise SchemaMismatch(f"sequence length t must be >= 1, got {t}")
-    sch = fitted.schema
     num_cols = fitted.seq_numeric_cols + fitted.static_numeric_cols
     cat_cols = fitted.seq_categorical_cols + fitted.static_categorical_cols
-    ids, parts = {}, []
-    for start, cols in columns_of(rows, sch):
-        stamps, values = parse_chunk(start, cols, sch.ts_col, num_cols)
-        codes = [np.fromiter(map(fitted._codes[c].get, cols[c], itertools.repeat(0)), np.int64, len(stamps))
-                 for c in cat_cols]
-        parts.append((entity_codes(cols[sch.entity_col], ids), stamps, values,
-                      np.array(codes, dtype=np.int64).reshape(len(cat_cols), len(stamps))))
-    if not parts:
-        raise EmptyDataset("build_dataset: no data rows")
-    owner, stamps, values, codes = (np.concatenate(p, axis=-1) for p in zip(*parts))
-    del parts
-    entities, owner = sorted_entities(ids, owner)
+    entities, owner, stamps, values, codes = read_events(
+        chunks, fitted.schema, num_cols, [(c, fitted._codes[c]) for c in cat_cols])
     order = np.lexsort((stamps, owner))  # stable: by entity, then timestamp, then input order
     owner = owner[order]
     values = _z_scores(values.T, fitted, num_cols)[order]

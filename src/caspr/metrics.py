@@ -74,7 +74,7 @@ def train_linear_probe(features, labels, task, columns=None):
     each step forms the data gradient dz of the scores z = xs·w + b, then
     dW = xsᵀdz + 2λw and db = Σdz. A feature column whose mean or spread
     overflows is a NumericError naming it by its entry in `columns`, or
-    by its index.
+    by its index; so is a fit whose gradient overflows.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
@@ -108,18 +108,23 @@ def train_linear_probe(features, labels, task, columns=None):
     ones = np.ones(n)
     scale = np.asarray(1.0 / n)
 
-    for step in range(1, PROBE_STEPS + 1):
-        z = xs @ w
-        z += params[d]
-        if task == "binary":
-            dz = logistic_grad(z, y, scale)
-        else:
-            _, dz = ad.squared_error(z, y, ones, scale)
-        np.matmul(xs.T, dz, out=dw)
-        dw += PROBE_L2 * w  # + 2λw, one λw per factor of w∘w
-        dw += PROBE_L2 * w
-        grad[d] = ones @ dz
-        adam_step(params, grad, moments, PROBE_LR, step)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked after the loop
+        for step in range(1, PROBE_STEPS + 1):
+            z = xs @ w
+            z += params[d]
+            if task == "binary":
+                dz = logistic_grad(z, y, scale)
+            else:
+                _, dz = ad.squared_error(z, y, ones, scale)
+            np.matmul(xs.T, dz, out=dw)
+            dw += PROBE_L2 * w  # + 2λw, one λw per factor of w∘w
+            dw += PROBE_L2 * w
+            grad[d] = ones @ dz
+            adam_step(params, grad, moments, PROBE_LR, step)
+    # a gradient too large to square leaves Adam's second moment at inf, and the weights frozen
+    if not (np.isfinite(moments[1]).all() and np.isfinite(params).all()):
+        raise NumericError("the probe's fit overflows: its gradient is too large to square "
+                           "(is a label too large?)")
 
     return LinearProbe(task=task, w=w.copy(), b=float(params[d]), feat_mean=mean, feat_std=std)
 

@@ -14,13 +14,12 @@ is O(events) however many weeks an entity spans.
 """
 from __future__ import annotations
 
-import itertools
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import EmptyEntity, SchemaMismatch
-from .ingest import entity_codes, parse_chunk, read_columns, sorted_entities
+from .errors import SchemaMismatch
+from .ingest import read_columns, read_events
 
 SECONDS_PER_DAY = 86400.0
 
@@ -119,50 +118,23 @@ def _feature_matrix(ts, amount, owner, starts, counts, reference_ts):
     ])
 
 
-def rfm_features(events, reference_ts):
-    """The 19-feature vector of one entity: its row of `rfm_table`.
-
-    `events` is a list of (ts, amount) pairs; reference_ts must be at or
-    after the latest event.
-    """
-    return rfm_table({"": events}, reference_ts)[0][1]
-
-
 def rfm_events_from_csv(data_path, schema):
     """(sorted entity ids, each row's index into them, ts, monetary amount) arrays, in file order."""
     if schema.monetary is None:
         raise SchemaMismatch("schema has no monetary column for RFM features")
-    ids, parts = {}, []
-    for start, cols in read_columns(data_path, schema):
-        ts, amount = parse_chunk(start, cols, schema.ts_col, [schema.monetary], CALENDAR)
-        parts.append((entity_codes(cols[schema.entity_col], ids), ts, amount[0]))
-    if not parts:
-        raise EmptyEntity(f"{data_path}: no data rows")
-    owner, ts, amount = (np.concatenate(p) for p in zip(*parts))
-    entities, owner = sorted_entities(ids, owner)
-    return entities, owner, ts.astype(np.float64), amount
+    entities, owner, ts, amount, _ = read_events(read_columns(data_path, schema), schema, [schema.monetary],
+                                                 ts_bounds=CALENDAR)
+    return entities, owner, ts.astype(np.float64), amount[0]
 
 
-def rfm_table(by_entity, reference_ts=None):
-    """One (entity, vector) row per entity, sorted by id.
+def rfm_table(events, reference_ts=None):
+    """(entity ids, (entities, 19) feature matrix), one row per entity, sorted by id.
 
-    `by_entity` maps each entity to its (ts, amount) pairs, or is the arrays
-    of rfm_events_from_csv. When reference_ts is omitted it defaults to the
-    dataset's maximum timestamp plus one day. Events with equal timestamps
-    keep their input order.
+    `events` is the arrays of rfm_events_from_csv. When reference_ts is
+    omitted it defaults to the dataset's maximum timestamp plus one day.
+    Events with equal timestamps keep their input order.
     """
-    if isinstance(by_entity, dict):
-        entities = sorted(by_entity)
-        if not entities:
-            raise EmptyEntity("rfm_table: no entities")
-        counts = np.array([len(by_entity[e]) for e in entities], dtype=np.int64)
-        if not counts.all():
-            raise EmptyEntity(f"rfm_table: entity {entities[counts.argmin()]!r} has no activity rows")
-        pairs = itertools.chain.from_iterable(by_entity[e] for e in entities)
-        events = np.fromiter(itertools.chain.from_iterable(pairs), dtype=np.float64,
-                             count=2 * int(counts.sum())).reshape(-1, 2)
-        by_entity = entities, np.repeat(np.arange(len(entities)), counts), events[:, 0], events[:, 1]
-    entities, owner, ts, amount = by_entity
+    entities, owner, ts, amount = events
     order = np.lexsort((ts, owner))  # stable, so equal times keep their input order
     owner, ts, amount = owner[order], ts[order], amount[order]
     counts = np.bincount(owner, minlength=len(entities))
@@ -177,4 +149,4 @@ def rfm_table(by_entity, reference_ts=None):
         row, col = bad[0]
         raise SchemaMismatch(f"rfm_features produced a non-finite {FEATURE_NAMES[col]} "
                              f"for entity {entities[row]!r}")
-    return list(zip(entities, matrix))
+    return entities, matrix

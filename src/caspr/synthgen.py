@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ConfigError
 
 EPOCH0 = 1_600_000_000  # fixed anchor so output is seed-deterministic
+AMOUNT_LOG_MU = 3.0     # purchase amounts are lognormal(mu, sigma)
+AMOUNT_LOG_SIGMA = 0.6
 
 
 @dataclass
@@ -31,8 +33,6 @@ class SynthConfig:
     signal: str = "trend_churn"   # trend_churn | none
     item_vocab: int = 12
     channel_vocab: int = 4
-    amount_log_mu: float = 3.0
-    amount_log_sigma: float = 0.6
     max_len: int = 15
     min_len: int = 3
 
@@ -60,7 +60,7 @@ SCHEMA_JSON = {
 
 def _item_for_amount(amount, cfg, rng):
     """Quantile-binned item id with a 15% uniform flip."""
-    z = (math.log(amount) - cfg.amount_log_mu) / cfg.amount_log_sigma
+    z = (math.log(amount) - AMOUNT_LOG_MU) / AMOUNT_LOG_SIGMA
     q = 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
     idx = min(cfg.item_vocab - 1, int(q * cfg.item_vocab))
     if rng.random() < 0.15:
@@ -84,7 +84,7 @@ def generate_rows(cfg):
         labels[entity] = label
         k = int(np.clip(round(rng.normal(cfg.t_mean, 3.0)), cfg.min_len, cfg.max_len))
 
-        amounts = np.sort(rng.lognormal(cfg.amount_log_mu, cfg.amount_log_sigma, size=k))
+        amounts = np.sort(rng.lognormal(AMOUNT_LOG_MU, AMOUNT_LOG_SIGMA, size=k))
         if cfg.signal == "trend_churn":
             ordered = amounts[::-1] if label == 1 else amounts
         else:

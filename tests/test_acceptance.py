@@ -16,6 +16,7 @@ from caspr.cli import evaluate_features
 from caspr.pretrain import TrainConfig, apply_mask, compute_gradients, load_checkpoint, save_checkpoint, train
 from caspr.transformer import ModelConfig
 
+from records import chunks, rfm_events
 from test_rfm import EVENTS, EXPECTED, REFERENCE
 from test_transformer import fill_pad_slots
 
@@ -30,8 +31,8 @@ def load_synth(cfg, t):
     rows, labels = synthgen.generate_rows(cfg)
     schema = ingest.Schema.from_json(synthgen.SCHEMA_JSON)
     raw = [{k: str(v) for k, v in r.items()} for r in rows]
-    fitted = ingest.fit_schema(raw, schema)
-    return ingest.build_dataset(raw, fitted, t), labels, raw
+    fitted = ingest.fit_schema(chunks(raw, schema), schema)
+    return ingest.build_dataset(chunks(raw, schema), fitted, t), labels, raw
 
 
 # ---------------------------------------------------------------------- 1
@@ -103,9 +104,8 @@ def pipeline2000():
     by_entity = {}
     for r in raw:
         by_entity.setdefault(r["entity"], []).append((int(r["ts"]), float(r["amount"])))
-    table = rfm.rfm_table(by_entity)
-    rfm_features = np.array([vec for _, vec in table])
-    rfm_y = np.array([labels[e] for e, _ in table], dtype=np.float64)
+    entities, rfm_features = rfm.rfm_table(rfm_events(by_entity))
+    rfm_y = np.array([labels[e] for e in entities], dtype=np.float64)
 
     return {"dataset": ds, "log": log, "train_seconds": train_seconds,
             "features": features, "y": y,
@@ -275,7 +275,8 @@ def test_criterion_7_causality_and_pad_invariance(capfd):
         def batch_of(values, codes):
             records = [{"entity": "e", "ts": str(i), "x": repr(float(v)), "c": "abc"[c - 1]}
                        for i, (v, c) in enumerate(zip(values, codes))]
-            return tf.prepare_batch(ingest.build_dataset(records, fitted, t), slice(None), cfg)
+            dataset = ingest.build_dataset(chunks(records, fitted.schema), fitted, t)
+            return tf.prepare_batch(dataset, slice(None), cfg)
 
         values = rng.normal(size=t)
         codes = rng.integers(1, 4, size=t)
@@ -342,8 +343,8 @@ def test_criterion_8_checkpoint_roundtrip_and_resume(capfd, tmp_path):
 # ---------------------------------------------------------------------- 9
 
 def test_criterion_9_rfm_fixture(capfd):
-    table = rfm.rfm_table(EVENTS, REFERENCE)
-    worst = max(float(np.abs(vec - np.array(EXPECTED[entity])).max()) for entity, vec in table)
+    entities, matrix = rfm.rfm_table(rfm_events(EVENTS), REFERENCE)
+    worst = max(float(np.abs(vec - np.array(EXPECTED[entity])).max()) for entity, vec in zip(entities, matrix))
     ok = worst < 1e-9
     report(capfd, 9, "RFM fixture", ok, f"3-entity fixture max abs diff {worst:.2e}")
     assert worst < 1e-9

@@ -5,12 +5,15 @@ getattr and no default, and replaces autodiff._make to count graph nodes,
 so a rename in caspr would crash `perfbench/run.py --trace 1`.
 perfbench/run.py also reads ModelConfig().emb_out as the embedding width it
 checks and rfm.FEATURE_NAMES as the RFM table's width. This test reads
-perfbench/ and changes nothing there.
+perfbench/ and changes nothing there; its last test runs
+perfbench/selfcheck.py, which works under the ignored .perfbench_work/.
 """
 import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -89,3 +92,11 @@ def test_pretrain_saves_through_save_checkpoint(tmp_path, monkeypatch):
     assert main(["pretrain", "--config", str(config), "--fitted", str(tmp_path / "fitted.json"),
                  "--data", str(data / "data.csv"), "--out", str(out), "--epochs", "1"]) == 0
     assert calls and all(os.path.dirname(path) == str(out) for path in calls)
+
+
+def test_benchmark_selfcheck_passes():
+    """perfbench/selfcheck.py runs the benchmark on tiny shapes, traced and untraced, so a
+    src change that breaks what the benchmark patches or reads fails here."""
+    selfcheck = os.path.join(os.path.dirname(LAYERTRACE), "selfcheck.py")
+    proc = subprocess.run([sys.executable, selfcheck], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -24,6 +24,15 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def run_cli_process(argv):
+    """`python -m caspr.cli *argv` in its own process, whose numpy RuntimeWarnings reach its
+    real stderr, which capsys would not see."""
+    src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "caspr.cli", *argv], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One small synth -> fit -> pretrain pipeline shared by the module."""
@@ -333,6 +342,22 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("error: ParseError: row 1: timestamp")
 
+    @pytest.mark.parametrize("command", ["fit", "pretrain", "embed", "rank", "rfm"])
+    def test_log_without_data_rows_is_one_empty_dataset_line(self, workspace, tmp_path, capsys, command):
+        empty, relevance = tmp_path / "empty.csv", tmp_path / "relevance.csv"
+        empty.write_text("entity,ts,amount,item,channel\n")
+        relevance.write_text("entity,relevant_items\ne1,item_001\n")
+        schema = str(workspace["data_dir"] / "schema.json")
+        checkpoint = str(workspace["run_dir"] / "checkpoint.bin")
+        args = {"fit": ["--schema", schema], "rfm": ["--schema", schema],
+                "pretrain": ["--config", str(workspace["cfg"]), "--fitted", str(workspace["fitted"])],
+                "embed": ["--checkpoint", checkpoint],
+                "rank": ["--checkpoint", checkpoint, "--relevance", str(relevance)]}[command]
+        code = main([command, "--data", str(empty), "--out", str(tmp_path / "out")] + args)
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: EmptyDataset: the activity log has no data rows"]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["fit", "pretrain", "embed", "rank"])
     def test_timestamp_outside_64_bits_is_one_parse_error_naming_its_row(self, workspace, tmp_path, capsys,
                                                                          command):
@@ -366,12 +391,8 @@ class TestExitCodes:
         data = tmp_path / "wide.csv"
         data.write_text("entity,ts,amount,item,channel\n"
                         "e1,100,1e308,item_001,ch_0\ne1,200,-1e308,item_001,ch_0\n")
-        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "caspr.cli", "rfm",
-                               "--schema", str(workspace["data_dir"] / "schema.json"),
-                               "--data", str(data), "--out", str(tmp_path / "rfm.csv")],
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(["rfm", "--schema", str(workspace["data_dir"] / "schema.json"),
+                                "--data", str(data), "--out", str(tmp_path / "rfm.csv")])
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [
             "error: SchemaMismatch: rfm_features produced a non-finite mon_amount_std for entity 'e1'"]
@@ -453,12 +474,20 @@ class TestExitCodes:
             values = [str(i % 3) for i in range(20)]
             values[row] = far
         argv = self.write_eval_inputs(tmp_path, labels, values)
-        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run([sys.executable, "-m", "caspr.cli", "eval", "--task", task, "--seed", "0"] + argv,
-                              capture_output=True, text=True, env=env, timeout=120)
+        proc = run_cli_process(["eval", "--task", task, "--seed", "0"] + argv)
         assert proc.returncode == 4
         assert proc.stderr.splitlines() == [f"error: NumericError: {message.format(row=row)}"]
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_eval_huge_regression_label_is_one_error_line(self, tmp_path):
+        """A label of 1e200 on a training row makes the probe's gradient too large to square."""
+        labels = [str(i) for i in range(20)]
+        labels[cli.split_train_test(len(labels), 0)[0][0]] = "1e200"
+        argv = self.write_eval_inputs(tmp_path, labels, [str(i % 3) for i in range(20)])
+        proc = run_cli_process(["eval", "--task", "regression", "--seed", "0"] + argv)
+        assert proc.returncode == 4
+        assert proc.stderr.splitlines() == ["error: NumericError: the probe's fit overflows: "
+                                            "its gradient is too large to square (is a label too large?)"]
         assert not (tmp_path / "report.csv").exists()
 
     def test_fit_keeps_statistics_finite_at_the_float_range(self, workspace, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from caspr import ingest
 from caspr.errors import EmptyDataset, ParseError, SchemaMismatch
 from caspr.ingest import ColumnSpec, Schema, build_dataset, embed_dim_for, fit_schema
+from records import chunks
 
 
 def make_schema(extra=()):
@@ -17,8 +18,9 @@ def make_schema(extra=()):
 
 
 def rows_of(schema, records):
+    """read_columns' chunks of records given as tuples in the schema's column order."""
     names = [c.name for c in schema.columns]
-    return [dict(zip(names, map(str, rec))) for rec in records]
+    return chunks([dict(zip(names, map(str, rec))) for rec in records], schema)
 
 
 class TestSchema:
@@ -137,7 +139,7 @@ class TestFitSchema:
     def test_bad_timestamp_rejected(self):
         schema = make_schema()
         with pytest.raises(ParseError):
-            fit_schema([{"entity": "a", "ts": "not-a-time"}], schema)
+            fit_schema(chunks([{"entity": "a", "ts": "not-a-time"}], schema), schema)
 
     def test_iso_timestamp_accepted(self):
         assert ingest.parse_timestamp("1970-01-01T00:01:00Z") == 60

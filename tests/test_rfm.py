@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from caspr.errors import EmptyEntity, SchemaMismatch
-from caspr.rfm import END_TS, FEATURE_NAMES, FIRST_TS, SECONDS_PER_DAY, rfm_features, rfm_table
+from caspr import ingest
+from caspr.errors import EmptyDataset, SchemaMismatch
+from caspr.rfm import END_TS, FEATURE_NAMES, FIRST_TS, SECONDS_PER_DAY, rfm_events_from_csv, rfm_table
+from records import rfm_events
 
 TS_A1 = 1610236800  # 2021-01-10 00:00 UTC
 TS_B1 = 1609804800  # 2021-01-05 00:00 UTC
@@ -32,6 +34,11 @@ EVENTS = {
 }
 REFERENCE = TS_C3 + 86400  # dataset max + 1 day
 
+
+def features_of(events, reference_ts):
+    """The 19-feature vector of one entity's (ts, amount) events: its row of rfm_table."""
+    return rfm_table(rfm_events({"": events}), reference_ts)[1][0]
+
 # frozen oracle output, ordered as FEATURE_NAMES
 EXPECTED = {
     "A": [23.25, 23.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.2, 0.4000000000000001, 0.5, 0.5,
@@ -45,13 +52,13 @@ EXPECTED = {
 
 def test_vector_has_nineteen_named_features():
     assert len(FEATURE_NAMES) == 19
-    vec = rfm_features(EVENTS["A"], REFERENCE)
+    vec = features_of(EVENTS["A"], REFERENCE)
     assert vec.shape == (19,)
 
 
 def test_single_activity_degenerate_case():
     ref = TS_A1  # reference equals the only activity
-    vec = rfm_features([(TS_A1, 10.0)], ref)
+    vec = features_of([(TS_A1, 10.0)], ref)
     named = dict(zip(FEATURE_NAMES, vec))
     assert named["rec_days_since_last"] == 0.0
     assert named["rec_days_since_first"] == 0.0
@@ -63,7 +70,7 @@ def test_single_activity_degenerate_case():
 
 
 def test_two_activities_ten_days_apart():
-    vec = dict(zip(FEATURE_NAMES, rfm_features(EVENTS["B"], REFERENCE)))
+    vec = dict(zip(FEATURE_NAMES, features_of(EVENTS["B"], REFERENCE)))
     assert vec["freq_gap_min_days"] == vec["freq_gap_max_days"] == vec["freq_gap_mean_days"] == 10.0
     assert vec["freq_gap_std_days"] == 0.0
     assert vec["mon_amount_mean"] == 10.0
@@ -72,30 +79,29 @@ def test_two_activities_ten_days_apart():
 
 def test_recency_identity():
     for events in EVENTS.values():
-        vec = dict(zip(FEATURE_NAMES, rfm_features(events, REFERENCE)))
+        vec = dict(zip(FEATURE_NAMES, features_of(events, REFERENCE)))
         np.testing.assert_allclose(
             vec["rec_days_since_first"] - vec["rec_days_since_last"], vec["rec_span_days"],
             atol=1e-12)
 
 
 def test_three_entity_fixture_matches_oracle():
-    table = rfm_table(EVENTS, REFERENCE)
-    assert [entity for entity, _ in table] == ["A", "B", "C"]
-    for entity, vec in table:
+    entities, matrix = rfm_table(rfm_events(EVENTS), REFERENCE)
+    assert list(entities) == ["A", "B", "C"]
+    for entity, vec in zip(entities, matrix):
         np.testing.assert_allclose(vec, EXPECTED[entity], atol=1e-9)
 
 
 def test_default_reference_is_max_plus_one_day():
-    table = rfm_table(EVENTS)
-    for entity, vec in table:
+    for entity, vec in zip(*rfm_table(rfm_events(EVENTS))):
         np.testing.assert_allclose(vec, EXPECTED[entity], atol=1e-9)
 
 
 def test_permutation_invariance():
     shuffled = {k: list(reversed(v)) for k, v in EVENTS.items()}
-    for (e1, v1), (e2, v2) in zip(rfm_table(EVENTS, REFERENCE), rfm_table(shuffled, REFERENCE)):
-        assert e1 == e2
-        np.testing.assert_array_equal(v1, v2)
+    (e1, v1), (e2, v2) = rfm_table(rfm_events(EVENTS), REFERENCE), rfm_table(rfm_events(shuffled), REFERENCE)
+    assert list(e1) == list(e2)
+    np.testing.assert_array_equal(v1, v2)
 
 
 def test_all_features_finite_for_random_entities():
@@ -104,17 +110,20 @@ def test_all_features_finite_for_random_entities():
         n = int(rng.integers(1, 30))
         ts = np.sort(rng.integers(1_600_000_000, 1_650_000_000, size=n))
         amounts = rng.lognormal(2.0, 1.0, size=n)
-        vec = rfm_features(list(zip(ts.tolist(), amounts.tolist())), 1_650_000_000 + 86400)
+        vec = features_of(list(zip(ts.tolist(), amounts.tolist())), 1_650_000_000 + 86400)
         assert np.isfinite(vec).all()
 
 
-def test_empty_entity_rejected():
-    with pytest.raises(EmptyEntity):
-        rfm_features([], REFERENCE)
+def test_log_without_events_is_empty_dataset(tmp_path):
+    schema = ingest.Schema([ingest.ColumnSpec("entity", "entity_id"), ingest.ColumnSpec("ts", "timestamp"),
+                            ingest.ColumnSpec("amount", "numerical")], monetary="amount")
+    (tmp_path / "log.csv").write_text("entity,ts,amount\n")
+    with pytest.raises(EmptyDataset, match="no data rows"):
+        rfm_events_from_csv(tmp_path / "log.csv", schema)
 
 
 def test_durations_are_fractional_days():
-    vec = dict(zip(FEATURE_NAMES, rfm_features([(0, 1.0)], 43200)))
+    vec = dict(zip(FEATURE_NAMES, features_of([(0, 1.0)], 43200)))
     assert vec["rec_days_since_last"] == 0.5
 
 
@@ -200,8 +209,9 @@ FEATURE_KINDS = [slice(0, 7), slice(7, 11), slice(11, 15), slice(15, 19)]
 
 
 def assert_matches_oracle(table, by_entity, reference_ts):
-    assert [entity for entity, _ in table] == sorted(by_entity)
-    for entity, vec in table:
+    entities, matrix = table
+    assert list(entities) == sorted(by_entity)
+    for entity, vec in zip(entities, matrix):
         want = oracle_features(by_entity[entity], reference_ts)
         for kind in FEATURE_KINDS:
             scale = max(float(np.abs(want[kind]).max()), 1e-300)
@@ -254,19 +264,18 @@ def entity_tables(draw):
 @example(({"far": [(1600000000, 2.0), (1600000000 + DAY, 3.0)]}, 1600000000 + 30 * YEAR))
 def test_table_matches_per_entity_oracle(case):
     by_entity, reference_ts = case
-    assert_matches_oracle(rfm_table(by_entity, reference_ts), by_entity, reference_ts)
+    assert_matches_oracle(rfm_table(rfm_events(by_entity), reference_ts), by_entity, reference_ts)
 
 
 def test_default_reference_matches_oracle():
     latest = max(ts for events in EVENTS.values() for ts, _ in events)
-    assert_matches_oracle(rfm_table(EVENTS), EVENTS, latest + SECONDS_PER_DAY)
+    assert_matches_oracle(rfm_table(rfm_events(EVENTS)), EVENTS, latest + SECONDS_PER_DAY)
 
 
 def test_equal_timestamps_keep_input_order():
     """Tied events feed the same buckets, so only their order in the gaps could differ; it must not."""
     events = [(100, 1.0), (50, 2.0), (100, 3.0), (50, 4.0)]
-    table = rfm_table({"a": events}, 200)
-    np.testing.assert_array_equal(table[0][1], oracle_features(events, 200))
+    np.testing.assert_array_equal(features_of(events, 200), oracle_features(events, 200))
 
 
 def test_memory_is_linear_in_events():
@@ -276,7 +285,7 @@ def test_memory_is_linear_in_events():
     tracemalloc.start()
     tic = time.perf_counter()
     try:
-        table = rfm_table(by_entity)
+        _, matrix = rfm_table(rfm_events(by_entity))
         elapsed = time.perf_counter() - tic
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -284,24 +293,17 @@ def test_memory_is_linear_in_events():
     assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MiB"
     assert elapsed < 2.0
     n_weeks = (TS_LAST_DAY // DAY + 3) // 7 - (FIRST_TS // DAY + 3) // 7 + 1
-    for _, vec in table:
+    for vec in matrix:
         assert dict(zip(FEATURE_NAMES, vec))["freq_weekly_count_mean"] == 3 / n_weeks
-
-
-def test_entity_without_events_rejected_in_table():
-    with pytest.raises(EmptyEntity, match="'b'"):
-        rfm_table({"a": [(0, 1.0)], "b": []}, 10)
-    with pytest.raises(EmptyEntity):
-        rfm_table({})
 
 
 def test_reference_before_latest_event_rejected():
     with pytest.raises(SchemaMismatch, match="reference_ts precedes the latest activity"):
-        rfm_table(EVENTS, TS_C3 - 1)
+        rfm_table(rfm_events(EVENTS), TS_C3 - 1)
 
 
 def test_overflow_is_one_schema_mismatch_naming_entity_and_feature(recwarn):
     with pytest.raises(SchemaMismatch) as exc:
-        rfm_table({"a": [(0, 1.0)], "b": [(0, 1e308), (1, -1e308)]})
+        rfm_table(rfm_events({"a": [(0, 1.0)], "b": [(0, 1e308), (1, -1e308)]}))
     assert str(exc.value) == "rfm_features produced a non-finite mon_amount_std for entity 'b'"
     assert not recwarn.list

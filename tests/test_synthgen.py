@@ -6,6 +6,7 @@ import pytest
 from caspr import rfm
 from caspr.errors import ConfigError
 from caspr.synthgen import SCHEMA_JSON, SynthConfig, generate, generate_rows
+from records import rfm_events
 
 
 def sha256(path):
@@ -71,9 +72,8 @@ def test_monetary_rfm_statistics_match_across_classes():
     by_entity = {}
     for r in rows:
         by_entity.setdefault(r["entity"], []).append((r["ts"], r["amount"]))
-    table = rfm.rfm_table(by_entity)
-    vectors = np.array([vec for _, vec in table])
-    y = np.array([labels[e] for e, _ in table])
+    entities, vectors = rfm.rfm_table(rfm_events(by_entity))
+    y = np.array([labels[e] for e in entities])
     monetary = [i for i, name in enumerate(rfm.FEATURE_NAMES) if name.startswith("mon_")]
     for i in monetary:
         col = vectors[:, i]

@@ -10,6 +10,7 @@ from caspr import transformer as tf
 from caspr.autodiff import Tensor
 from caspr.errors import ConfigError, NumericError, SchemaMismatch
 from caspr.ingest import ColumnSpec, FittedSchema, Schema, build_dataset
+from records import chunks
 
 
 def tiny_fitted(n_num=1, vocab_sizes=(3,), statics=0):
@@ -43,7 +44,8 @@ def entity_records(fitted, entity, values, codes, statics=(), ts_start=0):
 
 def make_dataset(fitted, t, *entities):
     """build_dataset over the entity_records of each (entity, values, codes[, statics]) tuple."""
-    return build_dataset([r for args in entities for r in entity_records(fitted, *args)], fitted, t)
+    records = [r for args in entities for r in entity_records(fitted, *args)]
+    return build_dataset(chunks(records, fitted.schema), fitted, t)
 
 
 def random_dataset(rng, n, t, fitted, max_len=None, statics=0):
