@@ -390,21 +390,21 @@ def backward(loss):
 class FlatParams:
     """Named parameter tensors whose .data are views into one contiguous array.
 
-    `arrays` maps name -> initial array; the order fixes the layout. `flat`
-    holds every parameter and `grad`, after ``zero_grad``, every leaf
-    gradient: backward accumulates into per-parameter views of it.
+    `shapes` lists (name, shape) pairs; their order fixes the layout. `flat`
+    is a copy of the 1-D array of initial values laid out that way, and
+    `grad`, after ``zero_grad``, holds every leaf gradient: backward
+    accumulates into per-parameter views of it.
     """
 
-    def __init__(self, arrays, dtype):
+    def __init__(self, shapes, flat):
         self._slots, off = [], 0
-        for name, arr in arrays.items():
-            shape = np.shape(arr)
+        for name, shape in shapes:
             self._slots.append((name, off, off + math.prod(shape), shape))
             off = self._slots[-1][2]
-        self.flat = np.empty(off, dtype=dtype)
+        if np.shape(flat) != (off,):
+            raise ShapeMismatch("flat parameters", np.shape(flat), (off,))
+        self.flat = np.array(flat)
         self.params = {name: Tensor(view, requires_grad=True) for name, view in self.views(self.flat).items()}
-        for name, p in self.params.items():
-            p.data[...] = arrays[name]
         self.grad = None
 
     def views(self, flat):

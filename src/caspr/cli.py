@@ -290,15 +290,7 @@ def cmd_pretrain(args):
 
 def _weights_from_checkpoint(path):
     ck = pretrain.load_checkpoint(_require(path, "checkpoint"))
-    return ck, transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.tensors)
-
-
-def _embed_all(weights, dataset):
-    """(N, emb_out) embeddings of every dataset entity, embedded TILE entities at a time."""
-    tile = transformer.TILE
-    batches = (transformer.prepare_batch(dataset, slice(start, start + tile), weights.cfg)
-               for start in range(0, len(dataset.entities), tile))
-    return np.concatenate([transformer.embed(batch, weights) for batch in batches])
+    return ck, transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.flat)
 
 
 def cmd_embed(args):
@@ -310,7 +302,7 @@ def cmd_embed(args):
     if out is None:
         raise ConfigError("missing --out (or paths.embeddings in the config file)")
     dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
-    vectors = _embed_all(weights, dataset)
+    vectors = transformer.embed(transformer.prepare_batch(dataset, slice(None), ck.model_cfg), weights)
     _write_features(out, [f"e{i}" for i in range(vectors.shape[1])], dataset.entities, vectors)
     print(f"wrote {out} ({len(dataset.entities)} entities)")
     return 0
@@ -366,7 +358,8 @@ def cmd_rank(args):
     dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
     relevant = read_relevance_csv(_path(args, cfg_file, "relevance"))
 
-    entity_vecs = dict(zip(dataset.entities, _embed_all(weights, dataset)))
+    vectors = transformer.embed(transformer.prepare_batch(dataset, slice(None), ck.model_cfg), weights)
+    entity_vecs = dict(zip(dataset.entities, vectors))
     vocab = ck.fitted.vocab[item_col]
     table = weights[f"emb/{item_col}"].data.astype(np.float64)
     item_vecs = table[1:]  # row 0 is padding/OOV
@@ -431,12 +424,13 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="caspr", description="Activity-sequence embeddings and baselines")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=False):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--seed", type=int, help="random seed")
+        if seed:
+            p.add_argument("--seed", type=int, help="random seed")
 
     p = sub.add_parser("synth", help="generate a synthetic activity log")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--out", help="output directory")
     p.add_argument("--n-entities", type=int, dest="n_entities")
     p.add_argument("--signal", choices=["trend_churn", "none"])
@@ -450,7 +444,7 @@ def build_parser():
     p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("pretrain", help="run masked-recovery pretraining")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--fitted", help="fitted schema JSON from `caspr fit`")
     p.add_argument("--data")
     p.add_argument("--out", help="output directory")
@@ -475,7 +469,7 @@ def build_parser():
     p.set_defaults(fn=cmd_rfm)
 
     p = sub.add_parser("eval", help="train a linear probe and report metrics")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--features")
     p.add_argument("--labels")
     p.add_argument("--task", choices=["binary", "regression"], required=True)
@@ -491,7 +485,7 @@ def build_parser():
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("bench", help="scaling benchmark over worker counts")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--fitted")
     p.add_argument("--data")
     p.add_argument("--workers", required=True, dest="workers_list",

@@ -147,20 +147,32 @@ class FittedSchema:
 
     @classmethod
     def from_json(cls, obj):
+        """Each table must name exactly its schema columns: vocab and embed_dims
+        the categorical ones, means and stds the numeric ones."""
+        schema = Schema.from_json(obj["schema"])
+        cats = schema.names_of("categorical") + schema.names_of("static_categorical")
+        nums = schema.names_of("numerical") + schema.names_of("static_numerical")
+        for table, cols in (("vocab", cats), ("embed_dims", cats), ("means", nums), ("stds", nums)):
+            missing = [c for c in cols if c not in obj[table]]
+            extra = [c for c in obj[table] if c not in cols]
+            if missing or extra:
+                raise SchemaMismatch(f"{table}: no entry for column {missing[0]!r}" if missing else
+                                     f"{table}: column {extra[0]!r} is not among {cols}")
         means = {k: float(v) for k, v in obj["means"].items()}
         stds = {k: float(v) for k, v in obj["stds"].items()}
-        for k, mean in means.items():
-            if not math.isfinite(mean):
-                raise ValueError(f"mean of column {k!r} is {mean}, not a finite number")
-        for k, std in stds.items():
-            if not 0.0 < std < math.inf:  # a z-score divides by it
-                raise ValueError(f"std of column {k!r} is {std}, not a finite number > 0")
+        embed_dims = {k: int(v) for k, v in obj["embed_dims"].items()}
+        for what, table, ok, want in (("mean", means, math.isfinite, "a finite number"),
+                                      ("std", stds, lambda x: 0.0 < x < math.inf, "a finite number > 0"),
+                                      ("embed dim", embed_dims, lambda d: d >= 1, "an integer >= 1")):
+            for k, value in table.items():
+                if not ok(value):  # a z-score divides by the std
+                    raise ValueError(f"{what} of column {k!r} is {value}, not {want}")
         return cls(
-            schema=Schema.from_json(obj["schema"]),
+            schema=schema,
             vocab={k: _str_list(v, f"vocab {k!r}") for k, v in obj["vocab"].items()},
             means=means,
             stds=stds,
-            embed_dims={k: int(v) for k, v in obj["embed_dims"].items()},
+            embed_dims=embed_dims,
         )
 
 
@@ -448,7 +460,7 @@ def _load_json(cls, path):
             raise ParseError(f"{path}: malformed JSON: {exc}") from None
     try:
         return cls.from_json(obj)
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, SchemaMismatch) as exc:
         raise SchemaMismatch(f"{path}: not a {cls.__name__}: {type(exc).__name__}: {exc}") from None
 
 

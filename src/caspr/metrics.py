@@ -4,8 +4,8 @@ regression and ranking metrics.
 The probe standardizes its inputs, then minimizes a logistic or
 least-squares objective (L2 penalty 1e-4 on the weights, not the bias) with
 the shared Adam on hand-derived gradients: `logistic_grad` below for the
-binary task, autodiff's `squared_error` kernel for regression. Probe
-quality thus reflects only the representation it is fed.
+binary task, 2(z − y)/n for regression. Probe quality thus reflects only
+the representation it is fed.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import adam_step, init_moments
 from .errors import CaseError, LabelError, NumericError, SchemaMismatch
 
@@ -115,7 +114,8 @@ def train_linear_probe(features, labels, task, columns=None):
             if task == "binary":
                 dz = logistic_grad(z, y, scale)
             else:
-                _, dz = ad.squared_error(z, y, ones, scale)
+                dz = scale * (z - y)
+                dz += dz
             np.matmul(xs.T, dz, out=dw)
             dw += PROBE_L2 * w  # + 2λw, one λw per factor of w∘w
             dw += PROBE_L2 * w

@@ -17,13 +17,13 @@ import json
 import math
 import struct
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import multiprocessing as mp
 
 import numpy as np
 
-from . import autodiff as ad, transformer
+from . import autodiff as ad
 from .autodiff import adam_step, init_moments
 from .errors import (
     BadMagic,
@@ -43,6 +43,7 @@ from .transformer import (
     build_weights,
     decoder_forward,
     encoder_forward,
+    layout,
     prepare_batch,
     project_inputs,
     reconstruction_heads,
@@ -55,7 +56,7 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"CSPR1"
-CHECKPOINT_VERSION = 2   # 2: the model header has no "pooling" key
+CHECKPOINT_VERSION = 3   # 3: the parameters are three flat arrays, not per-tensor records
 
 
 @dataclass
@@ -136,9 +137,7 @@ def compute_gradients(weights, batch, train=True, rng=None):
     results combine exactly. Per-name views of the grad are
     ``weights.views(grad)``.
     """
-    n, tile = len(batch.entities), transformer.TILE
-    tiles = (batch.rows(slice(start, start + tile)) for start in range(0, n, tile))
-    return combine([_tile_gradients(weights, part, train, rng) for part in tiles])
+    return combine([_tile_gradients(weights, part, train, rng) for part in batch.tiles()])
 
 
 def _tile_gradients(weights, batch, train, rng):
@@ -171,23 +170,24 @@ def combine(parts):
 
 @dataclass
 class Checkpoint:
+    """Training state; `flat` and Adam's `moments` (m, v) are laid out like ModelWeights.flat."""
+
     model_cfg: ModelConfig
     fitted: FittedSchema
-    tensors: dict[str, np.ndarray]          # model weights by name
-    moments: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
+    flat: np.ndarray
+    moments: tuple[np.ndarray, np.ndarray]
     rng_state: dict | None = None
     epoch: int = 0
     adam_steps: int = 0
 
 
 def checkpoint_from(weights, moments, rng, epoch, adam_steps):
-    """Snapshot of training state; moments are per-name views of one copy of the flat (m, v)."""
-    m, v = (weights.views(x.copy()) for x in moments)
+    """Snapshot of training state: copies of the flat weights and moments."""
     return Checkpoint(
         model_cfg=weights.cfg,
         fitted=weights.fitted,
-        tensors=weights.clone_arrays(),
-        moments={name: (m[name], v[name]) for name in m},
+        flat=weights.flat.copy(),
+        moments=tuple(x.copy() for x in moments),
         rng_state=rng.bit_generator.state,
         epoch=epoch,
         adam_steps=adam_steps,
@@ -195,7 +195,9 @@ def checkpoint_from(weights, moments, rng, epoch, adam_steps):
 
 
 def save_checkpoint(ck, path):
-    """Binary layout: magic, u32 version, u64-length JSON header, tensor records."""
+    """Binary layout: magic, u32 version, u64-length JSON header, then the
+    flat weights, m and v, each little-endian at the model's dtype. The
+    header keeps the fitted schema's column order, which orders the layout."""
     header = {
         "model": asdict(ck.model_cfg),
         "fitted": ck.fitted.to_json(),
@@ -203,34 +205,25 @@ def save_checkpoint(ck, path):
         "epoch": ck.epoch,
         "adam_steps": ck.adam_steps,
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    records = dict(ck.tensors)
-    for name, (m, v) in ck.moments.items():
-        records[f"adam/m/{name}"] = m
-        records[f"adam/v/{name}"] = v
+    blob = json.dumps(header).encode("utf-8")
+    dtype = np.dtype(ad.resolve_dtype(ck.model_cfg.precision)).newbyteorder("<")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name, arr in records.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            tag = 0 if arr.dtype == np.float32 else 1
-            fh.write(struct.pack("<B", tag))
-            fh.write(arr.astype("<f4" if tag == 0 else "<f8", copy=False).tobytes())
+        for arr in (ck.flat, *ck.moments):
+            fh.write(arr.astype(dtype, copy=False).tobytes())
 
 
 HEADER_KEYS = ("model", "fitted", "rng_state", "epoch", "adam_steps")
-DTYPE_TAGS = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def load_checkpoint(path):
-    """Parse a checkpoint; any malformed content raises an IoError subclass."""
+    """Parse a checkpoint; any malformed content raises an IoError subclass.
+
+    The header fixes the payload size, so a file of another size is refused
+    before anything is allocated for the parameters."""
     with open(path, "rb") as fh:
         data = fh.read()
 
@@ -250,7 +243,7 @@ def load_checkpoint(path):
         raise BadMagic(f"{path}: bad magic {magic!r}")
     (version,) = struct.unpack("<I", take(4, "version"))
     if version != CHECKPOINT_VERSION:
-        raise VersionMismatch(f"{path}: unsupported checkpoint version {version}")
+        raise VersionMismatch(f"{path}: checkpoint version {version}, this build reads {CHECKPOINT_VERSION}")
     (blob_len,) = struct.unpack("<Q", take(8, "header length"))
     try:
         header = json.loads(bytes(take(blob_len, "header")).decode("utf-8"))
@@ -258,51 +251,26 @@ def load_checkpoint(path):
         raise CorruptFile(f"{path}: malformed header: {exc}") from None
     if not isinstance(header, dict) or any(k not in header for k in HEADER_KEYS):
         raise CorruptFile(f"{path}: header must be an object with keys {', '.join(HEADER_KEYS)}")
-
-    records = {}
-    while off < len(data):
-        (name_len,) = struct.unpack("<H", take(2, "tensor name length"))
-        try:
-            name = bytes(take(name_len, "tensor name")).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorruptFile(f"{path}: tensor name at byte {off - name_len} is not UTF-8") from None
-        if name in records:
-            raise CorruptFile(f"{path}: duplicate tensor {name!r}")
-        (rank,) = struct.unpack("<B", take(1, "tensor rank"))
-        dims = [struct.unpack("<Q", take(8, "tensor dim"))[0] for _ in range(rank)]
-        (tag,) = struct.unpack("<B", take(1, "dtype tag"))
-        if tag not in DTYPE_TAGS:
-            raise CorruptFile(f"{path}: tensor {name!r} has unknown dtype tag {tag}")
-        dtype = DTYPE_TAGS[tag]
-        payload = take(math.prod(dims) * dtype.itemsize, f"tensor {name!r} payload")
-        try:
-            records[name] = np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
-        except ValueError as exc:  # more dims than numpy supports
-            raise CorruptFile(f"{path}: tensor {name!r}: {exc}") from None
-
-    tensors, firsts, seconds = {}, {}, {}
-    for k, v in records.items():
-        if k.startswith("adam/m/"):
-            firsts[k[len("adam/m/"):]] = v
-        elif k.startswith("adam/v/"):
-            seconds[k[len("adam/v/"):]] = v
-        elif not k.startswith("adam/"):
-            tensors[k] = v
-    if firsts.keys() != seconds.keys():
-        odd = sorted(firsts.keys() ^ seconds.keys())
-        raise CorruptFile(f"{path}: Adam moments for {odd[0]!r} lack their other half")
     try:
-        return Checkpoint(
-            model_cfg=ModelConfig(**header["model"]),
-            fitted=FittedSchema.from_json(header["fitted"]),
-            tensors=tensors,
-            moments={name: (m, seconds[name]) for name, m in firsts.items()},
-            rng_state=header["rng_state"],
-            epoch=int(header["epoch"]),
-            adam_steps=int(header["adam_steps"]),
-        )
+        model_cfg = ModelConfig(**header["model"])
+        fitted = FittedSchema.from_json(header["fitted"])
+        dtype = np.dtype(ad.resolve_dtype(model_cfg.precision)).newbyteorder("<")
+        epoch, adam_steps = int(header["epoch"]), int(header["adam_steps"])
     except (CasprError, ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed header field: {type(exc).__name__}: {exc}") from None
+
+    room = (len(data) - off) // (3 * dtype.itemsize)  # parameters the rest of the file can hold
+    size = 0
+    for _, shape, _ in layout(model_cfg, fitted):  # stops at the first tensor the file cannot hold
+        size += math.prod(shape)
+        if size > room:
+            raise TruncatedFile(f"{path}: truncated while reading the parameters")
+    payload = take(3 * size * dtype.itemsize, "the parameters")
+    if off != len(data):
+        raise CorruptFile(f"{path}: {len(data) - off} bytes after the parameters")
+    flat, m, v = np.frombuffer(payload, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(3, size)
+    return Checkpoint(model_cfg=model_cfg, fitted=fitted, flat=flat, moments=(m, v),
+                      rng_state=header["rng_state"], epoch=epoch, adam_steps=adam_steps)
 
 
 def train(dataset, model_cfg, train_cfg, init=None):
@@ -321,8 +289,10 @@ def train(dataset, model_cfg, train_cfg, init=None):
     moments = init_moments(weights.flat)
     epoch_start = adam_steps = 0
     if init is not None:
-        weights.load_arrays(init.tensors)
-        _load_moments(weights, moments, init.moments)
+        if list(layout(init.model_cfg, init.fitted)) != list(layout(model_cfg, dataset.fitted)):
+            raise SchemaMismatch("the checkpoint's parameter layout differs from this run's")
+        weights.flat[...] = init.flat
+        moments = tuple(np.array(x, dtype=weights.flat.dtype) for x in init.moments)
         if init.rng_state is not None:
             rng.bit_generator.state = init.rng_state
         epoch_start, adam_steps = init.epoch, init.adam_steps
@@ -357,18 +327,6 @@ def train(dataset, model_cfg, train_cfg, init=None):
         if pool is not None:
             pool.close()
     return last_good, log
-
-
-def _load_moments(weights, moments, named):
-    """Copy per-name (m, v) pairs into the views of the flat moments; absent names stay zero."""
-    views = [weights.views(x) for x in moments]
-    for name, pair in named.items():
-        if name not in weights.params:
-            raise SchemaMismatch(f"Adam moments for unknown weight {name!r}")
-        for flat_views, arr in zip(views, pair):
-            if arr.shape != flat_views[name].shape:
-                raise SchemaMismatch(f"Adam moment {name!r}: shape {arr.shape} != {flat_views[name].shape}")
-            flat_views[name][...] = arr
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ real step always carries scalar 1.0 regardless of pad length.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ class ModelConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        for name, least in (("hidden", 1), ("ff_dim", 1), ("heads", 1), ("emb_out", 1), ("layers", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
         if not 0.0 <= self.mask_p <= 1.0:
@@ -74,10 +79,12 @@ class Batch:
     def with_keep(self, keep):
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
 
-    def rows(self, sl):
-        """Rows `sl` (a slice) of every field, as views."""
-        return Batch(self.entities[sl], self.pos[sl], self.nums[sl], self.cats[sl], self.real[sl],
-                     self.keep[sl], self.statics[sl])
+    def tiles(self):
+        """The batch in row tiles of at most TILE entities, as views; an empty batch is one empty tile."""
+        for start in range(0, max(len(self.entities), 1), TILE):
+            sl = slice(start, start + TILE)
+            yield Batch(self.entities[sl], self.pos[sl], self.nums[sl], self.cats[sl], self.real[sl],
+                        self.keep[sl], self.statics[sl])
 
 
 def prepare_batch(dataset, idx, cfg):
@@ -103,12 +110,7 @@ def prepare_batch(dataset, idx, cfg):
     )
 
 
-def _xavier(rng, fan_in, fan_out, shape, dtype):
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def _layout(cfg, fitted):
+def layout(cfg, fitted):
     """(name, shape, init) for every learnable tensor, in the fixed parameter order.
 
     init is "table" (embedding), "xavier" (weight), "bias", "ones" or "zeros".
@@ -162,35 +164,14 @@ def _layout(cfg, fitted):
 
 
 class ModelWeights(ad.FlatParams):
-    """The model's named parameters, packed into one flat buffer.
+    """The model's named parameters, as views into a copy of `flat` at the
+    model's precision; `flat` holds every tensor of layout(cfg, fitted) in order."""
 
-    `arrays` must hold every tensor of the layout for (cfg, fitted) at its
-    shape; extra names are ignored. Parameter order is the layout's.
-    """
-
-    def __init__(self, cfg, fitted, arrays):
+    def __init__(self, cfg, fitted, flat):
         self.cfg = cfg
         self.fitted = fitted
-        super().__init__(self._checked(arrays), ad.resolve_dtype(cfg.precision))
-
-    def _checked(self, arrays):
-        ordered = {}
-        for name, shape, _ in _layout(self.cfg, self.fitted):
-            if name not in arrays:
-                raise SchemaMismatch(f"missing weight tensor {name!r}")
-            if np.shape(arrays[name]) != shape:
-                raise SchemaMismatch(f"weight {name!r}: shape {np.shape(arrays[name])} != {shape}")
-            ordered[name] = arrays[name]
-        return ordered
-
-    def clone_arrays(self):
-        """Per-name views of one copy of the flat buffer."""
-        return self.views(self.flat.copy())
-
-    def load_arrays(self, arrays):
-        """Copy `arrays` into the parameters in place; every .data stays a view of `flat`."""
-        for name, arr in self._checked(arrays).items():
-            self.params[name].data[...] = arr
+        shapes = [(name, shape) for name, shape, _ in layout(cfg, fitted)]
+        super().__init__(shapes, np.asarray(flat, dtype=ad.resolve_dtype(cfg.precision)))
 
 
 def build_weights(cfg, fitted, rng):
@@ -199,21 +180,23 @@ def build_weights(cfg, fitted, rng):
     Linear biases get the same small uniform noise as embeddings: a fully
     masked (all-zero) sequence then produces rows with nonzero per-row
     variance, keeping every layer norm away from its zero-variance point
-    where backward gradients blow up as 1/sqrt(eps) per norm.
+    where backward gradients blow up as 1/sqrt(eps) per norm. Each tensor
+    is drawn into its view of the flat array, in layout order.
     """
-    dtype = ad.resolve_dtype(cfg.precision)
-    arrays = {}
-    for name, shape, init in _layout(cfg, fitted):
+    size = sum(math.prod(shape) for _, shape, _ in layout(cfg, fitted))
+    weights = ModelWeights(cfg, fitted, np.zeros(size, dtype=ad.resolve_dtype(cfg.precision)))
+    for name, shape, init in layout(cfg, fitted):
+        arr = weights[name].data
         if init == "xavier":
-            arr = _xavier(rng, shape[0], shape[1], shape, dtype)
+            bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+            arr[...] = rng.uniform(-bound, bound, size=shape)
         elif init in ("table", "bias"):
-            arr = rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
+            arr[...] = rng.uniform(-0.05, 0.05, size=shape)
             if init == "table":
                 arr[0] = 0.0  # padding/OOV row starts at zero, stays trainable
-        else:
-            arr = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
-        arrays[name] = arr
-    return ModelWeights(cfg, fitted, arrays)
+        elif init == "ones":
+            arr[...] = 1.0
+    return weights
 
 
 def project_inputs(batch, weights):
@@ -341,14 +324,17 @@ def _mean_pool(enc, batch):
 def embed(batch, weights):
     """Inference-mode entity vectors: pool encoder output, join statics, 2 dense layers.
 
-    Returns a (B, emb_out) array in batch row order. Runs under ad.no_grad(), so it builds no backward graph.
+    Returns a (B, emb_out) array in batch row order, computed TILE entities
+    at a time. Runs under ad.no_grad(), so it builds no backward graph.
     """
+    parts = []
     with ad.no_grad():
-        enc = encoder_forward(batch, weights, train=False)
-        pooled = _mean_pool(enc, batch)
-        joined = Tensor(np.concatenate([pooled, batch.statics.astype(pooled.dtype)], axis=1))
-        hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
-        out = ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"])
-    if not np.isfinite(out.data).all():
+        for part in batch.tiles():
+            pooled = _mean_pool(encoder_forward(part, weights, train=False), part)
+            joined = Tensor(np.concatenate([pooled, part.statics.astype(pooled.dtype)], axis=1))
+            hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
+            parts.append(ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"]).data)
+    out = np.concatenate(parts)
+    if not np.isfinite(out).all():
         raise NumericError("embedding head produced non-finite values")
-    return out.data
+    return out

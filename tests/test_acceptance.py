@@ -96,7 +96,7 @@ def pipeline2000():
     train_seconds = time.perf_counter() - start
 
     weights = tf.build_weights(ck.model_cfg, ck.fitted, np.random.default_rng(0))
-    weights.load_arrays(ck.tensors)
+    weights.flat[...] = ck.flat
     features = np.concatenate([tf.embed(tf.prepare_batch(ds, slice(s, s + 512), ck.model_cfg), weights)
                                for s in range(0, len(ds.entities), 512)])
     y = np.array([labels[e] for e in ds.entities], dtype=np.float64)
@@ -323,10 +323,8 @@ def test_criterion_8_checkpoint_roundtrip_and_resume(capfd, tmp_path):
     save_checkpoint(half_ck, path)
     loaded = load_checkpoint(path)
 
-    bitwise = all((loaded.tensors[n] == half_ck.tensors[n]).all() for n in half_ck.tensors)
-    bitwise &= all((loaded.moments[n][0] == half_ck.moments[n][0]).all()
-                   and (loaded.moments[n][1] == half_ck.moments[n][1]).all()
-                   for n in half_ck.moments)
+    bitwise = all(a.tobytes() == b.tobytes() and a.dtype == b.dtype
+                  for a, b in zip((loaded.flat, *loaded.moments), (half_ck.flat, *half_ck.moments)))
 
     _, rest_log = train(ds, cfg, TrainConfig(epochs=6, seed=2, batch_size=12), init=loaded)
     resumed = [l for _, l, _ in half_log] + [l for _, l, _ in rest_log]

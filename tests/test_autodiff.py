@@ -397,15 +397,19 @@ class TestNoGrad:
 
 class TestFlatParams:
     def test_params_are_views_of_flat(self):
-        arrays = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0])}
-        params = ad.FlatParams(arrays, np.float64)
-        np.testing.assert_array_equal(params.flat, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
-        for name, p in params.items():
+        flat = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+        params = ad.FlatParams([("w", (2, 3)), ("b", (1,))], flat)
+        assert not np.shares_memory(params.flat, flat)
+        np.testing.assert_array_equal(params.flat, flat)
+        for p in params.params.values():
             assert p.data.base is params.flat
-            np.testing.assert_array_equal(p.data, arrays[name])
+        np.testing.assert_array_equal(params["w"].data, np.arange(6.0).reshape(2, 3))
+        np.testing.assert_array_equal(params["b"].data, [7.0])
+        with pytest.raises(ShapeMismatch):
+            ad.FlatParams([("w", (2, 3)), ("b", (1,))], flat[:-1])
 
     def test_gradients_accumulate_into_flat_grad(self):
-        params = ad.FlatParams({"w": np.ones((2, 2)), "b": np.ones(2)}, np.float64)
+        params = ad.FlatParams([("w", (2, 2)), ("b", (2,))], np.ones(6))
         params.zero_grad()
         ad.backward(readout(params["w"], np.full((2, 2), 3.0)))
         np.testing.assert_array_equal(params.grad, [3.0, 3.0, 3.0, 3.0, 0.0, 0.0])

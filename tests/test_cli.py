@@ -91,7 +91,7 @@ def test_pretrain_zero_epochs_valid_checkpoint(workspace, tmp_path):
                  "--out", str(out), "--epochs", "0"]) == 0
     from caspr.pretrain import load_checkpoint
     ck = load_checkpoint(out / "checkpoint.bin")
-    assert ck.epoch == 0 and ck.tensors
+    assert ck.epoch == 0 and ck.flat.size
 
 
 def test_embed_row_per_entity(workspace, tmp_path):
@@ -124,10 +124,11 @@ def test_embed_deterministic(workspace, tmp_path):
 def test_embed_tiles_match_one_whole_dataset_chunk(workspace, monkeypatch):
     ck, weights = cli._weights_from_checkpoint(workspace["run_dir"] / "checkpoint.bin")
     ds = ingest.load_dataset(workspace["data_dir"] / "data.csv", ck.fitted, ck.model_cfg.t)
+    batch = transformer.prepare_batch(ds, slice(None), ck.model_cfg)
     monkeypatch.setattr(transformer, "TILE", len(ds.entities))
-    whole = cli._embed_all(weights, ds)
+    whole = transformer.embed(batch, weights)
     monkeypatch.setattr(transformer, "TILE", 16)  # 60 entities: tiles of 16, 16, 16 and 12
-    tiled = cli._embed_all(weights, ds)
+    tiled = transformer.embed(batch, weights)
     assert tiled.shape == whole.shape == (len(ds.entities), ck.model_cfg.emb_out)
     assert tiled.tobytes() == whole.tobytes()
 
@@ -540,7 +541,7 @@ class TestExitCodes:
         assert code == 4
         # the last good checkpoint survives, and the one error line names its epoch
         ck = pretrain.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
-        assert all(np.isfinite(arr).all() for arr in ck.tensors.values())
+        assert np.isfinite(ck.flat).all()
         assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["checkpoint.bin"]
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: DivergenceError")
@@ -615,6 +616,47 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert code == {"ParseError": 2, "SchemaMismatch": 3}[error]
         assert len(err) == 1 and err[0].startswith(f"error: {error}")
+
+    @pytest.mark.parametrize("target, entry, value, error", [
+        ("model", "heads", 0, "ConfigError"),
+        ("model", "heads", -2, "ConfigError"),
+        ("model", "hidden", 0, "ConfigError"),
+        ("model", "emb_out", 0, "ConfigError"),
+        ("model", "ff_dim", 0, "ConfigError"),
+        ("fitted", "embed_dims.item", 0, "SchemaMismatch"),
+        ("fitted", "embed_dims.item", -1, "SchemaMismatch"),
+        ("fitted", "vocab.channel", None, "SchemaMismatch"),
+        ("fitted", "means.amount", None, "SchemaMismatch"),
+    ])
+    def test_bad_model_config_or_fitted_schema_is_one_error_line(self, workspace, tmp_path, capfd,
+                                                                 target, entry, value, error):
+        """The dotted `entry` of the run config's model section or of the fitted schema is set to
+        `value`, or deleted for None."""
+        files = {"model": json.loads(workspace["cfg"].read_text()),
+                 "fitted": json.loads(workspace["fitted"].read_text())}
+        table = files[target]["model"] if target == "model" else files[target]
+        keys = entry.split(".")
+        for key in keys[:-1]:
+            table = table[key]
+        if value is None:
+            del table[keys[-1]]
+        else:
+            table[keys[-1]] = value
+        for name, obj in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+        code = main(["pretrain", "--config", str(tmp_path / "model.json"), "--fitted", str(tmp_path / "fitted.json"),
+                     "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "run")])
+        err = capfd.readouterr().err
+        assert code == {"ConfigError": 1, "SchemaMismatch": 3}[error]
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
+
+    @pytest.mark.parametrize("command", ["fit", "embed", "rfm", "rank"])
+    def test_seed_is_a_usage_error_where_nothing_reads_it(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_int_accepted_for_float_field(self):
         cfg = cli._config(pretrain.TrainConfig, {"train": {"lr": 1}}, "train", {})

@@ -295,6 +295,23 @@ def test_fitted_statistics_must_be_finite_with_positive_std(tmp_path, stat, valu
         ingest.load_fitted_json(path)
 
 
+@pytest.mark.parametrize("table, entry, what", [
+    ("vocab", None, "vocab: no entry for column 'tier'"),
+    ("embed_dims", None, "embed_dims: no entry for column 'tier'"),
+    ("stds", None, "stds: no entry for column 'x'"),
+    ("means", {"x": 0.0, "tier": 0.0}, r"means: column 'tier' is not among \['x'\]"),
+    ("vocab", {"tier": ["g"], "x": ["1"]}, r"vocab: column 'x' is not among \['tier'\]"),
+    ("embed_dims", {"tier": 0}, "embed dim of column 'tier' is 0, not an integer >= 1"),
+])
+def test_fitted_tables_name_exactly_their_schema_columns(tmp_path, table, entry, what):
+    schema = make_schema([ColumnSpec("tier", "categorical"), ColumnSpec("x", "numerical")])
+    obj = fit_schema(rows_of(schema, [("a", 1, "g", 1.5), ("b", 2, "s", 2.5)]), schema).to_json()
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps({**obj, table: entry or {}}))
+    with pytest.raises(SchemaMismatch, match=what):
+        ingest.load_fitted_json(path)
+
+
 def test_fitted_schema_json_roundtrip():
     schema = make_schema([ColumnSpec("tier", "categorical"), ColumnSpec("x", "numerical")])
     recs = rows_of(schema, [("a", 1, "g", 1.5), ("b", 2, "s", 2.5)])

@@ -3,11 +3,12 @@ import math
 import os
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from caspr import autodiff as ad, pretrain, transformer as tf
+from caspr import autodiff as ad, cli, ingest, pretrain, synthgen, transformer as tf
 from caspr.autodiff import Tensor, adam_step, init_moments
 from caspr.errors import (
     BadMagic,
@@ -31,6 +32,7 @@ from caspr.pretrain import (
     train,
 )
 
+from records import chunks
 from test_transformer import make_dataset, random_dataset, small_weights, tiny_fitted, whole_batch
 
 
@@ -146,11 +148,10 @@ class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         fitted = tiny_fitted()
         _, weights = small_weights(fitted)
-        before = weights.clone_arrays()
+        before = weights.flat.copy()
         grads = np.zeros_like(weights.flat)
         adam_step(weights.flat, grads, init_moments(weights.flat), TrainConfig(epochs=1).lr, 1)
-        for name, arr in weights.clone_arrays().items():
-            np.testing.assert_array_equal(arr, before[name])
+        np.testing.assert_array_equal(weights.flat, before)
 
     def test_first_step_closed_form(self):
         p = np.array([1.0])
@@ -182,7 +183,7 @@ class TestAdam:
                 v += (1.0 - ad.ADAM_BETA2) * g * g
                 p -= (0.01 * (m / c1) / (np.sqrt(v / c2) + ad.ADAM_EPS)).astype(p.dtype)
 
-        params = ad.FlatParams(init, np.float32)
+        params = ad.FlatParams(shapes.items(), np.concatenate([init[k].ravel() for k in shapes]))
         moments = init_moments(params.flat)
         for step, grads in enumerate(steps, start=1):
             adam_step(params.flat, np.concatenate([grads[k].ravel() for k in shapes]), moments, 0.01, step)
@@ -201,15 +202,25 @@ class TestCheckpoint:
         path = tmp_path / "ck.bin"
         save_checkpoint(ck, path)
         again = load_checkpoint(path)
-        assert set(again.tensors) == set(ck.tensors)
-        for name, arr in ck.tensors.items():
-            assert arr.dtype == again.tensors[name].dtype
-            assert (arr == again.tensors[name]).all()
-        for name, (m, v) in ck.moments.items():
-            assert (m == again.moments[name][0]).all()
-            assert (v == again.moments[name][1]).all()
+        for arr, loaded in zip((ck.flat, *ck.moments), (again.flat, *again.moments), strict=True):
+            assert loaded.dtype == arr.dtype == np.float64
+            assert loaded.tobytes() == arr.tobytes()
         assert again.epoch == ck.epoch and again.adam_steps == ck.adam_steps
         assert again.rng_state == ck.rng_state
+
+    def test_roundtrip_keeps_the_layout_of_unsorted_columns(self, tmp_path):
+        """Columns out of name order: the loaded schema orders the layout as the saved one did."""
+        rows, _ = synthgen.generate_rows(synthgen.SynthConfig(n_entities=6, seed=0))
+        schema = ingest.Schema.from_json(synthgen.SCHEMA_JSON)
+        raw = [{k: str(v) for k, v in r.items()} for r in rows]
+        fitted = ingest.fit_schema(chunks(raw, schema), schema)
+        cfg = tf.ModelConfig(hidden=4, ff_dim=4, layers=1, heads=2, t=6)
+        assert [name for name, _, _ in tf.layout(cfg, fitted)][:2] == ["emb/item", "emb/channel"]
+        ck, _ = train(ingest.build_dataset(chunks(raw, schema), fitted, 6), cfg,
+                      TrainConfig(epochs=1, seed=1, batch_size=6))
+        save_checkpoint(ck, tmp_path / "ck.bin")
+        again = load_checkpoint(tmp_path / "ck.bin")
+        assert list(tf.layout(again.model_cfg, again.fitted)) == list(tf.layout(cfg, fitted))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -218,7 +229,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_version_mismatch(self, tmp_path):
-        for version in (1, 9):
+        for version in (1, 2, 9):
             path = tmp_path / f"v{version}.bin"
             path.write_bytes(b"CSPR1" + version.to_bytes(4, "little") + b"\x00" * 16)
             with pytest.raises(VersionMismatch):
@@ -246,15 +257,10 @@ def small_checkpoint_bytes(tmp_path):
     return path.read_bytes()
 
 
-def craft_checkpoint(header, records):
-    """Checkpoint bytes from a header object and (name bytes, array, dtype tag) records."""
+def craft_checkpoint(header, payload, version=pretrain.CHECKPOINT_VERSION):
+    """Checkpoint bytes from a header object and the parameter bytes that follow it."""
     blob = json.dumps(header).encode("utf-8")
-    parts = [b"CSPR1", struct.pack("<I", pretrain.CHECKPOINT_VERSION), struct.pack("<Q", len(blob)), blob]
-    for name, arr, tag in records:
-        parts += [struct.pack("<H", len(name)), name, struct.pack("<B", arr.ndim)]
-        parts += [struct.pack("<Q", d) for d in arr.shape]
-        parts += [struct.pack("<B", tag), arr.astype("<f4" if tag == 0 else "<f8").tobytes()]
-    return b"".join(parts)
+    return b"".join([b"CSPR1", struct.pack("<I", version), struct.pack("<Q", len(blob)), blob, payload])
 
 
 class TestCheckpointHardening:
@@ -264,12 +270,7 @@ class TestCheckpointHardening:
     def parts(self, tmp_path):
         data = small_checkpoint_bytes(tmp_path)
         (blob_len,) = struct.unpack("<Q", data[9:17])
-        header = json.loads(data[17:17 + blob_len])
-        ck = load_checkpoint(tmp_path / "small.bin")
-        records = [(k.encode(), v, 0) for k, v in ck.tensors.items()]
-        for name, (m, v) in ck.moments.items():
-            records += [(f"adam/m/{name}".encode(), m, 0), (f"adam/v/{name}".encode(), v, 0)]
-        return header, records
+        return json.loads(data[17:17 + blob_len]), data[17 + blob_len:]
 
     def load(self, tmp_path, data):
         path = tmp_path / "crafted.bin"
@@ -277,38 +278,84 @@ class TestCheckpointHardening:
         return load_checkpoint(path)
 
     def test_crafted_roundtrip_loads(self, tmp_path, parts):
-        header, records = parts
-        ck = self.load(tmp_path, craft_checkpoint(header, records))
-        assert len(ck.tensors) + 2 * len(ck.moments) == len(records)
+        header, payload = parts
+        ck = self.load(tmp_path, craft_checkpoint(header, payload))
+        assert np.concatenate([ck.flat, *ck.moments]).astype("<f4").tobytes() == payload
+
+    def test_file_is_header_and_three_flat_arrays(self, tmp_path):
+        data = small_checkpoint_bytes(tmp_path)
+        ck = load_checkpoint(tmp_path / "small.bin")
+        (blob_len,) = struct.unpack("<Q", data[9:17])
+        size = sum(math.prod(shape) for _, shape, _ in tf.layout(ck.model_cfg, ck.fitted))
+        assert ck.flat.shape == ck.moments[0].shape == ck.moments[1].shape == (size,)
+        assert len(data) == 17 + blob_len + 3 * size * np.dtype(np.float32).itemsize
 
     @pytest.mark.parametrize("defect, what", [
-        ("dtype_tag", "unknown dtype tag 7"),
-        ("duplicate", "duplicate tensor"),
-        ("half_moment", "other half"),
-        ("bad_name", "not UTF-8"),
         ("missing_key", "header must be an object"),
         ("bad_json", "malformed header"),
         ("bad_field", "malformed header field"),
+        ("trailing_bytes", "3 bytes after the parameters"),
+        ("zero_heads", "heads must be an integer >= 1"),
+        ("no_vocab_column", "vocab: no entry for column 'c0'"),
+        ("no_means_column", "means: no entry for column 'x0'"),
+        ("zero_embed_dim", "embed dim of column 'c0' is 0"),
     ])
     def test_defect_is_corrupt_file(self, tmp_path, parts, defect, what):
-        header, records = parts
-        if defect == "dtype_tag":
-            records[0] = (records[0][0], records[0][1], 7)
-        elif defect == "duplicate":
-            records.append(records[0])
-        elif defect == "half_moment":
-            records = [r for r in records if not r[0].startswith(b"adam/v/in_proj/w")]
-        elif defect == "bad_name":
-            records[0] = (b"\xff\xfe" + records[0][0][2:], records[0][1], 0)
-        elif defect == "missing_key":
+        header, payload = parts
+        if defect == "missing_key":
             del header["adam_steps"]
         elif defect == "bad_field":
             header["model"]["hidden"] = 5  # not divisible by heads
-        data = craft_checkpoint(header, records)
+        elif defect == "trailing_bytes":
+            payload += b"\x00" * 3
+        elif defect == "zero_heads":
+            header["model"]["heads"] = 0
+        elif defect == "no_vocab_column":
+            del header["fitted"]["vocab"]["c0"]
+        elif defect == "no_means_column":
+            del header["fitted"]["means"]["x0"]
+        elif defect == "zero_embed_dim":
+            header["fitted"]["embed_dims"]["c0"] = 0
+        data = craft_checkpoint(header, payload)
         if defect == "bad_json":
             data = data.replace(b'"epoch"', b'"epoch\xff', 1)
         with pytest.raises(CorruptFile, match=what):
             self.load(tmp_path, data)
+
+    @pytest.mark.parametrize("cut", [1, 4, 100])
+    def test_short_payload_is_truncated_file(self, tmp_path, parts, cut):
+        header, payload = parts
+        with pytest.raises(TruncatedFile, match="the parameters"):
+            self.load(tmp_path, craft_checkpoint(header, payload[:-cut]))
+
+    def test_huge_header_over_short_file_allocates_nothing_for_it(self, tmp_path, parts):
+        """A header for a 4096-wide model is refused from its arithmetic, not by reading the file."""
+        header, payload = parts
+        header["model"].update(hidden=4096, ff_dim=4096, heads=8, emb_out=4096)
+        cfg = tf.ModelConfig(**header["model"])
+        size = sum(math.prod(shape) for _, shape, _ in tf.layout(cfg, ingest.FittedSchema.from_json(header["fitted"])))
+        path = tmp_path / "huge.bin"
+        path.write_bytes(craft_checkpoint(header, payload))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TruncatedFile):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 3 * size * 4 > 10 ** 9 and peak < 10 ** 6
+
+    def test_version_2_file_exits_5(self, tmp_path, parts, capsys):
+        header, payload = parts
+        path = tmp_path / "v2.bin"
+        path.write_bytes(craft_checkpoint(header, payload, version=2))
+        with pytest.raises(VersionMismatch, match="version 2"):
+            load_checkpoint(path)
+        code = cli.main(["embed", "--checkpoint", str(path), "--data", str(tmp_path / "data.csv"),
+                         "--out", str(tmp_path / "emb.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 5
+        assert len(err) == 1 and err[0].startswith("error: VersionMismatch")
 
     def test_fuzz_truncation_and_byte_flips(self, tmp_path):
         data = small_checkpoint_bytes(tmp_path)
@@ -386,8 +433,7 @@ class TestTiles:
         runs = [train(ds, cfg, TrainConfig(epochs=2, seed=3, batch_size=12)) for _ in range(2)]
         (ck_a, log_a), (ck_b, log_b) = runs
         assert [l for _, l, _ in log_a] == [l for _, l, _ in log_b]
-        for name, arr in ck_a.tensors.items():
-            assert arr.tobytes() == ck_b.tensors[name].tobytes()
+        assert ck_a.flat.tobytes() == ck_b.flat.tobytes()
 
 
 MODEL = dict(hidden=8, ff_dim=16, layers=2, heads=2, t=6, dropout=0.1, precision="f32")
@@ -399,7 +445,7 @@ class TestTrain:
         ck, log = train(ds, tf.ModelConfig(**MODEL), TrainConfig(epochs=0, seed=5, batch_size=6))
         assert log == []
         assert ck.epoch == 0 and ck.adam_steps == 0
-        assert ck.tensors  # initialized weights present
+        assert ck.flat.size and ck.flat.any()  # initialized weights present
 
     def test_same_seed_identical_logs(self):
         ds = tiny_dataset()
@@ -422,8 +468,7 @@ class TestTrain:
         cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=6,
                              dropout=0.0, precision="f64")
         ck, _ = train(ds, cfg, TrainConfig(epochs=600, seed=1, batch_size=8))
-        weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(0))
-        weights.load_arrays(ck.tensors)
+        weights = tf.ModelWeights(cfg, ds.fitted, ck.flat)
 
         batch = whole_batch(ds, cfg)
         masked, plan = apply_mask(batch, cfg.mask_p, np.random.default_rng(0))
@@ -442,7 +487,7 @@ class TestTrain:
             with pytest.raises(pretrain.DivergenceError) as exc:
                 train(ds, cfg, TrainConfig(epochs=50, seed=0, batch_size=8, lr=1e8))
         assert exc.value.checkpoint is not None
-        assert exc.value.checkpoint.tensors
+        assert np.isfinite(exc.value.checkpoint.flat).all()
 
     def test_resume_continues_log_exactly(self, tmp_path):
         ds = tiny_dataset(n=10, seed=4)
@@ -474,13 +519,13 @@ class TestTrain:
         train(ds, cfg, TrainConfig(epochs=2, seed=3, batch_size=6), init=ck)
         assert seen and all(seen)
 
-    def test_resume_rejects_moments_of_unknown_weight(self):
+    def test_resume_rejects_another_layout(self):
         ds = tiny_dataset(n=6)
         cfg = tf.ModelConfig(**MODEL)
         ck, _ = train(ds, cfg, TrainConfig(epochs=1, seed=3, batch_size=6))
-        ck.moments["no/such"] = (np.zeros(2), np.zeros(2))
-        with pytest.raises(SchemaMismatch, match="no/such"):
-            train(ds, cfg, TrainConfig(epochs=2, seed=3, batch_size=6), init=ck)
+        wider = tf.ModelConfig(**{**MODEL, "ff_dim": 2 * MODEL["ff_dim"]})
+        with pytest.raises(SchemaMismatch, match="layout"):
+            train(ds, wider, TrainConfig(epochs=2, seed=3, batch_size=6), init=ck)
 
 
 class TestDataParallel:
@@ -530,9 +575,7 @@ class TestDataParallel:
         assert len(par_log) == len(serial_log)
         for (_, ls, _), (_, lp, _) in zip(serial_log, par_log):
             np.testing.assert_allclose(lp, ls, rtol=1e-9)
-        for name in serial_ck.tensors:
-            np.testing.assert_allclose(par_ck.tensors[name], serial_ck.tensors[name],
-                                       rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(par_ck.flat, serial_ck.flat, rtol=1e-8, atol=1e-10)
 
     def test_worker_divergence_carries_last_good_checkpoint(self):
         ds = tiny_dataset(n=8, seed=5)
@@ -541,7 +584,7 @@ class TestDataParallel:
             with pytest.raises(pretrain.DivergenceError) as exc:
                 train(ds, cfg, TrainConfig(epochs=50, seed=0, batch_size=8, lr=1e8, workers=2))
         assert exc.value.checkpoint is not None
-        assert exc.value.checkpoint.tensors
+        assert np.isfinite(exc.value.checkpoint.flat).all()
 
     def test_worker_dying_mid_step_is_a_typed_error(self, monkeypatch):
         monkeypatch.setattr(pretrain, "compute_gradients", lambda *a, **k: os._exit(3))
@@ -594,5 +637,4 @@ class TestDataParallel:
         resumed_ck, rest_log = train(ds, cfg, TrainConfig(epochs=4, seed=2, batch_size=6, workers=2),
                                      init=load_checkpoint(path))
         assert [l for _, l, _ in half_log + rest_log] == [l for _, l, _ in straight_log]
-        for name, arr in straight_ck.tensors.items():
-            assert arr.tobytes() == resumed_ck.tensors[name].tobytes()
+        assert straight_ck.flat.tobytes() == resumed_ck.flat.tobytes()

@@ -8,7 +8,7 @@ import pytest
 from caspr import autodiff as ad
 from caspr import transformer as tf
 from caspr.autodiff import Tensor
-from caspr.errors import ConfigError, NumericError, SchemaMismatch
+from caspr.errors import ConfigError, NumericError, SchemaMismatch, ShapeMismatch
 from caspr.ingest import ColumnSpec, FittedSchema, Schema, build_dataset
 from records import chunks
 
@@ -100,6 +100,12 @@ class TestConfig:
     def test_hidden_divisible_by_heads(self):
         with pytest.raises(ConfigError):
             tf.ModelConfig(hidden=10, heads=4)
+
+    @pytest.mark.parametrize("name, value", [("hidden", 0), ("ff_dim", 0), ("heads", 0), ("heads", -2),
+                                             ("emb_out", 0), ("layers", -1), ("hidden", 16.0)])
+    def test_sizes_are_integers_in_range(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+            tf.ModelConfig(**{name: value})
 
 
 class TestProjectInputs:
@@ -342,8 +348,10 @@ class TestEmbed:
     def test_vector_length_is_emb_out(self):
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, emb_out=16)
-        vecs = tf.embed(whole_batch(random_dataset(np.random.default_rng(13), 2, cfg.t, fitted), cfg), weights)
+        ds = random_dataset(np.random.default_rng(13), 2, cfg.t, fitted)
+        vecs = tf.embed(whole_batch(ds, cfg), weights)
         assert vecs.shape == (2, 16)
+        assert tf.embed(tf.prepare_batch(ds, [], cfg), weights).shape == (0, 16)  # one empty tile
 
     def test_identical_sequences_identical_vectors(self):
         fitted = tiny_fitted()
@@ -445,30 +453,42 @@ class TestWeights:
         cfg, weights = small_weights(fitted)
         self.assert_views_of_flat(weights)
         _, other = small_weights(fitted, seed=1)
-        weights.load_arrays(other.clone_arrays())
+        weights.flat[...] = other.flat
         self.assert_views_of_flat(weights)
-        np.testing.assert_array_equal(weights.flat, other.flat)
+        np.testing.assert_array_equal(weights["in_proj/w"].data, other["in_proj/w"].data)
 
     def test_constructor_packs_named_arrays(self):
+        """ModelWeights lays a copy of a flat array out as the named tensors of the layout."""
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        arrays = dict(reversed(list(weights.clone_arrays().items())))  # order does not matter
-        again = tf.ModelWeights(cfg, fitted, arrays)
-        assert list(again.params) == list(weights.params)
-        np.testing.assert_array_equal(again.flat, weights.flat)
+        again = tf.ModelWeights(cfg, fitted, weights.flat)
+        assert list(again.params) == [name for name, _, _ in tf.layout(cfg, fitted)]
+        assert not np.shares_memory(again.flat, weights.flat)
+        for name, p in weights.items():
+            np.testing.assert_array_equal(again[name].data, p.data)
         self.assert_views_of_flat(again)
 
     def test_missing_or_misshapen_tensor_rejected(self):
+        """A flat array too short to hold every tensor, too long, or not 1-D is refused."""
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
-        arrays = weights.clone_arrays()
-        del arrays["in_proj/b"]
-        with pytest.raises(SchemaMismatch, match="missing"):
-            tf.ModelWeights(cfg, fitted, arrays)
-        with pytest.raises(SchemaMismatch, match="missing"):
-            weights.load_arrays(arrays)
-        arrays["in_proj/b"] = np.zeros(cfg.hidden + 1)
-        with pytest.raises(SchemaMismatch, match="shape"):
-            tf.ModelWeights(cfg, fitted, arrays)
-        with pytest.raises(SchemaMismatch, match="shape"):
-            weights.load_arrays(arrays)
+        for flat in (weights.flat[:-1], np.append(weights.flat, 0.0), weights.flat[None]):
+            with pytest.raises(ShapeMismatch, match="flat parameters"):
+                tf.ModelWeights(cfg, fitted, flat)
+
+    def test_build_draws_each_tensor_in_layout_order(self):
+        """build_weights draws into views of one flat array what per-tensor draws in layout order give."""
+        fitted = tiny_fitted(statics=1)
+        cfg, weights = small_weights(fitted, precision="f32")
+        rng = np.random.default_rng(0)
+        for name, shape, init in tf.layout(cfg, fitted):
+            if init == "xavier":
+                bound = np.sqrt(6.0 / (shape[0] + shape[1]))
+                arr = rng.uniform(-bound, bound, size=shape).astype(np.float32)
+            elif init in ("table", "bias"):
+                arr = rng.uniform(-0.05, 0.05, size=shape).astype(np.float32)
+                if init == "table":
+                    arr[0] = 0.0
+            else:
+                arr = (np.ones if init == "ones" else np.zeros)(shape, dtype=np.float32)
+            assert weights[name].data.tobytes() == arr.tobytes(), name
