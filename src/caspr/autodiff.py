@@ -36,16 +36,6 @@ ADAM_EPS = 1e-8
 _grad_enabled = True
 
 
-def resolve_dtype(precision):
-    """Map a precision flag ('f32'/'f64' or a numpy dtype) to a numpy dtype."""
-    if precision in DTYPES:
-        return DTYPES[precision]
-    dt = np.dtype(precision)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractViolation(f"unsupported precision {precision!r}")
-    return dt.type
-
-
 class Tensor:
     """N-dimensional float array with an optional gradient accumulation slot."""
 
@@ -54,7 +44,7 @@ class Tensor:
     def __init__(self, data, dtype=None, requires_grad=False):
         arr = np.asarray(data)
         if dtype is not None:
-            arr = arr.astype(resolve_dtype(dtype), copy=False)
+            arr = arr.astype(DTYPES[dtype], copy=False)
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr

@@ -288,21 +288,22 @@ def cmd_pretrain(args):
     return 0
 
 
-def _weights_from_checkpoint(path):
-    ck = pretrain.load_checkpoint(_require(path, "checkpoint"))
-    return ck, transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.flat)
+def _embed_log(args, cfg_file):
+    """(checkpoint, weights, dataset, vectors): every entity of the log embedded by the checkpoint."""
+    ck = pretrain.load_checkpoint(_require(_path(args, cfg_file, "checkpoint"), "checkpoint"))
+    weights = transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.flat)
+    dataset = ingest.load_dataset(_require(_path(args, cfg_file, "data"), "data file"), ck.fitted, ck.model_cfg.t)
+    vectors = transformer.embed(transformer.prepare_batch(dataset, slice(None), ck.model_cfg), weights)
+    return ck, weights, dataset, vectors
 
 
 def cmd_embed(args):
     cfg_file = _load_config(args.config)
-    ck, weights = _weights_from_checkpoint(_path(args, cfg_file, "checkpoint"))
-    data_path = _path(args, cfg_file, "data")
     paths_cfg = cfg_file.get("paths", {})
     out = args.out or paths_cfg.get("embeddings") or paths_cfg.get("out")
     if out is None:
         raise ConfigError("missing --out (or paths.embeddings in the config file)")
-    dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
-    vectors = transformer.embed(transformer.prepare_batch(dataset, slice(None), ck.model_cfg), weights)
+    _, _, dataset, vectors = _embed_log(args, cfg_file)
     _write_features(out, [f"e{i}" for i in range(vectors.shape[1])], dataset.entities, vectors)
     print(f"wrote {out} ({len(dataset.entities)} entities)")
     return 0
@@ -335,30 +336,25 @@ def cmd_eval(args):
 
 def read_relevance_csv(path):
     """entity,relevant_items with pipe-separated item ids."""
-    with ingest.open_csv(_require(path, "relevance file")) as reader:
-        header = next(reader, None)
-        if not header or header[0] != "entity":
-            raise ParseError(f"{path}: expected header starting with 'entity'")
-        out = {}
-        for i, rec in enumerate(reader):
-            if len(rec) < 2:
-                raise ParseError(f"{path}: bad relevance row", i)
-            out[rec[0]] = [x for x in rec[1].split("|") if x]
+    header, records = _read_records(path, "relevance file")
+    if not header or header[0] != "entity":
+        raise ParseError(f"{path}: expected header starting with 'entity'")
+    out = {}
+    for i, rec in enumerate(records):
+        if len(rec) < 2:
+            raise ParseError(f"{path}: bad relevance row", i)
+        out[rec[0]] = [x for x in rec[1].split("|") if x]
     return out
 
 
 def cmd_rank(args):
     cfg_file = _load_config(args.config)
-    ck, weights = _weights_from_checkpoint(_path(args, cfg_file, "checkpoint"))
+    out = _path(args, cfg_file, "out")
+    relevant = read_relevance_csv(_path(args, cfg_file, "relevance"))
+    ck, weights, dataset, vectors = _embed_log(args, cfg_file)
     item_col = ck.fitted.schema.item
     if item_col is None:
         raise SchemaMismatch("schema declares no item column; cannot rank")
-    out = _path(args, cfg_file, "out")
-    data_path = _path(args, cfg_file, "data")
-    dataset = ingest.load_dataset(_require(data_path, "data file"), ck.fitted, ck.model_cfg.t)
-    relevant = read_relevance_csv(_path(args, cfg_file, "relevance"))
-
-    vectors = transformer.embed(transformer.prepare_batch(dataset, slice(None), ck.model_cfg), weights)
     entity_vecs = dict(zip(dataset.entities, vectors))
     vocab = ck.fitted.vocab[item_col]
     table = weights[f"emb/{item_col}"].data.astype(np.float64)

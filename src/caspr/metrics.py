@@ -34,12 +34,6 @@ class LinearProbe:
         x = (np.asarray(features, dtype=np.float64) - self.feat_mean) / self.feat_std
         return x @ self.w + self.b
 
-    def coefficients(self):
-        """Slope/intercept in the original (unstandardized) feature units."""
-        coef = self.w / self.feat_std
-        intercept = self.b - float((self.w * self.feat_mean / self.feat_std).sum())
-        return coef, intercept
-
 
 def check_labels(labels, task):
     """LabelError unless every label is finite, and 0 or 1 for a binary task."""
@@ -138,16 +132,11 @@ def auroc(scores, labels):
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise LabelError("auroc requires both classes present")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):  # average ranks over tie groups
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # a tie group holding sorted slots first..last (0-based) shares the rank 0.5(first + last) + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True, equal_nan=False)
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    ranks = (0.5 * (first + last) + 1.0)[group]
     rank_sum_pos = ranks[labels == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))

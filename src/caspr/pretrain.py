@@ -94,16 +94,17 @@ def apply_mask(batch, mask_p, rng):
         for bi in np.flatnonzero(needs_force):
             slots = np.flatnonzero(real[bi])
             plan[bi, slots[rng.integers(len(slots))]] = True
-    keep = (real & ~plan).astype(batch.keep.dtype)
-    return batch.with_keep(keep), plan
+    return batch.masked(plan), plan
 
 
 def reconstruction_loss(preds, batch):
     """Mean over real positions of squared numeric error plus categorical CE.
 
     `preds` lists numeric heads, then categorical, each in batch column
-    order. The result is one scalar node; each head's gradient comes from
-    its loss kernel.
+    order, as reconstruction_heads returns them: the first
+    batch.nums.shape[2] heads are numeric, whatever their width (the head
+    of an empty vocab also has one output). The result is one scalar node;
+    each head's gradient comes from its loss kernel.
     """
     w = batch.real.astype(batch.nums.dtype)
     denom = float(w.sum())
@@ -111,16 +112,14 @@ def reconstruction_loss(preds, batch):
         raise ContractViolation("reconstruction_loss: no positions to score")
     scale = np.asarray(1.0 / denom, dtype=w.dtype)
     values, grads = [], []
-    n_num = n_cat = 0
-    for col, pred in preds.items():
+    n_num = batch.nums.shape[2]
+    for i, (col, pred) in enumerate(preds.items()):
         if np.isnan(pred.data).any():
             raise NumericError(f"NaN in reconstruction head {col!r}")
-        if pred.shape[-1] == 1:  # numeric head
-            value, grad = ad.squared_error(pred.data.reshape(w.shape), batch.nums[..., n_num], w, scale)
-            n_num += 1
+        if i < n_num:
+            value, grad = ad.squared_error(pred.data.reshape(w.shape), batch.nums[..., i], w, scale)
         else:
-            value, grad = ad.cross_entropy(pred.data, batch.cats[..., n_cat], w, scale)
-            n_cat += 1
+            value, grad = ad.cross_entropy(pred.data, batch.cats[..., i - n_num], w, scale)
         values.append(value)
         grads.append(grad.reshape(pred.shape))
     loss = ad.scalar(sum(values[1:], values[0]) * scale, preds.values(), grads)
@@ -129,23 +128,24 @@ def reconstruction_loss(preds, batch):
     return loss
 
 
-def compute_gradients(weights, batch, train=True, rng=None):
-    """Forward + backward on one (already masked) batch, TILE entities at a time.
+def compute_gradients(weights, batch, rng=None):
+    """Forward + backward on one (already masked) batch, TILE entities at a time;
+    dropout runs exactly when `rng` is given.
 
     Returns (flat grad, loss numerator, real-position count), the triple
     `combine` reduces; the numerator is loss * count so tile and shard
     results combine exactly. Per-name views of the grad are
     ``weights.views(grad)``.
     """
-    return combine([_tile_gradients(weights, part, train, rng) for part in batch.tiles()])
+    return combine([_tile_gradients(weights, part, rng) for part in batch.tiles()])
 
 
-def _tile_gradients(weights, batch, train, rng):
+def _tile_gradients(weights, batch, rng):
     """(flat grad, loss numerator, real-position count) of one tile; the grad is a fresh `weights.grad`."""
     weights.zero_grad()
     x = project_inputs(batch, weights)
-    enc = encoder_forward(batch, weights, train=train, rng=rng, inputs=x)
-    dec = decoder_forward(batch, enc, weights, train=train, rng=rng, inputs=x)
+    enc = encoder_forward(batch, weights, rng=rng, inputs=x)
+    dec = decoder_forward(batch, enc, weights, rng=rng, inputs=x)
     preds = reconstruction_heads(dec, weights)
     loss = reconstruction_loss(preds, batch)
     ad.backward(loss)
@@ -206,7 +206,7 @@ def save_checkpoint(ck, path):
         "adam_steps": ck.adam_steps,
     }
     blob = json.dumps(header).encode("utf-8")
-    dtype = np.dtype(ad.resolve_dtype(ck.model_cfg.precision)).newbyteorder("<")
+    dtype = np.dtype(ck.model_cfg.dtype).newbyteorder("<")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -254,7 +254,7 @@ def load_checkpoint(path):
     try:
         model_cfg = ModelConfig(**header["model"])
         fitted = FittedSchema.from_json(header["fitted"])
-        dtype = np.dtype(ad.resolve_dtype(model_cfg.precision)).newbyteorder("<")
+        dtype = np.dtype(model_cfg.dtype).newbyteorder("<")
         epoch, adam_steps = int(header["epoch"]), int(header["adam_steps"])
     except (CasprError, ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed header field: {type(exc).__name__}: {exc}") from None
@@ -310,7 +310,7 @@ def train(dataset, model_cfg, train_cfg, init=None):
                 masked, plan = apply_mask(batch, model_cfg.mask_p, rng)
                 try:
                     if pool is None:
-                        grad, num, den = compute_gradients(weights, masked, train=True, rng=rng)
+                        grad, num, den = compute_gradients(weights, masked, rng=rng)
                     else:
                         grad, num, den = pool.gradients(weights, idx, plan, epoch, step)
                 except NumericError as exc:
@@ -340,12 +340,11 @@ def _worker_loop(conn, dataset, weights, seed, worker_idx):
             conn.close()
             return
         _, flat, idx, plan, epoch, step = msg
-        batch = prepare_batch(dataset, idx, weights.cfg)
-        masked = batch.with_keep((batch.real & ~plan).astype(batch.keep.dtype))
+        masked = prepare_batch(dataset, idx, weights.cfg).masked(plan)
         rng = np.random.default_rng([seed, epoch, step, worker_idx])
         weights.flat[...] = flat
         try:
-            result = compute_gradients(weights, masked, train=True, rng=rng)
+            result = compute_gradients(weights, masked, rng=rng)
         except CasprError as exc:
             result = exc  # the parent re-raises it inside the training loop
         except Exception as exc:  # anything else still reaches the parent as one typed error

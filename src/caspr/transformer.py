@@ -58,10 +58,16 @@ class ModelConfig:
             raise ConfigError(f"mask_p must be in [0, 1], got {self.mask_p}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        if not isinstance(self.precision, str) or self.precision not in ad.DTYPES:
+            raise ConfigError(f"precision must be one of {', '.join(ad.DTYPES)}, got {self.precision!r}")
 
     @property
     def d_k(self):
         return self.hidden // self.heads
+
+    @property
+    def dtype(self):
+        return ad.DTYPES[self.precision]
 
 
 @dataclass
@@ -76,7 +82,9 @@ class Batch:
     keep: np.ndarray      # (B, t) float, 1 where the model may see the step
     statics: np.ndarray   # (B, s)
 
-    def with_keep(self, keep):
+    def masked(self, plan):
+        """The batch with the planned real positions hidden: keep = real & ~plan."""
+        keep = (self.real & ~plan).astype(self.keep.dtype)
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
 
     def tiles(self):
@@ -96,7 +104,7 @@ def prepare_batch(dataset, idx, cfg):
     t = dataset.real.shape[1]
     if t != cfg.t:
         raise SchemaMismatch(f"dataset was built with t={t}, the model expects t={cfg.t}")
-    dtype = ad.resolve_dtype(cfg.precision)
+    dtype = cfg.dtype
     real = dataset.real[idx]
     pos = real * ((np.arange(t) + 1) / t)
     return Batch(
@@ -171,7 +179,7 @@ class ModelWeights(ad.FlatParams):
         self.cfg = cfg
         self.fitted = fitted
         shapes = [(name, shape) for name, shape, _ in layout(cfg, fitted)]
-        super().__init__(shapes, np.asarray(flat, dtype=ad.resolve_dtype(cfg.precision)))
+        super().__init__(shapes, np.asarray(flat, dtype=cfg.dtype))
 
 
 def build_weights(cfg, fitted, rng):
@@ -184,7 +192,7 @@ def build_weights(cfg, fitted, rng):
     is drawn into its view of the flat array, in layout order.
     """
     size = sum(math.prod(shape) for _, shape, _ in layout(cfg, fitted))
-    weights = ModelWeights(cfg, fitted, np.zeros(size, dtype=ad.resolve_dtype(cfg.precision)))
+    weights = ModelWeights(cfg, fitted, np.zeros(size, dtype=cfg.dtype))
     for name, shape, init in layout(cfg, fitted):
         arr = weights[name].data
         if init == "xavier":
@@ -217,22 +225,10 @@ def project_inputs(batch, weights):
     return ad.matmul(x, weights["in_proj/w"], weights["in_proj/b"])
 
 
-def attention_mask(mask, dtype):
-    """Check an additive (B, tq, tk) mask once and shape it for ad.attention.
-
-    Returns it cast to `dtype` with a head axis, (B, 1, tq, tk), so that one
-    mask serves every head of every attention layer in a forward pass.
-    """
-    m = np.asarray(mask)
-    if (m <= NEG_INF).all(axis=-1).any():
-        raise NumericError("attention row with no attendable position")
-    return m.astype(dtype)[:, None]
-
-
 def multi_head(h, context, mask, layer, heads):
     """Q/K/V projections, fused multi-head attention, W^O.
 
-    `mask` comes from attention_mask (or is None).
+    `mask` comes from encoder_mask or causal_mask (or is None).
     """
     q = ad.matmul(h, layer["wq"])
     k = ad.matmul(context, layer["wk"])
@@ -244,12 +240,10 @@ def _layer_weights(weights, prefix):
     return {name: weights[f"{prefix}/{name}"] for name in ("wq", "wk", "wv", "wo")}
 
 
-def _sublayer(x, out, weights, ln_prefix, p, train, rng):
-    """Dropout on the sublayer output, residual add and post layer norm, as one node."""
+def _sublayer(x, out, weights, ln_prefix, p, rng):
+    """Dropout on the sublayer output when an rng is given, residual add and post layer norm, as one node."""
     keep = None
-    if train and p > 0.0:
-        if rng is None:
-            raise ConfigError("dropout requires an rng in training mode")
+    if rng is not None and p > 0.0:
         keep = (rng.random(out.shape) >= p).astype(out.dtype) / (1.0 - p)
     return ad.layer_norm(x, weights[f"{ln_prefix}/g"], weights[f"{ln_prefix}/b"], residual=out, keep=keep)
 
@@ -259,48 +253,56 @@ def _ffn(x, weights, prefix):
     return ad.matmul(inner, weights[f"{prefix}/w2"], weights[f"{prefix}/b2"])
 
 
-def encoder_mask(real):
-    """(B, t, t) additive mask: pad keys blocked, pad queries left open."""
+def encoder_mask(real, dtype):
+    """(B, 1, t, t) additive mask at `dtype`, one for every head and layer: pad keys
+    blocked, pad queries left open.
+
+    No query row is ever fully blocked: a real query keeps its own key open
+    and a pad query keeps every key open.
+    """
     b, t = real.shape
     allowed = np.broadcast_to(real[:, None, :], (b, t, t)) | ~real[:, :, None]
-    return np.where(allowed, 0.0, NEG_INF)
+    return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
 
 
-def causal_mask(real):
-    """Pad-key mask intersected with the lower-triangular allow pattern."""
+def causal_mask(real, dtype):
+    """encoder_mask intersected with the lower-triangular allow pattern; a
+    real query's own key is on the diagonal, so it stays open."""
     b, t = real.shape
     tri = np.tril(np.ones((t, t), dtype=bool))
     allowed = (np.broadcast_to(real[:, None, :], (b, t, t)) & tri[None, :, :]) | ~real[:, :, None]
-    return np.where(allowed, 0.0, NEG_INF)
+    return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
 
 
-def encoder_forward(batch, weights, train=False, rng=None, inputs=None):
+def encoder_forward(batch, weights, rng=None, inputs=None):
     """Stack of {self-attention, FFN} blocks over the projected input.
 
-    `inputs` is project_inputs(batch, weights) when the caller has it
-    already; the decoder starts from the same projection.
+    Dropout runs exactly when `rng` is given. `inputs` is
+    project_inputs(batch, weights) when the caller has it already; the
+    decoder starts from the same projection.
     """
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
-    mask = attention_mask(encoder_mask(batch.real), h.dtype)
+    mask = encoder_mask(batch.real, h.dtype)
     for i in range(cfg.layers):
         attn = multi_head(h, h, mask, _layer_weights(weights, f"enc{i}/attn"), cfg.heads)
-        h = _sublayer(h, attn, weights, f"enc{i}/ln1", cfg.dropout, train, rng)
-        h = _sublayer(h, _ffn(h, weights, f"enc{i}/ffn"), weights, f"enc{i}/ln2", cfg.dropout, train, rng)
+        h = _sublayer(h, attn, weights, f"enc{i}/ln1", cfg.dropout, rng)
+        h = _sublayer(h, _ffn(h, weights, f"enc{i}/ffn"), weights, f"enc{i}/ln2", cfg.dropout, rng)
     return h
 
 
-def decoder_forward(batch, encoder_out, weights, train=False, rng=None, inputs=None):
-    """Causal self-attention, causal cross-attention over encoder output, FFN."""
+def decoder_forward(batch, encoder_out, weights, rng=None, inputs=None):
+    """Causal self-attention, causal cross-attention over encoder output, FFN;
+    dropout runs exactly when `rng` is given."""
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
-    mask = attention_mask(causal_mask(batch.real), h.dtype)
+    mask = causal_mask(batch.real, h.dtype)
     for i in range(cfg.layers):
         self_attn = multi_head(h, h, mask, _layer_weights(weights, f"dec{i}/self"), cfg.heads)
-        h = _sublayer(h, self_attn, weights, f"dec{i}/ln1", cfg.dropout, train, rng)
+        h = _sublayer(h, self_attn, weights, f"dec{i}/ln1", cfg.dropout, rng)
         cross = multi_head(h, encoder_out, mask, _layer_weights(weights, f"dec{i}/cross"), cfg.heads)
-        h = _sublayer(h, cross, weights, f"dec{i}/ln2", cfg.dropout, train, rng)
-        h = _sublayer(h, _ffn(h, weights, f"dec{i}/ffn"), weights, f"dec{i}/ln3", cfg.dropout, train, rng)
+        h = _sublayer(h, cross, weights, f"dec{i}/ln2", cfg.dropout, rng)
+        h = _sublayer(h, _ffn(h, weights, f"dec{i}/ffn"), weights, f"dec{i}/ln3", cfg.dropout, rng)
     return h
 
 
@@ -330,7 +332,7 @@ def embed(batch, weights):
     parts = []
     with ad.no_grad():
         for part in batch.tiles():
-            pooled = _mean_pool(encoder_forward(part, weights, train=False), part)
+            pooled = _mean_pool(encoder_forward(part, weights), part)
             joined = Tensor(np.concatenate([pooled, part.statics.astype(pooled.dtype)], axis=1))
             hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
             parts.append(ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"]).data)

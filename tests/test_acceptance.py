@@ -49,12 +49,12 @@ def test_criterion_1_gradient_correctness(capfd):
     masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
 
     def loss_value():
-        enc = tf.encoder_forward(masked, weights, train=False)
-        dec = tf.decoder_forward(masked, enc, weights, train=False)
+        enc = tf.encoder_forward(masked, weights)
+        dec = tf.decoder_forward(masked, enc, weights)
         preds = tf.reconstruction_heads(dec, weights)
         return float(pretrain.reconstruction_loss(preds, masked).data)
 
-    grads = weights.views(compute_gradients(weights, masked, train=False)[0])
+    grads = weights.views(compute_gradients(weights, masked)[0])
 
     h = 1e-5
     worst = 0.0
@@ -168,8 +168,8 @@ def test_criterion_5_data_parallel_equivalence(capfd):
                       emb_out=8, precision="f64")
     weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(3))
     batch = tf.prepare_batch(ds, slice(None), cfg)
-    masked, _ = apply_mask(batch, 0.3, np.random.default_rng(5))
-    full_grads = weights.views(compute_gradients(weights, masked, train=False)[0])
+    masked, plan = apply_mask(batch, 0.3, np.random.default_rng(5))
+    full_grads = weights.views(compute_gradients(weights, masked)[0])
 
     worst = 0.0
     for w in (2, 4):
@@ -177,9 +177,8 @@ def test_criterion_5_data_parallel_equivalence(capfd):
         den_total = 0.0
         parts = []
         for shard in np.array_split(np.arange(len(ds.entities)), w):
-            sub = tf.prepare_batch(ds, shard, cfg)
-            sub = sub.with_keep(masked.keep[shard])
-            grad, _, den = compute_gradients(weights, sub, train=False)
+            sub = tf.prepare_batch(ds, shard, cfg).masked(plan[shard])
+            grad, _, den = compute_gradients(weights, sub)
             parts.append((weights.views(grad), den))
             den_total += den
         for grads, den in parts:

@@ -121,8 +121,24 @@ def test_embed_deterministic(workspace, tmp_path):
     assert sha256(a) == sha256(b)
 
 
+def test_empty_categorical_vocab_pretrains_and_embeds(workspace, tmp_path):
+    """A categorical column with no vocab has a one-logit head, which is still scored as categorical."""
+    fitted = json.loads(workspace["fitted"].read_text())
+    fitted["vocab"]["channel"], fitted["embed_dims"]["channel"] = [], 1
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps(fitted))
+    data = str(workspace["data_dir"] / "data.csv")
+    assert main(["pretrain", "--config", str(workspace["cfg"]), "--fitted", str(path), "--data", data,
+                 "--out", str(tmp_path / "run")]) == 0
+    out = tmp_path / "emb.csv"
+    assert main(["embed", "--checkpoint", str(tmp_path / "run" / "checkpoint.bin"), "--data", data,
+                 "--out", str(out)]) == 0
+    assert len(read_csv(out)) == 61
+
+
 def test_embed_tiles_match_one_whole_dataset_chunk(workspace, monkeypatch):
-    ck, weights = cli._weights_from_checkpoint(workspace["run_dir"] / "checkpoint.bin")
+    ck = pretrain.load_checkpoint(workspace["run_dir"] / "checkpoint.bin")
+    weights = transformer.ModelWeights(ck.model_cfg, ck.fitted, ck.flat)
     ds = ingest.load_dataset(workspace["data_dir"] / "data.csv", ck.fitted, ck.model_cfg.t)
     batch = transformer.prepare_batch(ds, slice(None), ck.model_cfg)
     monkeypatch.setattr(transformer, "TILE", len(ds.entities))
@@ -526,6 +542,16 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "ConfigError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("precision", ["f16", "float64"])
+    def test_unknown_precision_is_refused_before_the_log_is_read(self, workspace, tmp_path, capsys, precision):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": {"precision": precision}}))
+        code = main(["pretrain", "--config", str(cfg), "--fitted", str(workspace["fitted"]),
+                     "--data", str(tmp_path / "no-such-log.csv"), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ConfigError") and "precision" in err[0]
 
     def test_data_parallel_divergence_is_4(self, workspace, tmp_path, capfd):
         cfg = tmp_path / "diverge.json"

@@ -138,8 +138,8 @@ def test_fully_masked_short_sequences_keep_gradients_bounded():
     fitted = tiny_fitted()
     cfg, weights = small_weights(fitted, t=5)
     batch = whole_batch(make_dataset(fitted, 5, *[(f"e{i}", [0.5, -0.5], [1, 2]) for i in range(4)]), cfg)
-    masked = batch.with_keep(np.zeros_like(batch.keep))  # mask everything
-    grad, num, _ = compute_gradients(weights, masked, train=False)
+    masked = batch.masked(batch.real)  # mask everything
+    grad, num, _ = compute_gradients(weights, masked)
     assert np.isfinite(num)
     assert max(np.abs(g).max() for g in weights.views(grad).values()) < 1e4
 
@@ -299,6 +299,7 @@ class TestCheckpointHardening:
         ("no_vocab_column", "vocab: no entry for column 'c0'"),
         ("no_means_column", "means: no entry for column 'x0'"),
         ("zero_embed_dim", "embed dim of column 'c0' is 0"),
+        ("precision_alias", "precision must be one of f32, f64"),
     ])
     def test_defect_is_corrupt_file(self, tmp_path, parts, defect, what):
         header, payload = parts
@@ -316,6 +317,8 @@ class TestCheckpointHardening:
             del header["fitted"]["means"]["x0"]
         elif defect == "zero_embed_dim":
             header["fitted"]["embed_dims"]["c0"] = 0
+        elif defect == "precision_alias":
+            header["model"]["precision"] = "float32"  # the payload's own dtype, under a name no writer uses
         data = craft_checkpoint(header, payload)
         if defect == "bad_json":
             data = data.replace(b'"epoch"', b'"epoch\xff', 1)
@@ -386,10 +389,10 @@ class TestTiles:
         ds = tiny_dataset(n=16, seed=6)
         cfg, weights = small_weights(ds.fitted)
         masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
-        one_grad, one_num, one_den = compute_gradients(weights, masked, train=False)
+        one_grad, one_num, one_den = compute_gradients(weights, masked)
         one_grads = weights.views(one_grad)
         monkeypatch.setattr(tf, "TILE", 5)  # tiles of 5, 5, 5 and 1 entities
-        grad, num, den = compute_gradients(weights, masked, train=False)
+        grad, num, den = compute_gradients(weights, masked)
         assert den == one_den
         np.testing.assert_allclose(num, one_num, rtol=1e-12)
         for name, g in weights.views(grad).items():
@@ -401,14 +404,14 @@ class TestTiles:
         cfg = tf.ModelConfig(**MODEL)  # dropout on, so the rng draws must match too
         weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(2))
         masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
-        grad, num, den = compute_gradients(weights, masked, train=True, rng=np.random.default_rng(7))
+        grad, num, den = compute_gradients(weights, masked, rng=np.random.default_rng(7))
         grads = weights.views(grad)
 
         rng = np.random.default_rng(7)
         weights.zero_grad()
         x = tf.project_inputs(masked, weights)
-        enc = tf.encoder_forward(masked, weights, train=True, rng=rng, inputs=x)
-        dec = tf.decoder_forward(masked, enc, weights, train=True, rng=rng, inputs=x)
+        enc = tf.encoder_forward(masked, weights, rng=rng, inputs=x)
+        dec = tf.decoder_forward(masked, enc, weights, rng=rng, inputs=x)
         loss = reconstruction_loss(tf.reconstruction_heads(dec, weights), masked)
         ad.backward(loss)
         assert den == float(masked.real.sum())
@@ -539,9 +542,9 @@ class TestDataParallel:
                              dropout=0.0, precision="f64")
         _, weights = small_weights(ds.fitted, hidden=8, ff_dim=16, layers=2, heads=2, t=6)
         batch = whole_batch(ds, cfg)
-        masked, _ = apply_mask(batch, 0.3, np.random.default_rng(1))
+        masked, plan = apply_mask(batch, 0.3, np.random.default_rng(1))
 
-        full_grad, _, full_den = compute_gradients(weights, masked, train=False)
+        full_grad, _, full_den = compute_gradients(weights, masked)
         full_grads = weights.views(full_grad)
 
         for w in (2, 4):
@@ -550,9 +553,8 @@ class TestDataParallel:
             den_total = 0.0
             parts = []
             for shard in shards:
-                sub = tf.prepare_batch(ds, shard, cfg)
-                sub_masked = sub.with_keep(masked.keep[shard])
-                grad, _, den = compute_gradients(weights, sub_masked, train=False)
+                sub_masked = tf.prepare_batch(ds, shard, cfg).masked(plan[shard])
+                grad, _, den = compute_gradients(weights, sub_masked)
                 parts.append((weights.views(grad), den))
                 den_total += den
             for grads, den in parts:
