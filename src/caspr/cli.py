@@ -335,14 +335,17 @@ def cmd_eval(args):
 
 
 def read_relevance_csv(path):
-    """entity,relevant_items with pipe-separated item ids."""
+    """entity,relevant_items with pipe-separated item ids; each entity has one row."""
     header, records = _read_records(path, "relevance file")
     if not header or header[0] != "entity":
         raise ParseError(f"{path}: expected header starting with 'entity'")
-    out = {}
+    out, row_of = {}, {}
     for i, rec in enumerate(records):
         if len(rec) < 2:
             raise ParseError(f"{path}: bad relevance row", i)
+        if rec[0] in row_of:
+            raise ParseError(f"{path}: entity {rec[0]!r} is already on row {row_of[rec[0]]}", i)
+        row_of[rec[0]] = i
         out[rec[0]] = [x for x in rec[1].split("|") if x]
     return out
 

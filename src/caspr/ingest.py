@@ -291,18 +291,24 @@ def parse_numbers(start, columns, names):
 def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
     """A chunk's timestamps, int64, and numbers, a (len(num_cols), rows) float64 array.
 
-    Each column is cast whole, which calls int() or float() on every cell. Only where a
-    cast fails, or gives a non-finite number or a timestamp outside `ts_bounds` (lo, hi,
-    what), is the chunk parsed again cell by cell in row order, to name the first bad cell.
+    Each column is cast whole, which calls int() or float() on every cell; a timestamp
+    column that is not all integers (ISO-8601 text) is parsed cell by cell on its own.
+    Once every timestamp lies inside `ts_bounds` (lo, hi, what), the numbers are cast as
+    in parse_numbers, which names the first bad number itself. Otherwise the chunk is
+    parsed again cell by cell in row order, to name the first bad cell.
     """
     lo, hi, what = ts_bounds
     n = len(cols[ts_col])
     try:
-        ts = np.array(cols[ts_col], dtype=np.int64)
-        if lo <= ts.min() and ts.max() < hi:
-            return ts, parse_numbers(start, [cols[c] for c in num_cols], num_cols).reshape(len(num_cols), n)
-    except (ValueError, OverflowError):
-        pass
+        try:
+            ts = np.array(cols[ts_col], dtype=np.int64)
+        except ValueError:
+            ts = np.array([parse_timestamp(x) for x in cols[ts_col]], dtype=np.int64)
+        in_bounds = lo <= ts.min() and ts.max() < hi
+    except (ValueError, OverflowError, ParseError):
+        in_bounds = False
+    if in_bounds:
+        return ts, parse_numbers(start, [cols[c] for c in num_cols], num_cols).reshape(len(num_cols), n)
     ts, nums = [], []
     for i, cells in enumerate(zip(cols[ts_col], *(cols[c] for c in num_cols)), start):
         ts.append(parse_timestamp(cells[0], i))

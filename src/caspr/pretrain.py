@@ -9,7 +9,9 @@ the source of a batch's gradients changes: forked workers receive identical
 weights each step and return shard gradients, and one reduction feeds one
 optimizer update, so replicas never drift and failures surface exactly as
 in serial mode. The same reduction combines the row tiles of at most
-transformer.TILE entities that a step or shard is split into.
+transformer.TILE entities that a step or shard is split into; a step or
+shard of more than TILE entities is sorted by sequence length, and each
+tile runs only over its real slots (transformer.Batch.tiles).
 """
 from __future__ import annotations
 
@@ -134,10 +136,13 @@ def compute_gradients(weights, batch, rng=None):
 
     Returns (flat grad, loss numerator, real-position count), the triple
     `combine` reduces; the numerator is loss * count so tile and shard
-    results combine exactly. Per-name views of the grad are
+    results combine exactly. A tile of only all-pad rows has nothing to
+    score and is left out. Per-name views of the grad are
     ``weights.views(grad)``.
     """
-    return combine([_tile_gradients(weights, part, rng) for part in batch.tiles()])
+    # a batch with no real position at all still fails in reconstruction_loss
+    parts = [part for _, part in batch.tiles() if part.real.any()] or [batch]
+    return combine([_tile_gradients(weights, part, rng) for part in parts])
 
 
 def _tile_gradients(weights, batch, rng):

@@ -31,7 +31,8 @@ NEG_INF = -1e9
 # (B, heads, t, t) attention arrays and the layer activations leave cache;
 # on the default model, 128 was the fastest (or tied) of 32..512 for both a
 # training step and embed. Training steps, data-parallel shards and embed
-# all run in row tiles of at most TILE.
+# all run in row tiles of at most TILE (Batch.tiles): a larger batch is
+# grouped by sequence length and each tile drops its all-pad leading slots.
 TILE = 128
 
 
@@ -88,11 +89,22 @@ class Batch:
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
 
     def tiles(self):
-        """The batch in row tiles of at most TILE entities, as views; an empty batch is one empty tile."""
-        for start in range(0, max(len(self.entities), 1), TILE):
-            sl = slice(start, start + TILE)
-            yield Batch(self.entities[sl], self.pos[sl], self.nums[sl], self.cats[sl], self.real[sl],
-                        self.keep[sl], self.statics[sl])
+        """(rows, tile) pairs that cover the batch in tiles of at most TILE entities.
+
+        A batch of at most TILE entities (an empty one too) is one tile, itself.
+        A larger one is stable-sorted by real length, and each tile is
+        batch[rows] cut to its last max(longest, 1) slots: pad sits on the oldest
+        side and pad keys are blocked, so no real position's output changes.
+        """
+        n, t = self.real.shape
+        if n <= TILE:
+            yield np.arange(n), self
+            return
+        lengths = self.real.sum(axis=1)
+        for rows in np.split(np.argsort(lengths, kind="stable"), range(TILE, n, TILE)):
+            cut = t - max(int(lengths[rows[-1]]), 1)
+            trim = (a[rows, cut:] for a in (self.pos, self.nums, self.cats, self.real, self.keep))
+            yield rows, Batch(self.entities[rows], *trim, self.statics[rows])
 
 
 def prepare_batch(dataset, idx, cfg):
@@ -326,17 +338,18 @@ def _mean_pool(enc, batch):
 def embed(batch, weights):
     """Inference-mode entity vectors: pool encoder output, join statics, 2 dense layers.
 
-    Returns a (B, emb_out) array in batch row order, computed TILE entities
-    at a time. Runs under ad.no_grad(), so it builds no backward graph.
+    Returns a (B, emb_out) array in batch row order, put back together from
+    Batch.tiles(). Runs under ad.no_grad(), so it builds no backward graph.
     """
-    parts = []
+    rows, parts = [], []
     with ad.no_grad():
-        for part in batch.tiles():
+        for tile_rows, part in batch.tiles():
             pooled = _mean_pool(encoder_forward(part, weights), part)
             joined = Tensor(np.concatenate([pooled, part.statics.astype(pooled.dtype)], axis=1))
             hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
             parts.append(ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"]).data)
-    out = np.concatenate(parts)
+            rows.append(tile_rows)
+    out = np.concatenate(parts)[np.argsort(np.concatenate(rows))]
     if not np.isfinite(out).all():
         raise NumericError("embedding head produced non-finite values")
     return out

@@ -375,6 +375,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == ["error: EmptyDataset: the activity log has no data rows"]
         assert not (tmp_path / "out").exists()
 
+    def test_rank_refuses_an_entity_repeated_in_the_relevance_file(self, workspace, tmp_path, capsys):
+        relevance = tmp_path / "relevance.csv"
+        relevance.write_text("entity,relevant_items\ne00001,item_001\ne00002,item_003\ne00001,item_002\n")
+        code = main(["rank", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
+                     "--data", str(workspace["data_dir"] / "data.csv"), "--relevance", str(relevance),
+                     "--out", str(tmp_path / "rank.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ParseError: row 2: {relevance}: entity 'e00001' is already on row 0"]
+        assert not (tmp_path / "rank.csv").exists()
+
     @pytest.mark.parametrize("command", ["fit", "pretrain", "embed", "rank"])
     def test_timestamp_outside_64_bits_is_one_parse_error_naming_its_row(self, workspace, tmp_path, capsys,
                                                                          command):

@@ -17,6 +17,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
@@ -243,7 +244,7 @@ def logs(draw):
             rows[i] = rows[i][:-1]
         elif kind == "long":
             rows[i] = rows[i] + ["extra"]
-        else:
+        elif HEADER.index(kind) < len(rows[i]):  # a row cut short by an earlier fault lost its last cell
             rows[i][HEADER.index(kind)] = draw(st.sampled_from(BAD_CELLS[kind]))
     return rows
 
@@ -306,6 +307,58 @@ def test_an_earlier_bad_cell_beats_a_later_short_row_of_the_same_chunk(tmp_path,
     write_csv(tmp_path / "log.csv", HEADER, rows)
     with pytest.raises(ParseError, match="row 2: bad number"):
         ingest.fit_schema(ingest.read_columns(tmp_path / "log.csv", SCHEMA), SCHEMA)
+
+
+# ------------------------------------------------------- ISO-8601 timestamps
+
+def iso_twin(rows):
+    """The rows with each integer timestamp k written as ISO-8601 text in one of three forms."""
+    ti, out = HEADER.index("ts"), []
+    for k, row in enumerate(rows):
+        when = datetime.fromtimestamp(int(row[ti]), timezone.utc)
+        text = [when.strftime("%Y-%m-%dT%H:%M:%SZ"), when.isoformat(),
+                (when + timedelta(hours=2)).strftime("%Y-%m-%dT%H:%M:%S+02:00")][k % 3]
+        out.append(row[:ti] + [text] + row[ti + 1:])
+    return out
+
+
+def test_an_iso_log_loads_to_the_arrays_of_its_integer_twin(tmp_path, monkeypatch):
+    """The numbers of an ISO-8601 log are cast by column, as an integer log's are: no cell
+    goes through the per-cell number parser."""
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", 4)
+    rng = np.random.default_rng(7)
+    rows = [["", f"i{k % 3}", str(1_600_000_000 + int(rng.integers(0, 10 ** 7))), f"e{k % 5}",
+             repr(float(rng.lognormal(2.0, 1.0))), ["gold", "lead"][k % 2], str(k % 40)] for k in range(23)]
+    write_csv(tmp_path / "int.csv", HEADER, rows)
+    write_csv(tmp_path / "iso.csv", HEADER, iso_twin(rows))
+    fits = [ingest.fit_schema(ingest.read_columns(tmp_path / "int.csv", SCHEMA), SCHEMA)]
+    with mock.patch.object(ingest, "_parse_number", side_effect=AssertionError("a cell was parsed alone")):
+        fits.append(ingest.fit_schema(ingest.read_columns(tmp_path / "iso.csv", SCHEMA), SCHEMA))
+        iso_data = ingest.load_dataset(tmp_path / "iso.csv", fits[1], 6)
+        iso_events = rfm.rfm_events_from_csv(tmp_path / "iso.csv", SCHEMA)
+    assert json.dumps(fits[0].to_json()) == json.dumps(fits[1].to_json())
+    assert same_dataset(ingest.load_dataset(tmp_path / "int.csv", fits[0], 6), iso_data)
+    int_events = rfm.rfm_events_from_csv(tmp_path / "int.csv", SCHEMA)
+    assert all(np.array_equal(a, b) for a, b in zip(int_events, iso_events, strict=True))
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({5: ("amount", "oops")}, "row 5: bad number 'oops' in column 'amount'"),
+    ({5: ("age", "inf")}, "row 5: non-finite number 'inf' in column 'age'"),
+    ({5: ("amount", "oops"), 6: ("ts", "soon")}, "row 5: bad number 'oops' in column 'amount'"),
+    ({4: ("ts", "soon"), 5: ("amount", "oops")}, "row 4: bad timestamp 'soon'"),
+])
+def test_a_bad_cell_of_an_iso_log_is_named_in_row_order(tmp_path, monkeypatch, faults, message):
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", 4)  # rows 4..7 are the second chunk
+    rows = iso_twin([list(GOOD) for _ in range(10)])
+    for row, (column, text) in faults.items():
+        rows[row][HEADER.index(column)] = text
+    write_csv(tmp_path / "log.csv", HEADER, rows)
+    for read in (lambda: ingest.fit_schema(ingest.read_columns(tmp_path / "log.csv", SCHEMA), SCHEMA),
+                 lambda: ingest.load_dataset(tmp_path / "log.csv", FIXED_FIT, 4)):
+        with pytest.raises(ParseError) as exc:
+            read()
+        assert str(exc.value) == message
 
 
 def test_a_repeated_schema_column_in_the_header_is_refused(tmp_path):

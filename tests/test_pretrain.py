@@ -4,9 +4,11 @@ import os
 import pickle
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from caspr import autodiff as ad, cli, ingest, pretrain, synthgen, transformer as tf
 from caspr.autodiff import Tensor, adam_step, init_moments
@@ -14,6 +16,7 @@ from caspr.errors import (
     BadMagic,
     CasprError,
     ConfigError,
+    ContractViolation,
     CorruptFile,
     IoError,
     ParseError,
@@ -384,7 +387,99 @@ class TestCheckpointHardening:
         assert outcomes["loaded"] and outcomes["rejected"]
 
 
+def length_batch(lengths, cfg, seed=0):
+    """prepare_batch over a dataset whose row i holds lengths[i] trailing real steps, 0 being an
+    all-pad row, which build_dataset never emits; one numeric, one categorical, one static column."""
+    rng = np.random.default_rng(seed)
+    b, t = len(lengths), cfg.t
+    real = np.arange(t) >= t - np.asarray(lengths, dtype=np.int64).reshape(b, 1)
+    ds = ingest.SequenceDataset(
+        fitted=tiny_fitted(statics=1), entities=np.array([f"e{i:03d}" for i in range(b)], dtype=object),
+        real=real, nums=np.where(real[..., None], rng.normal(size=(b, t, 1)), 0.0),
+        cats=np.where(real[..., None], rng.integers(1, 4, size=(b, t, 1)), 0), statics=rng.normal(size=(b, 1)))
+    return tf.prepare_batch(ds, slice(None), cfg)
+
+
+TILE_CASES = dict(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=13), tile=st.integers(1, 5))
+
+
 class TestTiles:
+    @settings(max_examples=150, deadline=None)
+    @given(**TILE_CASES)
+    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=3)  # a tile of all-pad rows, a partial last tile
+    @example(lengths=[0, 0, 0, 0, 0], tile=2)
+    def test_tiles_cover_the_batch_sorted_and_trimmed(self, lengths, tile):
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, emb_out=4)
+        batch = length_batch(lengths, cfg)
+        with mock.patch.object(tf, "TILE", tile):
+            pairs = list(batch.tiles())
+        rows = np.concatenate([r for r, _ in pairs])
+        assert sorted(rows) == list(range(len(lengths)))
+        if len(lengths) <= tile:
+            assert len(pairs) == 1 and pairs[0][1] is batch
+        for r, part in pairs:
+            width = part.real.shape[1]
+            assert 1 <= len(r) <= tile and width >= 1
+            assert not batch.real[r, :cfg.t - width].any()  # only pad slots were cut
+            for name in ("pos", "nums", "cats", "real", "keep"):
+                np.testing.assert_array_equal(getattr(part, name), getattr(batch, name)[r, cfg.t - width:])
+            np.testing.assert_array_equal(part.entities, batch.entities[r])
+            np.testing.assert_array_equal(part.statics, batch.statics[r])
+            has_real = part.real.any(axis=1)
+            if len(lengths) > tile:
+                assert part.real[:, 0].any() or not has_real.any()  # no all-pad leading slot
+            assert (part.pos[has_real, -1] == 1.0).all()  # the recent-end anchor holds
+
+    @settings(max_examples=100, deadline=None)
+    @given(**TILE_CASES)
+    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=3)
+    def test_tiled_embed_returns_batch_row_order(self, lengths, tile):
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=6, emb_out=4, precision="f32")
+        batch = length_batch(lengths, cfg)
+        weights = tf.build_weights(cfg, tiny_fitted(statics=1), np.random.default_rng(1))
+        one = tf.embed(batch, weights)
+        with mock.patch.object(tf, "TILE", tile):
+            tiled = tf.embed(batch, weights)
+        assert tiled.shape == (len(lengths), 4) and tiled.dtype == np.float32
+        # Not always bitwise: OpenBLAS's GEMV (layer_norm's row statistics) takes
+        # the last rows % 8 of a call through another kernel at f32.
+        np.testing.assert_allclose(tiled, one, rtol=1e-5, atol=1e-6)
+
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.integers(1, 3).flatmap(lambda k: st.lists(st.integers(0, 8), min_size=8 * k, max_size=8 * k)))
+    @example(lengths=[0, 8, 0, 3, 0, 0, 1, 5] * 2)
+    def test_tiled_embed_is_the_one_tile_pass_bitwise(self, lengths):
+        """With t = 8 and whole tiles of 8, every GEMV call has a multiple of 8 rows, as at
+        TILE = 128 on the benchmark logs, so the tiled vectors are the one-pass bytes."""
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=8, emb_out=4, precision="f32")
+        batch = length_batch(lengths, cfg)
+        weights = tf.build_weights(cfg, tiny_fitted(statics=1), np.random.default_rng(1))
+        one = tf.embed(batch, weights)
+        with mock.patch.object(tf, "TILE", 8):
+            tiled = tf.embed(batch, weights)
+        assert tiled.tobytes() == one.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(**TILE_CASES)
+    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=3)
+    @example(lengths=[0, 0, 0, 0, 0], tile=2)
+    def test_tiled_gradients_match_the_one_tile_pass(self, lengths, tile):
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=2, heads=2, t=6, emb_out=4, dropout=0.0, precision="f64")
+        batch = length_batch(lengths, cfg)
+        weights = tf.build_weights(cfg, tiny_fitted(statics=1), np.random.default_rng(1))
+        masked, _ = apply_mask(batch, 0.3, np.random.default_rng(2))
+        if not masked.real.any():  # nothing to score, however it is tiled
+            for size in (tf.TILE, tile):
+                with mock.patch.object(tf, "TILE", size), pytest.raises(ContractViolation, match="no positions"):
+                    compute_gradients(weights, masked)
+            return
+        one_grad, one_num, one_den = compute_gradients(weights, masked)
+        with mock.patch.object(tf, "TILE", tile):
+            grad, num, den = compute_gradients(weights, masked)
+        assert den == one_den
+        np.testing.assert_allclose(num, one_num, rtol=1e-9)
+        np.testing.assert_allclose(grad, one_grad, rtol=1e-9, atol=1e-9 * np.abs(one_grad).max())
+
     def test_tiled_gradients_match_one_tile(self, monkeypatch):
         ds = tiny_dataset(n=16, seed=6)
         cfg, weights = small_weights(ds.fitted)
@@ -428,6 +523,25 @@ class TestTiles:
         _, par_log = train(ds, cfg, TrainConfig(epochs=2, seed=4, batch_size=12, workers=2))
         for (_, ls, _), (_, lp, _) in zip(serial_log, par_log, strict=True):
             assert abs(lp - ls) < 1e-9
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_sorted_shards_give_repeatable_checkpoints(self, monkeypatch, tmp_path, dropout):
+        """Shards of 6 on 2 workers run as length-sorted, trimmed tiles of 4; two runs give the
+        same checkpoint.bin bytes, and without dropout the loss log of a serial run."""
+        monkeypatch.setattr(tf, "TILE", 4)
+        ds = tiny_dataset(n=24, seed=8)
+        assert len(set(ds.real.sum(axis=1))) > 3  # the lengths vary, so sorting moves rows
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, dropout=dropout, precision="f64")
+        logs = []
+        for run in range(2):
+            ck, log = train(ds, cfg, TrainConfig(epochs=2, seed=5, batch_size=12, workers=2))
+            save_checkpoint(ck, tmp_path / f"run{run}.bin")
+            logs.append([loss for _, loss, _ in log])
+        assert (tmp_path / "run0.bin").read_bytes() == (tmp_path / "run1.bin").read_bytes()
+        assert logs[0] == logs[1]
+        if not dropout:
+            _, serial = train(ds, cfg, TrainConfig(epochs=2, seed=5, batch_size=12))
+            np.testing.assert_allclose([loss for _, loss, _ in serial], logs[0], rtol=1e-9)
 
     def test_tiled_serial_run_is_repeatable(self, monkeypatch):
         monkeypatch.setattr(tf, "TILE", 5)
