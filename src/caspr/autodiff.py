@@ -16,8 +16,8 @@ rows), and ``layer_norm`` with an optional residual and dropout keep mask
 ``cross_entropy``, that return a value and its gradient; ``scalar`` makes
 their sum one node. ``FlatParams`` keeps named parameters as views into one
 contiguous array and gathers their gradients into views of another, so that
-``adam_step``, the one optimizer, shared by pretraining and the linear
-probe, is a single vectorized update.
+``adam_step``, pretraining's one optimizer, is a single vectorized
+update.
 """
 from __future__ import annotations
 

@@ -503,7 +503,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit
+        return code
+    except BrokenPipeError:  # whoever read stdout stopped reading; the command has done its work
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit's flush is quiet too
+        return 0
     except CasprError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

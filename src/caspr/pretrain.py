@@ -357,6 +357,12 @@ def _worker_loop(conn, dataset, weights, seed, worker_idx):
         conn.send(result)
 
 
+# A step's deadline: this many times the slowest finished step, and never less than the floor,
+# which is all the first step gets. A worker that misses it is taken for hung.
+STEP_DEADLINE_FACTOR = 20
+STEP_DEADLINE_FLOOR_S = 60.0
+
+
 class _WorkerPool:
     """Forked workers that turn each batch into one reduced gradient.
 
@@ -365,7 +371,8 @@ class _WorkerPool:
     reduction compute_gradients applies to row tiles; a worker tiles its own
     shard the same way. A batch with fewer entities than workers, such as an
     epoch's short last batch, goes to the first len(batch) workers only.
-    Reduction runs in fixed worker-index order for reproducibility.
+    Reduction runs in fixed worker-index order for reproducibility. A step
+    that misses its deadline stops every worker and is one CasprError.
     """
 
     def __init__(self, dataset, weights, train_cfg):
@@ -382,15 +389,19 @@ class _WorkerPool:
             child.close()
             self.conns.append(parent)
             self.procs.append(proc)
+        self.slowest_step_s = 0.0
 
     def gradients(self, weights, idx, plan, epoch, step):
         """(flat grad, loss numerator, real-position count) for one batch."""
         w_count = min(len(idx), len(self.conns))
         shards = np.array_split(np.arange(len(idx)), w_count)
+        tic = time.perf_counter()
+        deadline = tic + self._allowed_s()
         sent = [self._send(wi, ("step", weights.flat, idx[shard], plan[shard], epoch, step))
                 for wi, shard in enumerate(shards)]
-        # every worker that took the step is answered for before anything is raised
-        results = [self._recv(wi) if error is None else error for wi, error in enumerate(sent)]
+        # every worker that took the step is answered for, or all are stopped, before anything is raised
+        results = [self._recv(wi, deadline) if error is None else error for wi, error in enumerate(sent)]
+        self.slowest_step_s = max(self.slowest_step_s, time.perf_counter() - tic)
         for r in results:
             if isinstance(r, CasprError):
                 raise r
@@ -404,11 +415,19 @@ class _WorkerPool:
             return CasprError(f"data-parallel worker {wi} exited before its step")
         return None
 
-    def _recv(self, wi):
+    def _recv(self, wi, deadline):
         try:
-            return self.conns[wi].recv()
+            if self.conns[wi].poll(max(0.0, deadline - time.perf_counter())):
+                return self.conns[wi].recv()
         except (EOFError, OSError):
             return CasprError(f"data-parallel worker {wi} exited mid-step")
+        for proc in self.procs:  # no result of this step will be read, so no worker needs answering
+            proc.terminate()
+        raise CasprError(f"data-parallel worker {wi} sent no gradient within {self._allowed_s():.1f} s "
+                         f"and is taken for hung; every worker is stopped")
+
+    def _allowed_s(self):
+        return max(STEP_DEADLINE_FLOOR_S, STEP_DEADLINE_FACTOR * self.slowest_step_s)
 
     def close(self):
         for conn in self.conns:

@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from caspr import autodiff, pretrain, rfm, transformer
+from caspr import autodiff, cli, pretrain, rfm, transformer
 from caspr.cli import main
 
 LAYERTRACE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
@@ -52,6 +52,12 @@ def test_training_steps_are_counted_at_pretrain():
     pretrain = importlib.import_module("caspr.pretrain")
     assert pretrain.adam_step is autodiff.adam_step
     assert "adam_step(" in inspect.getsource(pretrain.train)
+
+
+def test_probe_fit_is_traced_at_eval():
+    """layertrace times the probe fit as metrics.train_linear_probe, so eval calls it by that
+    name; another path to the fit would leave metrics.train_linear_probe_s at 0."""
+    assert "metrics.train_linear_probe(" in inspect.getsource(cli.evaluate_features)
 
 
 def test_one_compute_gradients_call_per_step(monkeypatch):

@@ -508,15 +508,42 @@ class TestExitCodes:
         assert not (tmp_path / "report.csv").exists()
 
     def test_eval_huge_regression_label_is_one_error_line(self, tmp_path):
-        """A label of 1e200 on a training row makes the probe's gradient too large to square."""
+        """A label of 1e200 on a training row makes the probe's squared-loss objective overflow."""
         labels = [str(i) for i in range(20)]
         labels[cli.split_train_test(len(labels), 0)[0][0]] = "1e200"
         argv = self.write_eval_inputs(tmp_path, labels, [str(i % 3) for i in range(20)])
         proc = run_cli_process(["eval", "--task", "regression", "--seed", "0"] + argv)
         assert proc.returncode == 4
-        assert proc.stderr.splitlines() == ["error: NumericError: the probe's fit overflows: "
-                                            "its gradient is too large to square (is a label too large?)"]
+        assert proc.stderr.splitlines() == ["error: NumericError: the probe's objective overflows: "
+                                            "a label is too large to square"]
         assert not (tmp_path / "report.csv").exists()
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    @pytest.mark.parametrize("command", ["eval", "synth"])
+    def test_closed_stdout_ends_the_command_quietly(self, tmp_path, command, unbuffered):
+        """`caspr eval … | head -0`: the reader is gone before the command prints.
+
+        The read end of stdout is closed before the process starts, so every
+        write to it fails, both on the print itself (unbuffered) and on the
+        flush at exit (buffered).
+        """
+        if command == "eval":
+            argv = ["eval", "--task", "binary"] + self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+            artifact = tmp_path / "report.csv"
+        else:
+            argv = ["synth", "--out", str(tmp_path / "data"), "--n-entities", "8", "--seed", "1"]
+            artifact = tmp_path / "data" / "labels.csv"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src_dir = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": src_dir, "PYTHONUNBUFFERED": unbuffered}
+        try:
+            proc = subprocess.run([sys.executable, "-m", "caspr.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert artifact.exists()
 
     def test_fit_keeps_statistics_finite_at_the_float_range(self, workspace, tmp_path):
         data, out = tmp_path / "wide.csv", tmp_path / "fitted.json"

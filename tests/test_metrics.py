@@ -1,5 +1,3 @@
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -13,7 +11,6 @@ from caspr.metrics import (
     auroc,
     f1_positive,
     fit_item_projection,
-    logistic_grad,
     rank_items,
     ranking_metrics,
     rmse,
@@ -22,10 +19,11 @@ from caspr.metrics import (
 
 
 def reference_probe(features, labels, task):
-    """The probe before its binary step became one logistic kernel, as the oracle.
+    """The probe as it was trained before it was solved, as the comparison.
 
-    The binary loss is 2-class cross-entropy on logits [0, z] through the
-    general autodiff kernel, and the weight is a (d, 1) column. Returns
+    600 full-batch Adam steps at lr 0.05 on the same objective: the binary
+    loss is 2-class cross-entropy on logits [0, z] through the general
+    autodiff kernel, and the weight is a (d, 1) column. Returns
     (w, b, feat_mean, feat_std); inputs are assumed valid.
     """
     x = np.asarray(features, dtype=np.float64)
@@ -43,7 +41,7 @@ def reference_probe(features, labels, task):
     ones = np.ones(n)
     yt, codes = y.reshape(-1, 1), y.astype(np.intp)
 
-    for step in range(1, metrics.PROBE_STEPS + 1):
+    for step in range(1, 601):
         z = xs @ w
         z += b
         if task == "binary":
@@ -54,13 +52,22 @@ def reference_probe(features, labels, task):
         dw = xs.T @ dz
         dw += metrics.PROBE_L2 * w
         dw += metrics.PROBE_L2 * w
-        adam_step(params, np.concatenate([dw[:, 0], ones @ dz]), moments, metrics.PROBE_LR, step)
+        adam_step(params, np.concatenate([dw[:, 0], ones @ dz]), moments, 0.05, step)
 
     return w[:, 0].copy(), float(b[0]), mean, std
 
 
-def bits(*arrays):
-    return [np.asarray(a, dtype=np.float64).tobytes() for a in arrays]
+def objective_and_gradient(x, y, task, w, b, mean, std):
+    """The probe's objective and its gradient in (w, b), at weights in standardized space."""
+    xs = (x - mean) / std
+    z = xs @ w + b
+    if task == "binary":
+        softplus = np.logaddexp(0.0, z)
+        loss, r = softplus - y * z, np.exp(z - softplus) - y
+    else:
+        loss, r = np.square(z - y), 2.0 * (z - y)
+    value = loss.mean() + metrics.PROBE_L2 * (w @ w)
+    return value, np.append(xs.T @ r / len(y) + 2.0 * metrics.PROBE_L2 * w, r.mean())
 
 
 @st.composite
@@ -280,10 +287,12 @@ class TestLinearProbe:
         assert abs(probs.mean() - y.mean()) < 0.05
 
     def test_regression_recovers_line(self):
+        """Also far from the origin: the bias is solved for, not stepped toward."""
         x = np.arange(8.0).reshape(-1, 1)
-        y = 2.0 * x[:, 0] + 1.0
-        probe = train_linear_probe(x, y, "regression")
-        np.testing.assert_allclose(probe.scores(x), y, atol=1e-3)
+        for offset in (1.0, 1e3):
+            y = 2.0 * x[:, 0] + offset
+            probe = train_linear_probe(x, y, "regression")
+            np.testing.assert_allclose(probe.scores(x), y, atol=1e-3)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -308,15 +317,27 @@ class TestLinearProbe:
             train_linear_probe(x, y, task)
 
     @settings(max_examples=60, deadline=None)
-    @given(probe_inputs(), st.integers(1, 12))
-    @example((np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), "binary"), 600)
-    @example((np.arange(8.0).reshape(-1, 1), 2.0 * np.arange(8.0) + 1.0, "regression"), 600)
-    def test_equals_the_cross_entropy_probe_bit_for_bit(self, inputs, steps):
+    @given(probe_inputs())
+    @example((np.array([[0.0], [1.0]]), np.array([0.0, 1.0]), "binary"))
+    @example((np.arange(8.0).reshape(-1, 1), 2.0 * np.arange(8.0) + 1.0, "regression"))
+    @example((np.repeat([[0.0], [1.0]], 20, axis=1), np.array([0.0, 1.0]), "binary"))
+    def test_fit_is_the_minimum_of_the_objective(self, inputs):
+        """The fit's objective is at most the 600-step Adam probe's, and its gradient vanishes.
+
+        The third example is separable along 20 copies of one column: every
+        row ends at |z| ≈ 9.3, deep in the logistic tails, where the data's
+        share of the Hessian (σ(1 − σ) ≈ 1e-4 per row) all but vanishes.
+        """
         x, y, task = inputs
-        with mock.patch.object(metrics, "PROBE_STEPS", steps):
-            probe = train_linear_probe(x, y, task)
-            want = reference_probe(x, y, task)
-        assert bits(probe.w, probe.b, probe.feat_mean, probe.feat_std) == bits(*want)
+        probe = train_linear_probe(x, y, task)
+        assert np.isfinite(probe.w).all() and np.isfinite(probe.b)
+        want = reference_probe(x, y, task)
+        np.testing.assert_array_equal(probe.feat_mean, want[2])
+        np.testing.assert_array_equal(probe.feat_std, want[3])
+        value, grad = objective_and_gradient(x, y, task, probe.w, probe.b, probe.feat_mean, probe.feat_std)
+        reference, _ = objective_and_gradient(x, y, task, *want)
+        assert value <= reference + 1e-12 * abs(reference)
+        np.testing.assert_allclose(grad, 0.0, atol=1e-9 * max(1.0, np.abs(y).max()))
 
     @pytest.mark.parametrize("task", ["binary", "regression"])
     def test_overflowing_mean_or_spread_is_numeric_error(self, task):
@@ -325,24 +346,6 @@ class TestLinearProbe:
             train_linear_probe(x, np.array([0.0, 1.0] * 4), task)
         with pytest.raises(NumericError, match="column 'big':"):
             train_linear_probe(x, np.array([0.0, 1.0] * 4), task, columns=["small", "big"])
-
-
-class TestLogisticGrad:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.floats(-700.0, 700.0), st.sampled_from([0.0, -0.0, 700.0, -700.0, 1e-300])),
-                    min_size=1, max_size=64),
-           st.integers(0, 2 ** 32 - 1))
-    def test_is_the_z_column_of_cross_entropy_on_zero_z(self, z, seed):
-        z = np.array(z)
-        y = np.random.default_rng(seed).integers(0, 2, len(z)).astype(np.float64)
-        scale = np.asarray(1.0 / len(z))  # as the probe passes them: unit weights, scale 1/n
-        _, want = ad.cross_entropy(np.stack([np.zeros_like(z), z], axis=1), y.astype(np.intp), np.ones(len(z)), scale)
-        assert bits(logistic_grad(z, y, scale)) == bits(np.ascontiguousarray(want[:, 1]))
-
-    def test_matches_the_logistic_derivative(self):
-        z = np.array([-30.0, -2.0, 0.0, 0.5, 40.0])
-        y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
-        np.testing.assert_allclose(logistic_grad(z, y, 0.5), 0.5 * (1.0 / (1.0 + np.exp(-z)) - y), atol=1e-15)
 
 
 def test_rmse_that_overflows_is_numeric_error():

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import struct
+import time
 import tracemalloc
 from unittest import mock
 
@@ -724,6 +725,44 @@ class TestDataParallel:
             train(tiny_dataset(), tf.ModelConfig(**MODEL),
                   TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
         assert type(exc.value) is CasprError
+
+    def test_hung_worker_is_a_typed_error_within_the_deadline(self, monkeypatch):
+        """Worker 1 answers two steps, then sleeps. With the floor lowered to 2 s, the third
+        step's deadline is 2 s; missing it stops every worker and names the one that hung."""
+        real_loop = pretrain._worker_loop
+
+        def sleepy_loop(conn, dataset, weights, seed, worker_idx):
+            if worker_idx == 1:
+                real_send, sends = conn.send, []
+
+                def send(obj):
+                    sends.append(obj)
+                    if len(sends) == 3:
+                        time.sleep(3600)
+                    real_send(obj)
+
+                conn.send = send
+            real_loop(conn, dataset, weights, seed, worker_idx)
+
+        monkeypatch.setattr(pretrain, "_worker_loop", sleepy_loop)
+        monkeypatch.setattr(pretrain, "STEP_DEADLINE_FLOOR_S", 2.0)
+        procs = []
+        real_init = pretrain._WorkerPool.__init__
+
+        def keep_procs(pool, *args):
+            real_init(pool, *args)
+            procs.extend(pool.procs)
+
+        monkeypatch.setattr(pretrain._WorkerPool, "__init__", keep_procs)
+        tic = time.perf_counter()
+        with pytest.raises(CasprError, match="worker 1 sent no gradient within .* hung") as exc:
+            train(tiny_dataset(n=24), tf.ModelConfig(**MODEL),
+                  TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
+        assert type(exc.value) is CasprError
+        assert time.perf_counter() - tic < 60
+        for proc in procs:
+            proc.join(timeout=10)
+            assert not proc.is_alive()
 
     def test_every_error_survives_the_pipe(self):
         for exc in (ShapeMismatch("matmul", (2, 3), (4, 5)), ParseError("bad ts", 7),
