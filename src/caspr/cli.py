@@ -322,13 +322,16 @@ def cmd_rfm(args):
 
 def cmd_eval(args):
     cfg_file = _load_config(args.config)
+    seed = args.seed or 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     ids, names, feats = read_feature_csv(_path(args, cfg_file, "features"))
     label_map = read_labels_csv(_path(args, cfg_file, "labels"))
     missing = [e for e in ids if e not in label_map]
     if missing:
         raise SchemaMismatch(f"{len(missing)} entities have no label (first: {missing[0]!r})")
     labels = np.array([label_map[e] for e in ids], dtype=np.float64)
-    report = evaluate_features(feats, labels, args.task, seed=args.seed or 0, columns=names)
+    report = evaluate_features(feats, labels, args.task, seed=seed, columns=names)
     atomic_write(_path(args, cfg_file, "out"), lambda fh: metrics.write_report_csv(report, fh))
     print(metrics.format_report(report))
     return 0

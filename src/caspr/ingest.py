@@ -3,9 +3,11 @@
 The pipeline is fit -> build_dataset. Fitting derives vocabularies
 (first-seen order, code 0 reserved for padding/out-of-vocab), z-score
 statistics (population std, zero replaced by 1) and the embedding width per
-categorical column. Building encodes raw records, groups them per entity,
-sorts by timestamp (stable), keeps the latest `t` rows and left-pads
-shorter histories into one padded array per field.
+categorical column; statistics and z-scores are worked in units of a power
+of two above each column's values, so a column of any finite scale fits.
+Building encodes raw records, groups them per entity, sorts by timestamp
+(stable), keeps the latest `t` rows and left-pads shorter histories into
+one padded array per field.
 
 Both read the log through read_columns, in chunks of CHUNK_ROWS records
 turned into columns, and parse each column with one numpy cast; a chunk is
@@ -347,36 +349,39 @@ def read_events(chunks, schema, num_cols, codes=(), ts_bounds=INT64):
     return np.array(entities, dtype=object), rank[owner], ts, nums, cats
 
 
+def _scale_exponents(magnitudes):
+    """The least k with 2**k above each magnitude; -1073, the least for any float, for 0."""
+    return np.frexp(np.maximum(magnitudes, 5e-324))[1]
+
+
 def fit_schema(chunks, schema):
-    """Single pass over the chunks of read_columns: build vocabularies and z-score stats."""
+    """Single pass over the chunks of read_columns: build vocabularies and z-score stats.
+
+    Each numeric column is summed about its first value, so a column far from
+    zero keeps its spread instead of losing it to cancellation in sumsq / n -
+    mean², and in units of 2**k above every value read so far, so deviations
+    stay below 2 and no sum overflows at any scale. Scaling by a power of two
+    is exact: the sums round as unscaled ones would unless a scaled value falls
+    below the normal range, and are rescaled exactly when k grows. Each sum
+    runs left to right over the rows, as np.cumsum adds.
+    """
     numeric_cols = schema.names_of("numerical") + schema.names_of("static_numerical")
     cat_cols = schema.names_of("categorical") + schema.names_of("static_categorical")
-    # Sums are taken about each column's first value, so a column far from
-    # zero (epoch-like values, large balances) keeps its spread instead of
-    # losing it to cancellation in sumsq / n - mean². A deviation below `tiny`
-    # would square to a subnormal or zero, so its square is summed scaled up;
-    # one above `huge` could overflow the sums (or be an overflow itself, as
-    # 1e308 - -1e308 is), so it and its square are summed in units of scale.
-    # Each sum runs left to right over the rows, as np.cumsum adds, so the
-    # statistics do not depend on the chunking.
-    tiny, huge, scale = 2.0 ** -500, 2.0 ** 400, 2.0 ** 600
-    shifts = None
-    sums = np.zeros((5, len(numeric_cols)))  # of d, d², tiny (d·scale)², huge d / scale and its square
+    shifts = k = None
+    sums = np.zeros((2, len(numeric_cols)))  # of d in units of 2**k and d² in units of 4**k
     seen = {c: {} for c in cat_cols}
     n = 0
     for start, cols in chunks:
         _, x = parse_chunk(start, cols, schema.ts_col, numeric_cols)
-        shifts = x[:, :1] if shifts is None else shifts
-        with np.errstate(over="ignore", invalid="ignore"):  # the masks below drop what overflows
-            d, far = x - shifts, x / scale - shifts / scale
-        small, normal = np.abs(d) < tiny, np.abs(d) < huge
-        normal, big = normal & ~small, ~normal
-        terms = np.stack([np.where(big, 0.0, d), np.where(normal, d, 0.0) ** 2, np.zeros_like(d),
-                          np.where(big, far, 0.0), np.where(big, far, 0.0) ** 2])
+        top = _scale_exponents(np.abs(x).max(axis=1))
+        if shifts is None:
+            shifts, k = x[:, :1], top
+        sums = np.ldexp(sums, [[1], [2]] * (k - np.maximum(k, top)))
+        k = np.maximum(k, top)
+        d = np.ldexp(x, -k[:, None]) - np.ldexp(shifts, -k[:, None])
+        terms = np.stack([d, d * d])
         terms[:, :, 0] += sums
         sums = np.cumsum(terms, axis=2)[:, :, -1]
-        for j, i in zip(*np.nonzero(small & (d != 0))):  # Python's ** 2, which can round unlike d * d
-            sums[2, j] += (float(d[j, i]) * scale) ** 2
         for c in cat_cols:
             seen[c].update(dict.fromkeys(cols[c]))
         n += x.shape[1]
@@ -384,17 +389,9 @@ def fit_schema(chunks, schema):
         raise EmptyDataset("the activity log has no data rows")
     means, stds = {}, {}
     for j, c in enumerate(numeric_cols):
-        shift, (s, sq, tiny_sq, huge_s, huge_sq) = float(shifts[j, 0]), sums[:, j].tolist()
-        means[c] = shift + s / n
-        if huge_sq:  # some deviation above `huge`: take mean and spread in units of scale
-            dev = (huge_s + s / scale) / n
-            means[c] = (shift / scale + dev) * scale
-            var = (huge_sq + sq / scale / scale) / n - dev ** 2
-            std = math.sqrt(max(var, 0.0)) * scale
-        elif sq:
-            std = math.sqrt(max(sq / n - (s / n) ** 2, 0.0))
-        else:  # every deviation below `tiny`: take the spread in units of 1 / scale
-            std = math.sqrt(max(tiny_sq / n - (s * scale / n) ** 2, 0.0)) / scale
+        shift, kj, (s, sq) = float(shifts[j, 0]), int(k[j]), (sums[:, j] / n).tolist()
+        means[c] = math.ldexp(math.ldexp(shift, -kj) + s, kj)  # s alone can overflow once scaled back
+        std = math.ldexp(math.sqrt(max(sq - s * s, 0.0)), kj)  # s * s, as libm's s ** 2 can round otherwise
         stds[c] = std if std > 0 else 1.0
     return FittedSchema(schema=schema, vocab={c: list(v) for c, v in seen.items()}, means=means, stds=stds)
 
@@ -402,18 +399,16 @@ def fit_schema(chunks, schema):
 def _z_scores(values, fitted, num_cols):
     """(values - mean) / std per column, as a ParseError naming row and column where it is not finite.
 
-    x - mean can overflow for finite statistics (1.7e308 against a mean of
-    -8.5e307); those cells are redone as x / std - mean / std, which stays
-    finite whenever the z-score itself is.
+    Each column is worked in units of 2**k above its values, mean and std, as
+    in fit_schema, so x - mean cannot overflow (1.7e308 against a mean of
+    -8.5e307) and a z-score rounds as the unscaled one would.
     """
     means = np.array([fitted.means[c] for c in num_cols])
     stds = np.array([fitted.stds[c] for c in num_cols])
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = (values - means) / stds
-        far = ~np.isfinite(z)
-        if far.any():
-            z[far] = (values / stds - means / stds)[far]
-            far = ~np.isfinite(z)
+    k = _scale_exponents(np.max([np.abs(values).max(axis=0, initial=0.0), np.abs(means), stds], axis=0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        z = (np.ldexp(values, -k) - np.ldexp(means, -k)) / np.ldexp(stds, -k)
+    far = ~np.isfinite(z)
     if far.any():
         row, col = (int(i[0]) for i in np.nonzero(far))
         raise ParseError(f"number {float(values[row, col])!r} in column {num_cols[col]!r} is too far "

@@ -70,8 +70,11 @@ class TrainConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        for name in ("epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         if self.batch_size < self.workers:
@@ -326,6 +329,8 @@ def train(dataset, model_cfg, train_cfg, init=None):
                 adam_step(weights.flat, grad, moments, train_cfg.lr, adam_steps)
                 loss_num += num
                 loss_den += den
+            if not np.isfinite(weights.flat).all():  # the next forward pass would find it, if there is one
+                raise DivergenceError(f"weights diverged at epoch {epoch + 1}", checkpoint=last_good)
             log.append((epoch + 1, loss_num / loss_den, time.perf_counter() - tic))
             last_good = checkpoint_from(weights, moments, rng, epoch + 1, adam_steps)
     finally:

@@ -37,8 +37,11 @@ class SynthConfig:
     min_len: int = 3
 
     def __post_init__(self):
-        if self.n_entities < 2:
-            raise ConfigError(f"n_entities must be >= 2, got {self.n_entities}")
+        for name, least in (("n_entities", 2), ("seed", 0), ("item_vocab", 1), ("channel_vocab", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not math.isfinite(self.t_mean):
+            raise ConfigError(f"t_mean must be finite, got {self.t_mean}")
         if self.signal not in ("trend_churn", "none"):
             raise ConfigError(f"unknown signal {self.signal!r}")
         if self.min_len < 1 or self.max_len < self.min_len:

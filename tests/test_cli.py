@@ -1,14 +1,20 @@
 """End-to-end CLI pipeline tests: synth -> fit -> pretrain -> embed -> eval,
 plus rfm/rank/bench surfaces, exit codes and artifact determinism."""
+import contextlib
 import csv
+import dataclasses
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from caspr import cli, ingest, pretrain, synthgen, transformer
 from caspr.cli import main
@@ -591,6 +597,19 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ConfigError") and "precision" in err[0]
 
+    def test_divergence_on_the_last_step_keeps_the_first_checkpoint(self, workspace, tmp_path, capfd):
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"model": json.loads(workspace["cfg"].read_text())["model"],
+                                   "train": {"lr": 1e300, "epochs": 1, "batch_size": 60}}))
+        with np.errstate(all="ignore"):
+            code = main(["pretrain", "--config", str(cfg), "--fitted", str(workspace["fitted"]),
+                         "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "run")])
+        assert code == 4
+        ck = pretrain.load_checkpoint(tmp_path / "run" / "checkpoint.bin")
+        assert ck.epoch == 0 and np.isfinite(ck.flat).all()
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DivergenceError: weights diverged at epoch 1")
+
     def test_data_parallel_divergence_is_4(self, workspace, tmp_path, capfd):
         cfg = tmp_path / "diverge.json"
         cfg.write_text(json.dumps({
@@ -638,6 +657,9 @@ class TestExitCodes:
         ('{"model": {"pooling": "mean"}}', "pooling"),
         ('{"train": {"mask_mode": "bernoulli"}}', "mask_mode"),
         ('{"train": {"loss_scope": "all"}}', "loss_scope"),
+        ('{"train": {"lr": NaN}}', "lr must be positive and finite, got nan"),
+        ('{"train": {"lr": Infinity}}', "lr must be positive and finite, got inf"),
+        ('{"train": {"epochs": -1}}', "epochs must be >= 0, got -1"),
     ])
     def test_bad_config_is_config_error(self, workspace, tmp_path, capsys, text, what):
         cfg = tmp_path / "bad.json"
@@ -745,3 +767,69 @@ class TestExitCodes:
                      "--out", str(out), "--epochs", "1"]) == 0
         rows = read_csv(out / "loss_log.csv")
         assert len(rows) == 2  # header + single epoch
+
+
+# ------------------------------------------------------------------ config fuzz
+
+FUZZ_VALUES = st.one_of(st.integers(-3, 0), st.sampled_from([-1.5, -0.0, math.nan, math.inf, -math.inf]),
+                        st.booleans(), st.sampled_from(["", "2", "x"]))
+# small enough that a config the fuzz leaves valid runs in milliseconds; one batch holds the whole log
+FUZZ_BASE = {"model": {"hidden": 4, "ff_dim": 4, "layers": 1, "heads": 2, "t": 4, "emb_out": 4},
+             "train": {"epochs": 1, "batch_size": 64}, "synth": {"n_entities": 6}}
+
+
+def fuzzed(cls):
+    """Up to two fields of `cls` set to values that are negative, zero, NaN, infinite, bools or strings."""
+    return st.dictionaries(st.sampled_from([f.name for f in dataclasses.fields(cls)]), FUZZ_VALUES, max_size=2)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workspace):
+    rfm_path = workspace["root"] / "fuzz-rfm.csv"
+    assert main(["rfm", "--schema", str(workspace["data_dir"] / "schema.json"),
+                 "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(rfm_path)]) == 0
+    return {**workspace, "rfm": rfm_path}
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(model=fuzzed(transformer.ModelConfig), train=fuzzed(pretrain.TrainConfig),
+       synth=fuzzed(synthgen.SynthConfig), seed=st.sampled_from([None, -1, 0, 2]))
+@example(model={}, train={"lr": math.nan}, synth={}, seed=None)
+@example(model={}, train={"lr": math.inf}, synth={}, seed=None)
+@example(model={}, train={"lr": 1e300}, synth={}, seed=None)  # finite, but the one step leaves no finite weight
+@example(model={}, train={"epochs": -1}, synth={}, seed=None)
+@example(model={}, train={}, synth={"item_vocab": 0}, seed=None)
+@example(model={}, train={}, synth={"channel_vocab": 0}, seed=None)
+@example(model={}, train={}, synth={"t_mean": math.nan}, seed=None)
+@example(model={}, train={}, synth={}, seed=-1)
+def test_config_fuzz_exits_0_or_prints_one_error_line(fuzz_inputs, model, train, synth, seed):
+    """synth, pretrain and eval, run on a config of fuzzed values, each exit 0 with their artifacts
+    (pretrain: a finite checkpoint and one loss row per configured epoch) or print exactly one
+    `error:` line and exit with a documented code. numpy's floating-point warnings are left out."""
+    cfg = {name: {**FUZZ_BASE[name], **drawn} for name, drawn in (("model", model), ("train", train), ("synth", synth))}
+    flags = [] if seed is None else ["--seed", str(seed)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cfg, fh)
+        run_dir = os.path.join(tmp, "run")
+        commands = {
+            "synth": ["synth", "--out", os.path.join(tmp, "synth")],
+            "pretrain": ["pretrain", "--fitted", str(fuzz_inputs["fitted"]), "--out", run_dir,
+                         "--data", str(fuzz_inputs["data_dir"] / "data.csv")],
+            "eval": ["eval", "--task", "binary", "--features", str(fuzz_inputs["rfm"]),
+                     "--labels", str(fuzz_inputs["data_dir"] / "labels.csv"), "--out", os.path.join(tmp, "report.csv")],
+        }
+        for command, argv in commands.items():
+            out, err = io.StringIO(), io.StringIO()
+            with np.errstate(all="ignore"), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + ["--config", path] + flags)
+            lines = err.getvalue().splitlines()
+            if code:
+                assert code in (1, 2, 3, 4, 5) and len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
+            else:
+                assert lines == [] and out.getvalue().startswith(("wrote", "auroc")), (command, out.getvalue())
+            if command == "pretrain" and code in (0, 4):  # a divergence keeps the last good checkpoint
+                assert np.isfinite(pretrain.load_checkpoint(os.path.join(run_dir, "checkpoint.bin")).flat).all()
+            if command == "pretrain" and code == 0:
+                assert len(read_csv(os.path.join(run_dir, "loss_log.csv"))) == 1 + cfg["train"]["epochs"]

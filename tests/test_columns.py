@@ -9,6 +9,13 @@ rows is one EmptyDataset for building and RFM alike, where RFM raised
 EmptyEntity. On any
 generated CSV, fitting, building and the RFM table must give the same bits,
 or the same error with the same message and row.
+
+oracle_fit is the bitwise reference for fitting only where every numeric
+value stays in the normal range once fit_schema scales it by 2**-k
+(in_bitwise_range); its variance squares the mean deviation as a product,
+because Python's `** 2` calls libm's pow, which does not always round as
+x * x does. Elsewhere the fitted means and stds are checked against exact
+rational statistics (assert_exact_statistics).
 """
 import csv
 import io
@@ -18,11 +25,12 @@ import os
 import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from caspr import ingest, rfm
 from caspr.errors import EmptyDataset, ParseError, SchemaMismatch
@@ -112,7 +120,7 @@ def oracle_fit(rows, schema):
             var = (huge_sqs[c] + sumsqs[c] / scale / scale) / n - dev ** 2
             std = math.sqrt(max(var, 0.0)) * scale
         elif sumsqs[c]:
-            std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) ** 2, 0.0))
+            std = math.sqrt(max(sumsqs[c] / n - (sums[c] / n) * (sums[c] / n), 0.0))
         else:
             std = math.sqrt(max(tiny_sqs[c] / n - (sums[c] * scale / n) ** 2, 0.0)) / scale
         stds[c] = std if std > 0 else 1.0
@@ -197,15 +205,52 @@ def write_csv(path, header, rows):
         fh.write(buf.getvalue())
 
 
+def in_bitwise_range(xs):
+    """Every deviation from the first value is 0 or lies in [2**-500, 2**400) in size, and no value
+    is nonzero below 2**-500: then no value fit_schema scales by 2**-k falls below the normal range."""
+    return all(x == 0 or abs(x) >= 2.0 ** -500 for x in xs) and all(
+        d == 0 or 2.0 ** -500 <= abs(d) < 2.0 ** 400 for d in (x - xs[0] for x in xs))
+
+
+def assert_exact_statistics(fitted, columns):
+    """Each fitted mean and std lies within n * 2**-50 * max|x - x0| of the exact rational one, plus
+    the least subnormal (a result may round below the normal range) and, for the mean, an ulp of it.
+
+    The sums about the first value x0 err by about one ulp of max|x - x0| per row where that value
+    is an outlier; a std of 1 stands for a std of 0 and needs an exact one within the bound of 0.
+    """
+    for c, xs in columns.items():
+        n, exact = len(xs), [Fraction(x) for x in xs]
+        mean = sum(exact) / n
+        var = sum((x - mean) ** 2 for x in exact) / n
+        tol = n * Fraction(2.0 ** -50) * max(abs(x - exact[0]) for x in exact) + Fraction(5e-324)
+        assert abs(Fraction(fitted.means[c]) - mean) <= tol + Fraction(2.0 ** -52) * abs(mean), c
+        std = Fraction(fitted.stds[c])
+        assert (fitted.stds[c] == 1.0 and var <= tol ** 2) or max(std - tol, 0) ** 2 <= var <= (std + tol) ** 2, c
+
+
+def fit_outcomes(path):
+    """fit_schema's outcome, oracle_fit's, and each numeric column's values when fitting works."""
+    new_fit = outcome(lambda: ingest.fit_schema(ingest.read_columns(path, SCHEMA), SCHEMA))
+    old_fit = outcome(lambda: oracle_fit(oracle_rows(path, SCHEMA), SCHEMA))
+    columns = {}
+    if isinstance(old_fit, FittedSchema):
+        rows = list(oracle_rows(path, SCHEMA))
+        columns = {c: [float(rec[c]) for rec in rows] for c in old_fit.means}
+    return new_fit, old_fit, columns
+
+
 def compare_all(path, t=3):
     """Fit, build (under a fixed fit and, when fitting works, the data's own) and RFM
     must match their oracles on the CSV at `path`."""
-    new_fit = outcome(lambda: ingest.fit_schema(ingest.read_columns(path, SCHEMA), SCHEMA))
-    old_fit = outcome(lambda: oracle_fit(oracle_rows(path, SCHEMA), SCHEMA))
+    new_fit, old_fit, columns = fit_outcomes(path)
     if isinstance(old_fit, tuple):
         assert new_fit == old_fit
-    else:
+    elif all(map(in_bitwise_range, columns.values())):
         assert json.dumps(new_fit.to_json()) == json.dumps(old_fit.to_json())
+    else:
+        assert new_fit.vocab == old_fit.vocab
+        assert_exact_statistics(new_fit, columns)
     for fitted in [FIXED_FIT] + ([old_fit] if isinstance(old_fit, FittedSchema) else []):
         assert same_dataset(outcome(lambda: ingest.load_dataset(path, fitted, t)),
                             outcome(lambda: oracle_build(oracle_rows(path, SCHEMA), fitted, t)))
@@ -249,8 +294,20 @@ def logs(draw):
     return rows
 
 
+def amount_rows(amounts):
+    return [["", "x", "1600000000", "a", amount, "gold", "30"] for amount in amounts]
+
+
+NEXT_TO_1E_300 = [repr(math.nextafter(1e-300, math.inf)), "1e-300", repr(math.nextafter(1e-300, 0.0))]
+
+
+# The examples lie off the bitwise range, so their statistics are checked against exact ones.
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(rows=logs(), chunk=st.sampled_from([1, 2, 3, 5, ingest.CHUNK_ROWS]))
+@example(rows=amount_rows(["0.0", "1.0", "1e308", "-1e308"]), chunk=1)  # the sum of d is 0 in units of 2**1024
+@example(rows=amount_rows(NEXT_TO_1E_300 + NEXT_TO_1E_300[:1]), chunk=3)  # every deviation below 2**-500
+@example(rows=amount_rows(["5e-324", "0.0", "-5e-324", "1e-323"]), chunk=ingest.CHUNK_ROWS)  # subnormals
+@example(rows=amount_rows(["1e-310", "7.0", "-7.0"]), chunk=1)  # the deviations cancel, leaving 1e-310 alone
 def test_matches_the_row_at_a_time_oracles(rows, chunk):
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "CHUNK_ROWS", chunk):
         path = os.path.join(tmp, "log.csv")

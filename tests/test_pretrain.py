@@ -607,6 +607,17 @@ class TestTrain:
         assert exc.value.checkpoint is not None
         assert np.isfinite(exc.value.checkpoint.flat).all()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_on_an_epochs_last_step_keeps_the_start(self, workers):
+        """One batch per epoch and one epoch: no later forward pass sees the weights lr=1e300 leaves."""
+        ds = tiny_dataset(n=8, seed=5)
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, dropout=0.0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(pretrain.DivergenceError, match="epoch 1") as exc:
+                train(ds, cfg, TrainConfig(epochs=1, seed=0, batch_size=8, lr=1e300, workers=workers))
+        assert exc.value.checkpoint.epoch == 0
+        assert np.isfinite(exc.value.checkpoint.flat).all()
+
     def test_resume_continues_log_exactly(self, tmp_path):
         ds = tiny_dataset(n=10, seed=4)
         cfg = tf.ModelConfig(**MODEL)

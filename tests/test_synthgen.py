@@ -101,3 +101,7 @@ def test_config_validation():
         SynthConfig(n_entities=1)
     with pytest.raises(ConfigError):
         SynthConfig(signal="bogus")
+    for field, value in [("item_vocab", 0), ("channel_vocab", 0), ("seed", -1), ("t_mean", float("nan")),
+                         ("t_mean", float("-inf"))]:  # values generate_rows would crash on
+        with pytest.raises(ConfigError, match=field):
+            SynthConfig(**{field: value})
