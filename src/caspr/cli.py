@@ -1,6 +1,6 @@
 """Command-line pipelines over the library modules.
 
-Subcommands: synth, fit, pretrain, embed, rfm, eval, rank, bench. Options
+Subcommands: synth, fit, pretrain, embed, rfm, eval, rank. Options
 can come from one JSON config file (--config) with command-line flags
 winning on conflict. Artifacts are written atomically (temp file + rename)
 and reruns with the same seed produce byte-identical outputs.
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import json
 import logging
 import os
@@ -116,21 +115,6 @@ def _path(args, cfg_file, key):
     if value is None:
         raise ConfigError(f"missing --{key.replace('_', '-')} (or paths.{key} in the config file)")
     return value
-
-
-def _training_inputs(args):
-    """(model config, train config, dataset, out path) for pretrain and bench."""
-    cfg_file = _load_config(args.config)
-    model_cfg = _config(transformer.ModelConfig, cfg_file, "model",
-                        {"precision": args.precision} if args.precision else {})
-    train_cfg = _config(pretrain.TrainConfig, cfg_file, "train",
-                        {flag: getattr(args, flag) for flag in ("seed", "epochs", "batch_size", "workers")
-                         if getattr(args, flag, None) is not None})
-    fitted = ingest.load_fitted_json(_require(_path(args, cfg_file, "fitted"), "fitted schema"))
-    data_path = _path(args, cfg_file, "data")
-    out = _path(args, cfg_file, "out")
-    dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
-    return model_cfg, train_cfg, dataset, out
 
 
 def _write_features(path, names, entities, matrix):
@@ -265,7 +249,16 @@ def _write_checkpoint(ck, out_dir):
 
 
 def cmd_pretrain(args):
-    model_cfg, train_cfg, dataset, out_dir = _training_inputs(args)
+    cfg_file = _load_config(args.config)
+    model_cfg = _config(transformer.ModelConfig, cfg_file, "model",
+                        {"precision": args.precision} if args.precision else {})
+    train_cfg = _config(pretrain.TrainConfig, cfg_file, "train",
+                        {flag: getattr(args, flag) for flag in ("seed", "epochs", "batch_size", "workers")
+                         if getattr(args, flag) is not None})
+    fitted = ingest.load_fitted_json(_require(_path(args, cfg_file, "fitted"), "fitted schema"))
+    data_path = _path(args, cfg_file, "data")
+    out_dir = _path(args, cfg_file, "out")
+    dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
     log.info("pretraining on %d sequences for %d epochs (workers=%d)",
              len(dataset.entities), train_cfg.epochs, train_cfg.workers)
     try:
@@ -398,30 +391,6 @@ def cmd_rank(args):
     return 0
 
 
-def cmd_bench(args):
-    model_cfg, train_cfg, dataset, out = _training_inputs(args)
-    worker_list = [int(x) for x in args.workers_list.split(",")]
-    rows = []
-    for w in worker_list:
-        cfg = dataclasses.replace(train_cfg, workers=w)
-        _, loss_log = pretrain.train(dataset, model_cfg, cfg)
-        epoch_times = [wall for _, _, wall in loss_log]
-        epoch_s = float(np.median(epoch_times))
-        rows.append((w, epoch_s, w * epoch_s))
-        log.info("bench workers=%d epoch=%.3fs", w, epoch_s)
-
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["workers", "epoch_time_s", "total_worker_time_s"])
-        for w, epoch_s, total in rows:
-            writer.writerow([w, f"{epoch_s:.6f}", f"{total:.6f}"])
-
-    atomic_write(out, write)
-    for w, epoch_s, total in rows:
-        print(f"workers={w} epoch_time_s={epoch_s:.3f} total_worker_time_s={total:.3f}")
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="caspr", description="Activity-sequence embeddings and baselines")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -485,18 +454,6 @@ def build_parser():
     p.add_argument("--relevance")
     p.add_argument("--out")
     p.set_defaults(fn=cmd_rank)
-
-    p = sub.add_parser("bench", help="scaling benchmark over worker counts")
-    common(p, seed=True)
-    p.add_argument("--fitted")
-    p.add_argument("--data")
-    p.add_argument("--workers", required=True, dest="workers_list",
-                   help="comma-separated worker counts, e.g. 1,2,4")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--precision", choices=["f32", "f64"])
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 

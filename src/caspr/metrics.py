@@ -18,6 +18,7 @@ from .errors import CaseError, LabelError, NumericError, SchemaMismatch
 
 PROBE_L2 = 1e-4
 PROBE_MAX_ITER = 100     # Newton iterations; a binary fit on 1400 × 16 features takes 5
+F1_THRESHOLD = 0.5       # a probability at or above it predicts class 1
 
 
 @dataclass
@@ -137,11 +138,11 @@ def auroc(scores, labels):
     return float(u / (n_pos * n_neg))
 
 
-def f1_positive(scores, labels, threshold=0.5):
-    """F1 of class 1 at a score threshold; empty denominators give 0."""
+def f1_positive(scores, labels):
+    """F1 of class 1 at F1_THRESHOLD; empty denominators give 0."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
-    pred = scores >= threshold
+    pred = scores >= F1_THRESHOLD
     tp = int((pred & (labels == 1)).sum())
     fp = int((pred & (labels == 0)).sum())
     fn = int((~pred & (labels == 1)).sum())

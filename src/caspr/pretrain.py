@@ -4,14 +4,11 @@ loop, binary checkpoints and synchronous data-parallel gradients.
 Training zeroes a random subset of real positions, runs the masked batch
 through encoder and decoder, and reconstructs the original values at every
 non-pad position (squared error for numerics, cross-entropy over vocab+1
-logits for categoricals). There is one training loop. With workers > 1 only
-the source of a batch's gradients changes: forked workers receive identical
-weights each step and return shard gradients, and one reduction feeds one
-optimizer update, so replicas never drift and failures surface exactly as
-in serial mode. The same reduction combines the row tiles of at most
-transformer.TILE entities that a step or shard is split into; a step or
-shard of more than TILE entities is sorted by sequence length, and each
-tile runs only over its real slots (transformer.Batch.tiles).
+logits for categoricals). There is one training step: the parent cuts each
+batch into row tiles with step_tiles, and `combine` reduces their gradients
+in tile order into one Adam update. With workers > 1, forked workers run
+the tiles, so a data-parallel run that cuts the serial run's tiles is that
+run byte for byte, and failures surface exactly as in serial mode.
 """
 from __future__ import annotations
 
@@ -59,6 +56,7 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"CSPR1"
 CHECKPOINT_VERSION = 3   # 3: the parameters are three flat arrays, not per-tensor records
+QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass
@@ -133,23 +131,32 @@ def reconstruction_loss(preds, batch):
     return loss
 
 
-def compute_gradients(weights, batch, rng=None):
-    """Forward + backward on one (already masked) batch, TILE entities at a time;
-    dropout runs exactly when `rng` is given.
+def compute_gradients(weights, batch, key=None):
+    """Forward + backward on one (already masked) batch, tile by tile;
+    dropout runs exactly when a dropout `key` is given (see step_tiles).
 
     Returns (flat grad, loss numerator, real-position count), the triple
-    `combine` reduces; the numerator is loss * count so tile and shard
-    results combine exactly. A tile of only all-pad rows has nothing to
-    score and is left out. Per-name views of the grad are
-    ``weights.views(grad)``.
+    `combine` reduces; the numerator is loss * count so tile results combine
+    exactly. Per-name views of the grad are ``weights.views(grad)``.
     """
-    # a batch with no real position at all still fails in reconstruction_loss
-    parts = [part for _, part in batch.tiles() if part.real.any()] or [batch]
-    return combine([_tile_gradients(weights, part, rng) for part in parts])
+    return combine([_tile_gradients(weights, tile, tile_key) for tile, tile_key in step_tiles(batch, key)])
 
 
-def _tile_gradients(weights, batch, rng):
+def step_tiles(batch, key, workers=1):
+    """(tile, dropout key) for each tile of batch.tiles(workers) that holds a real position.
+
+    Tile i of the step keyed (seed, epoch, step) gets the key [seed, epoch,
+    step, i], whichever process runs it; a key of None means no dropout. A
+    batch with no real position at all is kept whole, to fail in
+    reconstruction_loss.
+    """
+    tiles = [(i, tile) for i, (_, tile) in enumerate(batch.tiles(workers)) if tile.real.any()] or [(0, batch)]
+    return [(tile, None if key is None else [*key, i]) for i, tile in tiles]
+
+
+def _tile_gradients(weights, batch, key):
     """(flat grad, loss numerator, real-position count) of one tile; the grad is a fresh `weights.grad`."""
+    rng = None if key is None else np.random.default_rng(key)
     weights.zero_grad()
     x = project_inputs(batch, weights)
     enc = encoder_forward(batch, weights, rng=rng, inputs=x)
@@ -162,7 +169,7 @@ def _tile_gradients(weights, batch, rng):
 
 
 def combine(parts):
-    """Reduce (flat grad, loss numerator, real-position count) triples of row tiles or shards into one.
+    """Reduce (flat grad, loss numerator, real-position count) triples of row tiles into one.
 
     Each grad is the gradient of its own part's mean loss, so weighting it
     by the part's share of the real positions reproduces the gradient of
@@ -281,13 +288,14 @@ def load_checkpoint(path):
                       rng_state=header["rng_state"], epoch=epoch, adam_steps=adam_steps)
 
 
+@np.errstate(**QUIET)  # train turns each non-finite value a step makes into a typed error
 def train(dataset, model_cfg, train_cfg, init=None):
     """Run pretraining; returns (final checkpoint, per-epoch loss log).
 
-    Log rows are (epoch, mean_loss, wall_seconds). The permutation, the masks
-    and (with one worker) dropout all come from one seeded rng, so at any
-    worker count the loss column is reproducible run to run and resuming
-    from a checkpoint continues the uninterrupted log exactly.
+    Log rows are (epoch, mean_loss, wall_seconds). The permutation and the
+    masks come from one seeded rng and dropout from per-tile keys, so at
+    any worker count the loss column is reproducible and resuming from a
+    checkpoint continues the uninterrupted log exactly.
     """
     n = len(dataset.entities)
     if not n:
@@ -306,21 +314,21 @@ def train(dataset, model_cfg, train_cfg, init=None):
         epoch_start, adam_steps = init.epoch, init.adam_steps
     log = []
     last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)
-    pool = _WorkerPool(dataset, weights, train_cfg) if train_cfg.workers > 1 else None
+    pool = _WorkerPool(weights, train_cfg.workers) if train_cfg.workers > 1 else None
     try:
         for epoch in range(epoch_start, train_cfg.epochs):
             tic = time.perf_counter()
             perm = rng.permutation(n)
             loss_num = loss_den = 0.0
             for step, start in enumerate(range(0, n, train_cfg.batch_size)):
-                idx = perm[start:start + train_cfg.batch_size]
-                batch = prepare_batch(dataset, idx, model_cfg)
-                masked, plan = apply_mask(batch, model_cfg.mask_p, rng)
+                batch = prepare_batch(dataset, perm[start:start + train_cfg.batch_size], model_cfg)
+                masked, _ = apply_mask(batch, model_cfg.mask_p, rng)
+                key = (train_cfg.seed, epoch, step)
                 try:
                     if pool is None:
-                        grad, num, den = compute_gradients(weights, masked, rng=rng)
+                        grad, num, den = compute_gradients(weights, masked, key=key)
                     else:
-                        grad, num, den = pool.gradients(weights, idx, plan, epoch, step)
+                        grad, num, den = pool.gradients(weights, masked, key)
                 except NumericError as exc:
                     raise DivergenceError(str(exc), checkpoint=last_good) from exc
                 if not np.isfinite(num):
@@ -342,19 +350,19 @@ def train(dataset, model_cfg, train_cfg, init=None):
 # ---------------------------------------------------------------------------
 # synchronous data-parallel gradients
 
-def _worker_loop(conn, dataset, weights, seed, worker_idx):
-    """Serve steps on the worker's forked copy of `weights`, overwritten by each step's flat parameters."""
+@np.errstate(**QUIET)
+def _worker_loop(conn, weights, worker_idx):
+    """Serve steps on the worker's forked copy of `weights`: each step brings the flat
+    parameters and (tile, dropout key) pairs, and gets one gradient triple per tile back."""
     while True:
         msg = conn.recv()
         if msg[0] == "stop":
             conn.close()
             return
-        _, flat, idx, plan, epoch, step = msg
-        masked = prepare_batch(dataset, idx, weights.cfg).masked(plan)
-        rng = np.random.default_rng([seed, epoch, step, worker_idx])
+        _, flat, jobs = msg
         weights.flat[...] = flat
         try:
-            result = compute_gradients(weights, masked, rng=rng)
+            result = [_tile_gradients(weights, tile, key) for tile, key in jobs]
         except CasprError as exc:
             result = exc  # the parent re-raises it inside the training loop
         except Exception as exc:  # anything else still reaches the parent as one typed error
@@ -369,48 +377,39 @@ STEP_DEADLINE_FLOOR_S = 60.0
 
 
 class _WorkerPool:
-    """Forked workers that turn each batch into one reduced gradient.
+    """Forked workers that run the tiles of each step: worker i mod w gets tile i of
+    step_tiles and its dropout key (w = min(#tiles, workers)) with the flat parameters,
+    and the per-tile triples are reduced in tile order, as compute_gradients does. A
+    step that misses its deadline stops every worker and is one CasprError."""
 
-    Each step shards the batch, sends every worker the flat parameter array
-    and its shard, and reduces the flat shard gradients with `combine`, the
-    reduction compute_gradients applies to row tiles; a worker tiles its own
-    shard the same way. A batch with fewer entities than workers, such as an
-    epoch's short last batch, goes to the first len(batch) workers only.
-    Reduction runs in fixed worker-index order for reproducibility. A step
-    that misses its deadline stops every worker and is one CasprError.
-    """
-
-    def __init__(self, dataset, weights, train_cfg):
+    def __init__(self, weights, workers):
         ctx = mp.get_context("fork")
         self.conns, self.procs = [], []
-        for wi in range(train_cfg.workers):
+        for wi in range(workers):
             parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_loop,
-                args=(child, dataset, weights, train_cfg.seed, wi),
-                daemon=True,
-            )
+            proc = ctx.Process(target=_worker_loop, args=(child, weights, wi), daemon=True)
             proc.start()
             child.close()
             self.conns.append(parent)
             self.procs.append(proc)
         self.slowest_step_s = 0.0
 
-    def gradients(self, weights, idx, plan, epoch, step):
-        """(flat grad, loss numerator, real-position count) for one batch."""
-        w_count = min(len(idx), len(self.conns))
-        shards = np.array_split(np.arange(len(idx)), w_count)
+    def gradients(self, weights, batch, key):
+        """(flat grad, loss numerator, real-position count) for one masked batch."""
+        jobs = step_tiles(batch, key, len(self.conns))
+        w_count = min(len(jobs), len(self.conns))
         tic = time.perf_counter()
         deadline = tic + self._allowed_s()
-        sent = [self._send(wi, ("step", weights.flat, idx[shard], plan[shard], epoch, step))
-                for wi, shard in enumerate(shards)]
+        sent = [self._send(wi, ("step", weights.flat, jobs[wi::w_count])) for wi in range(w_count)]
         # every worker that took the step is answered for, or all are stopped, before anything is raised
         results = [self._recv(wi, deadline) if error is None else error for wi, error in enumerate(sent)]
         self.slowest_step_s = max(self.slowest_step_s, time.perf_counter() - tic)
-        for r in results:
+        parts = [None] * len(jobs)
+        for wi, r in enumerate(results):
             if isinstance(r, CasprError):
                 raise r
-        return combine(results)  # fixed worker-index order
+            parts[wi::w_count] = r
+        return combine(parts)
 
     def _send(self, wi, msg):
         """None once `msg` is on its way, else the error for a worker that is gone."""

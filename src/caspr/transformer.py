@@ -30,9 +30,7 @@ NEG_INF = -1e9
 # Entities per model pass. Per-entity cost grows with batch size once the
 # (B, heads, t, t) attention arrays and the layer activations leave cache;
 # on the default model, 128 was the fastest (or tied) of 32..512 for both a
-# training step and embed. Training steps, data-parallel shards and embed
-# all run in row tiles of at most TILE (Batch.tiles): a larger batch is
-# grouped by sequence length and each tile drops its all-pad leading slots.
+# training step and embed. Every model pass runs in row tiles (Batch.tiles).
 TILE = 128
 
 
@@ -88,20 +86,22 @@ class Batch:
         keep = (self.real & ~plan).astype(self.keep.dtype)
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
 
-    def tiles(self):
-        """(rows, tile) pairs that cover the batch in tiles of at most TILE entities.
+    def tiles(self, workers=1):
+        """(rows, tile) pairs that cover the batch in tiles of at most
+        min(TILE, ceil(B / workers)) entities.
 
-        A batch of at most TILE entities (an empty one too) is one tile, itself.
+        A batch no larger than that (an empty one too) is one tile, itself.
         A larger one is stable-sorted by real length, and each tile is
         batch[rows] cut to its last max(longest, 1) slots: pad sits on the oldest
         side and pad keys are blocked, so no real position's output changes.
         """
         n, t = self.real.shape
-        if n <= TILE:
+        size = min(TILE, -(-n // workers))
+        if n <= size:
             yield np.arange(n), self
             return
         lengths = self.real.sum(axis=1)
-        for rows in np.split(np.argsort(lengths, kind="stable"), range(TILE, n, TILE)):
+        for rows in np.split(np.argsort(lengths, kind="stable"), range(size, n, size)):
             cut = t - max(int(lengths[rows[-1]]), 1)
             trim = (a[rows, cut:] for a in (self.pos, self.nums, self.cats, self.real, self.keep))
             yield rows, Batch(self.entities[rows], *trim, self.statics[rows])

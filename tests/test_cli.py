@@ -1,5 +1,5 @@
 """End-to-end CLI pipeline tests: synth -> fit -> pretrain -> embed -> eval,
-plus rfm/rank/bench surfaces, exit codes and artifact determinism."""
+plus rfm/rank surfaces, exit codes and artifact determinism."""
 import contextlib
 import csv
 import dataclasses
@@ -269,20 +269,6 @@ def test_full_pipeline_from_one_config_file(tmp_path):
     report = tmp_path / "report.csv"
     assert main(["eval", "--config", str(cfg), "--task", "binary", "--out", str(report)]) == 0
     assert {r[0] for r in read_csv(report)[1:]} == {"auroc", "f1_pos"}
-
-
-def test_bench_csv_layout(workspace, tmp_path):
-    out = tmp_path / "bench.csv"
-    assert main(["bench", "--fitted", str(workspace["fitted"]),
-                 "--data", str(workspace["data_dir"] / "data.csv"),
-                 "--workers", "1,2", "--epochs", "1", "--batch-size", "30",
-                 "--config", str(workspace["cfg"]), "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert rows[0] == ["workers", "epoch_time_s", "total_worker_time_s"]
-    assert [r[0] for r in rows[1:]] == ["1", "2"]
-    for r in rows[1:]:
-        # columns are rounded to 6 decimals, so allow that much slack
-        np.testing.assert_allclose(float(r[2]), int(r[0]) * float(r[1]), atol=1e-5)
 
 
 class TestExitCodes:
@@ -630,11 +616,25 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: DivergenceError")
         assert f"(epoch {ck.epoch})" in err[0]
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("lr, epochs", [(1e8, 30), (1e300, 1)])
+    def test_divergence_prints_only_its_error_line(self, workspace, tmp_path, lr, epochs, workers):
+        """In its own process, where numpy's overflow warnings would reach stderr ahead of the error."""
+        cfg = tmp_path / "diverge.json"
+        cfg.write_text(json.dumps({"model": json.loads(workspace["cfg"].read_text())["model"],
+                                   "train": {"lr": lr, "epochs": epochs, "batch_size": 30, "seed": 1}}))
+        proc = run_cli_process(["pretrain", "--config", str(cfg), "--workers", str(workers),
+                                "--fitted", str(workspace["fitted"]), "--data", str(workspace["data_dir"] / "data.csv"),
+                                "--out", str(tmp_path / "run")])
+        assert proc.returncode == 4
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: DivergenceError"), proc.stderr
+
     def test_worker_exception_is_one_error_line(self, workspace, tmp_path, capfd, monkeypatch):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("cannot allocate")
 
-        monkeypatch.setattr(pretrain, "compute_gradients", out_of_memory)
+        monkeypatch.setattr(pretrain, "_tile_gradients", out_of_memory)
         code = main(["pretrain", "--config", str(workspace["cfg"]), "--workers", "2",
                      "--fitted", str(workspace["fitted"]),
                      "--data", str(workspace["data_dir"] / "data.csv"),

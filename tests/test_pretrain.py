@@ -406,28 +406,30 @@ TILE_CASES = dict(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=13), 
 
 class TestTiles:
     @settings(max_examples=150, deadline=None)
-    @given(**TILE_CASES)
-    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=3)  # a tile of all-pad rows, a partial last tile
-    @example(lengths=[0, 0, 0, 0, 0], tile=2)
-    def test_tiles_cover_the_batch_sorted_and_trimmed(self, lengths, tile):
+    @given(**TILE_CASES, workers=st.integers(1, 4))
+    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=3, workers=1)  # a tile of all-pad rows, a partial last tile
+    @example(lengths=[0, 0, 0, 0, 0], tile=2, workers=1)
+    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=5, workers=3)  # tiles of ceil(7 / 3) = 3 < TILE
+    def test_tiles_cover_the_batch_sorted_and_trimmed(self, lengths, tile, workers):
         cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, emb_out=4)
         batch = length_batch(lengths, cfg)
         with mock.patch.object(tf, "TILE", tile):
-            pairs = list(batch.tiles())
+            pairs = list(batch.tiles(workers))
+        size = min(tile, math.ceil(len(lengths) / workers))
         rows = np.concatenate([r for r, _ in pairs])
         assert sorted(rows) == list(range(len(lengths)))
-        if len(lengths) <= tile:
+        if len(lengths) <= size:
             assert len(pairs) == 1 and pairs[0][1] is batch
         for r, part in pairs:
             width = part.real.shape[1]
-            assert 1 <= len(r) <= tile and width >= 1
+            assert 1 <= len(r) <= size and width >= 1
             assert not batch.real[r, :cfg.t - width].any()  # only pad slots were cut
             for name in ("pos", "nums", "cats", "real", "keep"):
                 np.testing.assert_array_equal(getattr(part, name), getattr(batch, name)[r, cfg.t - width:])
             np.testing.assert_array_equal(part.entities, batch.entities[r])
             np.testing.assert_array_equal(part.statics, batch.statics[r])
             has_real = part.real.any(axis=1)
-            if len(lengths) > tile:
+            if len(lengths) > size:
                 assert part.real[:, 0].any() or not has_real.any()  # no all-pad leading slot
             assert (part.pos[has_real, -1] == 1.0).all()  # the recent-end anchor holds
 
@@ -500,10 +502,10 @@ class TestTiles:
         cfg = tf.ModelConfig(**MODEL)  # dropout on, so the rng draws must match too
         weights = tf.build_weights(cfg, ds.fitted, np.random.default_rng(2))
         masked, _ = apply_mask(whole_batch(ds, cfg), 0.3, np.random.default_rng(1))
-        grad, num, den = compute_gradients(weights, masked, rng=np.random.default_rng(7))
+        grad, num, den = compute_gradients(weights, masked, key=(7,))
         grads = weights.views(grad)
 
-        rng = np.random.default_rng(7)
+        rng = np.random.default_rng([7, 0])  # the dropout key of tile 0
         weights.zero_grad()
         x = tf.project_inputs(masked, weights)
         enc = tf.encoder_forward(masked, weights, rng=rng, inputs=x)
@@ -516,7 +518,7 @@ class TestTiles:
             assert grads[name].tobytes() == p.grad.tobytes()
 
     def test_tiled_data_parallel_loss_matches_serial(self, monkeypatch):
-        """Steps of 12 run as tiles of 4 serially and as shards of 6 (tiles of 4 and 2) on 2 workers."""
+        """Steps of 12 run as the same three tiles of 4 serially and on 2 workers."""
         monkeypatch.setattr(tf, "TILE", 4)
         ds = tiny_dataset(n=24, seed=3)
         cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, dropout=0.0, precision="f64")
@@ -527,7 +529,7 @@ class TestTiles:
 
     @pytest.mark.parametrize("dropout", [0.0, 0.1])
     def test_sorted_shards_give_repeatable_checkpoints(self, monkeypatch, tmp_path, dropout):
-        """Shards of 6 on 2 workers run as length-sorted, trimmed tiles of 4; two runs give the
+        """Steps of 12 on 2 workers run as length-sorted, trimmed tiles of 4; two runs give the
         same checkpoint.bin bytes, and without dropout the loss log of a serial run."""
         monkeypatch.setattr(tf, "TILE", 4)
         ds = tiny_dataset(n=24, seed=8)
@@ -543,6 +545,18 @@ class TestTiles:
         if not dropout:
             _, serial = train(ds, cfg, TrainConfig(epochs=2, seed=5, batch_size=12))
             np.testing.assert_allclose([loss for _, loss, _ in serial], logs[0], rtol=1e-9)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_data_parallel_checkpoint_is_the_serial_bytes(self, monkeypatch, tmp_path, workers):
+        """Steps of 12 cut into the same tiles of 4 at 1, 2 and 3 workers, and tile i of a step
+        draws the same dropout wherever it runs, so at f32 with dropout on the checkpoints match."""
+        monkeypatch.setattr(tf, "TILE", 4)
+        ds = tiny_dataset(n=48, seed=8)
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, dropout=0.1, precision="f32")
+        for w in (1, workers):
+            ck, _ = train(ds, cfg, TrainConfig(epochs=2, seed=5, batch_size=12, workers=w))
+            save_checkpoint(ck, tmp_path / f"w{w}.bin")
+        assert (tmp_path / f"w{workers}.bin").read_bytes() == (tmp_path / "w1.bin").read_bytes()
 
     def test_tiled_serial_run_is_repeatable(self, monkeypatch):
         monkeypatch.setattr(tf, "TILE", 5)
@@ -715,7 +729,7 @@ class TestDataParallel:
         assert np.isfinite(exc.value.checkpoint.flat).all()
 
     def test_worker_dying_mid_step_is_a_typed_error(self, monkeypatch):
-        monkeypatch.setattr(pretrain, "compute_gradients", lambda *a, **k: os._exit(3))
+        monkeypatch.setattr(pretrain, "_tile_gradients", lambda *a, **k: os._exit(3))
         with pytest.raises(CasprError, match="worker 0"):
             train(tiny_dataset(), tf.ModelConfig(**MODEL),
                   TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
@@ -742,7 +756,7 @@ class TestDataParallel:
         step's deadline is 2 s; missing it stops every worker and names the one that hung."""
         real_loop = pretrain._worker_loop
 
-        def sleepy_loop(conn, dataset, weights, seed, worker_idx):
+        def sleepy_loop(conn, weights, worker_idx):
             if worker_idx == 1:
                 real_send, sends = conn.send, []
 
@@ -753,7 +767,7 @@ class TestDataParallel:
                     real_send(obj)
 
                 conn.send = send
-            real_loop(conn, dataset, weights, seed, worker_idx)
+            real_loop(conn, weights, worker_idx)
 
         monkeypatch.setattr(pretrain, "_worker_loop", sleepy_loop)
         monkeypatch.setattr(pretrain, "STEP_DEADLINE_FLOOR_S", 2.0)
