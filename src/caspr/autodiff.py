@@ -246,9 +246,10 @@ def attention(q, k, v, mask, heads):
     p *= scale
     if mask is not None:
         p += mask
-    if np.isnan(p).any():
+    row_max = _reduce_last(np.maximum, p)  # np.maximum propagates NaN, so a NaN score shows here
+    if np.isnan(row_max).any():
         raise NumericError("attention: NaN in scores")
-    p -= _reduce_last(np.maximum, p)[..., None]
+    p -= row_max[..., None]
     np.exp(p, out=p)
     p /= _reduce_last(np.add, p)[..., None]
     o = _merged_matmul(p, vh)

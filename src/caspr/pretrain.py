@@ -6,23 +6,24 @@ through encoder and decoder, and reconstructs the original values at every
 non-pad position (squared error for numerics, cross-entropy over vocab+1
 logits for categoricals). There is one training step: the parent cuts each
 batch into row tiles with step_tiles, and `combine` reduces their gradients
-in tile order into one Adam update. With workers > 1, forked workers run
-the tiles, so a data-parallel run that cuts the serial run's tiles is that
-run byte for byte, and failures surface exactly as in serial mode.
+in tile order into one Adam update. With workers > 1, the forked workers of
+a parallel.WorkerPool run the tiles, so a data-parallel run that cuts the
+serial run's tiles is that run byte for byte, and failures surface exactly
+as in serial mode.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
 import time
 from dataclasses import asdict, dataclass
 
-import multiprocessing as mp
-
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import adam_step, init_moments
 from .errors import (
     BadMagic,
@@ -56,7 +57,6 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"CSPR1"
 CHECKPOINT_VERSION = 3   # 3: the parameters are three flat arrays, not per-tensor records
-QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass
@@ -166,6 +166,12 @@ def _tile_gradients(weights, batch, key):
     ad.backward(loss)
     n_real = float(batch.real.sum())
     return weights.grad, float(loss.data) * n_real, n_real
+
+
+def _tile_gradients_at(weights, flat, batch, key):
+    """_tile_gradients at the parameters `flat`: the tile function of data-parallel workers."""
+    weights.flat[...] = flat
+    return _tile_gradients(weights, batch, key)
 
 
 def combine(parts):
@@ -288,7 +294,8 @@ def load_checkpoint(path):
                       rng_state=header["rng_state"], epoch=epoch, adam_steps=adam_steps)
 
 
-@np.errstate(**QUIET)  # train turns each non-finite value a step makes into a typed error
+# train turns each non-finite value a step makes into a typed error; pool workers inherit this state
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(dataset, model_cfg, train_cfg, init=None):
     """Run pretraining; returns (final checkpoint, per-epoch loss log).
 
@@ -314,7 +321,9 @@ def train(dataset, model_cfg, train_cfg, init=None):
         epoch_start, adam_steps = init.epoch, init.adam_steps
     log = []
     last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)
-    pool = _WorkerPool(weights, train_cfg.workers) if train_cfg.workers > 1 else None
+    pool = None
+    if train_cfg.workers > 1:
+        pool = parallel.WorkerPool(functools.partial(_tile_gradients_at, weights), train_cfg.workers)
     try:
         for epoch in range(epoch_start, train_cfg.epochs):
             tic = time.perf_counter()
@@ -328,7 +337,8 @@ def train(dataset, model_cfg, train_cfg, init=None):
                     if pool is None:
                         grad, num, den = compute_gradients(weights, masked, key=key)
                     else:
-                        grad, num, den = pool.gradients(weights, masked, key)
+                        jobs = [(weights.flat, *job) for job in step_tiles(masked, key, train_cfg.workers)]
+                        grad, num, den = combine(pool.run(jobs, [tile.cost for _, tile, _ in jobs]))
                 except NumericError as exc:
                     raise DivergenceError(str(exc), checkpoint=last_good) from exc
                 if not np.isfinite(num):
@@ -345,101 +355,3 @@ def train(dataset, model_cfg, train_cfg, init=None):
         if pool is not None:
             pool.close()
     return last_good, log
-
-
-# ---------------------------------------------------------------------------
-# synchronous data-parallel gradients
-
-@np.errstate(**QUIET)
-def _worker_loop(conn, weights, worker_idx):
-    """Serve steps on the worker's forked copy of `weights`: each step brings the flat
-    parameters and (tile, dropout key) pairs, and gets one gradient triple per tile back."""
-    while True:
-        msg = conn.recv()
-        if msg[0] == "stop":
-            conn.close()
-            return
-        _, flat, jobs = msg
-        weights.flat[...] = flat
-        try:
-            result = [_tile_gradients(weights, tile, key) for tile, key in jobs]
-        except CasprError as exc:
-            result = exc  # the parent re-raises it inside the training loop
-        except Exception as exc:  # anything else still reaches the parent as one typed error
-            result = CasprError(f"data-parallel worker {worker_idx} failed: {type(exc).__name__}: {exc}")
-        conn.send(result)
-
-
-# A step's deadline: this many times the slowest finished step, and never less than the floor,
-# which is all the first step gets. A worker that misses it is taken for hung.
-STEP_DEADLINE_FACTOR = 20
-STEP_DEADLINE_FLOOR_S = 60.0
-
-
-class _WorkerPool:
-    """Forked workers that run the tiles of each step: worker i mod w gets tile i of
-    step_tiles and its dropout key (w = min(#tiles, workers)) with the flat parameters,
-    and the per-tile triples are reduced in tile order, as compute_gradients does. A
-    step that misses its deadline stops every worker and is one CasprError."""
-
-    def __init__(self, weights, workers):
-        ctx = mp.get_context("fork")
-        self.conns, self.procs = [], []
-        for wi in range(workers):
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(target=_worker_loop, args=(child, weights, wi), daemon=True)
-            proc.start()
-            child.close()
-            self.conns.append(parent)
-            self.procs.append(proc)
-        self.slowest_step_s = 0.0
-
-    def gradients(self, weights, batch, key):
-        """(flat grad, loss numerator, real-position count) for one masked batch."""
-        jobs = step_tiles(batch, key, len(self.conns))
-        w_count = min(len(jobs), len(self.conns))
-        tic = time.perf_counter()
-        deadline = tic + self._allowed_s()
-        sent = [self._send(wi, ("step", weights.flat, jobs[wi::w_count])) for wi in range(w_count)]
-        # every worker that took the step is answered for, or all are stopped, before anything is raised
-        results = [self._recv(wi, deadline) if error is None else error for wi, error in enumerate(sent)]
-        self.slowest_step_s = max(self.slowest_step_s, time.perf_counter() - tic)
-        parts = [None] * len(jobs)
-        for wi, r in enumerate(results):
-            if isinstance(r, CasprError):
-                raise r
-            parts[wi::w_count] = r
-        return combine(parts)
-
-    def _send(self, wi, msg):
-        """None once `msg` is on its way, else the error for a worker that is gone."""
-        try:
-            self.conns[wi].send(msg)
-        except OSError:
-            return CasprError(f"data-parallel worker {wi} exited before its step")
-        return None
-
-    def _recv(self, wi, deadline):
-        try:
-            if self.conns[wi].poll(max(0.0, deadline - time.perf_counter())):
-                return self.conns[wi].recv()
-        except (EOFError, OSError):
-            return CasprError(f"data-parallel worker {wi} exited mid-step")
-        for proc in self.procs:  # no result of this step will be read, so no worker needs answering
-            proc.terminate()
-        raise CasprError(f"data-parallel worker {wi} sent no gradient within {self._allowed_s():.1f} s "
-                         f"and is taken for hung; every worker is stopped")
-
-    def _allowed_s(self):
-        return max(STEP_DEADLINE_FLOOR_S, STEP_DEADLINE_FACTOR * self.slowest_step_s)
-
-    def close(self):
-        for conn in self.conns:
-            try:
-                conn.send(("stop",))
-            except OSError:
-                pass
-        for proc in self.procs:
-            proc.join(timeout=10)
-            if proc.is_alive():
-                proc.terminate()

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import parallel
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError, SchemaMismatch
 
@@ -85,6 +86,13 @@ class Batch:
         """The batch with the planned real positions hidden: keep = real & ~plan."""
         keep = (self.real & ~plan).astype(self.keep.dtype)
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
+
+    @property
+    def cost(self):
+        """A model pass's work on the batch, for dealing tiles to workers: entities × slots²,
+        as the (B, heads, t, t) attention arrays grow."""
+        b, t = self.real.shape
+        return b * t * t
 
     def tiles(self, workers=1):
         """(rows, tile) pairs that cover the batch in tiles of at most
@@ -335,20 +343,34 @@ def _mean_pool(enc, batch):
     return (enc.data * real).sum(axis=1) / np.maximum(real.sum(axis=1), 1).astype(enc.dtype)
 
 
-def embed(batch, weights):
-    """Inference-mode entity vectors: pool encoder output, join statics, 2 dense layers.
-
-    Returns a (B, emb_out) array in batch row order, put back together from
-    Batch.tiles(). Runs under ad.no_grad(), so it builds no backward graph.
-    """
-    rows, parts = [], []
+def _embed_tile(weights, batch):
+    """Entity vectors of one tile: pool encoder output, join statics, 2 dense layers."""
     with ad.no_grad():
-        for tile_rows, part in batch.tiles():
-            pooled = _mean_pool(encoder_forward(part, weights), part)
-            joined = Tensor(np.concatenate([pooled, part.statics.astype(pooled.dtype)], axis=1))
-            hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
-            parts.append(ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"]).data)
-            rows.append(tile_rows)
+        pooled = _mean_pool(encoder_forward(batch, weights), batch)
+        joined = Tensor(np.concatenate([pooled, batch.statics.astype(pooled.dtype)], axis=1))
+        hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
+        return ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"]).data
+
+
+def embed(batch, weights):
+    """Inference-mode entity vectors, a (B, emb_out) array in batch row order.
+
+    The tiles of Batch.tiles() run under ad.no_grad(), so they build no
+    backward graph, on a WorkerPool of min(#tiles, usable cores) workers,
+    or in process when that is one. Each tile is the same pass wherever it
+    runs, so the output does not depend on the core count.
+    """
+    rows, tiles = zip(*batch.tiles())
+    workers = min(len(tiles), parallel.usable_cores())
+    if workers > 1:
+        # the workers hold the tiles through fork, so a job is only a tile's index
+        pool = parallel.WorkerPool(lambda i: _embed_tile(weights, tiles[i]), workers)
+        try:
+            parts = pool.run([(i,) for i in range(len(tiles))], [tile.cost for tile in tiles])
+        finally:
+            pool.close()
+    else:
+        parts = [_embed_tile(weights, tile) for tile in tiles]
     out = np.concatenate(parts)[np.argsort(np.concatenate(rows))]
     if not np.isfinite(out).all():
         raise NumericError("embedding head produced non-finite values")

@@ -4,6 +4,8 @@ Analytic gradients are checked against central finite differences at
 float64; the FD oracle re-evaluates the forward function and never touches
 the backward path.
 """
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +294,16 @@ class TestAttention:
         k = Tensor(np.zeros((1, 2, 2)))
         with pytest.raises(NumericError):
             ad.attention(q, k, k, None, heads=1)
+
+    @pytest.mark.parametrize("graph", [True, False])
+    def test_one_nan_in_q_raises_through_the_row_max(self, graph):
+        """One NaN query entry makes its head's scores in that row NaN, past a mask."""
+        rng = np.random.default_rng(3)
+        q, k, v = leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+        q.data[1, 3, 2] = np.nan
+        with contextlib.nullcontext() if graph else ad.no_grad():
+            with pytest.raises(NumericError, match="attention: NaN in scores"):
+                ad.attention(q, k, v, causal_pad_mask(rng, 2, 5)[:, None], heads=2)
 
     def test_shape_mismatch(self):
         q = Tensor(np.zeros((1, 2, 4)))

@@ -60,6 +60,13 @@ def test_probe_fit_is_traced_at_eval():
     assert "metrics.train_linear_probe(" in inspect.getsource(cli.evaluate_features)
 
 
+def test_embed_is_traced_at_embed_and_rank():
+    """layertrace times the pooled embedding pass as transformer.embed, and the benchmark's
+    embed_entities_per_s times `caspr embed`, so both commands' shared loader calls it by
+    that name; another path would leave transformer.embed_s at 0."""
+    assert "transformer.embed(" in inspect.getsource(cli._embed_log)
+
+
 def test_one_compute_gradients_call_per_step(monkeypatch):
     """layertrace counts steps and graph nodes per step from pretrain.compute_gradients
     calls, so a step whose batch spans several tiles must still be one call."""

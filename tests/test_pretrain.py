@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from caspr import autodiff as ad, cli, ingest, pretrain, synthgen, transformer as tf
+from caspr import autodiff as ad, cli, ingest, parallel, pretrain, synthgen, transformer as tf
 from caspr.autodiff import Tensor, adam_step, init_moments
 from caspr.errors import (
     BadMagic,
@@ -736,16 +736,16 @@ class TestDataParallel:
 
     def test_worker_dead_before_a_step_is_a_typed_error(self, monkeypatch):
         """A worker killed between two steps is named, and the live worker is still answered for."""
-        real_gradients = pretrain._WorkerPool.gradients
+        real_run = parallel.WorkerPool.run
 
         def then_kill_worker_1(pool, *args):
-            result = real_gradients(pool, *args)
+            result = real_run(pool, *args)
             pool.procs[1].kill()
             pool.procs[1].join(timeout=10)
             assert not pool.procs[1].is_alive()
             return result
 
-        monkeypatch.setattr(pretrain._WorkerPool, "gradients", then_kill_worker_1)
+        monkeypatch.setattr(parallel.WorkerPool, "run", then_kill_worker_1)
         with pytest.raises(CasprError, match="worker 1") as exc:
             train(tiny_dataset(), tf.ModelConfig(**MODEL),
                   TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
@@ -754,9 +754,9 @@ class TestDataParallel:
     def test_hung_worker_is_a_typed_error_within_the_deadline(self, monkeypatch):
         """Worker 1 answers two steps, then sleeps. With the floor lowered to 2 s, the third
         step's deadline is 2 s; missing it stops every worker and names the one that hung."""
-        real_loop = pretrain._worker_loop
+        real_loop = parallel._worker_loop
 
-        def sleepy_loop(conn, weights, worker_idx):
+        def sleepy_loop(conn, tile_fn, worker_idx):
             if worker_idx == 1:
                 real_send, sends = conn.send, []
 
@@ -767,20 +767,20 @@ class TestDataParallel:
                     real_send(obj)
 
                 conn.send = send
-            real_loop(conn, weights, worker_idx)
+            real_loop(conn, tile_fn, worker_idx)
 
-        monkeypatch.setattr(pretrain, "_worker_loop", sleepy_loop)
-        monkeypatch.setattr(pretrain, "STEP_DEADLINE_FLOOR_S", 2.0)
+        monkeypatch.setattr(parallel, "_worker_loop", sleepy_loop)
+        monkeypatch.setattr(parallel, "DEADLINE_FLOOR_S", 2.0)
         procs = []
-        real_init = pretrain._WorkerPool.__init__
+        real_init = parallel.WorkerPool.__init__
 
         def keep_procs(pool, *args):
             real_init(pool, *args)
             procs.extend(pool.procs)
 
-        monkeypatch.setattr(pretrain._WorkerPool, "__init__", keep_procs)
+        monkeypatch.setattr(parallel.WorkerPool, "__init__", keep_procs)
         tic = time.perf_counter()
-        with pytest.raises(CasprError, match="worker 1 sent no gradient within .* hung") as exc:
+        with pytest.raises(CasprError, match="worker 1 sent no result within .* hung") as exc:
             train(tiny_dataset(n=24), tf.ModelConfig(**MODEL),
                   TrainConfig(epochs=1, seed=0, batch_size=6, workers=2))
         assert type(exc.value) is CasprError
