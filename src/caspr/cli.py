@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import csv
 import json
-import logging
 import os
 import sys
 import tempfile
@@ -22,16 +21,7 @@ import numpy as np
 from . import ingest, metrics, pretrain, rfm, synthgen, transformer
 from .errors import CasprError, ConfigError, DivergenceError, IoError, NumericError, ParseError, SchemaMismatch
 
-log = logging.getLogger("caspr")
-
 TEST_FRAC = 0.3      # share of entities the probe is scored on
-
-
-def _setup_logging():
-    level = os.environ.get("CASPR_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 @contextlib.contextmanager
@@ -259,8 +249,6 @@ def cmd_pretrain(args):
     data_path = _path(args, cfg_file, "data")
     out_dir = _path(args, cfg_file, "out")
     dataset = ingest.load_dataset(_require(data_path, "data file"), fitted, model_cfg.t)
-    log.info("pretraining on %d sequences for %d epochs (workers=%d)",
-             len(dataset.entities), train_cfg.epochs, train_cfg.workers)
     try:
         ck, loss_log = pretrain.train(dataset, model_cfg, train_cfg)
     except DivergenceError as exc:
@@ -459,7 +447,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,13 +1,13 @@
-"""Forked workers that run the tiles of a model pass: data-parallel training
-steps and `embed`.
+"""The workers that run the tiles of every model pass: training steps and `embed`.
 
-A WorkerPool forks its workers once, each with a copy of the parent's memory
-and one tile function. A call deals its jobs (tiles) to the workers by cost,
-longest first, and returns every job's result in job order, whichever worker
-ran it, so a pooled pass gives the bytes of the same tiles run in process.
-Workers keep the numpy error state the pool was made under. Every way a
-worker can fail is one typed error naming it, and after any error every
-worker is stopped.
+A WorkerPool of one worker is this process and forks nothing. A larger one
+forks its workers once, each with a copy of the parent's memory and one tile
+function. A call deals its jobs (tiles, shortest first) to the workers in snake
+order and returns every job's result in job order, whichever worker ran it, so
+a pass gives the same bytes at any worker count. Forked workers keep the numpy
+error state the pool was made under. A tile's error is typed the same way at
+any worker count; every way a worker can fail is one typed error naming it,
+and after any error every worker is stopped.
 """
 from __future__ import annotations
 
@@ -39,36 +39,37 @@ def usable_cores():
     return min(cores, MAX_CORES)
 
 
-def deal(costs, workers):
-    """The worker of each job: longest first, each to the least-loaded worker so far."""
-    owner, loads = [0] * len(costs), [0] * workers
-    for j in sorted(range(len(costs)), key=lambda j: -costs[j]):
-        owner[j] = loads.index(min(loads))
-        loads[owner[j]] += costs[j]
-    return owner
+def _results(tile_fn, jobs, worker_idx):
+    """tile_fn(*job) of every job, or the typed error of the first that fails, for the caller to raise."""
+    try:
+        return [tile_fn(*job) for job in jobs]
+    except CasprError as exc:
+        return exc
+    except Exception as exc:  # anything else is still one typed error; in process it keeps exc's traceback
+        error = CasprError(f"worker {worker_idx} failed: {type(exc).__name__}: {exc}")
+        error.__cause__ = exc
+        return error
 
 
 def _worker_loop(conn, tile_fn, worker_idx):
-    """Serve calls in a forked worker: each brings a share of jobs, and gets tile_fn(*job)
-    of every job back, or the error of the first that fails; None asks the worker to stop."""
+    """Serve calls in a forked worker: each brings a share of jobs and gets its _results
+    back; None asks the worker to stop."""
     while (jobs := conn.recv()) is not None:
-        try:
-            result = [tile_fn(*job) for job in jobs]
-        except CasprError as exc:
-            result = exc  # the parent re-raises it
-        except Exception as exc:  # anything else still reaches the parent as one typed error
-            result = CasprError(f"data-parallel worker {worker_idx} failed: {type(exc).__name__}: {exc}")
-        conn.send(result)
+        conn.send(_results(tile_fn, jobs, worker_idx))
     conn.close()
 
 
 class WorkerPool:
-    """`workers` forked processes that run `tile_fn` on the jobs a call deals them."""
+    """`workers` workers that run `tile_fn` on the jobs a call deals them: this process
+    alone at one worker, else forked processes. Closing it stops them."""
 
     def __init__(self, tile_fn, workers):
-        ctx = mp.get_context("fork")
+        self.tile_fn, self.workers = tile_fn, workers
         self.conns, self.procs = [], []
         self.slowest_tile_s = 0.0
+        if workers == 1:
+            return
+        ctx = mp.get_context("fork")
         try:
             for wi in range(workers):
                 parent, child = ctx.Pipe()
@@ -79,20 +80,38 @@ class WorkerPool:
                 self.procs.append(proc)
         except OSError as exc:
             self.close()
-            raise CasprError(f"data-parallel worker {wi} could not start: {exc}") from exc
+            raise CasprError(f"worker {wi} could not start: {exc}") from exc
 
-    def run(self, jobs, costs):
-        """tile_fn(*job) for each of `jobs`, in job order; costs[j] is job j's share of the
-        work. A worker's error is raised as it is, and stops every worker. An object that
-        several jobs of one worker hold is sent to it once, as pickling keeps shared references."""
-        owner = deal(costs, len(self.conns))
-        shares = {wi: [j for j in range(len(jobs)) if owner[j] == wi] for wi in sorted(set(owner))}
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def run(self, jobs):
+        """tile_fn(*job) for each of `jobs`, in job order. A worker's error is raised as it
+        is, and stops every worker. An object that several jobs of one worker hold is sent
+        to it once, as pickling keeps shared references.
+
+        Jobs come shortest first (Batch.tiles sorts them), so they are dealt in snake order
+        from the longest: the longest w go to workers 0, 1, ..., w-1, the next w to workers
+        w-1, ..., 0, and so on. That pairs long tiles with short ones; where a job's cost
+        rises with its place, no two workers' loads differ by more than the dearest job."""
+        if not self.procs:
+            results = _results(self.tile_fn, jobs, 0)
+            if isinstance(results, CasprError):
+                raise results
+            return results
+        shares = [[] for _ in range(min(self.workers, len(jobs)))]
+        for j in range(len(jobs)):
+            turn, wi = divmod(len(jobs) - 1 - j, len(shares))
+            shares[-1 - wi if turn % 2 else wi].append(j)
         results = [None] * len(jobs)
         tic = time.perf_counter()
         try:
-            for wi, share in shares.items():
+            for wi, share in enumerate(shares):
                 self._send(wi, [jobs[j] for j in share])
-            for wi, share in shares.items():
+            for wi, share in enumerate(shares):
                 for j, result in zip(share, self._recv(wi, len(share), tic)):
                     results[j] = result
         except CasprError:
@@ -105,18 +124,18 @@ class WorkerPool:
         try:
             self.conns[wi].send(msg)
         except OSError:
-            raise CasprError(f"data-parallel worker {wi} exited before it got its tiles") from None
+            raise CasprError(f"worker {wi} exited before it got its tiles") from None
 
     def _recv(self, wi, tiles, tic):
         """Worker wi's results for its `tiles` jobs of the call sent at `tic`, within its deadline."""
         allowed = tiles * max(DEADLINE_FLOOR_S, DEADLINE_FACTOR * self.slowest_tile_s)
         try:
             if not self.conns[wi].poll(max(0.0, tic + allowed - time.perf_counter())):
-                raise CasprError(f"data-parallel worker {wi} sent no result within {allowed:.1f} s "
+                raise CasprError(f"worker {wi} sent no result within {allowed:.1f} s "
                                  f"and is taken for hung; every worker is stopped")
             result = self.conns[wi].recv()
         except (EOFError, OSError):
-            raise CasprError(f"data-parallel worker {wi} exited before it returned its tiles") from None
+            raise CasprError(f"worker {wi} exited before it returned its tiles") from None
         if isinstance(result, CasprError):
             raise result
         self.slowest_tile_s = max(self.slowest_tile_s, (time.perf_counter() - tic) / tiles)

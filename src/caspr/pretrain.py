@@ -4,12 +4,12 @@ loop, binary checkpoints and synchronous data-parallel gradients.
 Training zeroes a random subset of real positions, runs the masked batch
 through encoder and decoder, and reconstructs the original values at every
 non-pad position (squared error for numerics, cross-entropy over vocab+1
-logits for categoricals). There is one training step: the parent cuts each
-batch into row tiles with step_tiles, and `combine` reduces their gradients
-in tile order into one Adam update. With workers > 1, the forked workers of
-a parallel.WorkerPool run the tiles, so a data-parallel run that cuts the
-serial run's tiles is that run byte for byte, and failures surface exactly
-as in serial mode.
+logits for categoricals). There is one training step, compute_gradients: it
+cuts each batch into row tiles with step_tiles, runs them on a
+parallel.WorkerPool (in process at one worker, else on forked workers), and
+`combine` reduces their gradients in tile order into one Adam update. So a
+data-parallel run that cuts the serial run's tiles is that run byte for
+byte, and the two fail the same way.
 """
 from __future__ import annotations
 
@@ -131,15 +131,19 @@ def reconstruction_loss(preds, batch):
     return loss
 
 
-def compute_gradients(weights, batch, key=None):
-    """Forward + backward on one (already masked) batch, tile by tile;
+def compute_gradients(weights, batch, key=None, pool=None):
+    """Forward + backward on one (already masked) batch, tile by tile, on `pool`, a
+    parallel.WorkerPool of partial(_tile_gradients, weights), or in process without one;
     dropout runs exactly when a dropout `key` is given (see step_tiles).
 
     Returns (flat grad, loss numerator, real-position count), the triple
     `combine` reduces; the numerator is loss * count so tile results combine
     exactly. Per-name views of the grad are ``weights.views(grad)``.
     """
-    return combine([_tile_gradients(weights, tile, tile_key) for tile, tile_key in step_tiles(batch, key)])
+    if pool is None:
+        pool = parallel.WorkerPool(functools.partial(_tile_gradients, weights), 1)  # forks nothing
+    jobs = [(weights.flat, tile, tile_key) for tile, tile_key in step_tiles(batch, key, pool.workers)]
+    return combine(pool.run(jobs))
 
 
 def step_tiles(batch, key, workers=1):
@@ -154,8 +158,10 @@ def step_tiles(batch, key, workers=1):
     return [(tile, None if key is None else [*key, i]) for i, tile in tiles]
 
 
-def _tile_gradients(weights, batch, key):
-    """(flat grad, loss numerator, real-position count) of one tile; the grad is a fresh `weights.grad`."""
+def _tile_gradients(weights, flat, batch, key):
+    """(flat grad, loss numerator, real-position count) of one tile at the parameters `flat`;
+    the grad is a fresh `weights.grad`."""
+    weights.flat[...] = flat
     rng = None if key is None else np.random.default_rng(key)
     weights.zero_grad()
     x = project_inputs(batch, weights)
@@ -166,12 +172,6 @@ def _tile_gradients(weights, batch, key):
     ad.backward(loss)
     n_real = float(batch.real.sum())
     return weights.grad, float(loss.data) * n_real, n_real
-
-
-def _tile_gradients_at(weights, flat, batch, key):
-    """_tile_gradients at the parameters `flat`: the tile function of data-parallel workers."""
-    weights.flat[...] = flat
-    return _tile_gradients(weights, batch, key)
 
 
 def combine(parts):
@@ -321,10 +321,7 @@ def train(dataset, model_cfg, train_cfg, init=None):
         epoch_start, adam_steps = init.epoch, init.adam_steps
     log = []
     last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)
-    pool = None
-    if train_cfg.workers > 1:
-        pool = parallel.WorkerPool(functools.partial(_tile_gradients_at, weights), train_cfg.workers)
-    try:
+    with parallel.WorkerPool(functools.partial(_tile_gradients, weights), train_cfg.workers) as pool:
         for epoch in range(epoch_start, train_cfg.epochs):
             tic = time.perf_counter()
             perm = rng.permutation(n)
@@ -334,11 +331,7 @@ def train(dataset, model_cfg, train_cfg, init=None):
                 masked, _ = apply_mask(batch, model_cfg.mask_p, rng)
                 key = (train_cfg.seed, epoch, step)
                 try:
-                    if pool is None:
-                        grad, num, den = compute_gradients(weights, masked, key=key)
-                    else:
-                        jobs = [(weights.flat, *job) for job in step_tiles(masked, key, train_cfg.workers)]
-                        grad, num, den = combine(pool.run(jobs, [tile.cost for _, tile, _ in jobs]))
+                    grad, num, den = compute_gradients(weights, masked, key=key, pool=pool)
                 except NumericError as exc:
                     raise DivergenceError(str(exc), checkpoint=last_good) from exc
                 if not np.isfinite(num):
@@ -351,7 +344,4 @@ def train(dataset, model_cfg, train_cfg, init=None):
                 raise DivergenceError(f"weights diverged at epoch {epoch + 1}", checkpoint=last_good)
             log.append((epoch + 1, loss_num / loss_den, time.perf_counter() - tic))
             last_good = checkpoint_from(weights, moments, rng, epoch + 1, adam_steps)
-    finally:
-        if pool is not None:
-            pool.close()
     return last_good, log

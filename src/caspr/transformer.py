@@ -87,13 +87,6 @@ class Batch:
         keep = (self.real & ~plan).astype(self.keep.dtype)
         return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
 
-    @property
-    def cost(self):
-        """A model pass's work on the batch, for dealing tiles to workers: entities × slots²,
-        as the (B, heads, t, t) attention arrays grow."""
-        b, t = self.real.shape
-        return b * t * t
-
     def tiles(self, workers=1):
         """(rows, tile) pairs that cover the batch in tiles of at most
         min(TILE, ceil(B / workers)) entities.
@@ -356,21 +349,15 @@ def embed(batch, weights):
     """Inference-mode entity vectors, a (B, emb_out) array in batch row order.
 
     The tiles of Batch.tiles() run under ad.no_grad(), so they build no
-    backward graph, on a WorkerPool of min(#tiles, usable cores) workers,
-    or in process when that is one. Each tile is the same pass wherever it
-    runs, so the output does not depend on the core count.
+    backward graph, on a WorkerPool of min(#tiles, usable cores) workers.
+    Each tile is the same pass wherever it runs, so the output does not
+    depend on the core count.
     """
     rows, tiles = zip(*batch.tiles())
     workers = min(len(tiles), parallel.usable_cores())
-    if workers > 1:
-        # the workers hold the tiles through fork, so a job is only a tile's index
-        pool = parallel.WorkerPool(lambda i: _embed_tile(weights, tiles[i]), workers)
-        try:
-            parts = pool.run([(i,) for i in range(len(tiles))], [tile.cost for tile in tiles])
-        finally:
-            pool.close()
-    else:
-        parts = [_embed_tile(weights, tile) for tile in tiles]
+    # forked workers hold the tiles through fork, so a job is only a tile's index
+    with parallel.WorkerPool(lambda i: _embed_tile(weights, tiles[i]), workers) as pool:
+        parts = pool.run([(i,) for i in range(len(tiles))])
     out = np.concatenate(parts)[np.argsort(np.concatenate(rows))]
     if not np.isfinite(out).all():
         raise NumericError("embedding head produced non-finite values")

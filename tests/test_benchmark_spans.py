@@ -69,20 +69,23 @@ def test_embed_is_traced_at_embed_and_rank():
 
 def test_one_compute_gradients_call_per_step(monkeypatch):
     """layertrace counts steps and graph nodes per step from pretrain.compute_gradients
-    calls, so a step whose batch spans several tiles must still be one call."""
+    calls, so a step whose batch spans several tiles must still be one call, serial or
+    data-parallel."""
     from test_pretrain import MODEL, tiny_dataset
 
-    real_compute, calls = pretrain.compute_gradients, []
-
-    def spy(weights, batch, **kwargs):
-        calls.append(len(batch.entities))
-        return real_compute(weights, batch, **kwargs)
-
-    monkeypatch.setattr(pretrain, "compute_gradients", spy)
+    real_compute = pretrain.compute_gradients
     monkeypatch.setattr(transformer, "TILE", 4)
-    _, log = pretrain.train(tiny_dataset(n=20), transformer.ModelConfig(**MODEL),
-                            pretrain.TrainConfig(epochs=2, seed=0, batch_size=12))
-    assert calls == [12, 8, 12, 8] and len(log) == 2
+    for workers in (1, 2):
+        calls = []
+
+        def spy(weights, batch, **kwargs):
+            calls.append(len(batch.entities))
+            return real_compute(weights, batch, **kwargs)
+
+        monkeypatch.setattr(pretrain, "compute_gradients", spy)
+        _, log = pretrain.train(tiny_dataset(n=20), transformer.ModelConfig(**MODEL),
+                                pretrain.TrainConfig(epochs=2, seed=0, batch_size=12, workers=workers))
+        assert calls == [12, 8, 12, 8] and len(log) == 2, workers
 
 
 def test_pretrain_saves_through_save_checkpoint(tmp_path, monkeypatch):

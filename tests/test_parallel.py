@@ -1,53 +1,57 @@
-"""The forked tile pool: dealing, pooled embed, worker failures and clean-up."""
+"""The tile pool: dealing, the in-process pool, pooled embed, worker failures and clean-up."""
 import multiprocessing as mp
+import os
 from multiprocessing import context
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
-from caspr import parallel, transformer as tf
+from caspr import parallel, pretrain, transformer as tf
 from caspr.cli import main
 from caspr.errors import CasprError
 
 from test_cli import read_csv, workspace  # noqa: F401  (workspace: the synth -> fit -> pretrain fixture)
-from test_pretrain import TILE_CASES, length_batch, tiny_fitted
+from test_pretrain import MODEL, TILE_CASES, length_batch, tiny_dataset, tiny_fitted
 
 
-def loads(costs, owner, workers):
-    out = [0] * workers
-    for cost, wi in zip(costs, owner):
-        out[wi] += cost
-    return out
+class TestDealing:
+    def test_snake_order_runs_every_job_once_within_the_largest_cost(self):
+        """Jobs of rising cost through real pools: each job runs once, and two workers' loads
+        differ by at most the largest cost; widths 8/10/12/15 pair as {8, 15} and {10, 12}."""
+        rng = np.random.default_rng(0)
+        # [0, 10, 10]: a snake begun at the shortest job would give worker 1 both 10s
+        cases = [[0, 10, 10]] + [np.sort(rng.integers(0, 1000, rng.integers(1, 21))) for _ in range(40)]
+        for workers in (2, 3):
+            with parallel.WorkerPool(lambda j: (j, os.getpid()), workers) as pool:
+                for costs in cases:
+                    out = pool.run([(j,) for j in range(len(costs))])
+                    assert [j for j, _ in out] == list(range(len(costs)))
+                    loads = dict.fromkeys((proc.pid for proc in pool.procs), 0)
+                    for cost, (_, pid) in zip(costs, out):
+                        loads[pid] += cost
+                    assert len(loads) == workers and max(loads.values()) - min(loads.values()) <= max(costs)
+                if workers == 2:
+                    owner = [pid for _, pid in pool.run([(width,) for width in (8, 10, 12, 15)])]
+                    assert owner[0] == owner[3] != owner[1] == owner[2]
+        assert not mp.active_children()
 
+    def test_a_one_worker_pool_starts_no_process(self, monkeypatch):
+        """It runs the jobs here; train at one worker and embed at one usable core succeed."""
+        def no_start(proc):
+            raise AssertionError("a one-worker pool started a process")
 
-class TestDeal:
-    @settings(max_examples=300, deadline=None)
-    @given(costs=st.lists(st.integers(0, 1000), min_size=1, max_size=20), workers=st.integers(1, 5))
-    def test_every_job_has_one_worker_and_loads_stay_within_the_greedy_bound(self, costs, workers):
-        """A worker's last job went to the least-loaded worker, so no load passes the mean by more than one job."""
-        owner = parallel.deal(costs, workers)
-        assert len(owner) == len(costs) and all(0 <= wi < workers for wi in owner)
-        assert max(loads(costs, owner, workers)) <= sum(costs) / workers + max(costs)
-
-    @settings(max_examples=150, deadline=None)
-    @given(**TILE_CASES, workers=st.integers(2, 4))
-    def test_the_two_longest_tiles_go_to_different_workers(self, lengths, tile, workers):
-        """On a batch's tiles; where the second-longest cost is tied, one of its tiles is apart."""
-        with mock.patch.object(tf, "TILE", tile):
-            costs = [part.cost for _, part in length_batch(lengths, tf.ModelConfig(t=6)).tiles()]
-        if len(costs) < 2:
-            return
-        owner = parallel.deal(costs, workers)
-        first = max(range(len(costs)), key=lambda j: (costs[j], -j))
-        second = max(c for j, c in enumerate(costs) if j != first)
-        assert any(owner[j] != owner[first] for j, c in enumerate(costs) if j != first and c == second)
-
-    def test_cut_widths_8_10_12_15_balance_on_two_workers(self):
-        """i mod 2 gives one worker the 10 and 15 tiles; dealing pairs 15 with 8 and 12 with 10."""
-        costs = [128 * width ** 2 for width in (8, 10, 12, 15)]
-        assert parallel.deal(costs, 2) == [0, 1, 1, 0]
+        monkeypatch.setattr(context.ForkProcess, "start", no_start)
+        with parallel.WorkerPool(lambda j: (j, os.getpid()), 1) as pool:
+            assert pool.run([(0,), (1,)]) == [(0, os.getpid()), (1, os.getpid())]
+        cfg = tf.ModelConfig(**MODEL)
+        _, log = pretrain.train(tiny_dataset(n=12), cfg, pretrain.TrainConfig(epochs=1, seed=0, batch_size=6))
+        assert len(log) == 1
+        weights = tf.build_weights(cfg, tiny_fitted(statics=1), np.random.default_rng(1))
+        monkeypatch.setattr(tf, "TILE", 2)
+        assert pooled_embed(length_batch([3, 6, 1, 2, 5], cfg), weights, 1).shape == (5, cfg.emb_out)
+        assert not mp.active_children()
 
 
 def test_a_pool_sized_to_the_host_takes_at_most_max_cores(monkeypatch):
@@ -89,9 +93,10 @@ def embed_argv(workspace, tmp_path):
             "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "emb.csv")]
 
 
-def pretrain_argv(workspace, tmp_path):
-    return ["pretrain", "--config", str(workspace["cfg"]), "--workers", "2", "--fitted", str(workspace["fitted"]),
-            "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "run")]
+def pretrain_argv(workspace, tmp_path, workers=2):
+    return ["pretrain", "--config", str(workspace["cfg"]), "--workers", str(workers),
+            "--fitted", str(workspace["fitted"]), "--data", str(workspace["data_dir"] / "data.csv"),
+            "--out", str(tmp_path / "run")]
 
 
 def rank_argv(workspace, tmp_path):
@@ -104,6 +109,10 @@ def rank_argv(workspace, tmp_path):
     return ["rank", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
             "--data", str(workspace["data_dir"] / "data.csv"), "--relevance", str(relevance),
             "--out", str(tmp_path / "rank.csv")]
+
+
+def out_of_memory(*args):
+    raise MemoryError("cannot allocate")
 
 
 class TestCommands:
@@ -120,13 +129,21 @@ class TestCommands:
         assert not mp.active_children()
 
     def test_a_failing_embed_worker_is_one_error_line(self, workspace, tmp_path, capfd, monkeypatch):
-        def out_of_memory(*args):
-            raise MemoryError("cannot allocate")
-
+        """In process at one usable core, as on two."""
         monkeypatch.setattr(tf, "_embed_tile", out_of_memory)
-        assert main(embed_argv(workspace, tmp_path)) == 1
+        for cores in (1, 2):
+            monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+            assert main(embed_argv(workspace, tmp_path)) == 1
+            err = capfd.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error: CasprError: worker 0 failed: MemoryError"), cores
+            assert not mp.active_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_pretrain_worker_is_one_error_line(self, workspace, tmp_path, capfd, monkeypatch, workers):
+        monkeypatch.setattr(pretrain, "_tile_gradients", out_of_memory)
+        assert main(pretrain_argv(workspace, tmp_path, workers)) == 1
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: CasprError: data-parallel worker 0 failed: MemoryError")
+        assert len(err) == 1 and err[0].startswith("error: CasprError: worker 0 failed: MemoryError")
         assert not mp.active_children()
 
     @pytest.mark.parametrize("argv", [embed_argv, pretrain_argv])
@@ -142,5 +159,5 @@ class TestCommands:
         monkeypatch.setattr(context.ForkProcess, "start", start)
         assert main(argv(workspace, tmp_path)) == 1
         err = capfd.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: CasprError: data-parallel worker 1 could not start")
+        assert len(err) == 1 and err[0].startswith("error: CasprError: worker 1 could not start")
         assert not starts[0].is_alive() and not mp.active_children()
