@@ -99,11 +99,15 @@ def _config(cls, cfg_file, section, overrides):
         raise ConfigError(f"config section {section!r}: {exc}") from None
 
 
-def _path(args, cfg_file, key):
-    """Resolve a path from flags first, then the config's "paths" section."""
-    value = getattr(args, key, None) or cfg_file.get("paths", {}).get(key)
+def _path(args, cfg_file, key, *path_keys):
+    """Resolve a path from the --key flag first, then each of the config's
+    paths.<path_keys> in order (paths.<key> when none is given)."""
+    path_keys = path_keys or (key,)
+    value = getattr(args, key, None)
+    for path_key in path_keys:
+        value = value or cfg_file.get("paths", {}).get(path_key)
     if value is None:
-        raise ConfigError(f"missing --{key.replace('_', '-')} (or paths.{key} in the config file)")
+        raise ConfigError(f"missing --{key.replace('_', '-')} (or paths.{path_keys[0]} in the config file)")
     return value
 
 
@@ -219,10 +223,7 @@ def cmd_fit(args):
     cfg_file = _load_config(args.config)
     schema_path = _path(args, cfg_file, "schema")
     data_path = _path(args, cfg_file, "data")
-    paths_cfg = cfg_file.get("paths", {})
-    out = args.out or paths_cfg.get("fitted") or paths_cfg.get("out")
-    if out is None:
-        raise ConfigError("missing --out (or paths.fitted in the config file)")
+    out = _path(args, cfg_file, "out", "fitted", "out")
     schema = ingest.load_schema_json(_require(schema_path, "schema file"))
     fitted = ingest.fit_schema(ingest.read_columns(_require(data_path, "data file"), schema), schema)
     atomic_write(out, lambda fh: json.dump(fitted.to_json(), fh, indent=2, sort_keys=True))
@@ -280,10 +281,7 @@ def _embed_log(args, cfg_file):
 
 def cmd_embed(args):
     cfg_file = _load_config(args.config)
-    paths_cfg = cfg_file.get("paths", {})
-    out = args.out or paths_cfg.get("embeddings") or paths_cfg.get("out")
-    if out is None:
-        raise ConfigError("missing --out (or paths.embeddings in the config file)")
+    out = _path(args, cfg_file, "out", "embeddings", "out")
     _, _, dataset, vectors = _embed_log(args, cfg_file)
     _write_features(out, [f"e{i}" for i in range(vectors.shape[1])], dataset.entities, vectors)
     print(f"wrote {out} ({len(dataset.entities)} entities)")
@@ -342,28 +340,9 @@ def cmd_rank(args):
     item_col = ck.fitted.schema.item
     if item_col is None:
         raise SchemaMismatch("schema declares no item column; cannot rank")
-    entity_vecs = dict(zip(dataset.entities, vectors))
-    vocab = ck.fitted.vocab[item_col]
-    table = weights[f"emb/{item_col}"].data.astype(np.float64)
-    item_vecs = table[1:]  # row 0 is padding/OOV
-
-    projection = None
-    if item_vecs.shape[1] != len(next(iter(entity_vecs.values()))):
-        pairs_i, pairs_e = [], []
-        code = {v: i for i, v in enumerate(vocab)}
-        for entity, items in relevant.items():
-            if entity not in entity_vecs:
-                continue
-            for item in items:
-                if item in code:
-                    pairs_i.append(item_vecs[code[item]])
-                    pairs_e.append(entity_vecs[entity])
-        if not pairs_i:
-            raise SchemaMismatch("no (entity, item) pairs available to fit the width projection")
-        projection = metrics.fit_item_projection(np.array(pairs_i), np.array(pairs_e))
-
-    cases = metrics.rank_items(entity_vecs, list(vocab), item_vecs, relevant, projection)
-    report = metrics.ranking_metrics(cases)
+    table = weights[f"emb/{item_col}"].data.astype(np.float64)  # row 0 is padding/OOV
+    cases = metrics.rank_items(dict(zip(dataset.entities, vectors)), ck.fitted.vocab[item_col], table[1:], relevant)
+    report = metrics.ranking_metrics(list(cases.values()))
     atomic_write(out, lambda fh: metrics.write_report_csv(report, fh))
 
     ranking_path = os.path.splitext(out)[0] + "_rankings.csv"
@@ -371,7 +350,7 @@ def cmd_rank(args):
     def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["entity", "ranked_items", "relevant_items"])
-        for entity, case in zip(sorted(relevant), cases):
+        for entity, case in cases.items():
             writer.writerow([entity, "|".join(case.ranked_items), "|".join(sorted(case.relevant))])
 
     atomic_write(ranking_path, write)
@@ -459,6 +438,9 @@ def main(argv=None):
     except CasprError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # an array too large for this host, such as a model config's
+        print(f"error: CasprError: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return CasprError.exit_code
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)
         return IoError.exit_code

@@ -2,9 +2,9 @@
 
 The pipeline is fit -> build_dataset. Fitting derives vocabularies
 (first-seen order, code 0 reserved for padding/out-of-vocab), z-score
-statistics (population std, zero replaced by 1) and the embedding width per
-categorical column; statistics and z-scores are worked in units of a power
-of two above each column's values, so a column of any finite scale fits.
+statistics (population std, zero replaced by 1); statistics and z-scores are
+worked in units of a power of two above each column's values, so a column of
+any finite scale fits. Embedding widths are not fitted: see embed_dim_for.
 Building encodes raw records, groups them per entity, sorts by timestamp
 (stable), keeps the latest `t` rows and left-pads shorter histories into
 one padded array per field.
@@ -22,7 +22,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -93,7 +93,7 @@ class Schema:
 
 
 def embed_dim_for(cardinality):
-    """ceil(sqrt(cardinality)), floored at 1."""
+    """A categorical column's embedding width, from its vocabulary size: ceil(sqrt(cardinality)), at least 1."""
     return max(1, math.isqrt(cardinality - 1) + 1 if cardinality > 1 else 1)
 
 
@@ -103,15 +103,9 @@ class FittedSchema:
     vocab: dict[str, list[str]]        # categorical column -> values, codes 1..n
     means: dict[str, float]            # numeric column -> mean over fit rows
     stds: dict[str, float]             # numeric column -> population std, 0 -> 1
-    embed_dims: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.embed_dims:
-            self.embed_dims = {c: embed_dim_for(len(v)) for c, v in self.vocab.items()}
         self._codes = {c: {v: i + 1 for i, v in enumerate(vals)} for c, vals in self.vocab.items()}
-
-    def code_of(self, column, value):
-        return self._codes[column].get(value, 0)
 
     @property
     def seq_numeric_cols(self):
@@ -136,7 +130,8 @@ class FittedSchema:
     @property
     def step_width(self):
         """Width of one model step vector: position + numerics + embeddings."""
-        return 1 + len(self.seq_numeric_cols) + sum(self.embed_dims[c] for c in self.seq_categorical_cols)
+        widths = (embed_dim_for(len(self.vocab[c])) for c in self.seq_categorical_cols)
+        return 1 + len(self.seq_numeric_cols) + sum(widths)
 
     def to_json(self):
         return {
@@ -144,17 +139,16 @@ class FittedSchema:
             "vocab": self.vocab,
             "means": self.means,
             "stds": self.stds,
-            "embed_dims": self.embed_dims,
         }
 
     @classmethod
     def from_json(cls, obj):
-        """Each table must name exactly its schema columns: vocab and embed_dims
-        the categorical ones, means and stds the numeric ones."""
+        """Each table must name exactly its schema columns: vocab the categorical
+        ones, means and stds the numeric ones. Other keys are ignored."""
         schema = Schema.from_json(obj["schema"])
         cats = schema.names_of("categorical") + schema.names_of("static_categorical")
         nums = schema.names_of("numerical") + schema.names_of("static_numerical")
-        for table, cols in (("vocab", cats), ("embed_dims", cats), ("means", nums), ("stds", nums)):
+        for table, cols in (("vocab", cats), ("means", nums), ("stds", nums)):
             missing = [c for c in cols if c not in obj[table]]
             extra = [c for c in obj[table] if c not in cols]
             if missing or extra:
@@ -162,10 +156,8 @@ class FittedSchema:
                                      f"{table}: column {extra[0]!r} is not among {cols}")
         means = {k: float(v) for k, v in obj["means"].items()}
         stds = {k: float(v) for k, v in obj["stds"].items()}
-        embed_dims = {k: int(v) for k, v in obj["embed_dims"].items()}
         for what, table, ok, want in (("mean", means, math.isfinite, "a finite number"),
-                                      ("std", stds, lambda x: 0.0 < x < math.inf, "a finite number > 0"),
-                                      ("embed dim", embed_dims, lambda d: d >= 1, "an integer >= 1")):
+                                      ("std", stds, lambda x: 0.0 < x < math.inf, "a finite number > 0")):
             for k, value in table.items():
                 if not ok(value):  # a z-score divides by the std
                     raise ValueError(f"{what} of column {k!r} is {value}, not {want}")
@@ -174,7 +166,6 @@ class FittedSchema:
             vocab={k: _str_list(v, f"vocab {k!r}") for k, v in obj["vocab"].items()},
             means=means,
             stds=stds,
-            embed_dims=embed_dims,
         )
 
 

@@ -211,39 +211,30 @@ def ranking_metrics(cases):
     }
 
 
-def fit_item_projection(item_vectors, entity_vectors):
-    """Least-squares map from item space to entity space over aligned pairs."""
-    items = np.asarray(item_vectors, dtype=np.float64)
-    entities = np.asarray(entity_vectors, dtype=np.float64)
-    if len(items) != len(entities):
-        raise SchemaMismatch("projection fit needs aligned (item, entity) pairs")
-    proj, *_ = np.linalg.lstsq(items, entities, rcond=None)
-    return proj
+def rank_items(entity_vectors, item_ids, item_vectors, relevant_by_entity):
+    """{entity: RankingCase} for each entity of `relevant_by_entity`, in sorted
+    order: every item by dot product with the entity's vector, ties by item id.
 
-
-def rank_items(entity_vectors, item_ids, item_vectors, relevant_by_entity, projection=None):
-    """Dot-product ranking of items per entity; ties break by item id.
-
-    entity_vectors: dict entity -> vector. Items whose vectors are narrower
-    or wider than the entity space need a fitted projection.
+    entity_vectors: dict entity -> vector. Items narrower or wider than the
+    entity vectors are first mapped into entity space by the least-squares
+    projection fitted on the (relevant item, entity) pairs, in the order given.
     """
     items = np.asarray(item_vectors, dtype=np.float64)
-    sample = next(iter(entity_vectors.values()))
-    if items.shape[1] != len(sample):
-        if projection is None:
-            raise SchemaMismatch(
-                f"item width {items.shape[1]} != entity width {len(sample)} and no projection fitted")
-        items = items @ projection
-        if items.shape[1] != len(sample):
-            raise SchemaMismatch("projection output width does not match entity vectors")
-    cases = []
+    if items.shape[1] != len(next(iter(entity_vectors.values()))):
+        row = {item: i for i, item in enumerate(item_ids)}
+        pairs = [(row[item], entity_vectors[entity]) for entity, relevant in relevant_by_entity.items()
+                 if entity in entity_vectors for item in relevant if item in row]
+        if not pairs:
+            raise SchemaMismatch("no (entity, item) pairs available to fit the width projection")
+        rows, targets = zip(*pairs)
+        items = items @ np.linalg.lstsq(items[list(rows)], np.array(targets, dtype=np.float64), rcond=None)[0]
+    cases = {}
     for entity in sorted(relevant_by_entity):
         if entity not in entity_vectors:
             raise SchemaMismatch(f"no embedding for entity {entity!r}")
         scores = items @ np.asarray(entity_vectors[entity], dtype=np.float64)
         order = sorted(range(len(item_ids)), key=lambda i: (-scores[i], item_ids[i]))
-        cases.append(RankingCase(ranked_items=[item_ids[i] for i in order],
-                                 relevant=set(relevant_by_entity[entity])))
+        cases[entity] = RankingCase(ranked_items=[item_ids[i] for i in order], relevant=set(relevant_by_entity[entity]))
     return cases
 
 

@@ -25,6 +25,7 @@ from . import autodiff as ad
 from . import parallel
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError, SchemaMismatch
+from .ingest import embed_dim_for
 
 NEG_INF = -1e9
 
@@ -48,7 +49,7 @@ class ModelConfig:
     precision: str = "f32"
 
     def __post_init__(self):
-        for name, least in (("hidden", 1), ("ff_dim", 1), ("heads", 1), ("emb_out", 1), ("layers", 0)):
+        for name, least in (("hidden", 1), ("ff_dim", 1), ("heads", 1), ("emb_out", 1), ("layers", 0), ("t", 1)):
             value = getattr(self, name)
             if not isinstance(value, int) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -60,10 +61,6 @@ class ModelConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         if not isinstance(self.precision, str) or self.precision not in ad.DTYPES:
             raise ConfigError(f"precision must be one of {', '.join(ad.DTYPES)}, got {self.precision!r}")
-
-    @property
-    def d_k(self):
-        return self.hidden // self.heads
 
     @property
     def dtype(self):
@@ -138,7 +135,7 @@ def layout(cfg, fitted):
     """
     h, f = cfg.hidden, cfg.ff_dim
     for col in fitted.seq_categorical_cols:
-        yield f"emb/{col}", (len(fitted.vocab[col]) + 1, fitted.embed_dims[col]), "table"
+        yield f"emb/{col}", (len(fitted.vocab[col]) + 1, embed_dim_for(len(fitted.vocab[col]))), "table"
     yield "in_proj/w", (fitted.step_width, h), "xavier"
     yield "in_proj/b", (h,), "bias"
 
@@ -205,7 +202,11 @@ def build_weights(cfg, fitted, rng):
     is drawn into its view of the flat array, in layout order.
     """
     size = sum(math.prod(shape) for _, shape, _ in layout(cfg, fitted))
-    weights = ModelWeights(cfg, fitted, np.zeros(size, dtype=cfg.dtype))
+    try:
+        flat = np.zeros(size, dtype=cfg.dtype)
+    except (ValueError, MemoryError) as exc:  # numpy refuses the size
+        raise ConfigError(f"the model has {size} parameters, more than can be allocated: {exc}") from None
+    weights = ModelWeights(cfg, fitted, flat)
     for name, shape, init in layout(cfg, fitted):
         arr = weights[name].data
         if init == "xavier":

@@ -77,7 +77,7 @@ def test_synth_deterministic(tmp_path):
 
 def test_fit_output_is_valid_fitted_schema(workspace):
     obj = json.loads(workspace["fitted"].read_text())
-    assert set(obj) == {"schema", "vocab", "means", "stds", "embed_dims"}
+    assert set(obj) == {"schema", "vocab", "means", "stds"}
     assert obj["schema"]["monetary"] == "amount"
 
 
@@ -130,7 +130,7 @@ def test_embed_deterministic(workspace, tmp_path):
 def test_empty_categorical_vocab_pretrains_and_embeds(workspace, tmp_path):
     """A categorical column with no vocab has a one-logit head, which is still scored as categorical."""
     fitted = json.loads(workspace["fitted"].read_text())
-    fitted["vocab"]["channel"], fitted["embed_dims"]["channel"] = [], 1
+    fitted["vocab"]["channel"] = []
     path = tmp_path / "fitted.json"
     path.write_text(json.dumps(fitted))
     data = str(workspace["data_dir"] / "data.csv")
@@ -190,7 +190,7 @@ def test_rank_pipeline(workspace, tmp_path):
     with open(relevance, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entity", "relevant_items"])
-        for entity in sorted(last_item):
+        for entity in sorted(last_item, reverse=True):  # the rankings come back sorted all the same
             writer.writerow([entity, last_item[entity]])
     report = tmp_path / "rank.csv"
     assert main(["rank", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
@@ -200,7 +200,8 @@ def test_rank_pipeline(workspace, tmp_path):
     assert names == {"map", "prec_at_1", "success5_count", "success5_hit", "ndcg_at_3"}
     rankings = read_csv(tmp_path / "rank_rankings.csv")
     assert rankings[0] == ["entity", "ranked_items", "relevant_items"]
-    assert len(rankings) == 61
+    assert [row[0] for row in rankings[1:]] == sorted(last_item)
+    assert all(row[2] == last_item[row[0]] for row in rankings[1:])
 
 
 def test_eval_report_write_is_atomic(workspace, tmp_path, monkeypatch):
@@ -272,6 +273,22 @@ def test_full_pipeline_from_one_config_file(tmp_path):
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("command, key", [("fit", "fitted"), ("embed", "embeddings")])
+    def test_output_path_is_the_flag_then_the_command_s_key_then_paths_out(self, workspace, tmp_path, capsys,
+                                                                            command, key):
+        inputs = {"fit": ["--schema", str(workspace["data_dir"] / "schema.json")],
+                  "embed": ["--checkpoint", str(workspace["run_dir"] / "checkpoint.bin")]}[command]
+        argv = [command, "--data", str(workspace["data_dir"] / "data.csv"), *inputs]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ConfigError: missing --out (or paths.{key} in the config file)"]
+        cfg = tmp_path / "cfg.json"
+        for paths, written in (({"out": "a", key: "b"}, "b"), ({"out": "a"}, "a")):
+            cfg.write_text(json.dumps({"paths": {name: str(tmp_path / value) for name, value in paths.items()}}))
+            assert main(argv + ["--config", str(cfg)]) == 0
+            assert (tmp_path / written).exists()
+            (tmp_path / written).unlink()
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         code = main(["fit", "--schema", str(tmp_path / "none.json"),
                      "--data", str(tmp_path / "none.csv"), "--out", str(tmp_path / "out.json")])
@@ -709,8 +726,10 @@ class TestExitCodes:
         ("model", "hidden", 0, "ConfigError"),
         ("model", "emb_out", 0, "ConfigError"),
         ("model", "ff_dim", 0, "ConfigError"),
-        ("fitted", "embed_dims.item", 0, "SchemaMismatch"),
-        ("fitted", "embed_dims.item", -1, "SchemaMismatch"),
+        ("model", "t", 0, "ConfigError"),
+        # arrays past any address space: refused at once, whatever the host's overcommit setting
+        ("model", "t", 2 ** 50, "CasprError"),
+        ("model", "hidden", 2 ** 40, "ConfigError"),
         ("fitted", "vocab.channel", None, "SchemaMismatch"),
         ("fitted", "means.amount", None, "SchemaMismatch"),
     ])
@@ -733,7 +752,7 @@ class TestExitCodes:
         code = main(["pretrain", "--config", str(tmp_path / "model.json"), "--fitted", str(tmp_path / "fitted.json"),
                      "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "run")])
         err = capfd.readouterr().err
-        assert code == {"ConfigError": 1, "SchemaMismatch": 3}[error]
+        assert code == {"CasprError": 1, "ConfigError": 1, "SchemaMismatch": 3}[error]
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
 

@@ -136,7 +136,7 @@ def oracle_build(records, fitted, t):
         stamps.append(oracle_timestamp(rec[sch.ts_col], i))
         owner.append(first_seen.setdefault(rec[sch.entity_col], len(first_seen)))
         values.append([_parse_number(rec[c], c, i) for c in num_cols])
-        codes.append([fitted.code_of(c, rec[c]) for c in cat_cols])
+        codes.append([fitted.vocab[c].index(rec[c]) + 1 if rec[c] in fitted.vocab[c] else 0 for c in cat_cols])
     if not owner:
         raise EmptyDataset("the activity log has no data rows")
     stamps = np.array(stamps, dtype=np.int64)

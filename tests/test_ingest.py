@@ -65,8 +65,8 @@ class TestFitSchema:
                                 ("b", 3, "gold", 8.0)])
         fitted = fit_schema(recs, schema)
         assert fitted.vocab["tier"] == ["gold", "silver"]
-        assert fitted.code_of("tier", "gold") == 1
-        assert fitted.code_of("tier", "silver") == 2
+        assert fitted.vocab["tier"].index("gold") + 1 == 1
+        assert fitted.vocab["tier"].index("silver") + 1 == 2
         np.testing.assert_allclose(fitted.means["x"], 10.0)
         np.testing.assert_allclose(fitted.stds["x"], np.std([10.0, 12.0, 8.0]))
 
@@ -121,7 +121,7 @@ class TestFitSchema:
         schema = make_schema([ColumnSpec("c", "categorical")])
         recs = rows_of(schema, [("a", i, f"v{i % 16}") for i in range(60)])
         fitted = fit_schema(recs, schema)
-        assert fitted.embed_dims["c"] == 4
+        assert fitted.step_width == 1 + 4  # the position scalar, then ceil(sqrt(16)) embedding dims
 
     def test_malformed_number_carries_row_index(self):
         schema = make_schema([ColumnSpec("x", "numerical")])
@@ -247,7 +247,7 @@ class TestBuildSequences:
         fitted = fit_schema(recs, schema)
         ds = build_dataset(recs, fitted, 4)
         expected = (31.0 - fitted.means["age"]) / fitted.stds["age"]
-        np.testing.assert_allclose(ds.statics[0], [expected, fitted.code_of("tier", "y")])
+        np.testing.assert_allclose(ds.statics[0], [expected, fitted.vocab["tier"].index("y") + 1])
 
     def test_empty_input_and_bad_length_rejected(self):
         with pytest.raises(EmptyDataset):
@@ -297,11 +297,10 @@ def test_fitted_statistics_must_be_finite_with_positive_std(tmp_path, stat, valu
 
 @pytest.mark.parametrize("table, entry, what", [
     ("vocab", None, "vocab: no entry for column 'tier'"),
-    ("embed_dims", None, "embed_dims: no entry for column 'tier'"),
+    ("means", None, "means: no entry for column 'x'"),
     ("stds", None, "stds: no entry for column 'x'"),
     ("means", {"x": 0.0, "tier": 0.0}, r"means: column 'tier' is not among \['x'\]"),
     ("vocab", {"tier": ["g"], "x": ["1"]}, r"vocab: column 'x' is not among \['tier'\]"),
-    ("embed_dims", {"tier": 0}, "embed dim of column 'tier' is 0, not an integer >= 1"),
 ])
 def test_fitted_tables_name_exactly_their_schema_columns(tmp_path, table, entry, what):
     schema = make_schema([ColumnSpec("tier", "categorical"), ColumnSpec("x", "numerical")])
@@ -320,4 +319,13 @@ def test_fitted_schema_json_roundtrip():
     assert again.vocab == fitted.vocab
     assert again.means == fitted.means
     assert again.stds == fitted.stds
-    assert again.embed_dims == fitted.embed_dims
+    assert set(fitted.to_json()) == {"schema", "vocab", "means", "stds"}
+
+
+def test_stored_embed_dims_table_is_ignored(tmp_path):
+    """A fitted.json written when the widths were stored still loads: each width comes from its vocab."""
+    schema = make_schema([ColumnSpec("tier", "categorical"), ColumnSpec("x", "numerical")])
+    fitted = fit_schema(rows_of(schema, [("a", 1, "g", 1.5), ("b", 2, "s", 2.5)]), schema)
+    path = tmp_path / "fitted.json"
+    path.write_text(json.dumps({**fitted.to_json(), "embed_dims": {"tier": 0}}))
+    assert ingest.load_fitted_json(path).step_width == fitted.step_width == 1 + 1 + 2

@@ -10,7 +10,6 @@ from caspr.metrics import (
     RankingCase,
     auroc,
     f1_positive,
-    fit_item_projection,
     rank_items,
     ranking_metrics,
     rmse,
@@ -235,35 +234,46 @@ class TestRankItems:
         entity_vecs = {"e": np.array([1.0, 0.0, 0.0])}
         items = np.eye(3)
         cases = rank_items(entity_vecs, ["a", "b", "c"], items, {"e": ["a"]})
-        assert cases[0].ranked_items[0] == "a"
+        assert cases["e"].ranked_items[0] == "a"
 
     def test_identical_items_rank_by_id(self):
         entity_vecs = {"e": np.array([1.0, 1.0])}
         items = np.ones((3, 2))
         cases = rank_items(entity_vecs, ["z", "a", "m"], items, {"e": ["a"]})
-        assert cases[0].ranked_items == ["a", "m", "z"]
+        assert cases["e"].ranked_items == ["a", "m", "z"]
 
     def test_hand_fixture_order(self):
         entity_vecs = {"e": np.array([2.0, 1.0])}
         items = np.array([[1.0, 0.0], [0.0, 3.0], [1.0, 1.0]])  # scores 2, 3, 3
         cases = rank_items(entity_vecs, ["p", "q", "r"], items, {"e": ["q"]})
-        assert cases[0].ranked_items == ["q", "r", "p"]
+        assert cases["e"].ranked_items == ["q", "r", "p"]
+
+    def test_cases_come_in_entity_order_with_their_own_relevant_items(self):
+        entity_vecs = {e: np.array([1.0, 0.0]) for e in ("e1", "e2", "e3")}
+        cases = rank_items(entity_vecs, ["a", "b"], np.eye(2), {"e3": ["b"], "e1": ["a"], "e2": ["a", "b"]})
+        assert list(cases) == ["e1", "e2", "e3"]
+        assert [cases[e].relevant for e in cases] == [{"a"}, {"a", "b"}, {"b"}]
 
     def test_width_mismatch_requires_projection(self):
+        """Widths differ, and no relevant item is among the items, so no projection can be fitted."""
         entity_vecs = {"e": np.array([1.0, 0.0, 0.0])}
         items = np.eye(2)
-        with pytest.raises(SchemaMismatch):
-            rank_items(entity_vecs, ["a", "b"], items, {"e": ["a"]})
+        with pytest.raises(SchemaMismatch, match=r"no \(entity, item\) pairs"):
+            rank_items(entity_vecs, ["a", "b"], items, {"e": ["x"]})
+
+    def test_unknown_entity_is_refused(self):
+        with pytest.raises(SchemaMismatch, match="no embedding for entity 'f'"):
+            rank_items({"e": np.ones(2)}, ["a", "b"], np.eye(2), {"e": ["a"], "f": ["b"]})
 
     def test_projection_aligns_widths(self):
+        """Noiseless pairs, entity = item @ P: the fitted projection ranks each entity's own item first."""
         rng = np.random.default_rng(3)
-        proj_true = rng.normal(size=(2, 4))
-        items2 = rng.normal(size=(6, 2))
+        proj_true = np.linalg.qr(rng.normal(size=(4, 4)))[0][:2]  # orthonormal rows: P Pᵀ = I
+        angles = 2.0 * np.pi * np.arange(6) / 6
+        items2 = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # unit items: only its own scores 1
         entities = {f"e{i}": items2[i] @ proj_true for i in range(6)}
-        projection = fit_item_projection(items2, np.array([entities[f"e{i}"] for i in range(6)]))
-        cases = rank_items(entities, [f"i{j}" for j in range(6)], items2,
-                           {f"e{i}": [f"i{i}"] for i in range(6)}, projection)
-        assert len(cases) == 6
+        cases = rank_items(entities, [f"i{j}" for j in range(6)], items2, {f"e{i}": [f"i{i}"] for i in range(6)})
+        assert [case.ranked_items[0] for case in cases.values()] == [f"i{i}" for i in range(6)]
 
 
 class TestLinearProbe:

@@ -286,6 +286,15 @@ class TestCheckpointHardening:
         ck = self.load(tmp_path, craft_checkpoint(header, payload))
         assert np.concatenate([ck.flat, *ck.moments]).astype("<f4").tobytes() == payload
 
+    def test_stored_embed_dims_table_is_ignored(self, tmp_path, parts):
+        """A header written when the fitted schema stored its embedding widths loads as before."""
+        header, payload = parts
+        plain = self.load(tmp_path, craft_checkpoint(header, payload))
+        header["fitted"]["embed_dims"] = {c: 0 for c in header["fitted"]["vocab"]}
+        ck = self.load(tmp_path, craft_checkpoint(header, payload))
+        assert list(tf.layout(ck.model_cfg, ck.fitted)) == list(tf.layout(plain.model_cfg, plain.fitted))
+        assert ck.flat.tobytes() == plain.flat.tobytes()
+
     def test_file_is_header_and_three_flat_arrays(self, tmp_path):
         data = small_checkpoint_bytes(tmp_path)
         ck = load_checkpoint(tmp_path / "small.bin")
@@ -302,7 +311,7 @@ class TestCheckpointHardening:
         ("zero_heads", "heads must be an integer >= 1"),
         ("no_vocab_column", "vocab: no entry for column 'c0'"),
         ("no_means_column", "means: no entry for column 'x0'"),
-        ("zero_embed_dim", "embed dim of column 'c0' is 0"),
+        ("zero_t", "t must be an integer >= 1"),
         ("precision_alias", "precision must be one of f32, f64"),
     ])
     def test_defect_is_corrupt_file(self, tmp_path, parts, defect, what):
@@ -319,8 +328,8 @@ class TestCheckpointHardening:
             del header["fitted"]["vocab"]["c0"]
         elif defect == "no_means_column":
             del header["fitted"]["means"]["x0"]
-        elif defect == "zero_embed_dim":
-            header["fitted"]["embed_dims"]["c0"] = 0
+        elif defect == "zero_t":
+            header["model"]["t"] = 0
         elif defect == "precision_alias":
             header["model"]["precision"] = "float32"  # the payload's own dtype, under a name no writer uses
         data = craft_checkpoint(header, payload)

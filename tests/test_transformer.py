@@ -97,7 +97,7 @@ class TestConfig:
         cfg = tf.ModelConfig()
         assert (cfg.hidden, cfg.ff_dim, cfg.layers, cfg.heads) == (16, 32, 6, 8)
         assert cfg.dropout == 0.1 and cfg.t == 15 and cfg.mask_p == 0.3
-        assert cfg.d_k == 2
+        assert cfg.hidden // cfg.heads == 2
 
     def test_hidden_divisible_by_heads(self):
         with pytest.raises(ConfigError):
@@ -226,7 +226,7 @@ class TestMultiHead:
 
     def test_default_head_width(self):
         cfg = tf.ModelConfig()
-        assert cfg.hidden == 16 and cfg.heads == 8 and cfg.d_k == 2
+        assert cfg.hidden == 16 and cfg.heads == 8 and cfg.hidden // cfg.heads == 2
 
 
 class TestEncoder:
