@@ -2,8 +2,9 @@
 
 Each forward op links its output to its parents and stashes a closure
 returning per-parent gradients; ``backward`` walks that implicit graph once
-in reverse topological order. Storage is numpy, float32 by default and
-float64 for gradient checking (finite differences are meaningless at f32).
+in reverse topological order. Storage is numpy at the caller's float
+dtype: the model's precision, or float64 for gradient checking (finite
+differences are meaningless at f32).
 Inside ``no_grad()`` ops build no parent links and no closures.
 
 There is no broadcasting: ``mul`` scales a tensor by a constant of its
@@ -11,8 +12,8 @@ own shape, and any other operand raises ShapeMismatch.
 Three ops are fused into one node each, with hand-derived backwards:
 ``attention`` (the whole multi-head softmax attention), ``matmul`` (a dense
 layer: a 2-D weight and an optional bias as one GEMM over the flattened
-rows), and ``layer_norm`` with an optional residual and dropout keep mask
-(a post-norm sublayer). Losses are numpy kernels, ``squared_error`` and
+rows), and ``layer_norm`` of a residual sum with an optional dropout keep
+mask (a post-norm sublayer). Losses are numpy kernels, ``squared_error`` and
 ``cross_entropy``, that return a value and its gradient; ``scalar`` makes
 their sum one node. ``FlatParams`` keeps named parameters as views into one
 contiguous array and gathers their gradients into views of another, so that
@@ -41,13 +42,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, dtype=None, requires_grad=False):
-        arr = np.asarray(data)
-        if dtype is not None:
-            arr = arr.astype(DTYPES[dtype], copy=False)
-        elif arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
-        self.data = arr
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -231,7 +227,7 @@ def attention(q, k, v, mask, heads):
     `q` is (B, tq, H); `k` and `v` are (B, tk, H). The last axis splits into
     `heads` slices of width d_k = H / heads, and the per-head outputs O are
     merged back to (B, tq, H). `mask` is an additive array broadcast over
-    heads, (B, 1, tq, tk) in q's dtype, or None. The backward follows the
+    heads, (B, 1, tq, tk) in q's dtype. The backward follows the
     fused formulation of FlashAttention (Dao et al. 2022) and keeps only the
     probabilities P, O and head views of the inputs: dV = Pᵀg, dP = gVᵀ,
     dS = P∘(dP − D)·scale with D = Σ dP∘P = Σ g∘O per query row,
@@ -244,8 +240,7 @@ def attention(q, k, v, mask, heads):
     qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
     p = np.matmul(qh, np.swapaxes(kh, -1, -2))
     p *= scale
-    if mask is not None:
-        p += mask
+    p += mask
     row_max = _reduce_last(np.maximum, p)  # np.maximum propagates NaN, so a NaN score shows here
     if np.isnan(row_max).any():
         raise NumericError("attention: NaN in scores")
@@ -269,23 +264,21 @@ def attention(q, k, v, mask, heads):
     return out
 
 
-def layer_norm(x, gamma, beta, residual=None, keep=None, eps=1e-5):
+def layer_norm(x, gamma, beta, residual, keep=None, eps=1e-5):
     """Normalize s = x + residual·keep over the last axis, then scale/shift.
 
     One node for a whole post-norm sublayer: `residual` is the sublayer
-    output, `keep` its dropout mask (already scaled by 1/(1-p)) or None,
-    and with no `residual` s is `x` itself. Row mean and population
-    variance are GEMVs against a 1/n vector. The backward returns dx,
-    dresidual = dx·keep, and dgamma and dbeta as column sums.
+    output and `keep` its dropout mask (already scaled by 1/(1-p)) or None.
+    Row mean and population variance are GEMVs against a 1/n vector. The
+    backward returns dx, dgamma and dbeta as column sums, and dresidual =
+    dx·keep.
     """
     n = x.shape[-1]
-    if residual is not None and residual.shape != x.shape:
+    if residual.shape != x.shape:
         raise ShapeMismatch("layer_norm residual", x.shape, residual.shape)
     if keep is not None and keep.shape != x.shape:
         raise ShapeMismatch("layer_norm keep", x.shape, keep.shape)
-    if residual is None:
-        s = x.data
-    elif keep is None:
+    if keep is None:
         s = x.data + residual.data
     else:
         s = residual.data * keep
@@ -298,8 +291,7 @@ def layer_norm(x, gamma, beta, residual=None, keep=None, eps=1e-5):
     xhat *= inv
     y = xhat * gamma.data
     y += beta.data
-    parents = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
-    out = _make(y.reshape(x.shape), parents, None)
+    out = _make(y.reshape(x.shape), (x, gamma, beta, residual), None)
     if out.requires_grad:
 
         def bwd(g):
@@ -309,10 +301,7 @@ def layer_norm(x, gamma, beta, residual=None, keep=None, eps=1e-5):
             dx -= xhat * ((dxhat * xhat) @ inv_n)[:, None]
             dx *= inv
             dx = dx.reshape(x.shape)
-            grads = (dx, _col_sums(g2 * xhat), _col_sums(g2))
-            if residual is None:
-                return grads
-            return grads + (dx if keep is None else dx * keep,)
+            return dx, _col_sums(g2 * xhat), _col_sums(g2), dx if keep is None else dx * keep
 
         out._backward = bwd
     return out
@@ -360,12 +349,10 @@ def backward(loss):
 
     grads = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node._backward is not None:
             for parent, pg in zip(node._parents, node._backward(g)):
-                if pg is None or not parent.requires_grad:
+                if not parent.requires_grad:
                     continue
                 key = id(parent)
                 if key in grads:

@@ -253,8 +253,6 @@ def cmd_pretrain(args):
     try:
         ck, loss_log = pretrain.train(dataset, model_cfg, train_cfg)
     except DivergenceError as exc:
-        if exc.checkpoint is None:
-            raise
         ck_path = _write_checkpoint(exc.checkpoint, out_dir)
         raise DivergenceError(f"{exc}; kept the last good checkpoint (epoch {exc.checkpoint.epoch}) "
                               f"at {ck_path}", checkpoint=exc.checkpoint) from exc

@@ -3,6 +3,7 @@
 Every error carries an ``exit_code`` so the CLI can map failures to
 distinct process exit statuses without inspecting types twice.
 """
+import contextlib
 
 
 def _rebuild(cls, args, state):
@@ -96,3 +97,12 @@ class LabelError(CasprError):
 
 class CaseError(CasprError):
     exit_code = 1
+
+
+@contextlib.contextmanager
+def too_large(what):
+    """A ConfigError naming `what` where numpy refuses a size past int64, the address space or memory."""
+    try:
+        yield
+    except (ValueError, OverflowError, MemoryError) as exc:
+        raise ConfigError(f"{what} is too large: {exc}") from None

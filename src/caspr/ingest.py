@@ -27,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import EmptyDataset, ParseError, SchemaMismatch
+from .errors import EmptyDataset, ParseError, SchemaMismatch, too_large
 
 KINDS = ("entity_id", "timestamp", "numerical", "categorical", "static_numerical", "static_categorical")
 
@@ -424,12 +424,13 @@ def build_dataset(chunks, fitted, t):
     values = _z_scores(values.T, fitted, num_cols)[order]
     codes = codes.T[order]
     from_end = np.cumsum(np.bincount(owner))[owner] - np.arange(len(order)) - 1  # 0 at each latest row
-    kept = from_end < t
-    slot = t - 1 - from_end[kept]
     n_num, n_cat = len(fitted.seq_numeric_cols), len(fitted.seq_categorical_cols)
-    real = np.zeros((len(entities), t), dtype=bool)
-    nums = np.zeros((len(entities), t, n_num))
-    cats = np.zeros((len(entities), t, n_cat), dtype=np.int64)
+    with too_large(f"{len(entities)} sequences of t={t} steps"):
+        kept = from_end < t
+        slot = t - 1 - from_end[kept]
+        real = np.zeros((len(entities), t), dtype=bool)
+        nums = np.zeros((len(entities), t, n_num))
+        cats = np.zeros((len(entities), t, n_cat), dtype=np.int64)
     real[owner[kept], slot] = True
     nums[owner[kept], slot] = values[kept, :n_num]
     cats[owner[kept], slot] = codes[kept, :n_cat]

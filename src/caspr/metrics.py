@@ -23,7 +23,6 @@ F1_THRESHOLD = 0.5       # a probability at or above it predicts class 1
 
 @dataclass
 class LinearProbe:
-    task: str                # binary | regression
     w: np.ndarray            # weights in standardized feature space
     b: float
     feat_mean: np.ndarray
@@ -116,7 +115,7 @@ def train_linear_probe(features, labels, task, columns=None):
                 break
             theta, value = trial, trial_value
 
-    return LinearProbe(task=task, w=theta[:d].copy(), b=float(theta[d]), feat_mean=mean, feat_std=std)
+    return LinearProbe(w=theta[:d].copy(), b=float(theta[d]), feat_mean=mean, feat_std=std)
 
 
 def auroc(scores, labels):

@@ -49,12 +49,6 @@ from .transformer import (
     reconstruction_heads,
 )
 
-__all__ = [
-    "TrainConfig", "Checkpoint", "DivergenceError", "apply_mask",
-    "reconstruction_loss", "train", "save_checkpoint", "load_checkpoint",
-    "compute_gradients", "combine",
-]
-
 CHECKPOINT_MAGIC = b"CSPR1"
 CHECKPOINT_VERSION = 3   # 3: the parameters are three flat arrays, not per-tensor records
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, too_large
 
 EPOCH0 = 1_600_000_000  # fixed anchor so output is seed-deterministic
 AMOUNT_LOG_MU = 3.0     # purchase amounts are lognormal(mu, sigma)
@@ -118,7 +118,9 @@ def generate(cfg, out_dir):
     """Write data.csv, labels.csv and schema.json atomically; returns their paths."""
     from .cli import atomic_write  # imported here because cli imports this module
 
-    rows, labels = generate_rows(cfg)
+    with too_large(f"a synthetic log of {cfg.n_entities} entities of up to {cfg.max_len} events "
+                   f"over {cfg.item_vocab} items and {cfg.channel_vocab} channels"):
+        rows, labels = generate_rows(cfg)
     data_path = os.path.join(out_dir, "data.csv")
     labels_path = os.path.join(out_dir, "labels.csv")
     schema_path = os.path.join(out_dir, "schema.json")

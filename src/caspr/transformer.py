@@ -7,11 +7,13 @@ cross-attention over the encoder output, FFN}; every sublayer is wrapped in
 residual + post layer norm. Reconstruction heads emit one scalar per
 numeric column and vocab+1 logits per categorical column at each position.
 The embedding head mean-pools encoder output over non-pad positions,
-concatenates the static attributes and applies two dense layers.
+concatenates the static attributes and applies two dense layers, which
+pretraining never trains.
 
-Padding sits on the oldest side; pad (and masked) positions enter the model
-as all-zero step vectors and are excluded from attention keys, loss and
-pooling. Position scalars are anchored at the recent end, so the latest
+Padding sits on the oldest side. Pad and masked positions enter the model
+as all-zero step vectors; pad positions alone are excluded from attention
+keys, loss and pooling, so a masked step is still a key and is scored by
+the loss. Position scalars are anchored at the recent end, so the latest
 real step always carries scalar 1.0 regardless of pad length.
 """
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError, SchemaMismatch
+from .errors import ConfigError, NumericError, SchemaMismatch, too_large
 from .ingest import embed_dim_for
 
 NEG_INF = -1e9
@@ -202,10 +204,8 @@ def build_weights(cfg, fitted, rng):
     is drawn into its view of the flat array, in layout order.
     """
     size = sum(math.prod(shape) for _, shape, _ in layout(cfg, fitted))
-    try:
+    with too_large(f"a model of {size} parameters"):
         flat = np.zeros(size, dtype=cfg.dtype)
-    except (ValueError, MemoryError) as exc:  # numpy refuses the size
-        raise ConfigError(f"the model has {size} parameters, more than can be allocated: {exc}") from None
     weights = ModelWeights(cfg, fitted, flat)
     for name, shape, init in layout(cfg, fitted):
         arr = weights[name].data
@@ -242,7 +242,7 @@ def project_inputs(batch, weights):
 def multi_head(h, context, mask, layer, heads):
     """Q/K/V projections, fused multi-head attention, W^O.
 
-    `mask` comes from encoder_mask or causal_mask (or is None).
+    `mask` comes from encoder_mask or causal_mask.
     """
     q = ad.matmul(h, layer["wq"])
     k = ad.matmul(context, layer["wk"])

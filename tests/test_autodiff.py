@@ -47,7 +47,12 @@ def check_grads(fn, leaves, tol=1e-6):
 
 
 def leaf(rng, *shape):
-    return Tensor(rng.normal(size=shape), dtype="f64", requires_grad=True)
+    return Tensor(rng.normal(size=shape), requires_grad=True)
+
+
+def zero(*shape):
+    """A constant all-zero tensor, such as the residual of a plain layer norm."""
+    return Tensor(np.zeros(shape))
 
 
 def readout(out, w):
@@ -63,7 +68,7 @@ class TestForward:
 
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(3, 3)), dtype="f64")
+        a = Tensor(rng.normal(size=(3, 3)))
         eye = Tensor(np.eye(3))
         np.testing.assert_allclose(ad.matmul(a, eye).data, a.data)
 
@@ -76,19 +81,19 @@ class TestForward:
         np.testing.assert_allclose(out.data, 0.25)
 
     def test_softmax_two_point(self):
-        out = ad.softmax(Tensor([[0.0, np.log(3.0)]], dtype="f64"))
+        out = ad.softmax(Tensor([[0.0, np.log(3.0)]]))
         np.testing.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-12)
 
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 5))
-        a = ad.softmax(Tensor(x, dtype="f64")).data
-        b = ad.softmax(Tensor(x + 1000.0, dtype="f64")).data
+        a = ad.softmax(Tensor(x)).data
+        b = ad.softmax(Tensor(x + 1000.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(2)
-        out = ad.softmax(Tensor(rng.normal(size=(6, 7)) * 10, dtype="f64"))
+        out = ad.softmax(Tensor(rng.normal(size=(6, 7)) * 10))
         assert (out.data > 0).all() and (out.data < 1).all()
         np.testing.assert_allclose(out.data.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -115,13 +120,13 @@ class TestForward:
 class TestBackward:
     def test_square_at_three(self):
         """x @ x for a 1x1 x: one node that uses x twice accumulates both gradients."""
-        x = Tensor([[3.0]], dtype="f64", requires_grad=True)
+        x = Tensor([[3.0]], requires_grad=True)
         ad.backward(ad.matmul(x, x))
         np.testing.assert_allclose(x.grad, [[6.0]])
 
     def test_unused_leaf_gets_no_grad(self):
-        x = Tensor([1.0], dtype="f64", requires_grad=True)
-        y = Tensor([2.0], dtype="f64", requires_grad=True)
+        x = Tensor([1.0], requires_grad=True)
+        y = Tensor([2.0], requires_grad=True)
         ad.backward(readout(ad.relu(x), np.ones(1)))
         assert y.grad is None
 
@@ -140,7 +145,7 @@ class TestBackward:
             ad.backward(ad.relu(x))
 
     def test_repeated_backward_accumulates(self):
-        x = Tensor([[2.0]], dtype="f64", requires_grad=True)
+        x = Tensor([[2.0]], requires_grad=True)
         loss = ad.matmul(x, x)
         ad.backward(loss)
         ad.backward(loss)
@@ -166,7 +171,7 @@ class TestBackward:
         rng = np.random.default_rng(8)
         x, g, b = leaf(rng, 2, 3, 8), leaf(rng, 8), leaf(rng, 8)
         w = rng.normal(size=(2, 3, 8))
-        check_grads(lambda: readout(ad.layer_norm(x, g, b), w), [x, g, b], tol=1e-5)
+        check_grads(lambda: readout(ad.layer_norm(x, g, b, zero(2, 3, 8)), w), [x, g, b], tol=1e-5)
 
     def test_embedding_grads_scatter(self):
         rng = np.random.default_rng(9)
@@ -178,8 +183,7 @@ class TestBackward:
     def test_relu_grads_away_from_kink(self):
         """The relu node feeds the concat twice, so its gradient accumulates."""
         rng = np.random.default_rng(12)
-        x = Tensor(rng.normal(size=(4, 4)) + np.sign(rng.normal(size=(4, 4))) * 0.5,
-                   dtype="f64", requires_grad=True)
+        x = Tensor(rng.normal(size=(4, 4)) + np.sign(rng.normal(size=(4, 4))) * 0.5, requires_grad=True)
         w = rng.normal(size=(4, 8))
 
         def fn():
@@ -282,7 +286,7 @@ class TestAttention:
         mask = causal_pad_mask(rng, 3, 6)
         w = rng.normal(size=(3, 6, 8))
         init = np.random.default_rng(7).normal(size=(3, 3, 6, 8))
-        leaves = [Tensor(x, dtype="f64", requires_grad=True) for x in init]
+        leaves = [Tensor(x, requires_grad=True) for x in init]
         out = ad.attention(*leaves, mask[:, None], heads)
         ad.backward(readout(out, w))
         fused = [out.data] + [x.grad for x in leaves]
@@ -293,7 +297,7 @@ class TestAttention:
         q = Tensor(np.full((1, 2, 2), np.nan))
         k = Tensor(np.zeros((1, 2, 2)))
         with pytest.raises(NumericError):
-            ad.attention(q, k, k, None, heads=1)
+            ad.attention(q, k, k, np.zeros((1, 1, 2, 2)), heads=1)
 
     @pytest.mark.parametrize("graph", [True, False])
     def test_one_nan_in_q_raises_through_the_row_max(self, graph):
@@ -308,9 +312,9 @@ class TestAttention:
     def test_shape_mismatch(self):
         q = Tensor(np.zeros((1, 2, 4)))
         with pytest.raises(ShapeMismatch):
-            ad.attention(q, Tensor(np.zeros((1, 3, 2))), Tensor(np.zeros((1, 3, 2))), None, heads=2)
+            ad.attention(q, zero(1, 3, 2), zero(1, 3, 2), np.zeros((1, 1, 2, 3)), heads=2)
         with pytest.raises(ShapeMismatch):
-            ad.attention(q, q, q, None, heads=3)
+            ad.attention(q, q, q, np.zeros((1, 1, 2, 2)), heads=3)
 
 
 def dropout_keep(rng, shape, p=0.25):
@@ -337,15 +341,15 @@ class TestFusedLayerNorm:
         init = [rng.normal(size=(3, 5, 8)), rng.normal(size=(3, 5, 8)),
                 rng.normal(size=8), rng.normal(size=8)]
 
-        x, r, g, b = leaves = [Tensor(a, dtype="f64", requires_grad=True) for a in init]
+        x, r, g, b = leaves = [Tensor(a, requires_grad=True) for a in init]
         out = ad.layer_norm(x, g, b, residual=r, keep=keep)
         ad.backward(readout(out, w))
         fused = [out.data] + [a.grad for a in leaves]
 
         # the unfused chain: plain layer_norm on s = x + r·keep, then ds through the add
         kept = init[1] if keep is None else init[1] * keep
-        s, g, b = (Tensor(a, dtype="f64", requires_grad=True) for a in (init[0] + kept, init[2], init[3]))
-        ref = ad.layer_norm(s, g, b)
+        s, g, b = (Tensor(a, requires_grad=True) for a in (init[0] + kept, init[2], init[3]))
+        ref = ad.layer_norm(s, g, b, zero(3, 5, 8))
         ad.backward(readout(ref, w))
         dr = s.grad if keep is None else s.grad * keep
         for got, want in zip(fused, [ref.data, s.grad, dr, g.grad, b.grad]):
@@ -355,7 +359,7 @@ class TestFusedLayerNorm:
         x = Tensor(np.zeros((2, 4)))
         g, b = Tensor(np.ones(4)), Tensor(np.zeros(4))
         with pytest.raises(ShapeMismatch):
-            ad.layer_norm(x, g, b, residual=Tensor(np.zeros((2, 3))))
+            ad.layer_norm(x, g, b, residual=zero(2, 3))
         with pytest.raises(ShapeMismatch):
             ad.layer_norm(x, g, b, residual=x, keep=np.ones((4,)))
 
@@ -374,7 +378,7 @@ class TestDense:
         rng = np.random.default_rng(61)
         a, w, bias = init = [rng.normal(size=(3, 4, 6)), rng.normal(size=(6, 5)), rng.normal(size=5)]
         g = rng.normal(size=(3, 4, 5))
-        leaves = [Tensor(x, dtype="f64", requires_grad=True) for x in init]
+        leaves = [Tensor(x, requires_grad=True) for x in init]
         out = ad.matmul(*leaves)
         ad.backward(readout(out, g))
         reference = [np.einsum("btk,kn->btn", a, w) + bias, np.einsum("btn,kn->btk", g, w),
@@ -434,9 +438,9 @@ class TestFlatParams:
 def test_random_composite_graph_matches_fd(seed):
     """Property: any composition of core ops agrees with the FD oracle."""
     rng = np.random.default_rng(seed)
-    a = Tensor(rng.normal(size=(2, 3)), dtype="f64", requires_grad=True)
-    b = Tensor(rng.normal(size=(3, 4)), dtype="f64", requires_grad=True)
-    c = Tensor(rng.normal(size=(4,)), dtype="f64", requires_grad=True)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    c = Tensor(rng.normal(size=(4,)), requires_grad=True)
 
     codes = rng.integers(0, 4, size=2)
     w = rng.normal(size=(2, 4))
@@ -444,7 +448,7 @@ def test_random_composite_graph_matches_fd(seed):
 
     def fn():
         h = ad.matmul(a, b, c)
-        s = ad.softmax(ad.layer_norm(h, Tensor(np.ones(4)), Tensor(np.zeros(4))), axis=-1)
+        s = ad.softmax(ad.layer_norm(h, Tensor(np.ones(4)), zero(4), zero(2, 4)), axis=-1)
         value, grad = ad.cross_entropy(h.data, codes, np.ones(2), scale)
         return ad.scalar(value * scale + (s.data * w).sum(), [h, s], [grad, w])
 
@@ -456,12 +460,8 @@ def test_forward_determinism():
     x = rng.normal(size=(8, 8))
 
     def run():
-        t = Tensor(x, dtype="f32")
-        return ad.softmax(ad.matmul(t, Tensor(x.T, dtype="f32"))).data
+        x32 = x.astype(np.float32)
+        return ad.softmax(ad.matmul(Tensor(x32), Tensor(x32.T))).data
 
     assert (run() == run()).all()
 
-
-def test_precision_flag():
-    assert Tensor([1.0], dtype="f32").data.dtype == np.float32
-    assert Tensor([1.0], dtype="f64").data.dtype == np.float64

@@ -728,7 +728,7 @@ class TestExitCodes:
         ("model", "ff_dim", 0, "ConfigError"),
         ("model", "t", 0, "ConfigError"),
         # arrays past any address space: refused at once, whatever the host's overcommit setting
-        ("model", "t", 2 ** 50, "CasprError"),
+        ("model", "t", 2 ** 50, "ConfigError"),
         ("model", "hidden", 2 ** 40, "ConfigError"),
         ("fitted", "vocab.channel", None, "SchemaMismatch"),
         ("fitted", "means.amount", None, "SchemaMismatch"),
@@ -821,6 +821,13 @@ def fuzz_inputs(workspace):
 @example(model={}, train={}, synth={"channel_vocab": 0}, seed=None)
 @example(model={}, train={}, synth={"t_mean": math.nan}, seed=None)
 @example(model={}, train={}, synth={}, seed=-1)
+# sizes that numpy refuses: past the address space, or past int64
+@example(model={"t": 2 ** 62}, train={}, synth={}, seed=None)
+@example(model={"t": 2 ** 70}, train={}, synth={}, seed=None)
+@example(model={}, train={}, synth={"n_entities": 2 ** 62}, seed=None)
+@example(model={}, train={}, synth={"item_vocab": 10 ** 20}, seed=None)
+@example(model={}, train={}, synth={"channel_vocab": 10 ** 20}, seed=None)
+@example(model={}, train={}, synth={"min_len": 10 ** 20, "max_len": 10 ** 20}, seed=None)
 def test_config_fuzz_exits_0_or_prints_one_error_line(fuzz_inputs, model, train, synth, seed):
     """synth, pretrain and eval, run on a config of fuzzed values, each exit 0 with their artifacts
     (pretrain: a finite checkpoint and one loss row per configured epoch) or print exactly one

@@ -1,6 +1,7 @@
 """The tile pool: dealing, the in-process pool, pooled embed, worker failures and clean-up."""
 import multiprocessing as mp
 import os
+import time
 from multiprocessing import context
 from unittest import mock
 
@@ -57,6 +58,16 @@ class TestDealing:
 def test_a_pool_sized_to_the_host_takes_at_most_max_cores(monkeypatch):
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(64)))
     assert parallel.usable_cores() == parallel.MAX_CORES
+
+
+def test_a_call_s_deadline_grows_with_the_slowest_tile_so_far(monkeypatch):
+    """With the floor at 0.3 s, tiles of 0.1 s raise the next call's deadline to at least
+    DEADLINE_FACTOR × 0.1 = 2 s a tile, so a 0.8 s tile, past the floor, returns its result."""
+    monkeypatch.setattr(parallel, "DEADLINE_FLOOR_S", 0.3)
+    with parallel.WorkerPool(lambda s: time.sleep(s) or s, 2) as pool:
+        assert pool.run([(0.1,), (0.1,)]) == [0.1, 0.1]
+        assert pool.run([(0.8,)]) == [0.8]
+    assert not mp.active_children()
 
 
 def pooled_embed(batch, weights, cores):

@@ -102,7 +102,7 @@ class TestReconstructionLoss:
         fitted = tiny_fitted(n_num=0, vocab_sizes=(3,))
         cfg, _ = small_weights(fitted)
         batch = whole_batch(make_dataset(fitted, cfg.t, ("a", (), [1, 2])), cfg)
-        preds = {"c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64")}
+        preds = {"c0": Tensor(np.zeros((1, cfg.t, 4)))}
         loss = reconstruction_loss(preds, batch)
         np.testing.assert_allclose(float(loss.data), math.log(4), rtol=1e-12)
 
@@ -114,8 +114,8 @@ class TestReconstructionLoss:
         num_pred = batch.nums[..., 0].copy()
         num_pred[0, -1] += 0.5
         preds = {
-            "x0": Tensor(num_pred[..., None], dtype="f64"),
-            "c0": Tensor(np.zeros((1, cfg.t, 4)), dtype="f64"),
+            "x0": Tensor(num_pred[..., None]),
+            "c0": Tensor(np.zeros((1, cfg.t, 4))),
         }
         loss = reconstruction_loss(preds, batch)
         np.testing.assert_allclose(float(loss.data), 0.25 + math.log(4), rtol=1e-12)
@@ -129,7 +129,7 @@ class TestReconstructionLoss:
         batch = whole_batch(random_dataset(rng, 5, cfg.t, fitted), cfg)
         num = rng.normal(size=batch.real.shape + (1,))
         logits = 3.0 * rng.normal(size=batch.real.shape + (4,))
-        loss = reconstruction_loss({"x0": Tensor(num, dtype="f64"), "c0": Tensor(logits, dtype="f64")}, batch)
+        loss = reconstruction_loss({"x0": Tensor(num), "c0": Tensor(logits)}, batch)
         log_p = logits - np.log(np.exp(logits).sum(axis=-1, keepdims=True))
         picked = np.take_along_axis(log_p, batch.cats[..., :1], axis=-1)[..., 0]
         terms = (num[..., 0] - batch.nums[..., 0]) ** 2 - picked

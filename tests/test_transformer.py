@@ -175,29 +175,29 @@ class TestProjectInputs:
 
 class TestScaledDotAttention:
     def test_single_key_returns_v(self):
-        q = Tensor(np.array([[[1.0, 2.0]]]), dtype="f64")
-        k = Tensor(np.array([[[0.3, -0.4]]]), dtype="f64")
-        v = Tensor(np.array([[[5.0, 6.0]]]), dtype="f64")
-        out = ad.attention(q, k, v, None, heads=1)
+        q = Tensor(np.array([[[1.0, 2.0]]]))
+        k = Tensor(np.array([[[0.3, -0.4]]]))
+        v = Tensor(np.array([[[5.0, 6.0]]]))
+        out = ad.attention(q, k, v, np.zeros((1, 1, 1, k.shape[1])), heads=1)
         np.testing.assert_allclose(out.data, v.data)
 
     def test_zero_scores_average_values(self):
-        q = Tensor(np.zeros((1, 1, 2)), dtype="f64")
-        k = Tensor(np.zeros((1, 3, 2)), dtype="f64")
-        v = Tensor(np.arange(6.0).reshape(1, 3, 2), dtype="f64")
-        out = ad.attention(q, k, v, None, heads=1)
+        q = Tensor(np.zeros((1, 1, 2)))
+        k = Tensor(np.zeros((1, 3, 2)))
+        v = Tensor(np.arange(6.0).reshape(1, 3, 2))
+        out = ad.attention(q, k, v, np.zeros((1, 1, 1, k.shape[1])), heads=1)
         np.testing.assert_allclose(out.data[0, 0], v.data[0].mean(axis=0))
 
     def test_two_key_fixture(self):
-        q = Tensor(np.array([[[1.0, 0.0]]]), dtype="f64")
-        k = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]), dtype="f64")
-        v = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]), dtype="f64")
-        out = ad.attention(q, k, v, None, heads=1)
+        q = Tensor(np.array([[[1.0, 0.0]]]))
+        k = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        v = Tensor(np.array([[[1.0, 0.0], [0.0, 1.0]]]))
+        out = ad.attention(q, k, v, np.zeros((1, 1, 1, k.shape[1])), heads=1)
         np.testing.assert_allclose(out.data[0, 0], [0.66976155, 0.33023845], atol=1e-6)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        scores = ad.softmax(Tensor(rng.normal(size=(4, 5, 5)), dtype="f64"), axis=-1)
+        scores = ad.softmax(Tensor(rng.normal(size=(4, 5, 5))), axis=-1)
         assert (scores.data >= 0).all()
         np.testing.assert_allclose(scores.data.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -207,12 +207,13 @@ class TestMultiHead:
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, heads=1)
         rng = np.random.default_rng(4)
-        h = Tensor(rng.normal(size=(2, cfg.t, cfg.hidden)), dtype="f64")
+        h = Tensor(rng.normal(size=(2, cfg.t, cfg.hidden)))
         layer = {k: weights[f"enc0/attn/{k}"] for k in ("wq", "wk", "wv", "wo")}
-        out = tf.multi_head(h, h, None, layer, heads=1)
+        mask = np.zeros((2, 1, cfg.t, cfg.t))
+        out = tf.multi_head(h, h, mask, layer, heads=1)
         direct = ad.matmul(
             ad.attention(ad.matmul(h, layer["wq"]), ad.matmul(h, layer["wk"]), ad.matmul(h, layer["wv"]),
-                         None, heads=1),
+                         mask, heads=1),
             layer["wo"])
         np.testing.assert_allclose(out.data, direct.data, atol=1e-12)
 
@@ -220,9 +221,9 @@ class TestMultiHead:
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted, heads=4)
         rng = np.random.default_rng(5)
-        h = Tensor(rng.normal(size=(3, cfg.t, cfg.hidden)), dtype="f64")
+        h = Tensor(rng.normal(size=(3, cfg.t, cfg.hidden)))
         layer = {k: weights[f"enc0/attn/{k}"] for k in ("wq", "wk", "wv", "wo")}
-        assert tf.multi_head(h, h, None, layer, heads=4).shape == h.shape
+        assert tf.multi_head(h, h, np.zeros((3, 1, cfg.t, cfg.t)), layer, heads=4).shape == h.shape
 
     def test_default_head_width(self):
         cfg = tf.ModelConfig()
