@@ -6,8 +6,8 @@ statistics (population std, zero replaced by 1); statistics and z-scores are
 worked in units of a power of two above each column's values, so a column of
 any finite scale fits. Embedding widths are not fitted: see embed_dim_for.
 Building encodes raw records, groups them per entity, sorts by timestamp
-(stable), keeps the latest `t` rows and left-pads shorter histories into
-one padded array per field.
+(stable), keeps the latest `t` rows and left-pads shorter histories into a
+SequenceDataset, the one padded form that every batch and model tile takes.
 
 Both read the log through read_columns, in chunks of CHUNK_ROWS records
 turned into columns, and parse each column with one numpy cast; a chunk is
@@ -22,7 +22,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -177,15 +177,23 @@ def _str_list(value, what):
 
 @dataclass
 class SequenceDataset:
-    """One row per entity, in id order: its latest t steps, stably sorted by
-    timestamp and left-padded, so that any batch is a row gather."""
+    """Padded sequences, one row per entity: its latest steps, stably sorted by timestamp,
+    in the trailing slots, pad before them. The built dataset (every entity in id order,
+    numbers at f64), a batch (transformer.prepare_batch: rows at the model's dtype) and a
+    tile (transformer.tiles: a batch's rows cut to trailing slots) all take this one form.
+    No slot stores its position: the model derives it from the slot's place in the window."""
 
     fitted: FittedSchema
     entities: np.ndarray   # (N,) entity ids (str objects)
     real: np.ndarray       # (N, t) bool, True where a real step sits
-    nums: np.ndarray       # (N, t, n_num) f64 z-scored values, 0 at pad
+    keep: np.ndarray       # (N, t) bool, real less any masked step: the steps the model may see
+    nums: np.ndarray       # (N, t, n_num) z-scored values, 0 at pad
     cats: np.ndarray       # (N, t, n_cat) int64 vocab codes, 0 at pad
-    statics: np.ndarray    # (N, s) f64 z-scored static numerics, then static codes, of the latest row
+    statics: np.ndarray    # (N, s) z-scored static numerics, then static codes, of the latest row
+
+    def masked(self, plan):
+        """These rows with the planned real steps hidden: keep = real & ~plan."""
+        return replace(self, keep=self.real & ~plan)
 
 
 def parse_timestamp(text, row_index=None):
@@ -436,7 +444,7 @@ def build_dataset(chunks, fitted, t):
     cats[owner[kept], slot] = codes[kept, :n_cat]
     latest = from_end == 0
     statics = np.concatenate([values[latest, n_num:], codes[latest, n_cat:]], axis=1)
-    return SequenceDataset(fitted, entities, real, nums, cats, statics)
+    return SequenceDataset(fitted, entities, real, real, nums, cats, statics)  # nothing is masked yet
 
 
 def load_dataset(data_path, fitted, t):

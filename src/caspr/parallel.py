@@ -1,10 +1,10 @@
 """The workers that run the tiles of every model pass: training steps and `embed`.
 
-A WorkerPool of one worker is this process and forks nothing. A larger one
-forks its workers once, each with a copy of the parent's memory and one tile
-function. A call deals its jobs (tiles, shortest first) to the workers in snake
-order and returns every job's result in job order, whichever worker ran it, so
-a pass gives the same bytes at any worker count. Forked workers keep the numpy
+A WorkerPool forks min(workers, host CPUs) processes once, each with a copy of
+the parent's memory and one tile function, or is this process where that is 1.
+A call deals its jobs (tiles, shortest first) to them in snake order and returns
+every job's result in job order, whichever process ran it, so a pass gives the
+same bytes at any worker count. Forked workers keep the numpy
 error state the pool was made under. A tile's error is typed the same way at
 any worker count; every way a worker can fail is one typed error naming it,
 and after any error every worker is stopped.
@@ -30,13 +30,17 @@ DEADLINE_FLOOR_S = 60.0
 MAX_CORES = 2
 
 
+def host_cores():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
 def usable_cores():
     """The CPUs this process may run on, at most MAX_CORES."""
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without sched_getaffinity
-        cores = os.cpu_count() or 1
-    return min(cores, MAX_CORES)
+    return min(host_cores(), MAX_CORES)
 
 
 def _results(tile_fn, jobs, worker_idx):
@@ -60,18 +64,20 @@ def _worker_loop(conn, tile_fn, worker_idx):
 
 
 class WorkerPool:
-    """`workers` workers that run `tile_fn` on the jobs a call deals them: this process
-    alone at one worker, else forked processes. Closing it stops them."""
+    """`workers` workers that run `tile_fn` on the jobs a call deals them. `workers` is the
+    count a caller cuts its work for; the pool forks min(workers, host_cores()) processes,
+    or none where that is one and this process runs every job. Closing it stops them."""
 
     def __init__(self, tile_fn, workers):
         self.tile_fn, self.workers = tile_fn, workers
         self.conns, self.procs = [], []
         self.slowest_tile_s = 0.0
-        if workers == 1:
+        processes = min(workers, host_cores())
+        if processes == 1:
             return
         ctx = mp.get_context("fork")
         try:
-            for wi in range(workers):
+            for wi in range(processes):
                 parent, child = ctx.Pipe()
                 self.conns.append(parent)
                 proc = ctx.Process(target=_worker_loop, args=(child, tile_fn, wi), daemon=True)
@@ -93,16 +99,16 @@ class WorkerPool:
         is, and stops every worker. An object that several jobs of one worker hold is sent
         to it once, as pickling keeps shared references.
 
-        Jobs come shortest first (Batch.tiles sorts them), so they are dealt in snake order
-        from the longest: the longest w go to workers 0, 1, ..., w-1, the next w to workers
-        w-1, ..., 0, and so on. That pairs long tiles with short ones; where a job's cost
-        rises with its place, no two workers' loads differ by more than the dearest job."""
+        Jobs come shortest first (transformer.tiles sorts them), so they are dealt in snake
+        order from the longest: over w processes, the longest w go to 0, 1, ..., w-1, the
+        next w to w-1, ..., 0, and so on. That pairs long tiles with short ones; where a job's
+        cost rises with its place, no two processes' loads differ by more than the dearest job."""
         if not self.procs:
             results = _results(self.tile_fn, jobs, 0)
             if isinstance(results, CasprError):
                 raise results
             return results
-        shares = [[] for _ in range(min(self.workers, len(jobs)))]
+        shares = [[] for _ in range(min(len(self.procs), len(jobs)))]
         for j in range(len(jobs)):
             turn, wi = divmod(len(jobs) - 1 - j, len(shares))
             shares[-1 - wi if turn % 2 else wi].append(j)

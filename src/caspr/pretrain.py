@@ -47,6 +47,7 @@ from .transformer import (
     prepare_batch,
     project_inputs,
     reconstruction_heads,
+    tiles,
 )
 
 CHECKPOINT_MAGIC = b"CSPR1"
@@ -141,15 +142,15 @@ def compute_gradients(weights, batch, key=None, pool=None):
 
 
 def step_tiles(batch, key, workers=1):
-    """(tile, dropout key) for each tile of batch.tiles(workers) that holds a real position.
+    """(tile, dropout key) for each tile of tiles(batch, workers) that holds a real position.
 
     Tile i of the step keyed (seed, epoch, step) gets the key [seed, epoch,
     step, i], whichever process runs it; a key of None means no dropout. A
     batch with no real position at all is kept whole, to fail in
     reconstruction_loss.
     """
-    tiles = [(i, tile) for i, (_, tile) in enumerate(batch.tiles(workers)) if tile.real.any()] or [(0, batch)]
-    return [(tile, None if key is None else [*key, i]) for i, tile in tiles]
+    scored = [(i, tile) for i, (_, tile) in enumerate(tiles(batch, workers)) if tile.real.any()] or [(0, batch)]
+    return [(tile, None if key is None else [*key, i]) for i, tile in scored]
 
 
 def _tile_gradients(weights, flat, batch, key):
@@ -191,7 +192,7 @@ class Checkpoint:
     fitted: FittedSchema
     flat: np.ndarray
     moments: tuple[np.ndarray, np.ndarray]
-    rng_state: dict | None = None
+    rng_state: dict       # the run rng's PCG64 state: the next permutation and mask draws
     epoch: int = 0
     adam_steps: int = 0
 
@@ -271,6 +272,10 @@ def load_checkpoint(path):
         fitted = FittedSchema.from_json(header["fitted"])
         dtype = np.dtype(model_cfg.dtype).newbyteorder("<")
         epoch, adam_steps = int(header["epoch"]), int(header["adam_steps"])
+        if epoch < 0 or adam_steps < 0:
+            raise ValueError(f"epoch ({epoch}) and adam_steps ({adam_steps}) must be >= 0")
+        bit_generator = np.random.PCG64(0)
+        bit_generator.state = header["rng_state"]  # refuses anything train's rng could not resume from
     except (CasprError, ValueError, TypeError, KeyError, AttributeError, OverflowError) as exc:
         raise CorruptFile(f"{path}: malformed header field: {type(exc).__name__}: {exc}") from None
 
@@ -285,7 +290,7 @@ def load_checkpoint(path):
         raise CorruptFile(f"{path}: {len(data) - off} bytes after the parameters")
     flat, m, v = np.frombuffer(payload, dtype=dtype).astype(dtype.newbyteorder("=")).reshape(3, size)
     return Checkpoint(model_cfg=model_cfg, fitted=fitted, flat=flat, moments=(m, v),
-                      rng_state=header["rng_state"], epoch=epoch, adam_steps=adam_steps)
+                      rng_state=bit_generator.state, epoch=epoch, adam_steps=adam_steps)
 
 
 # train turns each non-finite value a step makes into a typed error; pool workers inherit this state
@@ -310,8 +315,7 @@ def train(dataset, model_cfg, train_cfg, init=None):
             raise SchemaMismatch("the checkpoint's parameter layout differs from this run's")
         weights.flat[...] = init.flat
         moments = tuple(np.array(x, dtype=weights.flat.dtype) for x in init.moments)
-        if init.rng_state is not None:
-            rng.bit_generator.state = init.rng_state
+        rng.bit_generator.state = init.rng_state
         epoch_start, adam_steps = init.epoch, init.adam_steps
     log = []
     last_good = checkpoint_from(weights, moments, rng, epoch_start, adam_steps)

@@ -10,11 +10,12 @@ The embedding head mean-pools encoder output over non-pad positions,
 concatenates the static attributes and applies two dense layers, which
 pretraining never trains.
 
-Padding sits on the oldest side. Pad and masked positions enter the model
-as all-zero step vectors; pad positions alone are excluded from attention
+Inputs are ingest.SequenceDataset rows (see prepare_batch and tiles), with
+padding on the oldest side. Pad and masked positions enter the model as
+all-zero step vectors; pad positions alone are excluded from attention
 keys, loss and pooling, so a masked step is still a key and is scored by
-the loss. Position scalars are anchored at the recent end, so the latest
-real step always carries scalar 1.0 regardless of pad length.
+the loss. Positions are derived from each slot's place in the window,
+anchored at the recent end: the latest real step is at 1.0 in any tile.
 """
 from __future__ import annotations
 
@@ -26,15 +27,15 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .autodiff import Tensor
-from .errors import ConfigError, NumericError, SchemaMismatch, too_large
-from .ingest import embed_dim_for
+from .errors import ConfigError, ContractViolation, NumericError, SchemaMismatch, too_large
+from .ingest import SequenceDataset, embed_dim_for
 
 NEG_INF = -1e9
 
 # Entities per model pass. Per-entity cost grows with batch size once the
 # (B, heads, t, t) attention arrays and the layer activations leave cache;
 # on the default model, 128 was the fastest (or tied) of 32..512 for both a
-# training step and embed. Every model pass runs in row tiles (Batch.tiles).
+# training step and embed. Every model pass runs on the row tiles of `tiles`.
 TILE = 128
 
 
@@ -69,65 +70,35 @@ class ModelConfig:
         return ad.DTYPES[self.precision]
 
 
-@dataclass
-class Batch:
-    """Model-ready rows of a SequenceDataset at the model's dtype."""
-
-    entities: np.ndarray  # (B,) entity ids
-    pos: np.ndarray       # (B, t) position scalar per slot, 0 at pad
-    nums: np.ndarray      # (B, t, n_num) z-scored values, 0 at pad
-    cats: np.ndarray      # (B, t, n_cat) int codes, 0 at pad
-    real: np.ndarray      # (B, t) bool, True where a real step sits
-    keep: np.ndarray      # (B, t) float, 1 where the model may see the step
-    statics: np.ndarray   # (B, s)
-
-    def masked(self, plan):
-        """The batch with the planned real positions hidden: keep = real & ~plan."""
-        keep = (self.real & ~plan).astype(self.keep.dtype)
-        return Batch(self.entities, self.pos, self.nums, self.cats, self.real, keep, self.statics)
-
-    def tiles(self, workers=1):
-        """(rows, tile) pairs that cover the batch in tiles of at most
-        min(TILE, ceil(B / workers)) entities.
-
-        A batch no larger than that (an empty one too) is one tile, itself.
-        A larger one is stable-sorted by real length, and each tile is
-        batch[rows] cut to its last max(longest, 1) slots: pad sits on the oldest
-        side and pad keys are blocked, so no real position's output changes.
-        """
-        n, t = self.real.shape
-        size = min(TILE, -(-n // workers))
-        if n <= size:
-            yield np.arange(n), self
-            return
-        lengths = self.real.sum(axis=1)
-        for rows in np.split(np.argsort(lengths, kind="stable"), range(size, n, size)):
-            cut = t - max(int(lengths[rows[-1]]), 1)
-            trim = (a[rows, cut:] for a in (self.pos, self.nums, self.cats, self.real, self.keep))
-            yield rows, Batch(self.entities[rows], *trim, self.statics[rows])
-
-
 def prepare_batch(dataset, idx, cfg):
-    """Gather rows `idx` (an index array or a slice) of `dataset` at cfg.precision.
-
-    Real steps occupy the trailing slots; slot i (1-based) carries position
-    scalar i/t, so the most recent step is always at scalar 1.0.
-    """
+    """Rows `idx` (an index array or a slice) of `dataset`, with nums and statics at cfg.precision."""
     t = dataset.real.shape[1]
     if t != cfg.t:
         raise SchemaMismatch(f"dataset was built with t={t}, the model expects t={cfg.t}")
-    dtype = cfg.dtype
-    real = dataset.real[idx]
-    pos = real * ((np.arange(t) + 1) / t)
-    return Batch(
-        entities=dataset.entities[idx],
-        pos=pos.astype(dtype),
-        nums=dataset.nums[idx].astype(dtype),
-        cats=dataset.cats[idx],
-        real=real,
-        keep=real.astype(dtype),
-        statics=dataset.statics[idx].astype(dtype),
-    )
+    return SequenceDataset(dataset.fitted, dataset.entities[idx], dataset.real[idx], dataset.keep[idx],
+                           dataset.nums[idx].astype(cfg.dtype), dataset.cats[idx],
+                           dataset.statics[idx].astype(cfg.dtype))
+
+
+def tiles(batch, workers=1):
+    """(rows, tile) pairs that cover `batch` in tiles of at most
+    min(TILE, ceil(B / workers)) entities.
+
+    A batch no larger than that (an empty one too) is one tile, itself.
+    A larger one is stable-sorted by real length, and each tile is
+    batch[rows] cut to its last max(longest, 1) slots: pad sits on the oldest
+    side and pad keys are blocked, so no real position's output changes.
+    """
+    n, t = batch.real.shape
+    size = min(TILE, -(-n // workers))
+    if n <= size:
+        yield np.arange(n), batch
+        return
+    lengths = batch.real.sum(axis=1)
+    for rows in np.split(np.argsort(lengths, kind="stable"), range(size, n, size)):
+        cut = t - max(int(lengths[rows[-1]]), 1)
+        real, keep, nums, cats = (a[rows, cut:] for a in (batch.real, batch.keep, batch.nums, batch.cats))
+        yield rows, SequenceDataset(batch.fitted, batch.entities[rows], real, keep, nums, cats, batch.statics[rows])
 
 
 def layout(cfg, fitted):
@@ -222,14 +193,20 @@ def build_weights(cfg, fitted, rng):
 
 
 def project_inputs(batch, weights):
-    """Assemble step vectors and project them into the hidden size."""
+    """Step vectors, slot j of w at position (t - w + j + 1) / t, projected into the hidden size."""
     fitted, cfg = weights.fitted, weights.cfg
     if batch.nums.shape[2] != len(fitted.seq_numeric_cols) or batch.cats.shape[2] != len(fitted.seq_categorical_cols):
         raise SchemaMismatch(
             f"batch has {batch.nums.shape[2]} numeric / {batch.cats.shape[2]} categorical columns, "
             f"weights expect {len(fitted.seq_numeric_cols)} / {len(fitted.seq_categorical_cols)}"
         )
-    parts = [Tensor(batch.pos[..., None]), Tensor(batch.nums)]
+    if batch.nums.dtype != cfg.dtype:
+        raise ContractViolation(f"rows hold {batch.nums.dtype} numbers, the model runs at {cfg.precision}")
+    n, w = batch.real.shape
+    if w > cfg.t:  # a window wider than the model's has no position for its oldest slots
+        raise SchemaMismatch(f"rows have {w} slots, the model expects t={cfg.t}")
+    pos = ((np.arange(cfg.t - w, cfg.t) + 1) / cfg.t).astype(cfg.dtype)
+    parts = [Tensor(np.broadcast_to(pos[:, None], (n, w, 1))), Tensor(batch.nums)]
     for ci, col in enumerate(fitted.seq_categorical_cols):
         parts.append(ad.embedding(weights[f"emb/{col}"], batch.cats[..., ci]))
     x = ad.concat(parts, axis=2) if len(parts) > 1 else parts[0]
@@ -341,7 +318,7 @@ def _embed_tile(weights, batch):
     """Entity vectors of one tile: pool encoder output, join statics, 2 dense layers."""
     with ad.no_grad():
         pooled = _mean_pool(encoder_forward(batch, weights), batch)
-        joined = Tensor(np.concatenate([pooled, batch.statics.astype(pooled.dtype)], axis=1))
+        joined = Tensor(np.concatenate([pooled, batch.statics], axis=1))
         hidden = ad.relu(ad.matmul(joined, weights["emb_head/w1"], weights["emb_head/b1"]))
         return ad.matmul(hidden, weights["emb_head/w2"], weights["emb_head/b2"]).data
 
@@ -349,16 +326,16 @@ def _embed_tile(weights, batch):
 def embed(batch, weights):
     """Inference-mode entity vectors, a (B, emb_out) array in batch row order.
 
-    The tiles of Batch.tiles() run under ad.no_grad(), so they build no
+    The tiles of tiles(batch) run under ad.no_grad(), so they build no
     backward graph, on a WorkerPool of min(#tiles, usable cores) workers.
     Each tile is the same pass wherever it runs, so the output does not
     depend on the core count.
     """
-    rows, tiles = zip(*batch.tiles())
-    workers = min(len(tiles), parallel.usable_cores())
+    rows, cut = zip(*tiles(batch))
+    workers = min(len(cut), parallel.usable_cores())
     # forked workers hold the tiles through fork, so a job is only a tile's index
-    with parallel.WorkerPool(lambda i: _embed_tile(weights, tiles[i]), workers) as pool:
-        parts = pool.run([(i,) for i in range(len(tiles))])
+    with parallel.WorkerPool(lambda i: _embed_tile(weights, cut[i]), workers) as pool:
+        parts = pool.run([(i,) for i in range(len(cut))])
     out = np.concatenate(parts)[np.argsort(np.concatenate(rows))]
     if not np.isfinite(out).all():
         raise NumericError("embedding head produced non-finite values")

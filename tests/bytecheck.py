@@ -1,0 +1,85 @@
+"""Run the seeded pipeline into a directory, so that two checkouts can be compared byte for byte.
+
+    PYTHONPATH=src python tests/bytecheck.py OUT_DIR
+    PYTHONPATH=../other/src python tests/bytecheck.py OTHER_OUT_DIR
+    diff -r OUT_DIR OTHER_OUT_DIR
+
+Every command runs as `python -m caspr.cli`, so the `caspr` on PYTHONPATH is the
+one checked. For each of two logs, `synth --seed 1` at 300 and at 2000 entities,
+it runs `fit`; `pretrain --epochs 2 --seed 0` at batch 48 on 1 worker, batch 512
+on 2 workers and batch 16 on 3 workers; `embed` and `rank` of each checkpoint,
+against each entity's last item; `rfm`; and a binary `eval` of each feature
+file. The `wall_seconds` column is dropped from each loss_log.csv: it is the
+only output that depends on timing. BLAS runs one thread unless the environment
+says otherwise.
+"""
+from __future__ import annotations
+
+import csv
+import os
+import subprocess
+import sys
+
+LOGS = (300, 2000)
+PRETRAIN = (("b48_w1", 48, 1), ("b512_w2", 512, 2), ("b16_w3", 16, 3))
+
+
+def caspr(*argv):
+    subprocess.run([sys.executable, "-m", "caspr.cli", *map(str, argv)], check=True, stdout=subprocess.DEVNULL)
+
+
+def drop_wall_seconds(path):
+    with open(path, newline="") as fh:
+        rows = [row[:2] for row in csv.reader(fh)]
+    assert rows[0] == ["epoch", "mean_loss"], rows[0]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def write_relevance(data_path, out_path):
+    """entity,relevant_items: each entity's last item in file order."""
+    with open(data_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        last = {rec["entity"]: rec["item"] for rec in reader}
+    with open(out_path, "w", newline="") as fh:
+        fh.write("entity,relevant_items\n" + "".join(f"{e},{item}\n" for e, item in sorted(last.items())))
+
+
+def run_log(out, n_entities):
+    data = os.path.join(out, "data")
+    caspr("synth", "--out", data, "--n-entities", n_entities, "--seed", 1)
+    log, labels, schema = (os.path.join(data, name) for name in ("data.csv", "labels.csv", "schema.json"))
+    fitted = os.path.join(out, "fitted.json")
+    caspr("fit", "--schema", schema, "--data", log, "--out", fitted)
+    relevance = os.path.join(out, "relevance.csv")
+    write_relevance(log, relevance)
+    features = [os.path.join(out, "rfm.csv")]
+    caspr("rfm", "--schema", schema, "--data", log, "--out", features[0])
+    for name, batch_size, workers in PRETRAIN:
+        run = os.path.join(out, name)
+        caspr("pretrain", "--fitted", fitted, "--data", log, "--out", run, "--epochs", 2,
+              "--batch-size", batch_size, "--workers", workers, "--seed", 0)
+        drop_wall_seconds(os.path.join(run, "loss_log.csv"))
+        checkpoint = os.path.join(run, "checkpoint.bin")
+        features.append(os.path.join(run, "embeddings.csv"))
+        caspr("embed", "--checkpoint", checkpoint, "--data", log, "--out", features[-1])
+        caspr("rank", "--checkpoint", checkpoint, "--data", log, "--relevance", relevance,
+              "--out", os.path.join(run, "rank_report.csv"))
+    for path in features:
+        caspr("eval", "--features", path, "--labels", labels, "--task", "binary", "--seed", 0,
+              "--out", os.path.splitext(path)[0] + "_report.csv")
+
+
+def main(out):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    for n_entities in LOGS:
+        run_log(os.path.join(out, f"n{n_entities}"), n_entities)
+    files = sum(len(names) for _, _, names in os.walk(out))
+    print(f"wrote {files} files under {out}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    main(sys.argv[1])

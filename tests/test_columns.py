@@ -160,7 +160,7 @@ def oracle_build(records, fitted, t):
     cats[owner[kept], slot] = codes[kept, :n_cat]
     latest = from_end == 0
     statics = np.concatenate([values[latest, n_num:], codes[latest, n_cat:]], axis=1)
-    return ingest.SequenceDataset(fitted, entities, real, nums, cats, statics)
+    return ingest.SequenceDataset(fitted, entities, real, real, nums, cats, statics)
 
 
 def oracle_rfm_events(path, schema):

@@ -18,9 +18,10 @@ from test_pretrain import MODEL, TILE_CASES, length_batch, tiny_dataset, tiny_fi
 
 
 class TestDealing:
-    def test_snake_order_runs_every_job_once_within_the_largest_cost(self):
+    def test_snake_order_runs_every_job_once_within_the_largest_cost(self, monkeypatch):
         """Jobs of rising cost through real pools: each job runs once, and two workers' loads
         differ by at most the largest cost; widths 8/10/12/15 pair as {8, 15} and {10, 12}."""
+        monkeypatch.setattr(parallel, "host_cores", lambda: 3)  # so that 3 workers are 3 processes
         rng = np.random.default_rng(0)
         # [0, 10, 10]: a snake begun at the shortest job would give worker 1 both 10s
         cases = [[0, 10, 10]] + [np.sort(rng.integers(0, 1000, rng.integers(1, 21))) for _ in range(40)]
@@ -53,6 +54,27 @@ class TestDealing:
         monkeypatch.setattr(tf, "TILE", 2)
         assert pooled_embed(length_batch([3, 6, 1, 2, 5], cfg), weights, 1).shape == (5, cfg.emb_out)
         assert not mp.active_children()
+
+
+def test_a_pool_forks_no_more_processes_than_the_host_has_cpus(monkeypatch):
+    """Six workers on a 2-CPU host are 2 processes, which run all 6 jobs; a third start would fail."""
+    real_start, starts = context.ForkProcess.start, []
+
+    def start(proc):
+        starts.append(proc)
+        if len(starts) > 3:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        real_start(proc)
+
+    monkeypatch.setattr(parallel, "host_cores", lambda: 2)
+    monkeypatch.setattr(context.ForkProcess, "start", start)
+    with parallel.WorkerPool(lambda j: (j, os.getpid()), 6) as pool:
+        assert pool.workers == 6
+        out = pool.run([(j,) for j in range(6)])
+    assert len(starts) == 2
+    assert [j for j, _ in out] == list(range(6))
+    assert {pid for _, pid in out} == {proc.pid for proc in starts}
+    assert not mp.active_children()
 
 
 def test_a_pool_sized_to_the_host_takes_at_most_max_cores(monkeypatch):

@@ -37,7 +37,7 @@ from caspr.pretrain import (
 )
 
 from records import chunks
-from test_transformer import make_dataset, random_dataset, small_weights, tiny_fitted, whole_batch
+from test_transformer import make_dataset, positions, random_dataset, small_weights, tiny_fitted, whole_batch
 
 
 def tiny_dataset(n=12, seed=0, t=6, statics=0):
@@ -313,6 +313,11 @@ class TestCheckpointHardening:
         ("no_means_column", "means: no entry for column 'x0'"),
         ("zero_t", "t must be an integer >= 1"),
         ("precision_alias", "precision must be one of f32, f64"),
+        ("null_rng_state", "TypeError: state must be a dict"),
+        ("int_rng_state", "TypeError: state must be a dict"),
+        ("mt19937_rng_state", "ValueError: state must be for a PCG64 RNG"),
+        ("negative_epoch", r"epoch \(-2\) and adam_steps \(\d+\) must be >= 0"),
+        ("negative_adam_steps", r"epoch \(\d+\) and adam_steps \(-5\) must be >= 0"),
     ])
     def test_defect_is_corrupt_file(self, tmp_path, parts, defect, what):
         header, payload = parts
@@ -332,6 +337,18 @@ class TestCheckpointHardening:
             header["model"]["t"] = 0
         elif defect == "precision_alias":
             header["model"]["precision"] = "float32"  # the payload's own dtype, under a name no writer uses
+        elif defect == "null_rng_state":  # resuming would restart the permutations and masks unseen
+            header["rng_state"] = None
+        elif defect == "int_rng_state":
+            header["rng_state"] = 5
+        elif defect == "mt19937_rng_state":
+            state = np.random.MT19937(0).state
+            state["state"]["key"] = state["state"]["key"].tolist()  # so that the header is JSON
+            header["rng_state"] = state
+        elif defect == "negative_epoch":
+            header["epoch"] = -2
+        elif defect == "negative_adam_steps":
+            header["adam_steps"] = -5
         data = craft_checkpoint(header, payload)
         if defect == "bad_json":
             data = data.replace(b'"epoch"', b'"epoch\xff', 1)
@@ -397,20 +414,69 @@ class TestCheckpointHardening:
         assert outcomes["loaded"] and outcomes["rejected"]
 
 
-def length_batch(lengths, cfg, seed=0):
-    """prepare_batch over a dataset whose row i holds lengths[i] trailing real steps, 0 being an
-    all-pad row, which build_dataset never emits; one numeric, one categorical, one static column."""
+def length_dataset(lengths, t, seed=0):
+    """A dataset whose row i holds lengths[i] trailing real steps, 0 being an all-pad row, which
+    build_dataset never emits; one numeric, one categorical, one static column, at f64."""
     rng = np.random.default_rng(seed)
-    b, t = len(lengths), cfg.t
+    b = len(lengths)
     real = np.arange(t) >= t - np.asarray(lengths, dtype=np.int64).reshape(b, 1)
-    ds = ingest.SequenceDataset(
+    return ingest.SequenceDataset(
         fitted=tiny_fitted(statics=1), entities=np.array([f"e{i:03d}" for i in range(b)], dtype=object),
-        real=real, nums=np.where(real[..., None], rng.normal(size=(b, t, 1)), 0.0),
+        real=real, keep=real, nums=np.where(real[..., None], rng.normal(size=(b, t, 1)), 0.0),
         cats=np.where(real[..., None], rng.integers(1, 4, size=(b, t, 1)), 0), statics=rng.normal(size=(b, 1)))
-    return tf.prepare_batch(ds, slice(None), cfg)
+
+
+def length_batch(lengths, cfg, seed=0):
+    """prepare_batch over every row of length_dataset(lengths, cfg.t, seed)."""
+    return tf.prepare_batch(length_dataset(lengths, cfg.t, seed), slice(None), cfg)
 
 
 TILE_CASES = dict(lengths=st.lists(st.integers(0, 6), min_size=1, max_size=13), tile=st.integers(1, 5))
+
+
+class TestOneForm:
+    """The dataset, a batch and a tile are one SequenceDataset form: a tile is rows of the
+    dataset, cut to trailing slots, with the numbers at the model's dtype."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(**TILE_CASES, workers=st.integers(1, 4), precision=st.sampled_from(["f32", "f64"]),
+           seed=st.integers(0, 2 ** 16))
+    @example(lengths=[0, 6, 0, 3, 0, 0, 1], tile=3, workers=2, precision="f32", seed=0)
+    def test_every_tile_is_its_rows_of_the_dataset(self, lengths, tile, workers, precision, seed):
+        """A batch of rows drawn with repeats, in any order, tiled for any TILE and worker count."""
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, emb_out=4, precision=precision)
+        ds = length_dataset(lengths, cfg.t)
+        rng = np.random.default_rng(seed)
+        idx = rng.integers(0, len(lengths), size=rng.integers(1, 2 * len(lengths) + 1))
+        batch = tf.prepare_batch(ds, idx, cfg)
+        with mock.patch.object(tf, "TILE", tile):
+            pairs = list(tf.tiles(batch, workers))
+        assert sorted(np.concatenate([r for r, _ in pairs])) == list(range(len(idx)))
+        for rows, part in pairs:
+            cut = cfg.t - part.real.shape[1]
+            assert part.fitted is ds.fitted
+            np.testing.assert_array_equal(part.entities, ds.entities[idx[rows]])
+            for name in ("real", "keep", "cats"):
+                np.testing.assert_array_equal(getattr(part, name), getattr(ds, name)[idx[rows], cut:])
+            assert part.nums.dtype == part.statics.dtype == cfg.dtype
+            np.testing.assert_array_equal(part.nums, ds.nums[idx[rows], cut:].astype(cfg.dtype))
+            np.testing.assert_array_equal(part.statics, ds.statics[idx[rows]].astype(cfg.dtype))
+
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=TILE_CASES["lengths"], seed=st.integers(0, 2 ** 16))
+    def test_masked_hides_the_plan_and_leaves_real_as_it_was(self, lengths, seed):
+        cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, emb_out=4)
+        ds = length_dataset(lengths, cfg.t)
+        assert ds.keep is ds.real
+        plan = np.random.default_rng(seed).random(ds.real.shape) < 0.5
+        for rows in (ds, tf.prepare_batch(ds, slice(None), cfg)):
+            real, keep = rows.real.copy(), rows.keep.copy()
+            masked = rows.masked(plan)
+            assert masked.real is rows.real
+            np.testing.assert_array_equal(rows.real, real)
+            np.testing.assert_array_equal(rows.keep, keep)
+            np.testing.assert_array_equal(masked.keep, real & ~plan)
+            assert masked.nums is rows.nums and masked.cats is rows.cats
 
 
 class TestTiles:
@@ -422,8 +488,9 @@ class TestTiles:
     def test_tiles_cover_the_batch_sorted_and_trimmed(self, lengths, tile, workers):
         cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, emb_out=4)
         batch = length_batch(lengths, cfg)
+        weights = tf.build_weights(cfg, batch.fitted, np.random.default_rng(0))
         with mock.patch.object(tf, "TILE", tile):
-            pairs = list(batch.tiles(workers))
+            pairs = list(tf.tiles(batch, workers))
         size = min(tile, math.ceil(len(lengths) / workers))
         rows = np.concatenate([r for r, _ in pairs])
         assert sorted(rows) == list(range(len(lengths)))
@@ -433,14 +500,14 @@ class TestTiles:
             width = part.real.shape[1]
             assert 1 <= len(r) <= size and width >= 1
             assert not batch.real[r, :cfg.t - width].any()  # only pad slots were cut
-            for name in ("pos", "nums", "cats", "real", "keep"):
+            for name in ("nums", "cats", "real", "keep"):
                 np.testing.assert_array_equal(getattr(part, name), getattr(batch, name)[r, cfg.t - width:])
             np.testing.assert_array_equal(part.entities, batch.entities[r])
             np.testing.assert_array_equal(part.statics, batch.statics[r])
             has_real = part.real.any(axis=1)
             if len(lengths) > size:
                 assert part.real[:, 0].any() or not has_real.any()  # no all-pad leading slot
-            assert (part.pos[has_real, -1] == 1.0).all()  # the recent-end anchor holds
+            assert (positions(part, weights)[has_real, -1] == 1.0).all()  # the recent-end anchor holds
 
     @settings(max_examples=100, deadline=None)
     @given(**TILE_CASES)

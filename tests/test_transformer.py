@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from caspr import autodiff as ad
 from caspr import transformer as tf
 from caspr.autodiff import Tensor
-from caspr.errors import ConfigError, SchemaMismatch, ShapeMismatch
+from caspr.errors import ConfigError, ContractViolation, SchemaMismatch, ShapeMismatch
 from caspr.ingest import ColumnSpec, FittedSchema, Schema, build_dataset
 from records import chunks
 
@@ -70,18 +70,26 @@ def whole_batch(ds, cfg):
 def without_real_steps(batch):
     """The batch with every slot a pad slot, a row build_dataset never emits."""
     none = np.zeros_like(batch.real)
-    return dataclasses.replace(batch, real=none, keep=none.astype(batch.keep.dtype))
+    return dataclasses.replace(batch, real=none, keep=none)
 
 
 def fill_pad_slots(batch, rng, vocab_n):
-    """The batch with random numerics, positions and in-range codes (0..vocab_n) in its pad slots."""
+    """The batch with random numerics and in-range codes (0..vocab_n) in its pad slots."""
     pad = ~batch.real
     return dataclasses.replace(
         batch,
-        pos=np.where(pad, rng.uniform(size=pad.shape), batch.pos).astype(batch.pos.dtype),
         nums=np.where(pad[..., None], rng.normal(size=batch.nums.shape), batch.nums).astype(batch.nums.dtype),
         cats=np.where(pad[..., None], rng.integers(0, vocab_n + 1, size=batch.cats.shape), batch.cats),
     )
+
+
+def positions(batch, weights):
+    """The position scalar project_inputs gives each slot of `batch`, 0 at pad and masked
+    slots: with the numerics, every other weight and the bias at zero and in_proj/w's
+    position row at (1, 0, ...), hidden unit 0 is the position itself."""
+    probe = tf.ModelWeights(weights.cfg, weights.fitted, np.zeros_like(weights.flat))
+    probe["in_proj/w"].data[0, 0] = 1.0
+    return tf.project_inputs(dataclasses.replace(batch, nums=np.zeros_like(batch.nums)), probe).data[..., 0]
 
 
 def small_weights(fitted, seed=0, **overrides):
@@ -117,11 +125,13 @@ class TestConfig:
 
 class TestProjectInputs:
     def test_position_scalar_last_slot_is_one(self):
+        """With every other input zero, the projection is the position scalar times its weight row."""
         fitted = tiny_fitted()
-        cfg, _ = small_weights(fitted, t=15)
+        cfg, weights = small_weights(fitted, t=15)
         batch = whole_batch(make_dataset(fitted, 15, ("a", [0.5] * 15, [1] * 15)), cfg)
-        assert batch.pos[0, -1] == 1.0
-        np.testing.assert_allclose(batch.pos[0], (np.arange(15) + 1) / 15)
+        pos = positions(batch, weights)
+        assert pos[0, -1] == 1.0
+        np.testing.assert_allclose(pos[0], (np.arange(15) + 1) / 15)
 
     def test_batch_is_a_row_gather_at_model_precision(self):
         fitted = tiny_fitted(statics=1)
@@ -135,8 +145,8 @@ class TestProjectInputs:
         for got, rows in ((batch.nums, ds.nums[idx]), (batch.statics, ds.statics[idx])):
             assert got.dtype == np.float32
             np.testing.assert_array_equal(got, rows.astype(np.float32))
-        np.testing.assert_array_equal(batch.pos, ds.real[idx] * np.float32((np.arange(cfg.t) + 1) / cfg.t))
         np.testing.assert_array_equal(batch.keep, ds.real[idx])
+        assert batch.fitted is ds.fitted
         sliced = tf.prepare_batch(ds, slice(1, 3), cfg)
         np.testing.assert_array_equal(sliced.nums, tf.prepare_batch(ds, [1, 2], cfg).nums)
 
@@ -158,12 +168,28 @@ class TestProjectInputs:
         fitted = tiny_fitted()
         cfg, weights = small_weights(fitted)
         batch = without_real_steps(whole_batch(make_dataset(fitted, cfg.t, ("a", [0.5], [1])), cfg))
-        parts = np.concatenate([batch.pos[..., None] * batch.keep[..., None],
-                                batch.nums * batch.keep[..., None]], axis=2)
-        assert (parts == 0).all()
+        assert not batch.keep.any()
         out = tf.project_inputs(batch, weights)
         expected = weights["in_proj/b"].data[None, None, :]
         np.testing.assert_allclose(out.data, np.broadcast_to(expected, out.shape))
+
+    def test_rows_not_at_the_model_dtype_are_refused(self):
+        """The built dataset holds f64 numbers; an f32 model takes only rows prepare_batch cast."""
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted, precision="f32")
+        ds = random_dataset(np.random.default_rng(3), 3, cfg.t, fitted)
+        for run in (tf.project_inputs, tf.embed):
+            with pytest.raises(ContractViolation, match="rows hold float64 numbers, the model runs at f32"):
+                run(ds, weights)
+        assert tf.embed(whole_batch(ds, cfg), weights).shape == (3, cfg.emb_out)
+
+    def test_rows_wider_than_the_model_window_are_refused(self):
+        """At f64 the built dataset has the model's dtype, so only its width tells a longer window."""
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted, t=6)
+        ds = random_dataset(np.random.default_rng(4), 3, 8, fitted)
+        with pytest.raises(SchemaMismatch, match="rows have 8 slots, the model expects t=6"):
+            tf.embed(ds, weights)
 
     def test_schema_mismatch_detected(self):
         fitted2 = tiny_fitted(n_num=2)
