@@ -112,11 +112,16 @@ def _path(args, cfg_file, key, *path_keys):
 
 
 def _write_features(path, names, entities, matrix):
-    """One CSV row per entity: its id, then the `repr` of each float of its row of `matrix`."""
+    """One CSV row per entity: its id, then the `repr` of each float of its row of `matrix`.
+
+    The bytes are csv.writer's; a float's repr needs no quoting, so each row is one string.
+    """
+    def quoted(text, plain=frozenset(',"\r\n').isdisjoint):  # as csv quotes a field not alone on its row
+        return text if plain(text) else '"' + text.replace('"', '""') + '"'
+
     def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["entity", *names])
-        writer.writerows([entity, *map(repr, row)] for entity, row in zip(entities, matrix.tolist()))
+        fh.write(",".join(map(quoted, ["entity", *names])) + "\r\n")
+        fh.writelines(f"{quoted(e)},{','.join(map(repr, row))}\r\n" for e, row in zip(entities, matrix.tolist()))
 
     atomic_write(path, write)
 

@@ -85,7 +85,7 @@ def generate_rows(cfg):
         entity = f"e{ei:05d}"
         label = int(labels_flat[ei])
         labels[entity] = label
-        k = int(np.clip(round(rng.normal(cfg.t_mean, 3.0)), cfg.min_len, cfg.max_len))
+        k = min(max(round(rng.normal(cfg.t_mean, 3.0)), cfg.min_len), cfg.max_len)
 
         amounts = np.sort(rng.lognormal(AMOUNT_LOG_MU, AMOUNT_LOG_SIGMA, size=k))
         if cfg.signal == "trend_churn":

@@ -9,9 +9,11 @@ one checked. For each of two logs, `synth --seed 1` at 300 and at 2000 entities,
 it runs `fit`; `pretrain --epochs 2 --seed 0` at batch 48 on 1 worker, batch 512
 on 2 workers and batch 16 on 3 workers; `embed` and `rank` of each checkpoint,
 against each entity's last item; `rfm`; and a binary `eval` of each feature
-file. The `wall_seconds` column is dropped from each loss_log.csv: it is the
-only output that depends on timing. BLAS runs one thread unless the environment
-says otherwise.
+file. A third log is the 300-entity one with ids that csv must quote or that are
+not ASCII (`e,00001`, `e"00002"`, `é00003`), written back through csv.writer;
+it runs the same commands with the batch-48 pretraining only. The `wall_seconds`
+column is dropped from each loss_log.csv: it is the only output that depends on
+timing. BLAS runs one thread unless the environment says otherwise.
 """
 from __future__ import annotations
 
@@ -38,16 +40,32 @@ def drop_wall_seconds(path):
 
 def write_relevance(data_path, out_path):
     """entity,relevant_items: each entity's last item in file order."""
-    with open(data_path, newline="") as fh:
+    with open(data_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         last = {rec["entity"]: rec["item"] for rec in reader}
-    with open(out_path, "w", newline="") as fh:
-        fh.write("entity,relevant_items\n" + "".join(f"{e},{item}\n" for e, item in sorted(last.items())))
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([("entity", "relevant_items"), *sorted(last.items())])
 
 
-def run_log(out, n_entities):
+def awkward_ids(data):
+    """Rewrite `data`'s data.csv and labels.csv with ids that csv quotes or that are not ASCII."""
+    def awkward(entity):
+        digits = entity[1:]
+        return (f"é{digits}", f"e,{digits}", f'e"{digits}"')[int(digits) % 3]
+
+    for name in ("data.csv", "labels.csv"):
+        path = os.path.join(data, name)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *([awkward(row[0]), *row[1:]] for row in rows)])
+
+
+def run_log(out, n_entities, pretrain=PRETRAIN, awkward=False):
     data = os.path.join(out, "data")
     caspr("synth", "--out", data, "--n-entities", n_entities, "--seed", 1)
+    if awkward:
+        awkward_ids(data)
     log, labels, schema = (os.path.join(data, name) for name in ("data.csv", "labels.csv", "schema.json"))
     fitted = os.path.join(out, "fitted.json")
     caspr("fit", "--schema", schema, "--data", log, "--out", fitted)
@@ -55,7 +73,7 @@ def run_log(out, n_entities):
     write_relevance(log, relevance)
     features = [os.path.join(out, "rfm.csv")]
     caspr("rfm", "--schema", schema, "--data", log, "--out", features[0])
-    for name, batch_size, workers in PRETRAIN:
+    for name, batch_size, workers in pretrain:
         run = os.path.join(out, name)
         caspr("pretrain", "--fitted", fitted, "--data", log, "--out", run, "--epochs", 2,
               "--batch-size", batch_size, "--workers", workers, "--seed", 0)
@@ -75,6 +93,7 @@ def main(out):
         os.environ.setdefault(var, "1")
     for n_entities in LOGS:
         run_log(os.path.join(out, f"n{n_entities}"), n_entities)
+    run_log(os.path.join(out, "n300_awkward"), 300, PRETRAIN[:1], awkward=True)
     files = sum(len(names) for _, _, names in os.walk(out))
     print(f"wrote {files} files under {out}")
 

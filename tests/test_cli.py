@@ -164,6 +164,23 @@ def test_rfm_table_output(workspace, tmp_path):
     assert len(rows[0]) == 20  # entity + 19 features
 
 
+def test_feature_table_is_csv_writer_s_bytes_and_reads_back_exactly(tmp_path):
+    ids = ["a,b", 'q"x', "cr\rx", "lf\nx", "crlf\r\nx", "", " lead", "trail ", "é中"]
+    values = [-0.0, 5e-324, 1e300, 0.1, float(np.float32(0.1))]
+    matrix = np.array([values[i:] + values[:i] for i in range(len(ids))])
+    names = [f"f{i}" for i in range(len(values))]
+    out = tmp_path / "features.csv"
+    cli._write_features(out, names, ids, matrix)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["entity", *names])
+    writer.writerows([e, *map(repr, row)] for e, row in zip(ids, matrix.tolist()))
+    assert out.read_bytes() == expected.getvalue().encode("utf-8")
+    got_ids, got_names, got = cli.read_feature_csv(out)
+    assert (got_ids, got_names) == (ids, names)
+    assert got.tobytes() == matrix.tobytes()  # -0.0 keeps its sign bit
+
+
 def test_eval_pipeline_composes(workspace, tmp_path):
     emb = tmp_path / "emb.csv"
     main(["embed", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),

@@ -34,6 +34,21 @@ def test_different_seed_changes_output(tmp_path):
     assert sha256(a[0]) != sha256(b[0])
 
 
+SEEDED_LOG_SHA256 = {  # seed -> (data.csv, labels.csv) of a 50-entity log
+    1: ("30f4087f0af0325576695d1e3779f459ee5556ef8c0d0e1f0d8ea80f3d5dace8",
+        "b271720b9da5409c59c9e9220fbb08d03ad1c8185d145d47114feb0012912d30"),
+    7: ("0de51d9264ff80f13510dc3d8c488a58e9aad388a65226df489f657cc5de8ea1",
+        "3b522899bb357c37785cae67a8ae1c02b46ecf287d362c3715742b7e78206b04"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SEEDED_LOG_SHA256))
+def test_seeded_log_keeps_its_bytes(tmp_path, seed):
+    """A change to the random stream or the text of a row changes every seeded artifact downstream."""
+    data, labels, _ = generate(SynthConfig(n_entities=50, seed=seed), tmp_path)
+    assert (sha256(data), sha256(labels)) == SEEDED_LOG_SHA256[seed]
+
+
 def test_amount_multiset_is_label_independent_per_flip():
     # the same entity draw under flipped label orders the same amounts
     cfg = SynthConfig(n_entities=30, seed=5)
