@@ -7,18 +7,18 @@ dtype: the model's precision, or float64 for gradient checking (finite
 differences are meaningless at f32).
 Inside ``no_grad()`` ops build no parent links and no closures.
 
-There is no broadcasting: ``mul`` scales a tensor by a constant of its
-own shape, and any other operand raises ShapeMismatch.
-Three ops are fused into one node each, with hand-derived backwards:
-``attention`` (the whole multi-head softmax attention), ``matmul`` (a dense
-layer: a 2-D weight and an optional bias as one GEMM over the flattened
-rows), and ``layer_norm`` of a residual sum with an optional dropout keep
-mask (a post-norm sublayer). Losses are numpy kernels, ``squared_error`` and
-``cross_entropy``, that return a value and its gradient; ``scalar`` makes
-their sum one node. ``FlatParams`` keeps named parameters as views into one
-contiguous array and gathers their gradients into views of another, so that
-``adam_step``, pretraining's one optimizer, is a single vectorized
-update.
+Four ops are fused into one node each, with hand-derived backwards:
+``embedding`` (the model's input layer: constant columns and embedding
+table lookups joined into one step matrix, with pad and masked steps
+zeroed), ``attention`` (the whole multi-head softmax attention),
+``matmul`` (a dense layer: a 2-D weight and an optional bias as one GEMM
+over the flattened rows), and ``layer_norm`` of a residual sum with an
+optional dropout keep mask (a post-norm sublayer). Losses are numpy
+kernels, ``squared_error`` and ``cross_entropy``, that return a value and
+its gradient; ``scalar`` makes their sum one node. ``FlatParams`` keeps
+named parameters as views into one contiguous array and gathers their
+gradients into views of another, so that ``adam_step``, pretraining's one
+optimizer, is a single vectorized update.
 """
 from __future__ import annotations
 
@@ -78,16 +78,6 @@ def _make(data, parents, backward_fn):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward_fn
-    return out
-
-
-def mul(a, c):
-    """`a` times a constant array `c` of a's shape; only `a` gets a gradient."""
-    if c.shape != a.shape:
-        raise ShapeMismatch("mul", a.shape, c.shape)
-    out = _make(a.data * c, (a,), None)
-    if out.requires_grad:
-        out._backward = lambda g: (g * c,)
     return out
 
 
@@ -161,16 +151,6 @@ def matmul(a, w, bias=None):
             return grads if bias is None else grads + (_col_sums(g2),)
 
         out._backward = bwd
-    return out
-
-
-def concat(tensors, axis=-1):
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = _make(data, tuple(tensors), None)
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        out._backward = lambda g: tuple(np.split(g, splits, axis=axis))
     return out
 
 
@@ -307,16 +287,33 @@ def layer_norm(x, gamma, beta, residual, keep=None, eps=1e-5):
     return out
 
 
-def embedding(table, codes):
-    """Row lookup into `table` by an integer code array; grads scatter-add."""
-    codes = np.asarray(codes)
-    out = _make(table.data[codes], (table,), None)
+def embedding(consts, tables, codes, keep):
+    """Step matrix concat(*consts, tables[i][codes[..., i]] for each i) · keep, as one node.
+
+    `consts` are arrays of shape (n, w, k) that get no gradient, `codes` is
+    (n, w, len(tables)) and `keep` the (n, w) bool mask of the steps to
+    keep; every other step's row is zero. The backward zeroes the dropped
+    rows of g once and scatter-adds each table's column slice of it.
+    """
+    parts = [*consts, *(table.data[codes[..., i]] for i, table in enumerate(tables))]
+    data = np.concatenate(parts, axis=-1)
+    if keep.shape != data.shape[:-1]:
+        raise ShapeMismatch("embedding keep", data.shape[:-1], keep.shape)
+    data *= keep[..., None]
+    out = _make(data, tuple(tables), None)
     if out.requires_grad:
+        first = sum(c.shape[-1] for c in consts)
 
         def bwd(g):
-            full = np.zeros_like(table.data)
-            np.add.at(full, codes.reshape(-1), g.reshape(-1, table.shape[-1]))
-            return (full,)
+            g = g * keep[..., None]
+            grads, start = [], first
+            for i, table in enumerate(tables):
+                stop = start + table.shape[-1]
+                full = np.zeros_like(table.data)
+                np.add.at(full, codes[..., i].reshape(-1), g[..., start:stop].reshape(-1, table.shape[-1]))
+                grads.append(full)
+                start = stop
+            return grads
 
         out._backward = bwd
     return out

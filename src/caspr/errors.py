@@ -4,6 +4,7 @@ Every error carries an ``exit_code`` so the CLI can map failures to
 distinct process exit statuses without inspecting types twice.
 """
 import contextlib
+import typing
 
 
 def _rebuild(cls, args, state):
@@ -106,3 +107,14 @@ def too_large(what):
         yield
     except (ValueError, OverflowError, MemoryError) as exc:
         raise ConfigError(f"{what} is too large: {exc}") from None
+
+
+def check_field_types(config):
+    """A ConfigError for the first field of dataclass `config` whose value has the wrong type.
+
+    An int field takes no bool, and a float field also takes an int.
+    """
+    for name, want in typing.get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+            raise ConfigError(f"field {name!r} must be {want.__name__}, got {type(value).__name__}")

@@ -36,6 +36,7 @@ from .errors import (
     SchemaMismatch,
     TruncatedFile,
     VersionMismatch,
+    check_field_types,
 )
 from .ingest import FittedSchema
 from .transformer import (
@@ -63,6 +64,7 @@ class TrainConfig:
     workers: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.lr < math.inf:
             raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         for name in ("epochs", "seed"):

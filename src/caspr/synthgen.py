@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, too_large
+from .errors import ConfigError, check_field_types, too_large
 
 EPOCH0 = 1_600_000_000  # fixed anchor so output is seed-deterministic
 AMOUNT_LOG_MU = 3.0     # purchase amounts are lognormal(mu, sigma)
@@ -37,6 +37,7 @@ class SynthConfig:
     min_len: int = 3
 
     def __post_init__(self):
+        check_field_types(self)
         for name, least in (("n_entities", 2), ("seed", 0), ("item_vocab", 1), ("channel_vocab", 1)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")

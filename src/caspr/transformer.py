@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from . import parallel
 from .autodiff import Tensor
-from .errors import ConfigError, ContractViolation, NumericError, SchemaMismatch, too_large
+from .errors import ConfigError, ContractViolation, NumericError, SchemaMismatch, check_field_types, too_large
 from .ingest import SequenceDataset, embed_dim_for
 
 NEG_INF = -1e9
@@ -52,9 +52,10 @@ class ModelConfig:
     precision: str = "f32"
 
     def __post_init__(self):
+        check_field_types(self)
         for name, least in (("hidden", 1), ("ff_dim", 1), ("heads", 1), ("emb_out", 1), ("layers", 0), ("t", 1)):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < least:
+            if value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         if self.hidden % self.heads != 0:
             raise ConfigError(f"hidden ({self.hidden}) must be divisible by heads ({self.heads})")
@@ -62,7 +63,7 @@ class ModelConfig:
             raise ConfigError(f"mask_p must be in [0, 1], got {self.mask_p}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        if not isinstance(self.precision, str) or self.precision not in ad.DTYPES:
+        if self.precision not in ad.DTYPES:
             raise ConfigError(f"precision must be one of {', '.join(ad.DTYPES)}, got {self.precision!r}")
 
     @property
@@ -206,13 +207,9 @@ def project_inputs(batch, weights):
     if w > cfg.t:  # a window wider than the model's has no position for its oldest slots
         raise SchemaMismatch(f"rows have {w} slots, the model expects t={cfg.t}")
     pos = ((np.arange(cfg.t - w, cfg.t) + 1) / cfg.t).astype(cfg.dtype)
-    parts = [Tensor(np.broadcast_to(pos[:, None], (n, w, 1))), Tensor(batch.nums)]
-    for ci, col in enumerate(fitted.seq_categorical_cols):
-        parts.append(ad.embedding(weights[f"emb/{col}"], batch.cats[..., ci]))
-    x = ad.concat(parts, axis=2) if len(parts) > 1 else parts[0]
-    # zero out pad and masked slots in one stroke, killing their gradients too
-    keep = np.broadcast_to(batch.keep[..., None], x.shape).astype(x.dtype)
-    x = ad.mul(x, keep)
+    tables = [weights[f"emb/{col}"] for col in fitted.seq_categorical_cols]
+    # pad and masked slots enter as zero rows, and their gradients die there too
+    x = ad.embedding([np.broadcast_to(pos[:, None], (n, w, 1)), batch.nums], tables, batch.cats, batch.keep)
     return ad.matmul(x, weights["in_proj/w"], weights["in_proj/b"])
 
 

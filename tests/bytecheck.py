@@ -11,19 +11,30 @@ on 2 workers and batch 16 on 3 workers; `embed` and `rank` of each checkpoint,
 against each entity's last item; `rfm`; and a binary `eval` of each feature
 file. A third log is the 300-entity one with ids that csv must quote or that are
 not ASCII (`e,00001`, `e"00002"`, `é00003`), written back through csv.writer;
-it runs the same commands with the batch-48 pretraining only. The `wall_seconds`
+it runs the same commands with the batch-48 pretraining only. Two more runs of
+the 300-entity log, also with the batch-48 pretraining only, change its schema:
+one keeps `amount` alone, so the model has no embedding table and skips `rank`;
+one makes `channel` a `static_categorical` column. The `wall_seconds`
 column is dropped from each loss_log.csv: it is the only output that depends on
 timing. BLAS runs one thread unless the environment says otherwise.
 """
 from __future__ import annotations
 
 import csv
+import json
 import os
 import subprocess
 import sys
 
 LOGS = (300, 2000)
 PRETRAIN = (("b48_w1", 48, 1), ("b512_w2", 512, 2), ("b16_w3", 16, 3))
+SCHEMAS = {
+    "n300_numeric_only": {"columns": {"entity": "entity_id", "ts": "timestamp", "amount": "numerical"},
+                          "monetary": "amount"},
+    "n300_static_channel": {"columns": {"entity": "entity_id", "ts": "timestamp", "amount": "numerical",
+                                        "item": "categorical", "channel": "static_categorical"},
+                            "monetary": "amount", "item": "item"},
+}
 
 
 def caspr(*argv):
@@ -61,12 +72,17 @@ def awkward_ids(data):
             csv.writer(fh).writerows([header, *([awkward(row[0]), *row[1:]] for row in rows)])
 
 
-def run_log(out, n_entities, pretrain=PRETRAIN, awkward=False):
+def run_log(out, n_entities, pretrain=PRETRAIN, awkward=False, schema_json=None):
+    """Every command on one synth log; `schema_json` replaces its schema, and `rank` runs only with an item column."""
     data = os.path.join(out, "data")
     caspr("synth", "--out", data, "--n-entities", n_entities, "--seed", 1)
     if awkward:
         awkward_ids(data)
     log, labels, schema = (os.path.join(data, name) for name in ("data.csv", "labels.csv", "schema.json"))
+    if schema_json is not None:
+        with open(schema, "w", encoding="utf-8") as fh:
+            json.dump(schema_json, fh)
+    ranks = schema_json is None or "item" in schema_json
     fitted = os.path.join(out, "fitted.json")
     caspr("fit", "--schema", schema, "--data", log, "--out", fitted)
     relevance = os.path.join(out, "relevance.csv")
@@ -81,8 +97,9 @@ def run_log(out, n_entities, pretrain=PRETRAIN, awkward=False):
         checkpoint = os.path.join(run, "checkpoint.bin")
         features.append(os.path.join(run, "embeddings.csv"))
         caspr("embed", "--checkpoint", checkpoint, "--data", log, "--out", features[-1])
-        caspr("rank", "--checkpoint", checkpoint, "--data", log, "--relevance", relevance,
-              "--out", os.path.join(run, "rank_report.csv"))
+        if ranks:
+            caspr("rank", "--checkpoint", checkpoint, "--data", log, "--relevance", relevance,
+                  "--out", os.path.join(run, "rank_report.csv"))
     for path in features:
         caspr("eval", "--features", path, "--labels", labels, "--task", "binary", "--seed", 0,
               "--out", os.path.splitext(path)[0] + "_report.csv")
@@ -94,6 +111,8 @@ def main(out):
     for n_entities in LOGS:
         run_log(os.path.join(out, f"n{n_entities}"), n_entities)
     run_log(os.path.join(out, "n300_awkward"), 300, PRETRAIN[:1], awkward=True)
+    for name, schema_json in SCHEMAS.items():
+        run_log(os.path.join(out, name), 300, PRETRAIN[:1], schema_json=schema_json)
     files = sum(len(names) for _, _, names in os.walk(out))
     print(f"wrote {files} files under {out}")
 

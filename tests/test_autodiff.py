@@ -101,21 +101,6 @@ class TestForward:
         with pytest.raises(NumericError):
             ad.softmax(Tensor([[np.nan, 1.0]]))
 
-    def test_mul_requires_equal_shapes(self):
-        """A constant of the tensor's own shape; scalars and trailing shapes are refused."""
-        a = Tensor(np.ones((2, 3, 4)))
-        assert ad.mul(a, np.full((2, 3, 4), 2.0)).shape == (2, 3, 4)
-        for c in (np.asarray(2.0), np.ones(4), np.ones((3, 4))):
-            with pytest.raises(ShapeMismatch):
-                ad.mul(a, c)
-
-    def test_concat_and_slice_roundtrip(self):
-        a = Tensor(np.arange(6.0).reshape(2, 3))
-        b = Tensor(np.arange(4.0).reshape(2, 2))
-        c = ad.concat([a, b], axis=1)
-        np.testing.assert_allclose(c.data[:, :3], a.data)
-        np.testing.assert_allclose(c.data[:, 3:5], b.data)
-
 
 class TestBackward:
     def test_square_at_three(self):
@@ -129,15 +114,6 @@ class TestBackward:
         y = Tensor([2.0], requires_grad=True)
         ad.backward(readout(ad.relu(x), np.ones(1)))
         assert y.grad is None
-
-    def test_grad_of_sum_ab_is_b(self):
-        rng = np.random.default_rng(3)
-        a = leaf(rng, 4, 5)
-        b = rng.normal(size=(4, 5))
-        ones = np.ones((4, 5))
-        ad.backward(readout(ad.mul(a, b), ones))
-        np.testing.assert_allclose(a.grad, b, atol=1e-12)
-        check_grads(lambda: readout(ad.mul(a, b), ones), [a], tol=1e-6)
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -176,19 +152,20 @@ class TestBackward:
     def test_embedding_grads_scatter(self):
         rng = np.random.default_rng(9)
         table = leaf(rng, 5, 3)
-        codes = np.array([[0, 2], [2, 4]])
+        codes = np.array([[[0], [2]], [[2], [4]]])
+        keep = np.ones((2, 2), dtype=bool)
         w = rng.normal(size=(2, 2, 3))
-        check_grads(lambda: readout(ad.embedding(table, codes), w), [table])
+        check_grads(lambda: readout(ad.embedding([], [table], codes, keep), w), [table])
 
     def test_relu_grads_away_from_kink(self):
-        """The relu node feeds the concat twice, so its gradient accumulates."""
+        """The relu node is both operands of one matmul, so its gradient accumulates."""
         rng = np.random.default_rng(12)
         x = Tensor(rng.normal(size=(4, 4)) + np.sign(rng.normal(size=(4, 4))) * 0.5, requires_grad=True)
-        w = rng.normal(size=(4, 8))
+        w = rng.normal(size=(4, 4))
 
         def fn():
             r = ad.relu(x)
-            return readout(ad.concat([r, r], axis=-1), w)
+            return readout(ad.matmul(r, r), w)
 
         check_grads(fn, [x])
 
@@ -396,13 +373,67 @@ class TestDense:
             ad.matmul(a, Tensor(np.zeros((2, 4, 5))))
 
 
+class TestEmbedding:
+    """The input layer: constant columns and table rows joined per step, dropped steps zero."""
+
+    @staticmethod
+    def inputs(rng):
+        """Two tables, codes with repeats and code 0, and two dropped steps.
+
+        Code 3 of the first table and code 2 of the second appear only at
+        dropped steps, so those rows must get no gradient.
+        """
+        consts = [rng.normal(size=(2, 3, 1)), rng.normal(size=(2, 3, 2))]
+        tables = [leaf(rng, 4, 3), leaf(rng, 3, 2)]
+        codes = np.array([[[1, 0], [1, 1], [3, 2]],
+                          [[0, 1], [2, 2], [2, 0]]])
+        keep = np.array([[True, True, False], [True, False, True]])
+        return consts, tables, codes, keep
+
+    def test_grads_over_two_tables(self):
+        rng = np.random.default_rng(21)
+        consts, tables, codes, keep = self.inputs(rng)
+        w = rng.normal(size=(2, 3, 8))
+        check_grads(lambda: readout(ad.embedding(consts, tables, codes, keep), w), tables)
+
+    def test_value_and_dropped_steps(self):
+        rng = np.random.default_rng(22)
+        consts, tables, codes, keep = self.inputs(rng)
+        out = ad.embedding(consts, tables, codes, keep)
+        assert out.requires_grad and out._parents == tuple(tables)
+        rows = [tables[i].data[codes[..., i]] for i in range(2)]
+        np.testing.assert_array_equal(out.data, np.concatenate(consts + rows, axis=-1) * keep[..., None])
+        assert (out.data[~keep] == 0).all()
+        ad.backward(readout(out, np.ones((2, 3, 8))))
+        assert (tables[0].grad[3] == 0).all() and (tables[1].grad[2] == 0).all()
+        np.testing.assert_array_equal(tables[0].grad[1], 2.0)  # code 1 kept twice in column 0
+        np.testing.assert_array_equal(tables[1].grad[0], 2.0)  # code 0 kept twice in column 1
+
+    def test_no_tables_builds_no_graph(self):
+        consts = [np.ones((2, 3, 1)), np.full((2, 3, 2), -2.0)]
+        keep = np.array([[True, False, True], [False, False, True]])
+        out = ad.embedding(consts, [], np.zeros((2, 3, 0), dtype=np.int64), keep)
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+        assert out.shape == (2, 3, 3)
+        np.testing.assert_array_equal(out.data[keep], [[1.0, -2.0, -2.0]] * 3)
+        assert (out.data[~keep] == 0).all()
+
+    def test_keep_shape_checked(self):
+        rng = np.random.default_rng(23)
+        consts, tables, codes, keep = self.inputs(rng)
+        for bad in (keep[:, :2], keep[None], keep[..., None]):
+            with pytest.raises(ShapeMismatch, match="embedding keep"):
+                ad.embedding(consts, tables, codes, bad)
+
+
 class TestNoGrad:
     def test_builds_no_graph_and_restores(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
+        ones = Tensor(np.ones((3, 3)))
         with ad.no_grad():
-            y = ad.relu(ad.mul(x, np.ones((2, 3))))
+            y = ad.relu(ad.matmul(x, ones))
         assert not y.requires_grad and y._backward is None and y._parents == ()
-        assert ad.mul(x, np.ones((2, 3))).requires_grad
+        assert ad.matmul(x, ones).requires_grad
 
     def test_restored_after_exception(self):
         x = Tensor(np.ones(2), requires_grad=True)

@@ -114,12 +114,14 @@ class TestConfig:
     @pytest.mark.parametrize("name, value", [("hidden", 0), ("ff_dim", 0), ("heads", 0), ("heads", -2),
                                              ("emb_out", 0), ("layers", -1), ("hidden", 16.0)])
     def test_sizes_are_integers_in_range(self, name, value):
-        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        what = f"field '{name}' must be int, got float" if isinstance(value, float) else f"{name} must be an integer"
+        with pytest.raises(ConfigError, match=what):
             tf.ModelConfig(**{name: value})
 
     @pytest.mark.parametrize("precision", ["f16", "float64", "float32", "d", "F32", 32, None, ["f32"]])
     def test_precision_is_f32_or_f64(self, precision):
-        with pytest.raises(ConfigError, match="precision must be one of f32, f64"):
+        what = "precision must be one of f32, f64" if isinstance(precision, str) else "field 'precision' must be str"
+        with pytest.raises(ConfigError, match=what):
             tf.ModelConfig(precision=precision)
 
 
