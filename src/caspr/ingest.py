@@ -10,9 +10,10 @@ Building encodes raw records, groups them per entity, sorts by timestamp
 SequenceDataset, the one padded form that every batch and model tile takes.
 
 Both read the log through read_columns, in chunks of CHUNK_ROWS records
-turned into columns, and parse each column with one numpy cast; a chunk is
-parsed cell by cell only to name its first bad cell. Error rows are 0-based
-data rows. read_events turns the chunks into event arrays in file order;
+turned into columns (plain lines split at their commas at once, the rest by
+csv.reader), and parse each column with one numpy cast; a chunk is parsed
+cell by cell only to name its first bad cell. Error rows are 0-based data
+rows. read_events turns the chunks into event arrays in file order;
 build_dataset and the RFM table both read the log through it.
 """
 from __future__ import annotations
@@ -31,8 +32,8 @@ from .errors import EmptyDataset, ParseError, SchemaMismatch, too_large
 
 KINDS = ("entity_id", "timestamp", "numerical", "categorical", "static_numerical", "static_categorical")
 
-# Records per read_columns chunk: enough to amortize each column cast, and few
-# enough that a chunk's cells stay in cache (8192 reads a log 1.5x slower).
+# Lines (records, once csv.reader reads) per read_columns chunk: enough to amortize each
+# split and column cast, and few enough that a chunk's cells stay in cache (4096 is slower).
 CHUNK_ROWS = 1024
 INT64 = (-2 ** 63, 2 ** 63, "the 64-bit range")  # timestamps that build_dataset can hold
 
@@ -223,54 +224,88 @@ def _parse_number(text, column, row_index):
 
 
 @contextlib.contextmanager
-def open_csv(path):
-    """csv.reader over a UTF-8 file; bytes that are not UTF-8 raise ParseError."""
+def _open_text(path, line):
+    """`path` as UTF-8 text. Bad UTF-8, or a csv.Error (a field above the limit) on line line(), is a ParseError."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            yield csv.reader(fh)
+            yield fh
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8: {exc}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {line()}: {exc}") from None
+
+
+@contextlib.contextmanager
+def open_csv(path):
+    """csv.reader over a UTF-8 file; what it cannot read raises ParseError, as in _open_text."""
+    with _open_text(path, lambda: reader.line_num) as fh:
+        yield (reader := csv.reader(fh))
+
+
+def _checked_header(path, reader, schema):
+    """The CSV's header, the first record of `reader`, once checked against the schema."""
+    header = next(reader, None)
+    if header is None:
+        raise EmptyDataset(f"{path}: no header row")
+    missing = [c.name for c in schema.columns if c.name not in header]
+    if missing:
+        raise SchemaMismatch(f"{path}: columns missing from CSV header: {missing}")
+    repeated = [c.name for c in schema.columns if header.count(c.name) > 1]
+    if repeated:
+        raise SchemaMismatch(f"{path}: columns repeated in CSV header: {repeated}")
+    return header
 
 
 def iter_raw_rows(path, schema):
-    """The CSV's header, once checked against the schema, then each data record: lists of strings.
-
-    Every record read_columns hands on comes through here, which is where
-    perfbench/layertrace.py counts rows.
-    """
+    """The CSV's header, checked against the schema, then each record, by csv.reader. perfbench's tracer wraps it."""
     with open_csv(path) as reader:
-        header = next(reader, None)
-        if header is None:
-            raise EmptyDataset(f"{path}: no header row")
-        missing = [c.name for c in schema.columns if c.name not in header]
-        if missing:
-            raise SchemaMismatch(f"{path}: columns missing from CSV header: {missing}")
-        repeated = [c.name for c in schema.columns if header.count(c.name) > 1]
-        if repeated:
-            raise SchemaMismatch(f"{path}: columns repeated in CSV header: {repeated}")
-        yield header
+        yield _checked_header(path, reader, schema)
         yield from reader
+
+
+def _until_csv_error(reader, errors):
+    """The records of csv `reader` up to a csv.Error, which is appended to `errors`."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        errors.append(exc)
 
 
 def read_columns(path, schema):
     """Yield (first data row index, {schema column: cells}) per run of up to CHUNK_ROWS records.
 
-    A record of the wrong width is a ParseError raised after the rows before it are yielded.
+    A chunk of plain lines (no quote, CR or NUL, none above csv's field limit, each as wide as the header)
+    is split once at its commas, each line end kept as a cell; the cell count and a line end at every
+    (width + 1)-th cell check the widths. csv.reader parses the rest from the first other chunk. A record of the wrong width, or a csv.Error, is raised after
+    the rows before it are yielded.
     """
-    rows = iter_raw_rows(path, schema)
-    header = next(rows)
-    index = {c.name: header.index(c.name) for c in schema.columns}
-    start = 0
-    while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-        good = chunk
-        if set(map(len, chunk)) != {len(header)}:
-            good = list(itertools.takewhile(lambda row: len(row) == len(header), chunk))
-        if good:
-            cols = list(zip(*good))
-            yield start, {name: cols[i] for name, i in index.items()}
-        if len(good) < len(chunk):
-            raise ParseError(f"expected {len(header)} fields, got {len(chunk[len(good)])}", start + len(good))
-        start += len(chunk)
+    skipped = 0  # lines of the file before the first line of `reader`
+    with _open_text(path, lambda: skipped + reader.line_num) as fh:
+        header = _checked_header(path, reader := csv.reader(fh), schema)
+        width, index = len(header), {c.name: header.index(c.name) for c in schema.columns}
+        start, limit, errors = 0, csv.field_size_limit(), []
+        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+            text, stop = "".join(lines), (width + 1) * len(lines)
+            cells = [] if '"' in text or "\r" in text or "\0" in text else text.replace("\n", ",\n,").split(",")
+            if (len(cells) != stop + 1 or cells[width::width + 1].count("\n") != len(lines)  # width cells per line
+                    or len(text) > limit and max(map(len, lines)) > limit):
+                skipped, reader = reader.line_num + start, csv.reader(itertools.chain(lines, fh))
+                break
+            yield start, {name: cells[i:stop:width + 1] for name, i in index.items()}
+            start += len(lines)
+        rows = _until_csv_error(reader, errors)
+        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+            good = chunk
+            if set(map(len, chunk)) != {width}:
+                good = list(itertools.takewhile(lambda row: len(row) == width, chunk))
+            if good:
+                cols = list(zip(*good))
+                yield start, {name: cols[i] for name, i in index.items()}
+            if len(good) < len(chunk):
+                raise ParseError(f"expected {width} fields, got {len(chunk[len(good)])}", start + len(good))
+            start += len(chunk)
+        if errors:
+            raise errors[0]
 
 
 def parse_numbers(start, columns, names):

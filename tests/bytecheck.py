@@ -9,9 +9,13 @@ one checked. For each of two logs, `synth --seed 1` at 300 and at 2000 entities,
 it runs `fit`; `pretrain --epochs 2 --seed 0` at batch 48 on 1 worker, batch 512
 on 2 workers and batch 16 on 3 workers; `embed` and `rank` of each checkpoint,
 against each entity's last item; `rfm`; and a binary `eval` of each feature
-file. A third log is the 300-entity one with ids that csv must quote or that are
-not ASCII (`e,00001`, `e"00002"`, `é00003`), written back through csv.writer;
-it runs the same commands with the batch-48 pretraining only. Two more runs of
+file. Three more logs run the same commands with the batch-48 pretraining
+only, each written back through csv.writer: the 300-entity log with ids that csv
+must quote or that are not ASCII (`e,00001`, `e"00002"`, `é00003`); the same log
+unchanged but for its CRLF line ends, which csv.reader reads from the first
+chunk on; and the 2000-entity log with LF line ends and its last entity's id
+as `e,01999`, which csv.reader reads from the chunk of that entity's first row
+on, after the rows before it have been split at commas. Two more runs of
 the 300-entity log, also with the batch-48 pretraining only, change its schema:
 one keeps `amount` alone, so the model has no embedding table and skips `rank`;
 one makes `channel` a `static_categorical` column. The `wall_seconds`
@@ -58,26 +62,37 @@ def write_relevance(data_path, out_path):
         csv.writer(fh, lineterminator="\n").writerows([("entity", "relevant_items"), *sorted(last.items())])
 
 
-def awkward_ids(data):
-    """Rewrite `data`'s data.csv and labels.csv with ids that csv quotes or that are not ASCII."""
-    def awkward(entity):
-        digits = entity[1:]
-        return (f"é{digits}", f"e,{digits}", f'e"{digits}"')[int(digits) % 3]
-
+def rewrite_ids(data, new_id, lineterminator="\r\n"):
+    """Write `data`'s data.csv and labels.csv back through csv.writer, each entity id as new_id(id)."""
     for name in ("data.csv", "labels.csv"):
         path = os.path.join(data, name)
         with open(path, newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows([header, *([awkward(row[0]), *row[1:]] for row in rows)])
+            rows = [header, *([new_id(row[0]), *row[1:]] for row in rows)]
+            csv.writer(fh, lineterminator=lineterminator).writerows(rows)
 
 
-def run_log(out, n_entities, pretrain=PRETRAIN, awkward=False, schema_json=None):
-    """Every command on one synth log; `schema_json` replaces its schema, and `rank` runs only with an item column."""
+def awkward(entity):
+    """An id that csv quotes or that is not ASCII."""
+    digits = entity[1:]
+    return (f"é{digits}", f"e,{digits}", f'e"{digits}"')[int(digits) % 3]
+
+
+REWRITES = {  # log name: entities, and the rewrite of its synth data directory
+    "n300_awkward": (300, lambda data: rewrite_ids(data, awkward)),
+    "n300_crlf": (300, lambda data: rewrite_ids(data, str)),
+    "n2000_late_quote": (2000, lambda data: rewrite_ids(data, lambda e: "e,01999" if e == "e01999" else e, "\n")),
+}
+
+
+def run_log(out, n_entities, pretrain=PRETRAIN, rewrite=None, schema_json=None):
+    """Every command on one synth log; `rewrite(data directory)` edits its files, `schema_json` replaces its
+    schema, and `rank` runs only with an item column."""
     data = os.path.join(out, "data")
     caspr("synth", "--out", data, "--n-entities", n_entities, "--seed", 1)
-    if awkward:
-        awkward_ids(data)
+    if rewrite is not None:
+        rewrite(data)
     log, labels, schema = (os.path.join(data, name) for name in ("data.csv", "labels.csv", "schema.json"))
     if schema_json is not None:
         with open(schema, "w", encoding="utf-8") as fh:
@@ -110,7 +125,8 @@ def main(out):
         os.environ.setdefault(var, "1")
     for n_entities in LOGS:
         run_log(os.path.join(out, f"n{n_entities}"), n_entities)
-    run_log(os.path.join(out, "n300_awkward"), 300, PRETRAIN[:1], awkward=True)
+    for name, (n_entities, rewrite) in REWRITES.items():
+        run_log(os.path.join(out, name), n_entities, PRETRAIN[:1], rewrite=rewrite)
     for name, schema_json in SCHEMAS.items():
         run_log(os.path.join(out, name), 300, PRETRAIN[:1], schema_json=schema_json)
     files = sum(len(names) for _, _, names in os.walk(out))

@@ -1,8 +1,9 @@
 """The benchmark looks up caspr names; keep those names resolvable.
 
 perfbench/layertrace.py wraps each (module, function) in its SPANS with
-getattr and no default, and replaces autodiff._make to count graph nodes,
-so a rename in caspr would crash `perfbench/run.py --trace 1`.
+getattr and no default, and replaces autodiff._make to count graph nodes
+and ingest.iter_raw_rows to count rows, so a rename in caspr would crash
+`perfbench/run.py --trace 1`.
 perfbench/run.py also reads ModelConfig().emb_out as the embedding width it
 checks and rfm.FEATURE_NAMES as the RFM table's width. This test reads
 perfbench/ and changes nothing there; its last test runs
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from caspr import autodiff, cli, pretrain, rfm, transformer
+from caspr import autodiff, cli, ingest, pretrain, rfm, transformer
 from caspr.cli import main
 
 LAYERTRACE = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "layertrace.py")
@@ -45,6 +46,17 @@ def test_widths_read_by_the_benchmark_resolve():
 
 def test_node_counter_hook_resolves():
     inspect.signature(autodiff._make).bind(None, (), None)  # the tracer's call shape
+
+
+def test_row_counter_hook_resolves(tmp_path):
+    """layertrace counts rows by wrapping ingest.iter_raw_rows(path, schema) as a generator of
+    the CSV's header, then its records."""
+    path = tmp_path / "log.csv"
+    path.write_text('entity,ts\ne1,5\n"e,2",6\n')
+    schema = ingest.Schema([ingest.ColumnSpec("entity", "entity_id"), ingest.ColumnSpec("ts", "timestamp")])
+    rows = ingest.iter_raw_rows(path, schema)
+    assert inspect.isgenerator(rows)
+    assert list(rows) == [["entity", "ts"], ["e1", "5"], ["e,2", "6"]]
 
 
 def test_training_steps_are_counted_at_pretrain():

@@ -365,6 +365,35 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("error: ParseError: row 4: non-finite number")
         assert ("'f0'" if bad_file == "features" else "'label'") in err[0]
 
+    @pytest.mark.parametrize("fault", ["long cell", "unclosed quote"])
+    def test_text_csv_cannot_read_is_one_parse_error_naming_its_line(self, workspace, tmp_path, capsys, fault):
+        """A cell above csv's field limit (131,072 characters), or a quote left open over more than
+        that, is a ParseError naming the file and the line where csv stopped, not a traceback."""
+        rows = [f"e{i:04d},{100_000 + i},1.0,item_001,ch_0\n" for i in range(7000)]
+        if fault == "long cell":
+            rows[0], line = f"e1,100,1.0,{'i' * 140_000},ch_0\n", 2
+        else:  # the quote opens on line 2002, in the second chunk of records
+            rows[2000], line, chars = 'e1,103,1.0,"item_001,ch_0\n', 2002, len("item_001,ch_0\n")
+            while chars <= 131_072:
+                line += 1
+                chars += len(rows[line - 2])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("entity,ts,amount,item,channel\n" + "".join(rows))
+        code = main(["fit", "--schema", str(workspace["data_dir"] / "schema.json"),
+                     "--data", str(bad), "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: ParseError: {bad}: line {line}: field larger than field limit (131072)"]
+        assert not (tmp_path / "out.json").exists()
+
+    def test_a_labels_cell_above_csv_s_field_limit_is_one_parse_error(self, tmp_path, capsys):
+        labels = ["0", "1"] * 10
+        labels[3] = "1" * 140_000
+        code = main(["eval", "--task", "binary"] + self.write_eval_inputs(tmp_path, labels))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == [f"error: ParseError: {tmp_path / 'labels.csv'}: line 5: field larger than field limit (131072)"]
+
     @pytest.mark.parametrize("label", ["2", "0.5", "-1"])
     def test_out_of_range_held_out_binary_label_is_label_error(self, tmp_path, capsys, label):
         """The bad label sits in the held-out split, which the probe's own check never sees."""

@@ -315,6 +315,63 @@ def test_matches_the_row_at_a_time_oracles(rows, chunk):
         compare_all(path)
 
 
+RAW_LIMIT = 60  # csv's field limit while the raw-text property runs
+RAW_PLAIN = {"note": ["", "n", "a\x00b", "p\u2028q"], "item": ["x", "new", ""],
+             "ts": ["1600000000", "1600000003", "-77", "2021-01-05"], "entity": ["a", "b", "é", "a\x00"],
+             "amount": ["1.5", "-0.25", "1e3", "7"], "tier": ["gold", "lead"], "age": ["30", "-2", "0.5"]}
+RAW_QUOTED = {"note": ['"a,b"', '"x\ny"', '"say ""hi"""'], "item": ['"y,z"', '"x"'], "entity": ['"c,d"', 'q"x']}
+RAW_HEADER = ["note", "ts", "amount", "item", "age", "tier", "entity"]  # a text column last, where a CR would stay
+RAW_GOOD = ",1600000000,1.5,x,30,gold,a"
+
+
+@st.composite
+def raw_lines(draw):
+    """A log's data lines as raw text: plain lines, and lines with a quoted cell (one across a
+    line break), of the wrong width (one field short or long, or 2 * width + 1 fields, whose line
+    end falls where a line of the right width would put it), blank, longer than RAW_LIMIT with or
+    without a cell that long; ending in LF, CRLF or CR, the last one maybe in nothing."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = {h: draw(st.sampled_from(RAW_PLAIN[h])) for h in RAW_HEADER}
+        kind = draw(st.sampled_from(["plain"] * 4 + ["quoted", "quoted", "short", "long", "twice", "blank", "wide",
+                                                     "huge"]))
+        if kind == "quoted":
+            column = draw(st.sampled_from(sorted(RAW_QUOTED)))
+            cells[column] = draw(st.sampled_from(RAW_QUOTED[column]))
+        elif kind in ("wide", "huge"):
+            cells["note"] = "w" * (RAW_LIMIT + 1 if kind == "huge" else RAW_LIMIT - 10)
+        line = ",".join(cells[h] for h in RAW_HEADER)
+        line = {"short": line.rpartition(",")[0], "long": line + ",extra", "twice": line + "," * (len(RAW_HEADER) + 1),
+                "blank": ""}.get(kind, line)
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    return lines
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lines=raw_lines(), chunk=st.sampled_from([1, 2, 3, 5, ingest.CHUNK_ROWS]))
+@example(lines=[RAW_GOOD + "\n"] * 3 + [RAW_GOOD.replace("x", '"x"') + "\n", '"a\nb"' + RAW_GOOD + "\n"],
+         chunk=2)  # the first quote in the second chunk, then a quoted line break
+@example(lines=[RAW_GOOD + "\n"] * 2 + [RAW_GOOD + "\r\n", RAW_GOOD + "\n", RAW_GOOD], chunk=2)  # CRLF, no last LF
+@example(lines=[RAW_GOOD + "\n", "w" * (RAW_LIMIT + 1) + RAW_GOOD + "\n"], chunk=2)  # a cell above the limit
+@example(lines=[RAW_GOOD + "\n", RAW_GOOD[:-2] + "\n", "w" * (RAW_LIMIT + 1) + RAW_GOOD + "\n"],
+         chunk=5)  # a short record, then a cell above the limit: the short one is named
+@example(lines=["w" * (RAW_LIMIT - 1) + RAW_GOOD + "\n", RAW_GOOD + "\n"], chunk=5)  # a long line, no long cell
+@example(lines=[RAW_GOOD + "," * 8 + "\n", RAW_GOOD + "\n"], chunk=5)  # 2 * width + 1 fields, then a good line
+def test_matches_the_oracles_on_raw_text(lines, chunk):
+    """Plain chunks are split at commas, the rest is read by csv.reader; both must read as the oracle does."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "CHUNK_ROWS", chunk):
+        path = os.path.join(tmp, "log.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(RAW_HEADER) + "\n" + "".join(lines))
+        limit = csv.field_size_limit(RAW_LIMIT)
+        try:
+            compare_all(path)
+        finally:
+            csv.field_size_limit(limit)
+
+
 def test_matches_the_oracles_either_side_of_a_full_chunk(tmp_path):
     rng = np.random.default_rng(4)
     for n in (ingest.CHUNK_ROWS - 1, ingest.CHUNK_ROWS, ingest.CHUNK_ROWS + 1, 2 * ingest.CHUNK_ROWS + 7):
