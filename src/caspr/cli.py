@@ -3,7 +3,10 @@
 Subcommands: synth, fit, pretrain, embed, rfm, eval, rank. Options
 can come from one JSON config file (--config) with command-line flags
 winning on conflict. Artifacts are written atomically (temp file + rename)
-and reruns with the same seed produce byte-identical outputs.
+and reruns with the same seed produce byte-identical outputs. Feature, labels
+and relevance files are read by ingest.open_columns, as the log is: their first
+bad row, of the wrong width, with a bad cell or failing its reader's own check,
+is a ParseError naming its row.
 """
 from __future__ import annotations
 
@@ -113,61 +116,43 @@ def _write_features(path, names, entities, matrix):
     atomic_write(path, write)
 
 
-def _read_records(path, what):
-    """The header (None for an empty file) and the data records of a CSV file."""
-    with ingest.open_csv(_require(path, what)) as reader:
-        return next(reader, None), list(reader)
-
-
 def read_feature_csv(path):
-    """entity column plus at least one float feature column; returns (ids, feature names, matrix).
-
-    Each entity has one row. The records are checked in order: the first of
-    the wrong width or repeating an entity is a ParseError, unless a bad cell
-    before it is.
-    """
-    header, records = _read_records(path, "feature file")
-    if not header or header[0] != "entity":
-        raise ParseError(f"{path}: expected header starting with 'entity'")
-    if len(header) == 1:
-        raise ParseError(f"{path}: no feature columns after 'entity'")
-    row_of = {}
-    for end, rec in enumerate(records):
-        if len(rec) != len(header) or rec[0] in row_of:
-            break
-        row_of[rec[0]] = end
-    else:
-        end = len(records)
-    cols = list(zip(*records[:end])) or [()] * len(header)
-    matrix = ingest.parse_numbers(0, cols[1:], header[1:])
-    if end < len(records):
-        rec = records[end]
-        if len(rec) != len(header):
-            raise ParseError(f"{path}: expected {len(header)} fields", end)
-        raise ParseError(f"{path}: entity {rec[0]!r} is already on row {row_of[rec[0]]}", end)
+    """entity column, then float feature columns, one row per entity; returns (ids, feature names, matrix)."""
+    with ingest.open_columns(_require(path, "feature file")) as (header, chunks):
+        if header[:1] != ["entity"]:
+            raise ParseError(f"{path}: expected header starting with 'entity'")
+        if len(header) == 1:
+            raise ParseError(f"{path}: no feature columns after 'entity'")
+        parts, row_of = [np.zeros((len(header) - 1, 0))], {}  # row_of: entity -> row, in row order
+        for start, (entities, *cols) in chunks:
+            end = next((i for i, e in enumerate(entities) if row_of.setdefault(e, start + i) != start + i),
+                       len(entities))
+            parts.append(ingest.parse_numbers(start, [c[:end] for c in cols], header[1:]))
+            if end < len(entities):
+                raise ParseError(f"{path}: entity {entities[end]!r} is already on row {row_of[entities[end]]}",
+                                 start + end)
     # Row-major: the probe's column means and spreads sum the rows in this layout's order.
-    return list(cols[0]), header[1:], np.ascontiguousarray(matrix.T)
+    return list(row_of), header[1:], np.ascontiguousarray(np.concatenate(parts, axis=1).T)
 
 
 def read_labels_csv(path):
-    """entity -> label. An entity may repeat only with an equal label.
-
-    A bad cell is a ParseError before any repeat is checked; a short row
-    is one after the rows before it are checked.
-    """
-    header, records = _read_records(path, "labels file")
-    if not header or header[:2] != ["entity", "label"]:
-        raise ParseError(f"{path}: expected header entity,label")
-    end = next((i for i, rec in enumerate(records) if len(rec) < 2), len(records))
-    labels = ingest.parse_numbers(0, [[rec[1] for rec in records[:end]]], ["label"])[0].tolist()
-    out = {}
-    for i, (rec, label) in enumerate(zip(records, labels)):
-        if out.get(rec[0], label) != label:
-            raise ParseError(f"{path}: entity {rec[0]!r} has label {out[rec[0]]!r} on an earlier row "
-                             f"and {label!r} here", i)
-        out[rec[0]] = label
-    if end < len(records):
-        raise ParseError(f"{path}: bad label row", end)
+    """entity -> label. An entity may repeat only with an equal label."""
+    with ingest.open_columns(_require(path, "labels file")) as (header, chunks):
+        if header[:2] != ["entity", "label"]:
+            raise ParseError(f"{path}: expected header entity,label")
+        out = {}
+        for start, (entities, texts, *_) in chunks:
+            try:
+                labels, bad = ingest.parse_numbers(start, [texts], ["label"])[0], None
+            except ParseError as exc:  # the rows before the bad label are checked first
+                labels, bad = ingest.parse_numbers(start, [texts[:exc.row_index - start]], ["label"])[0], exc
+            for i, (entity, label) in enumerate(zip(entities, labels.tolist()), start):
+                if out.get(entity, label) != label:
+                    raise ParseError(f"{path}: entity {entity!r} has label {out[entity]!r} on an earlier row "
+                                     f"and {label!r} here", i)
+                out[entity] = label
+            if bad is not None:
+                raise bad
     return out
 
 
@@ -308,17 +293,15 @@ def cmd_eval(args):
 
 def read_relevance_csv(path):
     """entity,relevant_items with pipe-separated item ids; each entity has one row."""
-    header, records = _read_records(path, "relevance file")
-    if not header or header[0] != "entity":
-        raise ParseError(f"{path}: expected header starting with 'entity'")
-    out, row_of = {}, {}
-    for i, rec in enumerate(records):
-        if len(rec) < 2:
-            raise ParseError(f"{path}: bad relevance row", i)
-        if rec[0] in row_of:
-            raise ParseError(f"{path}: entity {rec[0]!r} is already on row {row_of[rec[0]]}", i)
-        row_of[rec[0]] = i
-        out[rec[0]] = [x for x in rec[1].split("|") if x]
+    with ingest.open_columns(_require(path, "relevance file")) as (header, chunks):
+        if header[:1] != ["entity"] or len(header) == 1:
+            raise ParseError(f"{path}: expected header starting with 'entity' and an items column")
+        out, row_of = {}, {}
+        for start, (entities, items, *_) in chunks:
+            for i, (entity, text) in enumerate(zip(entities, items), start):
+                if row_of.setdefault(entity, i) != i:
+                    raise ParseError(f"{path}: entity {entity!r} is already on row {row_of[entity]}", i)
+                out[entity] = [x for x in text.split("|") if x]
     return out
 
 

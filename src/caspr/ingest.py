@@ -9,9 +9,10 @@ Building encodes raw records, groups them per entity, sorts by timestamp
 (stable), keeps the latest `t` rows and left-pads shorter histories into a
 SequenceDataset, the one padded form that every batch and model tile takes.
 
-Both read the log through read_columns, in chunks of CHUNK_ROWS records
-turned into columns (plain lines split at their commas at once, the rest by
-csv.reader), and parse each column with one numpy cast; a chunk is parsed
+Both read the log through read_columns, which checks the header of
+open_columns: the one CSV reader of caspr, which turns chunks of CHUNK_ROWS
+records into columns (plain lines split at their commas at once, the rest by
+csv.reader). Each column is parsed with one numpy cast; a chunk is parsed
 cell by cell only to name its first bad cell. Error rows are 0-based data
 rows. read_events turns the chunks into event arrays in file order;
 build_dataset and the RFM table both read the log through it.
@@ -28,11 +29,11 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .errors import EmptyDataset, ParseError, SchemaMismatch, too_large
+from .errors import ContractViolation, EmptyDataset, ParseError, SchemaMismatch, too_large
 
 KINDS = ("entity_id", "timestamp", "numerical", "categorical", "static_numerical", "static_categorical")
 
-# Lines (records, once csv.reader reads) per read_columns chunk: enough to amortize each
+# Lines (records, once csv.reader reads) per open_columns chunk: enough to amortize each
 # split and column cast, and few enough that a chunk's cells stay in cache (4096 is slower).
 CHUNK_ROWS = 1024
 INT64 = (-2 ** 63, 2 ** 63, "the 64-bit range")  # timestamps that build_dataset can hold
@@ -242,25 +243,25 @@ def open_csv(path):
         yield (reader := csv.reader(fh))
 
 
-def _checked_header(path, reader, schema):
-    """The CSV's header, the first record of `reader`, once checked against the schema."""
-    header = next(reader, None)
-    if header is None:
-        raise EmptyDataset(f"{path}: no header row")
+def _column_index(path, header, schema):
+    """{schema column: its field in `header`}, once each schema column is there exactly once."""
     missing = [c.name for c in schema.columns if c.name not in header]
     if missing:
         raise SchemaMismatch(f"{path}: columns missing from CSV header: {missing}")
     repeated = [c.name for c in schema.columns if header.count(c.name) > 1]
     if repeated:
         raise SchemaMismatch(f"{path}: columns repeated in CSV header: {repeated}")
-    return header
+    return {c.name: header.index(c.name) for c in schema.columns}
 
 
 def iter_raw_rows(path, schema):
-    """The CSV's header, checked against the schema, then each record, by csv.reader. perfbench's tracer wraps it."""
-    with open_csv(path) as reader:
-        yield _checked_header(path, reader, schema)
-        yield from reader
+    """The CSV's header, checked against the schema, then each record as a list, as open_columns reads them.
+    perfbench's tracer wraps it."""
+    with open_columns(path) as (header, chunks):
+        _column_index(path, header, schema)
+        yield header
+        for _, cols in chunks:
+            yield from map(list, zip(*cols))
 
 
 def _until_csv_error(reader, errors):
@@ -271,41 +272,58 @@ def _until_csv_error(reader, errors):
         errors.append(exc)
 
 
-def read_columns(path, schema):
-    """Yield (first data row index, {schema column: cells}) per run of up to CHUNK_ROWS records.
+@contextlib.contextmanager
+def open_columns(path):
+    """A CSV file's header, and a generator of (first data row index, one cell sequence per header
+    field) per run of up to CHUNK_ROWS records. A file without a header line is EmptyDataset.
 
-    A chunk of plain lines (no quote, CR or NUL, none above csv's field limit, each as wide as the header)
-    is split once at its commas, each line end kept as a cell; the cell count and a line end at every
-    (width + 1)-th cell check the widths. csv.reader parses the rest from the first other chunk. A record of the wrong width, or a csv.Error, is raised after
+    A chunk of plain lines (no quote, bare CR or NUL, none above csv's field limit, each as wide as
+    the header) is split once at its commas, CRLF read as LF and each line end kept as a cell; the
+    cell count and a line end at every (width + 1)-th cell check the widths. csv.reader parses the
+    rest from the first other chunk. A record of the wrong width, or a csv.Error, is raised after
     the rows before it are yielded.
     """
     skipped = 0  # lines of the file before the first line of `reader`
     with _open_text(path, lambda: skipped + reader.line_num) as fh:
-        header = _checked_header(path, reader := csv.reader(fh), schema)
-        width, index = len(header), {c.name: header.index(c.name) for c in schema.columns}
-        start, limit, errors = 0, csv.field_size_limit(), []
-        while lines := list(itertools.islice(fh, CHUNK_ROWS)):
-            text, stop = "".join(lines), (width + 1) * len(lines)
-            cells = [] if '"' in text or "\r" in text or "\0" in text else text.replace("\n", ",\n,").split(",")
-            if (len(cells) != stop + 1 or cells[width::width + 1].count("\n") != len(lines)  # width cells per line
-                    or len(text) > limit and max(map(len, lines)) > limit):
-                skipped, reader = reader.line_num + start, csv.reader(itertools.chain(lines, fh))
-                break
-            yield start, {name: cells[i:stop:width + 1] for name, i in index.items()}
-            start += len(lines)
-        rows = _until_csv_error(reader, errors)
-        while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
-            good = chunk
-            if set(map(len, chunk)) != {width}:
-                good = list(itertools.takewhile(lambda row: len(row) == width, chunk))
-            if good:
-                cols = list(zip(*good))
-                yield start, {name: cols[i] for name, i in index.items()}
-            if len(good) < len(chunk):
-                raise ParseError(f"expected {width} fields, got {len(chunk[len(good)])}", start + len(good))
-            start += len(chunk)
-        if errors:
-            raise errors[0]
+        if (header := next(reader := csv.reader(fh), None)) is None:
+            raise EmptyDataset(f"{path}: no header row")
+
+        def chunks():
+            nonlocal skipped, reader
+            width, start, limit, errors = len(header), 0, csv.field_size_limit(), []
+            while lines := list(itertools.islice(fh, CHUNK_ROWS)):
+                text, stop = "".join(lines), (width + 1) * len(lines)
+                if "\r" in text:
+                    text = text.replace("\r\n", "\n")
+                cells = [] if '"' in text or "\r" in text or "\0" in text else text.replace("\n", ",\n,").split(",")
+                if (len(cells) != stop + 1 or cells[width::width + 1].count("\n") != len(lines)  # width cells per line
+                        or len(text) > limit and max(map(len, lines)) > limit):
+                    skipped, reader = reader.line_num + start, csv.reader(itertools.chain(lines, fh))
+                    break
+                yield start, [cells[i:stop:width + 1] for i in range(width)]
+                start += len(lines)
+            rows = _until_csv_error(reader, errors)
+            while chunk := list(itertools.islice(rows, CHUNK_ROWS)):
+                good = chunk
+                if set(map(len, chunk)) != {width}:
+                    good = list(itertools.takewhile(lambda row: len(row) == width, chunk))
+                if good:
+                    yield start, list(zip(*good))
+                if len(good) < len(chunk):
+                    raise ParseError(f"expected {width} fields, got {len(chunk[len(good)])}", start + len(good))
+                start += len(chunk)
+            if errors:
+                raise errors[0]
+
+        yield header, chunks()
+
+
+def read_columns(path, schema):
+    """(first data row index, {schema column: cells}) per open_columns chunk of a log whose header fits `schema`."""
+    with open_columns(path) as (header, chunks):
+        index = _column_index(path, header, schema)
+        for start, cols in chunks:
+            yield start, {name: cols[i] for name, i in index.items()}
 
 
 def parse_numbers(start, columns, names):
@@ -331,7 +349,7 @@ def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
     column that is not all integers (ISO-8601 text) is parsed cell by cell on its own.
     Once every timestamp lies inside `ts_bounds` (lo, hi, what), the numbers are cast as
     in parse_numbers, which names the first bad number itself. Otherwise the chunk is
-    parsed again cell by cell in row order, to name the first bad cell.
+    checked again cell by cell in row order, to name the first bad cell.
     """
     lo, hi, what = ts_bounds
     n = len(cols[ts_col])
@@ -345,13 +363,12 @@ def parse_chunk(start, cols, ts_col, num_cols, ts_bounds=INT64):
         in_bounds = False
     if in_bounds:
         return ts, parse_numbers(start, [cols[c] for c in num_cols], num_cols).reshape(len(num_cols), n)
-    ts, nums = [], []
     for i, cells in enumerate(zip(cols[ts_col], *(cols[c] for c in num_cols)), start):
-        ts.append(parse_timestamp(cells[0], i))
-        if not lo <= ts[-1] < hi:
+        if not lo <= parse_timestamp(cells[0], i) < hi:
             raise ParseError(f"timestamp {cells[0]!r} lies outside {what}", i)
-        nums.append([_parse_number(x, c, i) for x, c in zip(cells[1:], num_cols)])
-    return np.array(ts, dtype=np.int64), np.array(nums, dtype=np.float64).reshape(n, len(num_cols)).T
+        for x, c in zip(cells[1:], num_cols):
+            _parse_number(x, c, i)
+    raise ContractViolation(f"parse_chunk: the {n} rows from row {start} failed a cast, yet no cell is bad")
 
 
 def read_events(chunks, schema, num_cols, codes=(), ts_bounds=INT64):

@@ -58,7 +58,7 @@ CHECKPOINT_VERSION = 3   # 3: the parameters are three flat arrays, not per-tens
 @dataclass
 class TrainConfig:
     lr: float = 1e-3
-    batch_size: int = 256     # 8192 matches the large-scale benchmark setting
+    batch_size: int = 256
     epochs: int = 10
     seed: int = 0
     workers: int = 1

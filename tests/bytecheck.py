@@ -12,8 +12,8 @@ against each entity's last item; `rfm`; and a binary `eval` of each feature
 file. Three more logs run the same commands with the batch-48 pretraining
 only, each written back through csv.writer: the 300-entity log with ids that csv
 must quote or that are not ASCII (`e,00001`, `e"00002"`, `é00003`); the same log
-unchanged but for its CRLF line ends, which csv.reader reads from the first
-chunk on; and the 2000-entity log with LF line ends and its last entity's id
+unchanged but for its CRLF line ends, which are split at commas as LF lines
+are; and the 2000-entity log with LF line ends and its last entity's id
 as `e,01999`, which csv.reader reads from the chunk of that entity's first row
 on, after the rows before it have been split at commas. Two more runs of
 the 300-entity log, also with the batch-48 pretraining only, change its schema:

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from caspr import cli, ingest, pretrain, synthgen, transformer
 from caspr.cli import main
+from caspr.errors import EmptyDataset, ParseError
 
 
 def sha256(path):
@@ -179,6 +180,138 @@ def test_feature_table_is_csv_writer_s_bytes_and_reads_back_exactly(tmp_path):
     got_ids, got_names, got = cli.read_feature_csv(out)
     assert (got_ids, got_names) == (ids, names)
     assert got.tobytes() == matrix.tobytes()  # -0.0 keeps its sign bit
+
+
+TABLES = {  # reader -> (header, row i's cells)
+    "features": (["entity", "f0", "f1"], lambda i: [f"e{i:02d}", repr(i * 0.37), str(-i)]),
+    "labels": (["entity", "label"], lambda i: [f"e{i:02d}", str(i % 2)]),
+    "relevance": (["entity", "relevant_items"], lambda i: [f"e{i:02d}", f"item_{i}|item_{i + 1}"]),
+}
+
+
+def oracle_table(path, kind):
+    """What cli's table reader of `kind` must give, read row at a time by csv.reader: header
+    checks, then each row's width, its repeat (a feature or relevance file), its cells and
+    its label check, in row order."""
+    with ingest.open_csv(path) as reader:
+        header, records = next(reader, None), list(reader)
+    if header is None:
+        raise EmptyDataset(f"{path}: no header row")
+    if kind == "labels" and header[:2] != ["entity", "label"]:
+        raise ParseError(f"{path}: expected header entity,label")
+    if kind != "labels" and header[:1] != ["entity"]:
+        raise ParseError(f"{path}: expected header starting with 'entity'" +
+                         (" and an items column" if kind == "relevance" else ""))
+    if len(header) == 1:
+        raise ParseError(f"{path}: no feature columns after 'entity'" if kind == "features" else
+                         f"{path}: expected header starting with 'entity' and an items column")
+    out, row_of = {}, {}
+    for i, rec in enumerate(records):
+        if len(rec) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(rec)}", i)
+        if kind != "labels" and rec[0] in row_of:
+            raise ParseError(f"{path}: entity {rec[0]!r} is already on row {row_of[rec[0]]}", i)
+        row_of.setdefault(rec[0], i)
+        if kind == "features":
+            out[rec[0]] = [ingest._parse_number(x, name, i) for x, name in zip(rec[1:], header[1:])]
+        elif kind == "labels":
+            label = ingest._parse_number(rec[1], "label", i)
+            if out.get(rec[0], label) != label:
+                raise ParseError(f"{path}: entity {rec[0]!r} has label {out[rec[0]]!r} on an earlier row "
+                                 f"and {label!r} here", i)
+            out[rec[0]] = label
+        else:
+            out[rec[0]] = [x for x in rec[1].split("|") if x]
+    if kind == "features":
+        return list(out), header[1:], np.array(list(out.values()), dtype=np.float64).reshape(len(out), len(header) - 1)
+    return out
+
+
+def table_text(kind, n, faults=(), end="\n"):
+    """A `kind` table of n rows, csv.writer quoting, lines ending in `end`, with `faults` applied in order:
+    (row, "quote") gives the row's id a comma; (row, "repeat", other) the id of row `other`; (row, "cell", text)
+    its second cell; (row, "short"/"long") one field less or more; (row, "cr") a bare CR line end;
+    (row, "blank") a blank line before it."""
+    header, make = TABLES[kind]
+    rows, ends, blanks = [make(i) for i in range(n)], [end] * n, set()
+    for row, fault, *arg in faults:
+        if fault == "quote":
+            rows[row][0] = f"e,{row:02d}"
+        elif fault == "repeat":
+            rows[row][0] = rows[arg[0]][0]
+        elif fault == "cell":
+            rows[row][1] = arg[0]
+        elif fault in ("short", "long"):
+            rows[row] = rows[row][:-1] if fault == "short" else rows[row] + ["x"]
+        elif fault == "cr":
+            ends[row] = "\r"
+        else:
+            blanks.add(row)
+
+    def line(cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="").writerow(cells)
+        return buf.getvalue()
+
+    return line(header) + end + "".join((end if i in blanks else "") + line(r) + e
+                                        for i, (r, e) in enumerate(zip(rows, ends)))
+
+
+def table_outcomes(path, kind):
+    """cli's reader of `kind` and oracle_table on `path`: each one's result, its feature matrix as
+    bytes, or its error as (type, message, row index)."""
+    read = {"features": cli.read_feature_csv, "labels": cli.read_labels_csv, "relevance": cli.read_relevance_csv}[kind]
+    outcomes = []
+    for fn in (read, lambda path: oracle_table(path, kind)):
+        try:
+            got = fn(path)
+            outcomes.append(got[:2] + (got[2].shape, got[2].tobytes()) if kind == "features" else got)
+        except (ParseError, EmptyDataset) as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "row_index", None)))
+    return outcomes
+
+
+TABLE_CASES = {  # with 3-row chunks, rows 0-2 are the first chunk
+    "plain": [],
+    "quote mid-file": [(5, "quote")],
+    "quote, then repeat": [(4, "quote"), (8, "repeat", 1)],
+    "repeat in a split chunk": [(7, "repeat", 2)],
+    "repeat within one chunk": [(4, "repeat", 3)],
+    "bad cell": [(4, "cell", "x")],
+    "non-finite cell": [(7, "cell", "nan")],
+    "bad cell, then repeat": [(6, "cell", "x"), (7, "repeat", 0)],
+    "repeat, then bad cell": [(6, "repeat", 1), (7, "cell", "x")],  # labels: 0 on row 6, 1 on row 1
+    "repeat, then bad cell, one chunk apart": [(4, "repeat", 0), (9, "cell", "oops")],
+    "short row": [(6, "short")],
+    "long row": [(2, "long")],
+    "short row after a quote": [(3, "quote"), (5, "short")],
+    "bad cell before a short row": [(4, "cell", "x"), (5, "short")],
+    "bare CR": [(4, "cr")],
+    "blank line": [(5, "blank")],
+    "equal label repeated": [(8, "repeat", 1), (8, "cell", "1.0")],
+}
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_readers_match_a_row_at_a_time_oracle(tmp_path, monkeypatch, kind, case, end):
+    """Feature, labels and relevance files read through ingest.open_columns in 3-row chunks,
+    split at commas or by csv.reader, as csv.reader reads them a row at a time."""
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", 3)
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(table_text(kind, 11, TABLE_CASES[case], end).encode("utf-8"))
+    new, old = table_outcomes(path, kind)
+    assert new == old
+
+
+@pytest.mark.parametrize("text", ["", "entity\n", "id,x\n", "\n", "entity,label\n", "entity,label,note\n"])
+@pytest.mark.parametrize("kind", sorted(TABLES))
+def test_table_readers_match_the_oracle_on_headers(tmp_path, kind, text):
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    new, old = table_outcomes(path, kind)
+    assert new == old
 
 
 def test_eval_pipeline_composes(workspace, tmp_path):
@@ -531,12 +664,32 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines() == [f"error: ParseError: {message}"]
 
+    def test_a_labels_row_narrower_than_the_header_is_parse_error(self, tmp_path, capsys):
+        argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
+        rows = [f"e{i:02d},{i % 2},n{i}\n" for i in range(20)]
+        rows[5] = "e05,1\n"
+        (tmp_path / "labels.csv").write_text("entity,label,note\n" + "".join(rows))
+        assert main(["eval", "--task", "binary"] + argv) == 2
+        assert capsys.readouterr().err.splitlines() == ["error: ParseError: row 5: expected 3 fields, got 2"]
+        assert not (tmp_path / "report.csv").exists()
+
+    def test_a_relevance_row_wider_than_the_header_is_parse_error(self, workspace, tmp_path, capsys):
+        """The second item of e1,item_001,item_002 used to be dropped without a word."""
+        relevance = tmp_path / "relevance.csv"
+        relevance.write_text("entity,relevant_items\ne00001,item_001\ne00002,item_001,item_002\n")
+        code = main(["rank", "--checkpoint", str(workspace["run_dir"] / "checkpoint.bin"),
+                     "--data", str(workspace["data_dir"] / "data.csv"), "--relevance", str(relevance),
+                     "--out", str(tmp_path / "rank.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == ["error: ParseError: row 1: expected 2 fields, got 3"]
+        assert not (tmp_path / "rank.csv").exists()
+
     def test_eval_feature_file_short_row_before_a_bad_cell_is_named(self, tmp_path, capsys):
         argv = self.write_eval_inputs(tmp_path, ["0", "1"] * 10)
         features = tmp_path / "features.csv"
         features.write_text("entity,f0\ne00,0.0\ne01\ne02,x\n")
         assert main(["eval", "--task", "binary"] + argv) == 2
-        assert capsys.readouterr().err.splitlines() == [f"error: ParseError: row 1: {features}: expected 2 fields"]
+        assert capsys.readouterr().err.splitlines() == ["error: ParseError: row 1: expected 2 fields, got 1"]
 
     @pytest.mark.parametrize("task, far, message", [
         ("binary", None, "probe feature column 'f0': its mean or standard deviation overflows"),

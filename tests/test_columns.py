@@ -33,7 +33,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from caspr import ingest, rfm
-from caspr.errors import EmptyDataset, ParseError, SchemaMismatch
+from caspr.errors import ContractViolation, EmptyDataset, ParseError, SchemaMismatch
 from caspr.ingest import ColumnSpec, FittedSchema, Schema, parse_timestamp, _parse_number
 from records import rfm_events
 
@@ -359,6 +359,8 @@ def raw_lines(draw):
          chunk=5)  # a short record, then a cell above the limit: the short one is named
 @example(lines=["w" * (RAW_LIMIT - 1) + RAW_GOOD + "\n", RAW_GOOD + "\n"], chunk=5)  # a long line, no long cell
 @example(lines=[RAW_GOOD + "," * 8 + "\n", RAW_GOOD + "\n"], chunk=5)  # 2 * width + 1 fields, then a good line
+@example(lines=[RAW_GOOD + "\r\n"] * 3 + [RAW_GOOD + "\r", RAW_GOOD + "\r\n"], chunk=2)  # CRLF split, then a bare CR
+@example(lines=[RAW_GOOD + "\r\n", RAW_GOOD + "\r\r\n", RAW_GOOD + "\n"], chunk=5)  # a CR before a CRLF
 def test_matches_the_oracles_on_raw_text(lines, chunk):
     """Plain chunks are split at commas, the rest is read by csv.reader; both must read as the oracle does."""
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "CHUNK_ROWS", chunk):
@@ -475,12 +477,38 @@ def test_a_bad_cell_of_an_iso_log_is_named_in_row_order(tmp_path, monkeypatch, f
         assert str(exc.value) == message
 
 
+def test_a_chunk_its_casts_refuse_with_no_bad_cell_is_a_contract_violation():
+    """The per-cell pass of parse_chunk only names a bad cell; it never returns a chunk."""
+    with pytest.raises(ContractViolation, match="parse_chunk: the 0 rows from row 7 failed a cast"):
+        ingest.parse_chunk(7, {"ts": [], "amount": []}, "ts", ["amount"])
+
+
 def test_a_repeated_schema_column_in_the_header_is_refused(tmp_path):
     write_csv(tmp_path / "log.csv", HEADER + ["amount"], [GOOD + ["2.5"]])
     with pytest.raises(SchemaMismatch, match=r"columns repeated in CSV header: \['amount'\]"):
         next(ingest.read_columns(tmp_path / "log.csv", SCHEMA))
     write_csv(tmp_path / "log.csv", HEADER + ["note"], [GOOD + [""]])  # a column the schema does not read
     assert next(ingest.read_columns(tmp_path / "log.csv", SCHEMA))[0] == 0
+
+
+def test_a_crlf_log_is_split_and_reads_as_its_lf_twin(tmp_path, monkeypatch):
+    """csv.writer ends lines in CRLF by default; such a log's chunks are split at commas, as an
+    LF log's are, so csv.reader reads only the two headers."""
+    monkeypatch.setattr(ingest, "CHUNK_ROWS", 4)
+    rng = np.random.default_rng(11)
+    rows = [["", f"i{k % 3}", str(1_600_000_000 + int(rng.integers(0, 10 ** 7))), f"e{k % 5}",
+             repr(float(rng.lognormal(2.0, 1.0))), ["gold", "lead"][k % 2], str(k % 40)] for k in range(23)]
+    paths = [tmp_path / "lf.csv", tmp_path / "crlf.csv"]
+    for path, end in zip(paths, ["\n", "\r\n"]):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator=end).writerows([HEADER, *rows])
+    assert b"\r\n" in paths[1].read_bytes()
+    with mock.patch.object(ingest.csv, "reader", wraps=csv.reader) as reader:
+        fits = [ingest.fit_schema(ingest.read_columns(path, SCHEMA), SCHEMA) for path in paths]
+    assert reader.call_count == 2
+    assert json.dumps(fits[0].to_json()) == json.dumps(fits[1].to_json())
+    assert same_dataset(*(ingest.load_dataset(path, fits[0], 6) for path in paths))
+    assert same_table(*(rfm.rfm_table(rfm.rfm_events_from_csv(path, SCHEMA)) for path in paths))
 
 
 # ------------------------------------------------------------------- memory
