@@ -1,12 +1,13 @@
 """Command-line pipelines over the library modules.
 
 Subcommands: synth, fit, pretrain, embed, rfm, eval, rank. Options
-can come from one JSON config file (--config) with command-line flags
-winning on conflict. Artifacts are written atomically (temp file + rename)
-and reruns with the same seed produce byte-identical outputs. Feature, labels
-and relevance files are read by ingest.open_columns, as the log is: their first
-bad row, of the wrong width, with a bad cell or failing its reader's own check,
-is a ParseError naming its row.
+can come from one JSON config file (--config), which main reads and hands
+to the command, with command-line flags winning on conflict. Artifacts are
+written atomically (temp file + rename) and reruns with the same seed
+produce byte-identical outputs. Feature, labels and relevance files are read
+by ingest.open_columns, as the log is: their first bad row, of the wrong
+width, with a bad cell or failing its reader's own check, is a ParseError
+naming its row.
 """
 from __future__ import annotations
 
@@ -185,10 +186,8 @@ def evaluate_features(features, labels, task, seed=0, columns=None):
     return {"rmse": metrics.rmse(scores, held)}
 
 
-def cmd_synth(args):
-    cfg_file = _load_config(args.config)
-    overrides = {flag: getattr(args, flag) for flag in ("n_entities", "seed", "signal")
-                 if getattr(args, flag) is not None}
+def cmd_synth(args, cfg_file):
+    overrides = {flag: getattr(args, flag) for flag in ("n_entities", "seed") if getattr(args, flag) is not None}
     cfg = _config(synthgen.SynthConfig, cfg_file, "synth", overrides)
     out_dir = _path(args, cfg_file, "out")
     data_path, labels_path, schema_path = synthgen.generate(cfg, out_dir)
@@ -196,8 +195,7 @@ def cmd_synth(args):
     return 0
 
 
-def cmd_fit(args):
-    cfg_file = _load_config(args.config)
+def cmd_fit(args, cfg_file):
     schema_path = _path(args, cfg_file, "schema")
     data_path = _path(args, cfg_file, "data")
     out = _path(args, cfg_file, "out", "fitted", "out")
@@ -216,10 +214,8 @@ def _write_checkpoint(ck, out_dir):
     return ck_path
 
 
-def cmd_pretrain(args):
-    cfg_file = _load_config(args.config)
-    model_cfg = _config(transformer.ModelConfig, cfg_file, "model",
-                        {"precision": args.precision} if args.precision else {})
+def cmd_pretrain(args, cfg_file):
+    model_cfg = _config(transformer.ModelConfig, cfg_file, "model", {})
     train_cfg = _config(pretrain.TrainConfig, cfg_file, "train",
                         {flag: getattr(args, flag) for flag in ("seed", "epochs", "batch_size", "workers")
                          if getattr(args, flag) is not None})
@@ -254,8 +250,7 @@ def _embed_log(args, cfg_file):
     return ck, weights, dataset, vectors
 
 
-def cmd_embed(args):
-    cfg_file = _load_config(args.config)
+def cmd_embed(args, cfg_file):
     out = _path(args, cfg_file, "out", "embeddings", "out")
     _, _, dataset, vectors = _embed_log(args, cfg_file)
     _write_features(out, [f"e{i}" for i in range(vectors.shape[1])], dataset.entities, vectors)
@@ -263,8 +258,7 @@ def cmd_embed(args):
     return 0
 
 
-def cmd_rfm(args):
-    cfg_file = _load_config(args.config)
+def cmd_rfm(args, cfg_file):
     schema = ingest.load_schema_json(_require(_path(args, cfg_file, "schema"), "schema file"))
     data_path = _path(args, cfg_file, "data")
     out = _path(args, cfg_file, "out")
@@ -274,8 +268,7 @@ def cmd_rfm(args):
     return 0
 
 
-def cmd_eval(args):
-    cfg_file = _load_config(args.config)
+def cmd_eval(args, cfg_file):
     seed = args.seed or 0
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -305,8 +298,7 @@ def read_relevance_csv(path):
     return out
 
 
-def cmd_rank(args):
-    cfg_file = _load_config(args.config)
+def cmd_rank(args, cfg_file):
     out = _path(args, cfg_file, "out")
     relevant = read_relevance_csv(_path(args, cfg_file, "relevance"))
     ck, weights, dataset, vectors = _embed_log(args, cfg_file)
@@ -344,7 +336,6 @@ def build_parser():
     common(p, seed=True)
     p.add_argument("--out", help="output directory")
     p.add_argument("--n-entities", type=int, dest="n_entities")
-    p.add_argument("--signal", choices=["trend_churn", "none"])
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("fit", help="fit vocabularies and normalization statistics")
@@ -362,7 +353,6 @@ def build_parser():
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int, dest="batch_size")
     p.add_argument("--workers", type=int)
-    p.add_argument("--precision", choices=["f32", "f64"])
     p.set_defaults(fn=cmd_pretrain)
 
     p = sub.add_parser("embed", help="export entity embeddings from a checkpoint")
@@ -402,7 +392,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        code = args.fn(args, _load_config(args.config))
         sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's exit
         return code
     except BrokenPipeError:  # whoever read stdout stopped reading; the command has done its work

@@ -66,8 +66,8 @@ class Schema:
             raise SchemaMismatch("schema must declare exactly one timestamp column")
         if self.monetary is not None and self.monetary not in names:
             raise SchemaMismatch(f"monetary column {self.monetary!r} not in schema")
-        if self.item is not None and self.item not in names:
-            raise SchemaMismatch(f"item column {self.item!r} not in schema")
+        if self.item is not None and self.item not in self.names_of("categorical"):  # rank reads its table
+            raise SchemaMismatch(f"item column {self.item!r} is not a categorical column of the schema")
 
     def names_of(self, kind):
         return [c.name for c in self.columns if c.kind == kind]

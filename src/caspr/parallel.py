@@ -1,7 +1,8 @@
 """The workers that run the tiles of every model pass: training steps and `embed`.
 
 A WorkerPool forks min(workers, host CPUs) processes once, each with a copy of
-the parent's memory and one tile function, or is this process where that is 1.
+the parent's memory and one tile function, or is this process where that is 1;
+it is the one place that caps the process count.
 A call deals its jobs (tiles, shortest first) to them in snake order and returns
 every job's result in job order, whichever process ran it, so a pass gives the
 same bytes at any worker count. Forked workers keep the numpy
@@ -24,9 +25,9 @@ from .errors import CasprError
 DEADLINE_FACTOR = 20
 DEADLINE_FLOOR_S = 60.0
 
-# A pool sized to the host takes at most this many workers. It was measured only on a
-# 2-core host with one BLAS thread, and the affinity mask does not show a cgroup CPU quota:
-# a container held to 2 CPUs on a 64-core machine would otherwise fork a worker per tile.
+# embed, which sizes its pool to its tiles, asks for at most this many workers. It was
+# measured only on a 2-core host with one BLAS thread, and the affinity mask does not show a
+# cgroup CPU quota: held to 2 CPUs on a 64-core machine, embed would fork up to 64.
 MAX_CORES = 2
 
 
@@ -36,11 +37,6 @@ def host_cores():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without sched_getaffinity
         return os.cpu_count() or 1
-
-
-def usable_cores():
-    """The CPUs this process may run on, at most MAX_CORES."""
-    return min(host_cores(), MAX_CORES)
 
 
 def _results(tile_fn, jobs, worker_idx):

@@ -5,7 +5,7 @@ Training zeroes a random subset of real positions, runs the masked batch
 through encoder and decoder, and reconstructs the original values at every
 non-pad position (squared error for numerics, cross-entropy over vocab+1
 logits for categoricals). There is one training step, compute_gradients: it
-cuts each batch into row tiles with step_tiles, runs them on a
+cuts each batch into row tiles, keys each tile's dropout, runs them on a
 parallel.WorkerPool (in process at one worker, else on forked workers), and
 `combine` reduces their gradients in tile order into one Adam update. So a
 data-parallel run that cuts the serial run's tiles is that run byte for
@@ -130,8 +130,12 @@ def reconstruction_loss(preds, batch):
 
 def compute_gradients(weights, batch, key=None, pool=None):
     """Forward + backward on one (already masked) batch, tile by tile, on `pool`, a
-    parallel.WorkerPool of partial(_tile_gradients, weights), or in process without one;
-    dropout runs exactly when a dropout `key` is given (see step_tiles).
+    parallel.WorkerPool of partial(_tile_gradients, weights), or in process without one.
+
+    The batch is cut into tiles(batch, pool.workers), and each tile that holds a real
+    position runs; a batch with none at all runs whole, to fail in reconstruction_loss.
+    Dropout runs exactly when a dropout `key` is given: tile i of the step keyed
+    (seed, epoch, step) gets the key [seed, epoch, step, i], whichever process runs it.
 
     Returns (flat grad, loss numerator, real-position count), the triple
     `combine` reduces; the numerator is loss * count so tile results combine
@@ -139,20 +143,8 @@ def compute_gradients(weights, batch, key=None, pool=None):
     """
     if pool is None:
         pool = parallel.WorkerPool(functools.partial(_tile_gradients, weights), 1)  # forks nothing
-    jobs = [(weights.flat, tile, tile_key) for tile, tile_key in step_tiles(batch, key, pool.workers)]
-    return combine(pool.run(jobs))
-
-
-def step_tiles(batch, key, workers=1):
-    """(tile, dropout key) for each tile of tiles(batch, workers) that holds a real position.
-
-    Tile i of the step keyed (seed, epoch, step) gets the key [seed, epoch,
-    step, i], whichever process runs it; a key of None means no dropout. A
-    batch with no real position at all is kept whole, to fail in
-    reconstruction_loss.
-    """
-    scored = [(i, tile) for i, (_, tile) in enumerate(tiles(batch, workers)) if tile.real.any()] or [(0, batch)]
-    return [(tile, None if key is None else [*key, i]) for i, tile in scored]
+    scored = [(i, tile) for i, (_, tile) in enumerate(tiles(batch, pool.workers)) if tile.real.any()] or [(0, batch)]
+    return combine(pool.run([(weights.flat, tile, None if key is None else [*key, i]) for i, tile in scored]))
 
 
 def _tile_gradients(weights, flat, batch, key):

@@ -216,7 +216,7 @@ def project_inputs(batch, weights):
 def multi_head(h, context, mask, layer, heads):
     """Q/K/V projections, fused multi-head attention, W^O.
 
-    `mask` comes from encoder_mask or causal_mask.
+    `mask` comes from attention_mask.
     """
     q = ad.matmul(h, layer["wq"])
     k = ad.matmul(context, layer["wk"])
@@ -241,25 +241,18 @@ def _ffn(x, weights, prefix):
     return ad.matmul(inner, weights[f"{prefix}/w2"], weights[f"{prefix}/b2"])
 
 
-def encoder_mask(real, dtype):
+def attention_mask(real, dtype, causal=False):
     """(B, 1, t, t) additive mask at `dtype`, one for every head and layer: pad keys
-    blocked, pad queries left open.
+    blocked, and with `causal` every later key too; pad queries left open.
 
     No query row is ever fully blocked: a real query keeps its own key open
-    and a pad query keeps every key open.
+    (it is on the diagonal) and a pad query keeps every key open.
     """
     b, t = real.shape
-    allowed = np.broadcast_to(real[:, None, :], (b, t, t)) | ~real[:, :, None]
-    return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
-
-
-def causal_mask(real, dtype):
-    """encoder_mask intersected with the lower-triangular allow pattern; a
-    real query's own key is on the diagonal, so it stays open."""
-    b, t = real.shape
-    tri = np.tril(np.ones((t, t), dtype=bool))
-    allowed = (np.broadcast_to(real[:, None, :], (b, t, t)) & tri[None, :, :]) | ~real[:, :, None]
-    return np.where(allowed, 0.0, NEG_INF).astype(dtype)[:, None]
+    keys = np.broadcast_to(real[:, None, :], (b, t, t))
+    if causal:
+        keys = keys & np.tril(np.ones((t, t), dtype=bool))
+    return np.where(keys | ~real[:, :, None], 0.0, NEG_INF).astype(dtype)[:, None]
 
 
 def encoder_forward(batch, weights, rng=None, inputs=None):
@@ -271,7 +264,7 @@ def encoder_forward(batch, weights, rng=None, inputs=None):
     """
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
-    mask = encoder_mask(batch.real, h.dtype)
+    mask = attention_mask(batch.real, h.dtype)
     for i in range(cfg.layers):
         attn = multi_head(h, h, mask, _layer_weights(weights, f"enc{i}/attn"), cfg.heads)
         h = _sublayer(h, attn, weights, f"enc{i}/ln1", cfg.dropout, rng)
@@ -284,7 +277,7 @@ def decoder_forward(batch, encoder_out, weights, rng=None, inputs=None):
     dropout runs exactly when `rng` is given."""
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
-    mask = causal_mask(batch.real, h.dtype)
+    mask = attention_mask(batch.real, h.dtype, causal=True)
     for i in range(cfg.layers):
         self_attn = multi_head(h, h, mask, _layer_weights(weights, f"dec{i}/self"), cfg.heads)
         h = _sublayer(h, self_attn, weights, f"dec{i}/ln1", cfg.dropout, rng)
@@ -324,12 +317,12 @@ def embed(batch, weights):
     """Inference-mode entity vectors, a (B, emb_out) array in batch row order.
 
     The tiles of tiles(batch) run under ad.no_grad(), so they build no
-    backward graph, on a WorkerPool of min(#tiles, usable cores) workers.
+    backward graph, on a WorkerPool of min(#tiles, parallel.MAX_CORES) workers.
     Each tile is the same pass wherever it runs, so the output does not
     depend on the core count.
     """
     rows, cut = zip(*tiles(batch))
-    workers = min(len(cut), parallel.usable_cores())
+    workers = min(len(cut), parallel.MAX_CORES)
     # forked workers hold the tiles through fork, so a job is only a tile's index
     with parallel.WorkerPool(lambda i: _embed_tile(weights, cut[i]), workers) as pool:
         parts = pool.run([(i,) for i in range(len(cut))])

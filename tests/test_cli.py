@@ -461,6 +461,24 @@ class TestExitCodes:
         assert code == 3
         assert "SchemaMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item, kinds", [("amount", {}), ("entity", {}), ("ts", {}),
+                                             ("channel", {"channel": "static_categorical"})],
+                             ids=["amount", "entity", "ts", "static_channel"])
+    def test_an_item_tag_on_a_column_without_an_embedding_table_is_refused_at_fit(self, workspace, tmp_path,
+                                                                                capsys, item, kinds):
+        """rank reads the item column's embedding table, which only a categorical column has."""
+        schema = json.loads((workspace["data_dir"] / "schema.json").read_text())
+        schema["columns"].update(kinds)
+        schema["item"] = item
+        (tmp_path / "schema.json").write_text(json.dumps(schema))
+        code = main(["fit", "--schema", str(tmp_path / "schema.json"),
+                     "--data", str(workspace["data_dir"] / "data.csv"), "--out", str(tmp_path / "fitted.json")])
+        err = capsys.readouterr().err
+        assert code == 3 and "Traceback" not in err
+        assert err.splitlines() == [f"error: SchemaMismatch: {tmp_path / 'schema.json'}: not a Schema: SchemaMismatch: "
+                                    f"item column {item!r} is not a categorical column of the schema"]
+        assert not (tmp_path / "fitted.json").exists()
+
     @pytest.mark.parametrize("command", ["fit", "rfm", "pretrain", "embed"])
     @pytest.mark.parametrize("amount", ["nan", "inf", "-Infinity", "1e999"])
     def test_non_finite_number_is_parse_error(self, workspace, tmp_path, capsys, command, amount):
@@ -955,12 +973,15 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {error}")
 
-    @pytest.mark.parametrize("command", ["fit", "embed", "rfm", "rank"])
-    def test_seed_is_a_usage_error_where_nothing_reads_it(self, command, capsys):
+    @pytest.mark.parametrize("argv", [["fit", "--seed", "1"], ["embed", "--seed", "1"], ["rfm", "--seed", "1"],
+                                      ["rank", "--seed", "1"], ["pretrain", "--precision", "f64"],
+                                      ["synth", "--signal", "none"]], ids=lambda argv: argv[0] + argv[1])
+    def test_a_flag_is_a_usage_error_where_nothing_reads_it(self, argv, capsys):
+        """--seed where no seed is read, and the flags that only restated model.precision and synth.signal."""
         with pytest.raises(SystemExit) as exc:
-            main([command, "--seed", "1"])
+            main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
     def test_int_accepted_for_float_field(self):
         cfg = cli._config(pretrain.TrainConfig, {"train": {"lr": 1}}, "train", {})

@@ -40,7 +40,7 @@ class TestDealing:
         assert not mp.active_children()
 
     def test_a_one_worker_pool_starts_no_process(self, monkeypatch):
-        """It runs the jobs here; train at one worker and embed at one usable core succeed."""
+        """It runs the jobs here; train at one worker and embed at one core succeed."""
         def no_start(proc):
             raise AssertionError("a one-worker pool started a process")
 
@@ -78,8 +78,21 @@ def test_a_pool_forks_no_more_processes_than_the_host_has_cpus(monkeypatch):
 
 
 def test_a_pool_sized_to_the_host_takes_at_most_max_cores(monkeypatch):
+    """embed sizes its pool to its tiles: 6 tiles on a 64-CPU host fork MAX_CORES processes."""
+    real_start, starts = context.ForkProcess.start, []
+
+    def start(proc):
+        starts.append(proc)
+        real_start(proc)
+
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(64)))
-    assert parallel.usable_cores() == parallel.MAX_CORES
+    monkeypatch.setattr(context.ForkProcess, "start", start)
+    monkeypatch.setattr(tf, "TILE", 2)
+    cfg = tf.ModelConfig(hidden=8, ff_dim=16, layers=1, heads=2, t=6, emb_out=4)
+    weights = tf.build_weights(cfg, tiny_fitted(statics=1), np.random.default_rng(1))
+    assert tf.embed(length_batch([3, 6, 1, 2, 5, 4, 2, 1, 6, 3, 5, 4], cfg), weights).shape == (12, 4)
+    assert len(starts) == parallel.MAX_CORES
+    assert not mp.active_children()
 
 
 def test_a_call_s_deadline_grows_with_the_slowest_tile_so_far(monkeypatch):
@@ -93,7 +106,7 @@ def test_a_call_s_deadline_grows_with_the_slowest_tile_so_far(monkeypatch):
 
 
 def pooled_embed(batch, weights, cores):
-    with mock.patch.object(parallel, "usable_cores", lambda: cores):
+    with mock.patch.multiple(parallel, MAX_CORES=cores, host_cores=lambda: cores):
         return tf.embed(batch, weights)
 
 
@@ -154,7 +167,7 @@ class TestCommands:
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
         monkeypatch.setattr(tf, "TILE", 16)
-        monkeypatch.setattr(parallel, "usable_cores", lambda: 2)
+        monkeypatch.setattr(parallel, "host_cores", lambda: 2)
 
     @pytest.mark.parametrize("argv", [embed_argv, pretrain_argv, rank_argv])
     def test_no_worker_outlives_a_command(self, workspace, tmp_path, argv):
@@ -162,10 +175,10 @@ class TestCommands:
         assert not mp.active_children()
 
     def test_a_failing_embed_worker_is_one_error_line(self, workspace, tmp_path, capfd, monkeypatch):
-        """In process at one usable core, as on two."""
+        """In process on a one-CPU host, as on two."""
         monkeypatch.setattr(tf, "_embed_tile", out_of_memory)
         for cores in (1, 2):
-            monkeypatch.setattr(parallel, "usable_cores", lambda: cores)
+            monkeypatch.setattr(parallel, "host_cores", lambda: cores)
             assert main(embed_argv(workspace, tmp_path)) == 1
             err = capfd.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("error: CasprError: worker 0 failed: MemoryError"), cores

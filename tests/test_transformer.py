@@ -300,7 +300,7 @@ class TestAttentionMasks:
         """Over any pad pattern, both masks keep a key open in every query row:
         a real query its own key, a pad query every key."""
         b, t = real.shape
-        for mask in (tf.encoder_mask(real, dtype), tf.causal_mask(real, dtype)):
+        for mask in (tf.attention_mask(real, dtype), tf.attention_mask(real, dtype, causal=True)):
             assert mask.shape == (b, 1, t, t) and mask.dtype == dtype
             open_ = mask[:, 0] == 0.0
             assert (open_ | (mask[:, 0] == dtype(tf.NEG_INF))).all()
@@ -312,7 +312,7 @@ class TestAttentionMasks:
 class TestDecoderCausality:
     def test_causal_mask_lower_triangular(self):
         real = np.ones((1, 3), dtype=bool)
-        mask = tf.causal_mask(real, np.float64)
+        mask = tf.attention_mask(real, np.float64, causal=True)
         allow = mask[0, 0] == 0.0
         np.testing.assert_array_equal(allow, np.tril(np.ones((3, 3), dtype=bool)))
 
