@@ -115,12 +115,20 @@ def cross_entropy(logits, codes, w, scale):
     return -(z[pick] * w).sum(), grad
 
 
+_ones = {}
+
+
 def _col_sums(x2):
     """Column sums of a 2-D array as one GEMV against a ones vector.
 
     On (N, 16) rows this is about ten times faster than ``x2.sum(axis=0)``.
+    The ones vector is kept per dtype and grown, never refilled per call.
     """
-    return np.ones(x2.shape[0], dtype=x2.dtype) @ x2
+    n = x2.shape[0]
+    ones = _ones.get(x2.dtype)
+    if ones is None or ones.shape[0] < n:
+        ones = _ones[x2.dtype] = np.ones(n, dtype=x2.dtype)
+    return ones[:n] @ x2
 
 
 def matmul(a, w, bias=None):
@@ -174,22 +182,31 @@ def softmax(a, axis=-1):
     return out
 
 
-def _reduce_last(ufunc, x):
-    """Reduce the (short) last axis with one elementwise ufunc call per slot.
+def _reduce_first(ufunc, x):
+    """Reduce the (short) first axis with one elementwise ufunc call per slot.
 
-    On attention's key axis this is several times faster than a numpy
-    reduction, which pays a per-row setup cost; for np.maximum it is
-    bit-identical to ``x.max(axis=-1)``.
+    Each call runs over a whole contiguous slot when x is, and np.add sums
+    in slot order whatever numpy's own reductions do.
     """
-    out = x[..., 0].copy()
-    for j in range(1, x.shape[-1]):
-        ufunc(out, x[..., j], out=out)
+    out = x[0].copy()
+    for row in x[1:]:
+        ufunc(out, row, out=out)
     return out
 
 
 def _split_heads(x, heads):
     b, t, h = x.shape
     return x.reshape(b, t, heads, h // heads).transpose(0, 2, 1, 3)
+
+
+def _transposed_heads(x, heads):
+    """Row-major (B, heads, d_k, t) copy of x's per-head transposes.
+
+    numpy's stacked matmul runs about three times slower when its right
+    operand is a transposed head view than on this copy, with equal bits.
+    """
+    b, t, h = x.shape
+    return np.ascontiguousarray(x.reshape(b, t, heads, h // heads).transpose(0, 2, 3, 1))
 
 
 def _merged_matmul(a, b):
@@ -206,39 +223,54 @@ def attention(q, k, v, mask, heads):
 
     `q` is (B, tq, H); `k` and `v` are (B, tk, H). The last axis splits into
     `heads` slices of width d_k = H / heads, and the per-head outputs O are
-    merged back to (B, tq, H). `mask` is an additive array broadcast over
-    heads, (B, 1, tq, tk) in q's dtype. The backward follows the
-    fused formulation of FlashAttention (Dao et al. 2022) and keeps only the
-    probabilities P, O and head views of the inputs: dV = Pᵀg, dP = gVᵀ,
-    dS = P∘(dP − D)·scale with D = Σ dP∘P = Σ g∘O per query row,
-    dQ = dS·K, dK = dSᵀ·Q.
+    merged back to (B, tq, H). `mask` is an additive array in q's dtype,
+    (B, heads, tq, tk), or (B, 1, tq, tk) to broadcast over heads. The
+    backward follows the fused formulation of FlashAttention (Dao et al.
+    2022) and keeps only the probabilities P, O and head views of the
+    inputs: dV = Pᵀg, dP = gVᵀ, dS = P∘(dP − D)·scale with D = Σ dP∘P =
+    Σ g∘O per query row, dQ = dS·K, dK = dSᵀ·Q.
+
+    Scores, P and dS live in one contiguous (tk, B, heads, tq) array each:
+    every softmax step is then an elementwise op over whole rows of keys,
+    and a mask from attention_mask is already in that layout. Sᵀ = K·Qᵀ and
+    dPᵀ = V·gᵀ take a row-major copy of their transposed operand (see
+    _transposed_heads). The bits are those of the same formula on
+    (B, heads, tq, tk) arrays.
     """
     if (q.data.ndim != 3 or k.data.ndim != 3 or k.shape != v.shape or k.shape[0] != q.shape[0]
             or k.shape[2] != q.shape[2] or q.shape[2] % heads):
         raise ShapeMismatch("attention", q.shape, k.shape)
-    scale = (q.shape[2] // heads) ** -0.5
+    b, tq, h = q.shape
+    tk = k.shape[1]
+    if np.shape(mask) not in ((b, 1, tq, tk), (b, heads, tq, tk)):
+        raise ShapeMismatch("attention mask", (b, heads, tq, tk), np.shape(mask))
+    scale = (h // heads) ** -0.5
     qh, kh, vh = (_split_heads(x.data, heads) for x in (q, k, v))
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p = np.empty((tk, b, heads, tq), dtype=np.result_type(q.data, k.data))
+    pt = p.transpose(1, 2, 0, 3)  # (B, heads, tk, tq): Sᵀ, then Pᵀ, per head
+    np.matmul(kh, _transposed_heads(q.data, heads), out=pt)
     p *= scale
-    p += mask
-    row_max = _reduce_last(np.maximum, p)  # np.maximum propagates NaN, so a NaN score shows here
+    p += mask.transpose(3, 0, 1, 2)
+    row_max = _reduce_first(np.maximum, p)  # np.maximum propagates NaN, so a NaN score shows here
     if np.isnan(row_max).any():
         raise NumericError("attention: NaN in scores")
-    p -= row_max[..., None]
+    p -= row_max
     np.exp(p, out=p)
-    p /= _reduce_last(np.add, p)[..., None]
-    o = _merged_matmul(p, vh)
+    p /= _reduce_first(np.add, p)
+    o = _merged_matmul(np.swapaxes(pt, -1, -2), vh)
     out = _make(o, (q, k, v), None)
     if out.requires_grad:
 
         def bwd(g):
             gh = _split_heads(g, heads)
-            ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
-            ds -= _reduce_last(np.add, gh * _split_heads(o, heads))[..., None]
+            ds = np.empty_like(p)
+            dst = ds.transpose(1, 2, 0, 3)
+            np.matmul(vh, _transposed_heads(g, heads), out=dst)
+            ds -= _reduce_first(np.add, np.moveaxis(gh * _split_heads(o, heads), -1, 0))
             ds *= p
             ds *= scale
-            return (_merged_matmul(ds, kh), _merged_matmul(np.swapaxes(ds, -1, -2), qh),
-                    _merged_matmul(np.swapaxes(p, -1, -2), gh))
+            return (_merged_matmul(np.swapaxes(dst, -1, -2), kh), _merged_matmul(dst, qh),
+                    _merged_matmul(pt, gh))
 
         out._backward = bwd
     return out
@@ -323,7 +355,9 @@ def backward(loss):
     """Populate ∂loss/∂leaf on every requires_grad leaf reachable from `loss`.
 
     Repeated calls accumulate into .grad; fresh per-call gradients are kept
-    in a side table so stale values never re-propagate.
+    in a side table so stale values never re-propagate. A node's first
+    gradient may be an op's own array or a view shared with another parent,
+    so the second makes a new sum, which later ones are added into in place.
     """
     if loss.data.size != 1:
         raise ContractViolation(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -345,6 +379,7 @@ def backward(loss):
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.data)}
+    sums = set()  # keys whose gradient is a sum this call allocated
     for node in reversed(topo):
         g = grads.pop(id(node))
         if node._backward is not None:
@@ -352,8 +387,11 @@ def backward(loss):
                 if not parent.requires_grad:
                     continue
                 key = id(parent)
-                if key in grads:
+                if key in sums:
+                    grads[key] += pg
+                elif key in grads:
                     grads[key] = grads[key] + pg
+                    sums.add(key)
                 else:
                     grads[key] = pg
         elif node.requires_grad:

@@ -228,11 +228,23 @@ def _layer_weights(weights, prefix):
     return {name: weights[f"{prefix}/{name}"] for name in ("wq", "wk", "wv", "wo")}
 
 
-def _sublayer(x, out, weights, ln_prefix, p, rng):
-    """Dropout on the sublayer output when an rng is given, residual add and post layer norm, as one node."""
-    keep = None
-    if rng is not None and p > 0.0:
-        keep = (rng.random(out.shape) >= p).astype(out.dtype) / (1.0 - p)
+def _dropout_keeps(rng, p, n, shape, dtype):
+    """The dropout keep masks of a pass's `n` sublayers in order, scaled by
+    1/(1-p): one (n, *shape) array, or n Nones without an rng or at p = 0.
+
+    They are one rng.random((n, *shape)) draw, which takes the stream that
+    n draws of `shape` in turn would, so each sublayer gets the same mask.
+    """
+    if rng is None or p == 0.0:
+        return [None] * n
+    keep = (rng.random((n, *shape)) >= p).astype(dtype)
+    keep /= 1.0 - p
+    return keep
+
+
+def _sublayer(x, out, weights, ln_prefix, keep):
+    """Dropout on the sublayer output by `keep`, one of _dropout_keeps, residual add
+    and post layer norm, as one node."""
     return ad.layer_norm(x, weights[f"{ln_prefix}/g"], weights[f"{ln_prefix}/b"], residual=out, keep=keep)
 
 
@@ -241,49 +253,55 @@ def _ffn(x, weights, prefix):
     return ad.matmul(inner, weights[f"{prefix}/w2"], weights[f"{prefix}/b2"])
 
 
-def attention_mask(real, dtype, causal=False):
-    """(B, 1, t, t) additive mask at `dtype`, one for every head and layer: pad keys
-    blocked, and with `causal` every later key too; pad queries left open.
+def attention_mask(real, dtype, causal=False, heads=1):
+    """(B, heads, t, t) additive mask at `dtype` that every layer reuses: pad
+    keys blocked, and with `causal` every later key too; pad queries left open.
 
+    A pass builds it once with the model's heads. It is a view of one copy
+    per head laid out as attention's (tk, B, heads, tq) scores, so that each
+    layer adds it in place without broadcasting.
     No query row is ever fully blocked: a real query keeps its own key open
     (it is on the diagonal) and a pad query keeps every key open.
     """
     b, t = real.shape
-    keys = np.broadcast_to(real[:, None, :], (b, t, t))
+    keys = np.broadcast_to(real.T[:, :, None], (t, b, t))  # [key, entity, query]
     if causal:
-        keys = keys & np.tril(np.ones((t, t), dtype=bool))
-    return np.where(keys | ~real[:, :, None], 0.0, NEG_INF).astype(dtype)[:, None]
+        keys = keys & np.triu(np.ones((t, t), dtype=bool))[:, None, :]
+    mask = np.where(keys | ~real, 0.0, NEG_INF).astype(dtype)
+    return np.repeat(mask[:, :, None], heads, axis=2).transpose(1, 2, 3, 0)
 
 
 def encoder_forward(batch, weights, rng=None, inputs=None):
     """Stack of {self-attention, FFN} blocks over the projected input.
 
-    Dropout runs exactly when `rng` is given. `inputs` is
-    project_inputs(batch, weights) when the caller has it already; the
-    decoder starts from the same projection.
+    Dropout runs exactly when `rng` is given, with masks drawn once for the
+    pass. `inputs` is project_inputs(batch, weights) when the caller has it
+    already; the decoder starts from the same projection.
     """
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
-    mask = attention_mask(batch.real, h.dtype)
+    mask = attention_mask(batch.real, h.dtype, heads=cfg.heads)
+    keeps = iter(_dropout_keeps(rng, cfg.dropout, 2 * cfg.layers, h.shape, h.dtype))
     for i in range(cfg.layers):
         attn = multi_head(h, h, mask, _layer_weights(weights, f"enc{i}/attn"), cfg.heads)
-        h = _sublayer(h, attn, weights, f"enc{i}/ln1", cfg.dropout, rng)
-        h = _sublayer(h, _ffn(h, weights, f"enc{i}/ffn"), weights, f"enc{i}/ln2", cfg.dropout, rng)
+        h = _sublayer(h, attn, weights, f"enc{i}/ln1", next(keeps))
+        h = _sublayer(h, _ffn(h, weights, f"enc{i}/ffn"), weights, f"enc{i}/ln2", next(keeps))
     return h
 
 
 def decoder_forward(batch, encoder_out, weights, rng=None, inputs=None):
     """Causal self-attention, causal cross-attention over encoder output, FFN;
-    dropout runs exactly when `rng` is given."""
+    dropout runs exactly when `rng` is given, with masks drawn once for the pass."""
     cfg = weights.cfg
     h = project_inputs(batch, weights) if inputs is None else inputs
-    mask = attention_mask(batch.real, h.dtype, causal=True)
+    mask = attention_mask(batch.real, h.dtype, causal=True, heads=cfg.heads)
+    keeps = iter(_dropout_keeps(rng, cfg.dropout, 3 * cfg.layers, h.shape, h.dtype))
     for i in range(cfg.layers):
         self_attn = multi_head(h, h, mask, _layer_weights(weights, f"dec{i}/self"), cfg.heads)
-        h = _sublayer(h, self_attn, weights, f"dec{i}/ln1", cfg.dropout, rng)
+        h = _sublayer(h, self_attn, weights, f"dec{i}/ln1", next(keeps))
         cross = multi_head(h, encoder_out, mask, _layer_weights(weights, f"dec{i}/cross"), cfg.heads)
-        h = _sublayer(h, cross, weights, f"dec{i}/ln2", cfg.dropout, rng)
-        h = _sublayer(h, _ffn(h, weights, f"dec{i}/ffn"), weights, f"dec{i}/ln3", cfg.dropout, rng)
+        h = _sublayer(h, cross, weights, f"dec{i}/ln2", next(keeps))
+        h = _sublayer(h, _ffn(h, weights, f"dec{i}/ffn"), weights, f"dec{i}/ln3", next(keeps))
     return h
 
 

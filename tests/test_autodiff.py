@@ -120,6 +120,20 @@ class TestBackward:
         with pytest.raises(ContractViolation):
             ad.backward(ad.relu(x))
 
+    @pytest.mark.parametrize("first", [True, False])
+    def test_sums_never_write_into_an_op_gradient(self, first):
+        """An op's gradient array can be shared (layer_norm hands x and the
+        residual one dx), so backward adds into its own sums only: here three
+        gradients reach `a`, and the op's array comes first or last."""
+        rng = np.random.default_rng(13)
+        a = ad.matmul(leaf(rng, 3, 4), leaf(rng, 4, 4))
+        held = np.ones((3, 4))
+        node = ad._make(a.data.copy(), (a,), None)
+        node._backward = lambda g: (held,)
+        parts = [node, ad.relu(a), ad.relu(a)]
+        ad.backward(ad.scalar(0.0, parts if first else parts[::-1], [np.ones((3, 4))] * 3))
+        assert (held == 1.0).all()
+
     def test_repeated_backward_accumulates(self):
         x = Tensor([[2.0]], requires_grad=True)
         loss = ad.matmul(x, x)
@@ -241,6 +255,49 @@ def unfused_attention(q, k, v, mask, heads, g):
     return out, dq, dkey, dv
 
 
+def strided_attention(q, k, v, mask, heads, g):
+    """The fused op's formula on (B, heads, tq, tk) scores and strided head
+    views, the transposed Kᵀ and Vᵀ views included, with a (B, 1, tq, tk)
+    mask broadcast over heads: (O, dQ, dK, dV) for an upstream gradient g,
+    in the fused op's order of operations."""
+
+    def split(x):
+        b, t, h = x.shape
+        return x.reshape(b, t, heads, h // heads).transpose(0, 2, 1, 3)
+
+    def merged(a, b):
+        out = np.empty((a.shape[0], a.shape[2], heads, b.shape[-1]), dtype=np.result_type(a, b))
+        np.matmul(a, b, out=out.transpose(0, 2, 1, 3))
+        return out.reshape(a.shape[0], a.shape[2], -1)
+
+    def row_sums(x):
+        out = x[..., 0].copy()
+        for j in range(1, x.shape[-1]):
+            out += x[..., j]
+        return out
+
+    scale = (q.shape[2] // heads) ** -0.5
+    qh, kh, vh, gh = (split(x) for x in (q, k, v, g))
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
+    p *= scale
+    p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= row_sums(p)[..., None]
+    o = merged(p, vh)
+    ds = np.matmul(gh, np.swapaxes(vh, -1, -2))
+    ds -= row_sums(gh * split(o))[..., None]
+    ds *= p
+    ds *= scale
+    return o, merged(ds, kh), merged(np.swapaxes(ds, -1, -2), qh), merged(np.swapaxes(p, -1, -2), gh)
+
+
+def pad_mask(rng, b, t):
+    """Additive (B, t, t) mask: pad keys blocked, pad query rows open."""
+    real = np.arange(t)[None, :] >= rng.integers(0, t - 1, size=b)[:, None]
+    return np.where(real[:, None, :] | ~real[:, :, None], 0.0, -1e9)
+
+
 class TestAttention:
     """The fused op against finite differences and the unfused op chain.
 
@@ -292,6 +349,33 @@ class TestAttention:
             ad.attention(q, zero(1, 3, 2), zero(1, 3, 2), np.zeros((1, 1, 2, 3)), heads=2)
         with pytest.raises(ShapeMismatch):
             ad.attention(q, q, q, np.zeros((1, 1, 2, 2)), heads=3)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 3, 3, 3), (1, 2, 3, 3), (2, 2, 3, 2), (2, 2, 3, 3, 1)])
+    def test_mask_must_be_batch_by_heads_by_queries_by_keys(self, shape):
+        """A (B, t, t) mask, whose batch axis would pass for the head axis at
+        B = heads, and a mask of the wrong size are both refused."""
+        q = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeMismatch, match="attention mask"):
+            ad.attention(q, q, q, np.zeros(shape), heads=2)
+        for ok in ((2, 1, 3, 3), (2, 2, 3, 3)):
+            assert ad.attention(q, q, q, np.zeros(ok), heads=2).shape == q.shape
+
+    @pytest.mark.parametrize("b", [1, 5, 48, 128])
+    @pytest.mark.parametrize("make_mask", [pad_mask, causal_pad_mask])
+    def test_f32_bytes_equal_the_strided_formula(self, b, make_mask):
+        """Output and all three input gradients at the model's shape and
+        precision are the bytes of the formula on strided head views, with
+        the mask per head or broadcast over heads."""
+        rng = np.random.default_rng(b)
+        heads, t = 8, 15
+        q, k, v, g = (rng.normal(size=(b, t, 16)).astype(np.float32) for _ in range(4))
+        mask = make_mask(rng, b, t).astype(np.float32)[:, None]
+        ref = strided_attention(q, k, v, mask, heads, g)
+        for m in (mask, np.repeat(mask, heads, axis=1)):
+            out = ad.attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)), m, heads)
+            got = (out.data, *out._backward(g))
+            for x, y in zip(got, ref):
+                assert x.dtype == np.float32 and x.tobytes() == y.tobytes()
 
 
 def dropout_keep(rng, shape, p=0.25):

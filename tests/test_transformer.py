@@ -292,6 +292,78 @@ class TestEncoder:
         assert not (a.data == b.data).all()
 
 
+def drawn_in_turn(weights, rng):
+    """A sublayer as each pass ran it with a mask of its own: draw the
+    output's dropout keep mask from `rng`, then residual add and layer norm."""
+    p = weights.cfg.dropout
+
+    def sublayer(x, out, prefix):
+        keep = (rng.random(out.shape) >= p).astype(out.dtype) / (1.0 - p)
+        return ad.layer_norm(x, weights[f"{prefix}/g"], weights[f"{prefix}/b"], residual=out, keep=keep)
+
+    return sublayer
+
+
+def reference_encoder(batch, weights, rng, x):
+    cfg, sublayer = weights.cfg, drawn_in_turn(weights, rng)
+    h, mask = x, tf.attention_mask(batch.real, x.dtype)
+    for i in range(cfg.layers):
+        h = sublayer(h, tf.multi_head(h, h, mask, tf._layer_weights(weights, f"enc{i}/attn"), cfg.heads),
+                     f"enc{i}/ln1")
+        h = sublayer(h, tf._ffn(h, weights, f"enc{i}/ffn"), f"enc{i}/ln2")
+    return h
+
+
+def reference_decoder(batch, enc, weights, rng, x):
+    cfg, sublayer = weights.cfg, drawn_in_turn(weights, rng)
+    h, mask = x, tf.attention_mask(batch.real, x.dtype, causal=True)
+    for i in range(cfg.layers):
+        h = sublayer(h, tf.multi_head(h, h, mask, tf._layer_weights(weights, f"dec{i}/self"), cfg.heads),
+                     f"dec{i}/ln1")
+        h = sublayer(h, tf.multi_head(h, enc, mask, tf._layer_weights(weights, f"dec{i}/cross"), cfg.heads),
+                     f"dec{i}/ln2")
+        h = sublayer(h, tf._ffn(h, weights, f"dec{i}/ffn"), f"dec{i}/ln3")
+    return h
+
+
+class TestDropoutDraws:
+    """A pass draws all its sublayers' dropout masks at once, from the stream
+    that one draw per sublayer in turn would take."""
+
+    def pass_bytes(self, batch, weights, rng, encoder, decoder):
+        """Encoder output, decoder output and flat gradient of Σ decoder output, as bytes."""
+        weights.zero_grad()
+        x = tf.project_inputs(batch, weights)
+        enc = encoder(batch, weights, rng, x)
+        dec = decoder(batch, enc, weights, rng, x)
+        ad.backward(ad.scalar(dec.data.sum(), [dec], [np.ones_like(dec.data)]))
+        return enc.data.tobytes(), dec.data.tobytes(), weights.grad.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, 48])
+    def test_one_draw_per_pass_equals_a_draw_per_sublayer(self, n):
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted, dropout=0.25, heads=4, precision="f32")
+        batch = whole_batch(random_dataset(np.random.default_rng(n), n, cfg.t, fitted), cfg)
+        rngs = [np.random.default_rng([5, n]) for _ in range(2)]
+        got = self.pass_bytes(batch, weights, rngs[0],
+                              lambda b, w, r, x: tf.encoder_forward(b, w, rng=r, inputs=x),
+                              lambda b, e, w, r, x: tf.decoder_forward(b, e, w, rng=r, inputs=x))
+        ref = self.pass_bytes(batch, weights, rngs[1], reference_encoder, reference_decoder)
+        assert got == ref
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_zero_dropout_with_an_rng_is_the_pass_without(self):
+        fitted = tiny_fitted()
+        cfg, weights = small_weights(fitted, dropout=0.0, precision="f32")
+        batch = whole_batch(random_dataset(np.random.default_rng(11), 3, cfg.t, fitted), cfg)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        enc = tf.encoder_forward(batch, weights, rng=rng)
+        assert tf.decoder_forward(batch, enc, weights, rng=rng).data.tobytes() == \
+            tf.decoder_forward(batch, tf.encoder_forward(batch, weights), weights).data.tobytes()
+        assert rng.bit_generator.state == state
+
+
 class TestAttentionMasks:
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(bool, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=9)),
@@ -307,6 +379,16 @@ class TestAttentionMasks:
             assert open_.any(axis=-1).all()
             assert open_[:, np.arange(t), np.arange(t)][real].all()
             assert open_[~real].all()
+
+    def test_heads_copy_the_mask_per_head_in_the_score_layout(self):
+        """With heads, the mask is one copy per head, stored as attention's
+        contiguous (tk, B, heads, tq) scores."""
+        real = np.array([[False, True, True], [True, True, True]])
+        for causal in (False, True):
+            one = tf.attention_mask(real, np.float32, causal=causal)
+            per_head = tf.attention_mask(real, np.float32, causal=causal, heads=3)
+            assert per_head.shape == (2, 3, 3, 3) and per_head.transpose(3, 0, 1, 2).flags.c_contiguous
+            assert (per_head == one).all()
 
 
 class TestDecoderCausality:
